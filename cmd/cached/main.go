@@ -31,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"snnfi/internal/fabric"
 	"snnfi/internal/obs"
@@ -41,6 +42,28 @@ func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "cached:", err)
 		os.Exit(1)
+	}
+}
+
+// Connection time limits. Without them a client that stalls while
+// sending its headers or body, or parks an idle keep-alive connection,
+// holds that connection and its goroutine for as long as the store
+// runs. Cells and suites are small JSON documents, so a minute for a
+// whole request is generous.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the store handler in a server with the connection
+// time limits set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
@@ -80,7 +103,7 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "cached: serving %s on http://%s (%s)\n", *dir, ln.Addr(), runner.StoreProtocol)
 	}
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	sig := make(chan os.Signal, 1)

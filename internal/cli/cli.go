@@ -198,16 +198,6 @@ func Disk[T any](s *Session, dir, name, tier string) (*runner.DiskCache[T], erro
 	return d, nil
 }
 
-// Tier composes a session-tracked disk tier under an in-memory cache
-// (write-through), the standard -cache-dir wiring.
-func Tier[T any](s *Session, mem runner.Cache[T], dir, name, tier string) (runner.Cache[T], error) {
-	d, err := Disk[T](s, dir, name, tier)
-	if err != nil {
-		return nil, err
-	}
-	return runner.NewTiered[T](mem, d), nil
-}
-
 // FinishReport ends the live line and emits the campaign report: JSON
 // to -report when requested, and the stderr digest unless -quiet. A
 // nil monitor (no campaign ran) is tolerated — the -report request is

@@ -1,10 +1,6 @@
 package neuron
 
-import (
-	"fmt"
-
-	"snnfi/internal/spice"
-)
+import "snnfi/internal/spice"
 
 // IAF parametrizes the voltage-amplifier integrate-and-fire neuron
 // (Fig. 2b): membrane capacitor with a gate-controlled leak, a
@@ -141,13 +137,9 @@ func (n *IAF) Simulate(stop, dt float64) (*spice.TranResult, error) {
 
 // TimeToSpike returns the time at which the membrane first reaches the
 // amplifier threshold and the output fires (first rising crossing of
-// VDD/2 on the amplifier output).
+// VDD/2 on the amplifier output). The transient stops at that spike.
 func (n *IAF) TimeToSpike(stop, dt float64) (float64, error) {
-	res, err := n.Simulate(stop, dt)
-	if err != nil {
-		return 0, err
-	}
-	return spice.FirstCrossing(res.Time, res.V("aout"), n.VDD/2, true)
+	return timeToSpike(n.Build(), "aout", n.VDD, stop, dt)
 }
 
 // MeasuredThreshold extracts the effective firing threshold: the
@@ -155,18 +147,8 @@ func (n *IAF) TimeToSpike(stop, dt float64) (float64, error) {
 // (detected as the first upward membrane jump much faster than the
 // input-driven charging slope). It exceeds the divider reference by the
 // amplifier's transition overdrive, so it is the *dynamic* threshold; the
-// designed threshold is ThresholdVoltage().
+// designed threshold is ThresholdVoltage(). The transient stops at the
+// latch.
 func (n *IAF) MeasuredThreshold(stop, dt float64) (float64, error) {
-	res, err := n.Simulate(stop, dt)
-	if err != nil {
-		return 0, err
-	}
-	vmem := res.V("vmem")
-	const jump = 0.02 // V per step: far above the ~9.5 mV/µs charge slope
-	for i := 1; i < len(vmem); i++ {
-		if vmem[i]-vmem[i-1] > jump {
-			return vmem[i-1], nil
-		}
-	}
-	return 0, fmt.Errorf("neuron: I&F never latched within %.3g s", stop)
+	return latchThreshold(n.Build(), "I&F", stop, dt)
 }

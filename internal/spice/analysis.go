@@ -264,6 +264,16 @@ type TranOptions struct {
 	MaxSubdiv int
 	// Record filters which node names are recorded; empty records all.
 	Record []string
+	// Until, when non-nil, ends the run early: it is called with the
+	// samples recorded so far after each full Dt step, and the run
+	// returns as soon as it reports true. The grid is fixed and the
+	// solve causal — only the final partial step depends on Stop — so
+	// the returned samples are exactly the leading samples of the full
+	// run. Measurements that settle at an event (a first spike, a
+	// latch) use it to skip the rest of the window; a Newton failure
+	// after the event then no longer fails the run, because those
+	// steps are never taken.
+	Until func(*TranResult) bool
 }
 
 // TranResult is a recorded transient run.
@@ -371,6 +381,9 @@ func (c *Circuit) Tran(opt TranOptions) (*TranResult, error) {
 		}
 		t = target
 		record(t)
+		if opt.Until != nil && opt.Until(res) {
+			return res, nil
+		}
 	}
 	if opt.Stop-t > 1e-9*opt.Dt {
 		if err := c.advance(ctx, t, opt.Stop, opt, nrOpt, 0); err != nil {

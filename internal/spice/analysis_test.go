@@ -3,6 +3,7 @@ package spice
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"regexp"
 	"strconv"
 	"testing"
@@ -74,6 +75,52 @@ func TestTranNoOvershoot(t *testing.T) {
 	for _, tt := range res.Time {
 		if tt > 0.8e-3+1e-12 {
 			t.Fatalf("grid steps past Stop: %v", res.Time)
+		}
+	}
+}
+
+// untilFixture runs the RC fixture over ten full steps and a final
+// partial one, with an optional stop predicate.
+func untilFixture(t *testing.T, until func(*TranResult) bool) *TranResult {
+	t.Helper()
+	res, err := rcCircuit().Tran(TranOptions{Dt: 0.1e-3, Stop: 1.05e-3, UIC: true, Until: until})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestTranUntilNeverFiring: a stop predicate that never fires is
+// consulted once per full step and leaves the run exactly as it is
+// without one, final partial step included.
+func TestTranUntilNeverFiring(t *testing.T) {
+	full := untilFixture(t, nil)
+	calls := 0
+	got := untilFixture(t, func(*TranResult) bool { calls++; return false })
+	if !reflect.DeepEqual(got, full) {
+		t.Fatalf("never-firing predicate changed the run:\n got %+v\nwant %+v", got, full)
+	}
+	if calls != 10 {
+		t.Fatalf("predicate called %d times, want once per full step (10)", calls)
+	}
+}
+
+// TestTranUntilStopsAtStep: a predicate that fires at full step k
+// returns exactly the full run's first k+1 samples — every node and
+// branch current, bit for bit.
+func TestTranUntilStopsAtStep(t *testing.T) {
+	full := untilFixture(t, nil)
+	for k := 1; k <= 10; k++ {
+		got := untilFixture(t, func(r *TranResult) bool { return len(r.Time) == k+1 })
+		want := &TranResult{Time: full.Time[:k+1], nodes: map[string][]float64{}, branchCur: map[string][]float64{}}
+		for name, v := range full.nodes {
+			want.nodes[name] = v[:k+1]
+		}
+		for name, v := range full.branchCur {
+			want.branchCur[name] = v[:k+1]
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("stop at step %d:\n got %+v\nwant %+v", k, got, want)
 		}
 	}
 }

@@ -580,7 +580,7 @@ func BenchmarkEvaluate(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := n.Params()
-	images := mnist.Synthetic(64, 3)
+	c := snn.EncodeCorpus(mnist.Synthetic(64, 3), encoding.NewPoissonEncoder(42), cfg.Steps)
 	assignments := make([]int, cfg.NExc)
 	for j := range assignments {
 		assignments[j] = j % 10
@@ -589,12 +589,12 @@ func BenchmarkEvaluate(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc, err = snn.EvaluateParallel(p, images, assignments, snn.EvalOptions{Workers: w, Seed: 42})
+				acc, err = snn.EvaluateParallel(p, c, assignments, snn.EvalOptions{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(images))*float64(b.N)/b.Elapsed().Seconds(), "images/s")
+			b.ReportMetric(float64(c.Len())*float64(b.N)/b.Elapsed().Seconds(), "images/s")
 			_ = acc
 		})
 	}
@@ -609,11 +609,11 @@ func BenchmarkCountsParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := n.Params()
-	images := mnist.Synthetic(64, 3)
+	c := snn.EncodeCorpus(mnist.Synthetic(64, 3), encoding.NewPoissonEncoder(42), cfg.Steps)
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := snn.CountsParallel(p, images, snn.EvalOptions{Workers: w, Seed: 42}); err != nil {
+				if _, err := snn.CountsParallel(p, c, snn.EvalOptions{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -629,34 +629,28 @@ func BenchmarkTrainImage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	images := mnist.Synthetic(16, 3)
-	enc := encoding.NewPoissonEncoder(8)
-	trains := make([][][]int, len(images))
-	for i := range images {
-		trains[i] = enc.Encode(&images[i], cfg.Steps)
-	}
+	c := snn.EncodeCorpus(mnist.Synthetic(16, 3), encoding.NewPoissonEncoder(8), cfg.Steps)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.RunImage(trains[i%len(trains)], true)
+		n.RunImage(c.Train(i%c.Len()), true)
 	}
 }
 
 // BenchmarkTrainImageStream measures the true per-image training cost
-// at workers=1 — streaming skip-sampled encoding fused with the
-// learning network run and dirty-column normalization, the serial
-// path TrainWith executes per image.
+// at workers=1 — the learning network run over a corpus spike train
+// with dirty-column normalization, the serial path TrainWith executes
+// per image. Encoding is done once per experiment, before training,
+// and measured by BenchmarkEncodeCorpus.
 func BenchmarkTrainImageStream(b *testing.B) {
 	cfg := snn.DefaultConfig()
 	n, err := snn.NewDiehlCook(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	images := mnist.Synthetic(16, 3)
-	enc := encoding.NewPoissonEncoder(8)
+	c := snn.EncodeCorpus(mnist.Synthetic(16, 3), encoding.NewPoissonEncoder(8), cfg.Steps)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc.Begin(&images[i%len(images)])
-		n.TrainImageStream(enc.EncodeStep)
+		n.TrainImage(c.Train(i % c.Len()))
 	}
 }
 
@@ -665,26 +659,25 @@ func BenchmarkTrainImageStream(b *testing.B) {
 // through the batched engine at several batch sizes and pool widths,
 // including clone sync, delta extraction, and the in-order merge.
 func BenchmarkTrainMinibatch(b *testing.B) {
-	images := mnist.Synthetic(16, 3)
+	cfg := snn.DefaultConfig()
+	c := snn.EncodeCorpus(mnist.Synthetic(16, 3), encoding.NewPoissonEncoder(8), cfg.Steps)
 	for _, bw := range []struct{ batch, workers int }{
 		{4, 1}, {4, 4}, {8, 4},
 	} {
 		b.Run(fmt.Sprintf("batch=%d/workers=%d", bw.batch, bw.workers), func(b *testing.B) {
-			cfg := snn.DefaultConfig()
 			n, err := snn.NewDiehlCook(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			enc := encoding.NewPoissonEncoder(8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := snn.TrainWith(n, images, enc, snn.TrainOptions{
+				if _, err := snn.TrainWith(n, c, snn.TrainOptions{
 					Batch: bw.batch, Workers: bw.workers,
 				}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(images))*float64(b.N)/b.Elapsed().Seconds(), "images/s")
+			b.ReportMetric(float64(c.Len())*float64(b.N)/b.Elapsed().Seconds(), "images/s")
 		})
 	}
 }
@@ -701,7 +694,8 @@ func BenchmarkEncode_Materialized(b *testing.B) {
 }
 
 // BenchmarkEncode_Stream measures the streaming Begin/EncodeStep path
-// the training loop uses: same spike train, no per-step allocation.
+// EncodeCorpus draws each image from: same spike train, no per-step
+// allocation.
 func BenchmarkEncode_Stream(b *testing.B) {
 	images := mnist.Synthetic(1, 3)
 	enc := encoding.NewPoissonEncoder(8)
@@ -712,6 +706,21 @@ func BenchmarkEncode_Stream(b *testing.B) {
 			enc.EncodeStep()
 		}
 	}
+}
+
+// BenchmarkEncodeCorpus measures what an experiment pays once, when
+// its first cell trains: encoding 100 images at the paper's geometry
+// (250 steps) into the shared spike corpus. The corpus costs 8 B per
+// spike plus 4 B per step; spikes/image and MB report its size.
+func BenchmarkEncodeCorpus(b *testing.B) {
+	images := mnist.Synthetic(100, 3)
+	var c *snn.Corpus
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c = snn.EncodeCorpus(images, encoding.NewPoissonEncoder(42), 250)
+	}
+	b.ReportMetric(float64(c.Spikes())/float64(c.Len()), "spikes/image")
+	b.ReportMetric(float64(8*c.Spikes()+4*c.Len()*(c.Steps+1))/1e6, "MB")
 }
 
 func BenchmarkSpiceTransientStep(b *testing.B) {

@@ -168,8 +168,8 @@ func run() (retErr error) {
 			}
 			fmt.Printf("  %-8s %s\n", status, c.Desc)
 		}
-		fmt.Printf("%d/%d cells held; a resume would recompute %d cells\n",
-			a.Present, a.Present+a.Missing, a.Missing)
+		fmt.Printf("%d cells → %d distinct; %d/%d cells held; a resume would train %d networks\n",
+			len(a.Cells), a.Distinct, a.Present, len(a.Cells), len(a.MissingKeys()))
 		return nil
 	}
 

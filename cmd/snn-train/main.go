@@ -91,7 +91,7 @@ func run() (retErr error) {
 		if err != nil {
 			return err
 		}
-		enc := encoding.NewPoissonEncoder(encSeed)
+		corpus := snn.EncodeCorpus(images, encoding.NewPoissonEncoder(encSeed), cfg.Steps)
 		// The session's live line treats each learning-pass image as one
 		// unit of progress (serial and minibatch STDP both report per
 		// image, in order: Index tracks Done, never a hit).
@@ -103,7 +103,7 @@ func run() (retErr error) {
 				Label: "stdp", Elapsed: time.Since(start),
 			})
 		}
-		res, err = snn.TrainWith(net, images, enc, opt)
+		res, err = snn.TrainWith(net, corpus, opt)
 		sess.Line.Finish()
 		if err != nil {
 			return err

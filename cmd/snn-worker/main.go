@@ -104,11 +104,13 @@ func run() (retErr error) {
 	if err != nil {
 		return err
 	}
+	// The baseline is elected below, not sharded; cells that share a
+	// key (plans with equal effects) are one unit of work.
 	baseline := audit.Cells[0]
 	var missing []string
-	for _, c := range audit.Cells[1:] {
-		if !c.Present {
-			missing = append(missing, c.Key)
+	for _, k := range audit.MissingKeys() {
+		if k != baseline.Key {
+			missing = append(missing, k)
 		}
 	}
 	mine := fabric.Shard(missing, *shard, *shards)

@@ -121,8 +121,10 @@ func NewAttack5(vdd float64, kind xfer.NeuronKind) *FaultPlan {
 // The driver amplitude stays nominal — its mirror ratio is set by
 // device matching inside one branch pair, while the threshold depends
 // on the absolute Vth of the first inverter, which is what mismatch
-// moves. The p50 plan equals NewAttack5 except in name; names carry
-// the quantile so variation cells never alias the single-corner sweep.
+// moves. The p50 plan equals NewAttack5 except in name: names carry
+// the quantile for records, but cells are keyed by effect, so a p50
+// cell is the single-corner sweep's cell at the same supply and trains
+// no second network.
 func NewAttack5Variation(vdd float64, kind xfer.NeuronKind, quantilePc, relSigmaPc float64) *FaultPlan {
 	v := xfer.Variation{RelSigma: relSigmaPc / 100}
 	ampRatio := xfer.DriverAmplitudeRatio().At(vdd)

@@ -15,7 +15,7 @@ import (
 // AuditSchema names the -audit-json layout. Consumers (cmd/snn-worker,
 // fabric tooling, scripts) match on it; bump it when a field changes
 // meaning.
-const AuditSchema = "snnfi-audit-v1"
+const AuditSchema = "snnfi-audit-v2"
 
 // CellStatus is one compiled cell's cache standing.
 type CellStatus struct {
@@ -25,15 +25,33 @@ type CellStatus struct {
 }
 
 // ScenarioAudit summarizes a scenario's resume status against a cache.
+// Cells whose plans have equal effects share one key, so the Cells
+// list ("N cells") may name fewer Distinct keys ("M distinct"): the
+// networks a cold run trains. Present and Missing count cells.
 type ScenarioAudit struct {
-	Name    string       `json:"scenario"`
-	Cells   []CellStatus `json:"cells"` // baseline first, then compile order
-	Present int          `json:"present"`
-	Missing int          `json:"missing"`
+	Name     string       `json:"scenario"`
+	Cells    []CellStatus `json:"cells"` // baseline first, then compile order
+	Distinct int          `json:"distinct"`
+	Present  int          `json:"present"`
+	Missing  int          `json:"missing"`
 }
 
 // Complete reports whether a resume would retrain nothing.
 func (a *ScenarioAudit) Complete() bool { return a.Missing == 0 }
+
+// MissingKeys returns the distinct keys of the missing cells, in audit
+// order: the networks a resume would train.
+func (a *ScenarioAudit) MissingKeys() []string {
+	var keys []string
+	seen := map[string]bool{}
+	for _, c := range a.Cells {
+		if !c.Present && !seen[c.Key] {
+			seen[c.Key] = true
+			keys = append(keys, c.Key)
+		}
+	}
+	return keys
+}
 
 // AuditScenario compiles the scenario and checks every cell's content
 // address — plus the shared attack-free baseline's — against held,
@@ -44,10 +62,15 @@ func (e *Experiment) AuditScenario(s *Scenario, held func(key string) bool) (*Sc
 	if err != nil {
 		return nil, err
 	}
+	keys, err := e.cellKeys(cells)
+	if err != nil {
+		return nil, err
+	}
 	audit := &ScenarioAudit{
 		Name:  meta.name,
 		Cells: make([]CellStatus, 0, len(cells)+1),
 	}
+	seen := map[string]bool{}
 	add := func(desc, key string) {
 		st := CellStatus{Desc: desc, Key: key, Present: held(key)}
 		if st.Present {
@@ -55,22 +78,27 @@ func (e *Experiment) AuditScenario(s *Scenario, held func(key string) bool) (*Sc
 		} else {
 			audit.Missing++
 		}
+		if !seen[key] {
+			seen[key] = true
+			audit.Distinct++
+		}
 		audit.Cells = append(audit.Cells, st)
 	}
-	add("baseline (attack-free)", e.planKey(nil))
-	for _, c := range cells {
-		add(c.desc, c.key(e))
+	add("baseline (attack-free)", e.baselineKey())
+	for i, c := range cells {
+		add(c.desc, keys[i])
 	}
 	return audit, nil
 }
 
 // WriteJSON renders the audit in the -audit-json wire format: the
 // schema name, then the cells in compile order (baseline first) with
-// their content addresses and standing. Keys appear exactly as the
-// cache is probed with them, so the output is directly usable as the
-// fabric's shard-assignment input — a worker executes the missing
-// keys assigned to it and nothing else. The rendering is
-// deterministic: same audit, same bytes.
+// their content addresses and standing, the distinct-key count and
+// the rollup. Keys appear exactly as the cache is probed with them,
+// so the output is directly usable as the fabric's shard-assignment
+// input — a worker executes the missing keys assigned to it and
+// nothing else. The rendering is deterministic: same audit, same
+// bytes.
 func (a *ScenarioAudit) WriteJSON(w io.Writer) error {
 	type auditJSON struct {
 		Schema string `json:"schema"`

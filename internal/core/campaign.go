@@ -22,8 +22,12 @@ import (
 //
 // Sweeps execute on a worker pool (internal/runner): each sweep cell is
 // an independent job, results are collected in cell order, and a
-// content-addressed cache keyed by (experiment fingerprint, plan)
-// skips retraining for repeated configurations. Data fields must be
+// content-addressed cache keyed by (experiment fingerprint, the
+// network the cell trains) skips retraining for repeated
+// configurations — including differently named plans with the same
+// effect, such as a 0% glitch and the attack-free baseline. The
+// images are encoded into spike trains once, when the first cell
+// trains, and every cell reads those trains. Data fields must be
 // fixed before the first Run/Baseline/sweep call; the runner knobs
 // (Workers, OnProgress, Sinks) may be adjusted between sweeps.
 type Experiment struct {
@@ -38,14 +42,6 @@ type Experiment struct {
 	// width 1 each). ≤0 uses all CPUs (runtime.GOMAXPROCS). Results
 	// are identical at every width.
 	Workers int
-	// Batch is the STDP minibatch width (snn.TrainOptions.Batch): ≤1
-	// trains serially (the paper's protocol), >1 presents each group of
-	// Batch consecutive images against frozen parameters and merges the
-	// updates deterministically. Unlike Workers, Batch changes what is
-	// computed, so it is part of the experiment fingerprint — results
-	// trained at different batch widths never alias in the cache. Must
-	// be fixed before the first Run/Baseline/sweep call.
-	Batch int
 	// OnProgress, when non-nil, observes each completed sweep cell.
 	OnProgress func(runner.Progress)
 	// Sinks receive one record per sweep point, streamed in sweep
@@ -73,6 +69,9 @@ type Experiment struct {
 	fpOnce sync.Once
 	fp     string
 
+	spikesOnce sync.Once
+	spikes     *snn.Corpus
+
 	trains atomic.Int64
 }
 
@@ -92,7 +91,11 @@ func NewExperiment(dataDir string, n int, cfg snn.DiehlCookConfig) (*Experiment,
 	}, nil
 }
 
-// Result is one attack configuration's outcome.
+// Result is one attack configuration's outcome. Results are stored
+// under the key of the network they trained, which plans with equal
+// effects share, so a stored Result carries no Plan: every method
+// that returns one hands out a copy naming the caller's own plan, and
+// stored Results are never mutated.
 type Result struct {
 	Plan        *FaultPlan
 	Accuracy    float64
@@ -102,36 +105,53 @@ type Result struct {
 }
 
 // fingerprint content-addresses the experiment: the image corpus, the
-// network configuration, the encoder seed, the training-protocol
+// network configuration, the encoder seed and the training-protocol
 // version (snn.ProtocolVersion, so caches written under older
-// semantics miss rather than serve pre-engine values) and the STDP
-// minibatch width (normalized so the equivalent serial widths 0 and 1
-// share an address). Everything a trained result depends on besides
-// the fault plan.
+// semantics miss rather than serve pre-engine values). Everything a
+// trained result depends on besides the fault plan's effect.
 func (e *Experiment) fingerprint() string {
 	e.fpOnce.Do(func() {
-		batch := e.Batch
-		if batch < 1 {
-			batch = 1
-		}
-		e.fp = runner.KeyOf("experiment", snn.ProtocolVersion, e.Cfg, e.EncSeed, len(e.Images), mnist.Digest(e.Images), batch)
+		e.fp = runner.KeyOf("experiment", snn.ProtocolVersion, e.Cfg, e.EncSeed, len(e.Images), mnist.Digest(e.Images))
 	})
 	return e.fp
 }
 
-// planKey is the content address of one trained configuration.
-func (e *Experiment) planKey(plan *FaultPlan) string {
-	return runner.KeyOf(e.fingerprint(), plan)
+// planKey is the content address of the network a plan trains: the
+// experiment fingerprint and the plan's effect, so plans that differ
+// only in name, or in faults that change nothing, share one cell.
+func (e *Experiment) planKey(plan *FaultPlan) (string, error) {
+	eff, err := plan.effect(e.Cfg.NExc, e.Cfg.NInh)
+	if err != nil {
+		return "", err
+	}
+	return runner.KeyOf(e.fingerprint(), "plan-effect", eff.key()), nil
+}
+
+// baselineKey is the content address of the attack-free network.
+func (e *Experiment) baselineKey() string {
+	key, _ := e.planKey(nil) // the nil plan's nominal effect cannot fail
+	return key
+}
+
+// corpus returns the experiment's spike trains, encoding them on first
+// use: image i from ImageSeed(EncSeed, i) with the encoder's defaults,
+// for Cfg.Steps steps. Lazy, so a campaign served entirely from the
+// cache encodes nothing.
+func (e *Experiment) corpus() *snn.Corpus {
+	e.spikesOnce.Do(func() {
+		e.spikes = snn.EncodeCorpus(e.Images, encoding.NewPoissonEncoder(e.EncSeed), e.Cfg.Steps)
+	})
+	return e.spikes
 }
 
 // train trains one fresh network under plan (nil = attack-free) and
 // returns its raw score. Safe for concurrent use: every call builds
-// its own network and encoder from the experiment's fixed seeds, and
-// the cell's read-only assignment pass runs on the intra-cell
-// evaluation pool (snn.CountsParallel) at the given width — the full
-// Workers for stand-alone runs, a campaign-divided share for sweep
-// cells (see runCampaign), so cell-level and intra-cell parallelism
-// compose instead of multiplying.
+// its own network and reads the shared, immutable corpus, and the
+// cell's read-only assignment pass runs on the intra-cell evaluation
+// pool (snn.CountsParallel) at the given width — the full Workers for
+// stand-alone runs, a campaign-divided share for sweep cells (see
+// runCampaign), so cell-level and intra-cell parallelism compose
+// instead of multiplying.
 func (e *Experiment) train(plan *FaultPlan, evalWorkers int) (*snn.TrainResult, error) {
 	e.trains.Add(1)
 	n, err := snn.NewDiehlCook(e.Cfg)
@@ -145,8 +165,7 @@ func (e *Experiment) train(plan *FaultPlan, evalWorkers int) (*snn.TrainResult, 
 		}
 		defer revert()
 	}
-	enc := encoding.NewPoissonEncoder(e.EncSeed)
-	return snn.TrainWith(n, e.Images, enc, snn.TrainOptions{Workers: evalWorkers, Batch: e.Batch, Obs: e.Obs})
+	return snn.TrainWith(n, e.corpus(), snn.TrainOptions{Workers: evalWorkers, Obs: e.Obs})
 }
 
 // TrainCount reports how many networks the experiment has trained so
@@ -155,57 +174,62 @@ func (e *Experiment) TrainCount() int64 { return e.trains.Load() }
 
 // Run trains a fresh network under the given plan (nil for the
 // attack-free baseline) and scores it against the baseline. Results
-// are served from the cache when the same configuration was already
-// trained.
+// are served from the cache when a plan with the same effect was
+// already trained.
 func (e *Experiment) Run(plan *FaultPlan) (*Result, error) {
-	if plan == nil {
+	key, err := e.planKey(plan)
+	if err != nil {
+		return nil, err
+	}
+	r, ok := e.Cache.Get(key)
+	if !ok {
+		if r, err = e.compute(campaignJob{plan: plan}, key, e.Workers); err != nil {
+			return nil, err
+		}
+		e.Cache.Put(key, r)
+	}
+	return withPlan(r, plan), nil
+}
+
+// withPlan returns a copy of a stored result naming plan.
+func withPlan(r *Result, plan *FaultPlan) *Result {
+	c := *r
+	c.Plan = plan
+	return &c
+}
+
+// compute trains and scores the cell at key without consulting the
+// cache — the caller has already missed it. Sweep jobs call it
+// directly: the campaign pool owns the single Get/Put for them, so a
+// cell is looked up and stored exactly once per execution. A plan
+// cell whose effect is nominal is the memoized baseline.
+func (e *Experiment) compute(c campaignJob, key string, evalWorkers int) (*Result, error) {
+	if key == e.baselineKey() {
 		return e.baselineResult()
 	}
-	key := e.planKey(plan)
-	if r, ok := e.Cache.Get(key); ok {
-		return r, nil
+	var res *snn.TrainResult
+	var err error
+	if c.train != nil {
+		// An extension cell, whose corruption is not a FaultPlan, still
+		// counts toward TrainCount.
+		e.trains.Add(1)
+		res, err = c.train(evalWorkers)
+	} else {
+		res, err = e.train(c.plan, evalWorkers)
 	}
-	r, err := e.runUncached(plan, e.Workers)
 	if err != nil {
 		return nil, err
 	}
-	e.Cache.Put(key, r)
-	return r, nil
-}
-
-// runUncached trains and scores one attacked configuration without
-// consulting the cache. Sweep jobs call it directly: the campaign
-// pool owns the single Get/Put for them, so a cell is looked up and
-// stored exactly once per execution.
-func (e *Experiment) runUncached(plan *FaultPlan, evalWorkers int) (*Result, error) {
-	res, err := e.train(plan, evalWorkers)
-	if err != nil {
-		return nil, err
-	}
-	return e.score(plan, res)
-}
-
-// scoreTrained runs a custom training function (an extension-fault
-// cell whose corruption is not a FaultPlan) and scores it like any
-// plan cell: it counts toward TrainCount and is scored against the
-// shared baseline. plan only names the configuration in the result.
-func (e *Experiment) scoreTrained(plan *FaultPlan, train func(evalWorkers int) (*snn.TrainResult, error), evalWorkers int) (*Result, error) {
-	e.trains.Add(1)
-	res, err := train(evalWorkers)
-	if err != nil {
-		return nil, err
-	}
-	return e.score(plan, res)
+	return e.score(res)
 }
 
 // score relates one trained run to the attack-free baseline.
-func (e *Experiment) score(plan *FaultPlan, res *snn.TrainResult) (*Result, error) {
+func (e *Experiment) score(res *snn.TrainResult) (*Result, error) {
 	base, err := e.Baseline()
 	if err != nil {
 		return nil, err
 	}
 	r := &Result{
-		Plan:        plan,
 		Accuracy:    res.Accuracy,
 		Baseline:    base,
 		TotalSpikes: res.TotalSpikes,
@@ -234,7 +258,7 @@ func (e *Experiment) baselineResult() (*Result, error) {
 	if e.baseRes != nil {
 		return e.baseRes, nil
 	}
-	key := e.planKey(nil)
+	key := e.baselineKey()
 	if r, ok := e.Cache.Get(key); ok {
 		e.baseRes = r
 		return r, nil
@@ -275,10 +299,11 @@ type SweepPoint struct {
 // runner.DeriveSeed instead).
 //
 // Plan cells leave keyOverride and train nil: the cell is addressed by
-// its plan and trained by applying it. Extension cells (weight and
-// learning-rate faults, whose corruption is not expressible as a
-// FaultPlan) set both — plan then only names the configuration in
-// results — so they run, cache, and stream exactly like plan cells.
+// its plan's effect and trained by applying the plan. Extension cells
+// (weight and learning-rate faults, whose corruption is not
+// expressible as a FaultPlan) set both — plan then only names the
+// configuration in results — so they run, cache, and stream exactly
+// like plan cells.
 type campaignJob struct {
 	point SweepPoint
 	plan  *FaultPlan
@@ -289,11 +314,28 @@ type campaignJob struct {
 }
 
 // key is the cell's content address.
-func (c campaignJob) key(e *Experiment) string {
+func (c campaignJob) key(e *Experiment) (string, error) {
 	if c.keyOverride != "" {
-		return c.keyOverride
+		return c.keyOverride, nil
 	}
-	return e.planKey(c.plan)
+	key, err := e.planKey(c.plan)
+	if err != nil {
+		return "", fmt.Errorf("core: %s: %w", c.desc, err)
+	}
+	return key, nil
+}
+
+// cellKeys returns every cell's content address, in cell order.
+func (e *Experiment) cellKeys(cells []campaignJob) ([]string, error) {
+	keys := make([]string, len(cells))
+	for i, c := range cells {
+		key, err := c.key(e)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = key
+	}
+	return keys, nil
 }
 
 // campaignMeta shapes the streamed records of one campaign: its sweep
@@ -320,6 +362,10 @@ func (e *Experiment) runCampaign(meta campaignMeta, cells []campaignJob) ([]Swee
 	if len(cells) == 0 {
 		return nil, nil
 	}
+	keys, err := e.cellKeys(cells)
+	if err != nil {
+		return nil, err
+	}
 	// Train the shared baseline before fanning out: every cell scores
 	// against it, and computing it up front keeps workers from queueing
 	// on the baseline lock (and keeps it trained exactly once).
@@ -342,24 +388,14 @@ func (e *Experiment) runCampaign(meta campaignMeta, cells []campaignJob) ([]Swee
 	}
 	jobs := make([]runner.Job[*Result], len(cells))
 	for i := range cells {
-		c := cells[i]
+		c, key := cells[i], keys[i]
 		jobs[i] = runner.Job[*Result]{
 			Label: c.desc,
-			Key:   c.key(e),
+			Key:   key,
 			Run: func() (*Result, error) {
 				// The pool already missed the cache for this key, so
-				// compute without a second lookup (a nil plan is the
-				// memoized baseline).
-				var r *Result
-				var err error
-				switch {
-				case c.train != nil:
-					r, err = e.scoreTrained(c.plan, c.train, evalWorkers)
-				case c.plan == nil:
-					r, err = e.baselineResult()
-				default:
-					r, err = e.runUncached(c.plan, evalWorkers)
-				}
+				// compute without a second lookup.
+				r, err := e.compute(c, key, evalWorkers)
 				if err != nil {
 					return nil, fmt.Errorf("core: %s: %w", c.desc, err)
 				}
@@ -376,7 +412,7 @@ func (e *Experiment) runCampaign(meta campaignMeta, cells []campaignJob) ([]Swee
 	}
 	if len(e.Sinks) > 0 {
 		pool.OnResult = func(i int, r *Result, _ bool) error {
-			rec := sweepRecord(meta, cells[i].point, r)
+			rec := sweepRecord(meta, cells[i].point, cells[i].plan, r)
 			for _, s := range e.Sinks {
 				if err := s.Write(rec); err != nil {
 					return err
@@ -392,20 +428,21 @@ func (e *Experiment) runCampaign(meta campaignMeta, cells []campaignJob) ([]Swee
 	out := make([]SweepPoint, len(cells))
 	for i, r := range results {
 		out[i] = cells[i].point
-		out[i].Result = r
+		out[i].Result = withPlan(r, cells[i].plan)
 	}
 	return out, nil
 }
 
-// sweepRecord renders one sweep point for the streaming sinks. The
-// coordinate fields are included only for real sweeps — ad-hoc plan
-// lists have no grid coordinates, and zeroes would misreport them —
-// and the defense/detector fields only for scenario matrices, so
-// plain sweeps keep their established record schema.
-func sweepRecord(meta campaignMeta, p SweepPoint, r *Result) runner.Record {
+// sweepRecord renders one sweep point of the cell with the given plan
+// for the streaming sinks. The coordinate fields are included only for
+// real sweeps — ad-hoc plan lists have no grid coordinates, and zeroes
+// would misreport them — and the defense/detector fields only for
+// scenario matrices, so plain sweeps keep their established record
+// schema.
+func sweepRecord(meta campaignMeta, p SweepPoint, plan *FaultPlan, r *Result) runner.Record {
 	planName := ""
-	if r.Plan != nil {
-		planName = r.Plan.Name
+	if plan != nil {
+		planName = plan.Name
 	}
 	rec := runner.Record{
 		{Name: "sweep", Value: meta.name},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"snnfi/internal/encoding"
 	"snnfi/internal/runner"
 	"snnfi/internal/snn"
 )
@@ -53,7 +52,7 @@ func (s WeightFaultSpec) Validate() error {
 
 // apply scales a random subset of the weight matrix in place. The
 // subset is drawn without replacement (a permutation prefix, as
-// applyMasked does for neurons), so exactly Fraction·total distinct
+// scaleMasked does for neurons), so exactly Fraction·total distinct
 // synapses are hit — sampling with replacement would double-scale
 // some synapses and cover fewer than advertised.
 func (s WeightFaultSpec) apply(n *snn.DiehlCook, rng *rand.Rand) {
@@ -90,8 +89,7 @@ func (s WeightFaultSpec) cell(e *Experiment) campaignJob {
 				return nil, err
 			}
 			rng := rand.New(rand.NewSource(s.Seed))
-			enc := encoding.NewPoissonEncoder(e.EncSeed)
-			return snn.TrainWith(n, e.Images, enc, snn.TrainOptions{
+			return snn.TrainWith(n, e.corpus(), snn.TrainOptions{
 				Workers: evalWorkers,
 				Obs:     e.Obs,
 				BeforeImage: func(i int) {
@@ -202,8 +200,7 @@ func (s LearningRateFaultSpec) cell(e *Experiment) campaignJob {
 			if err != nil {
 				return nil, err
 			}
-			enc := encoding.NewPoissonEncoder(e.EncSeed)
-			return snn.TrainWith(n, e.Images, enc, snn.TrainOptions{Workers: evalWorkers, Obs: e.Obs})
+			return snn.TrainWith(n, e.corpus(), snn.TrainOptions{Workers: evalWorkers, Obs: e.Obs})
 		},
 	}
 }

@@ -14,8 +14,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"snnfi/internal/snn"
 )
@@ -95,40 +98,108 @@ func (p *FaultPlan) Validate() error {
 	return nil
 }
 
-// Apply installs the plan's corruptions on a network. The network must
-// be in the nominal state (fresh or reverted); Apply returns a revert
-// function restoring nominal parameters.
+// Apply installs the plan's corruptions on a network: the per-neuron
+// multipliers of its effect. The network must be in the nominal state
+// (fresh or reverted); Apply returns a revert function restoring
+// nominal parameters.
 func (p *FaultPlan) Apply(n *snn.DiehlCook) (revert func(), err error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("core: plan %q: %w", p.Name, err)
+	eff, err := p.effect(len(n.Exc.ThreshScale), len(n.Inh.ThreshScale))
+	if err != nil {
+		return nil, err
 	}
-	savedExc := n.Exc.ThreshScale.Copy()
-	savedInh := n.Inh.ThreshScale.Copy()
-	savedGain := n.Exc.InputGain.Copy()
-	savedDrive := n.InputDriveScale
+	saved := planEffect{
+		excThresh: n.Exc.ThreshScale.Copy(),
+		inhThresh: n.Inh.ThreshScale.Copy(),
+		excGain:   n.Exc.InputGain.Copy(),
+	}
+	eff.install(n)
+	return func() { saved.install(n) }, nil
+}
 
+// planEffect is what a fault plan does to a network: the multipliers
+// Apply installs on each excitatory and inhibitory neuron's threshold
+// and on each excitatory neuron's input gain. A cell trains the same
+// network for any two plans with equal effects, so cells are keyed by
+// the effect (see key), not by the plan that produced it.
+type planEffect struct {
+	excThresh, inhThresh, excGain []float64
+}
+
+// effect computes the plan's effect on a network of nExc excitatory
+// and nInh inhibitory neurons: every multiplier starts nominal (1) and
+// each fault scales its layer's masked subset in turn. A nil plan has
+// the nominal effect. Apply and the cell key both call it, so what a
+// cell trains and how it is addressed cannot drift apart.
+func (p *FaultPlan) effect(nExc, nInh int) (planEffect, error) {
+	eff := planEffect{ones(nExc), ones(nInh), ones(nExc)}
+	if p == nil {
+		return eff, nil
+	}
+	if err := p.Validate(); err != nil {
+		return planEffect{}, fmt.Errorf("core: plan %q: %w", p.Name, err)
+	}
 	for _, f := range p.Faults {
 		switch f.Layer {
 		case Drivers:
-			applyMasked(n.Exc.InputGain, f, func(cur float64) float64 { return cur * f.Scale })
+			scaleMasked(eff.excGain, f)
 		case Excitatory:
-			applyMasked(n.Exc.ThreshScale, f, func(cur float64) float64 { return cur * f.Scale })
+			scaleMasked(eff.excThresh, f)
 		case Inhibitory:
-			applyMasked(n.Inh.ThreshScale, f, func(cur float64) float64 { return cur * f.Scale })
+			scaleMasked(eff.inhThresh, f)
 		default:
-			return nil, fmt.Errorf("core: plan %q: unknown layer %v", p.Name, f.Layer)
+			return planEffect{}, fmt.Errorf("core: plan %q: unknown layer %v", p.Name, f.Layer)
 		}
 	}
-	return func() {
-		copy(n.Exc.ThreshScale, savedExc)
-		copy(n.Inh.ThreshScale, savedInh)
-		copy(n.Exc.InputGain, savedGain)
-		n.InputDriveScale = savedDrive
-	}, nil
+	return eff, nil
 }
 
-// applyMasked scales a random Fraction of the vector's entries.
-func applyMasked(v []float64, f FaultSpec, apply func(float64) float64) {
+func ones(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = 1
+	}
+	return v
+}
+
+// install copies the effect's multipliers into the network.
+func (e planEffect) install(n *snn.DiehlCook) {
+	copy(n.Exc.ThreshScale, e.excThresh)
+	copy(n.Inh.ThreshScale, e.inhThresh)
+	copy(n.Exc.InputGain, e.excGain)
+}
+
+// key renders the effect in the compact, lossless form cells are
+// addressed by. For each vector it writes the length, then every
+// multiplier other than nominal 1, in order of first appearance, each
+// followed by the bitmask of the neurons that carry it. Equal effects
+// render equal strings and any difference in any neuron's multiplier
+// renders a different one, in a few dozen bytes where the dense
+// vectors would take kilobytes through the key's reflective renderer.
+func (e planEffect) key() string {
+	b := make([]byte, 0, 64)
+	for _, v := range [...][]float64{e.excThresh, e.inhThresh, e.excGain} {
+		b = binary.AppendUvarint(b, uint64(len(v)))
+		for i, x := range v {
+			if x == 1 || slices.Index(v[:i], x) >= 0 {
+				continue
+			}
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+			for w := 0; w < len(v); w += 64 {
+				var mask uint64
+				for j := w; j < min(w+64, len(v)); j++ {
+					if v[j] == x {
+						mask |= 1 << (j - w)
+					}
+				}
+				b = binary.LittleEndian.AppendUint64(b, mask)
+			}
+		}
+	}
+	return string(b)
+}
+
+// scaleMasked scales a random Fraction of the vector's entries.
+func scaleMasked(v []float64, f FaultSpec) {
 	n := len(v)
 	k := int(f.Fraction*float64(n) + 0.5)
 	if k <= 0 {
@@ -136,14 +207,14 @@ func applyMasked(v []float64, f FaultSpec, apply func(float64) float64) {
 	}
 	if k >= n {
 		for i := range v {
-			v[i] = apply(v[i])
+			v[i] *= f.Scale
 		}
 		return
 	}
 	rng := rand.New(rand.NewSource(f.Seed))
 	perm := rng.Perm(n)
 	for _, i := range perm[:k] {
-		v[i] = apply(v[i])
+		v[i] *= f.Scale
 	}
 }
 

@@ -314,9 +314,13 @@ func (e *Experiment) RunScenarioSubset(s *Scenario, keep func(index int, key str
 	if err != nil {
 		return nil, err
 	}
+	keys, err := e.cellKeys(cells)
+	if err != nil {
+		return nil, err
+	}
 	kept := make([]campaignJob, 0, len(cells))
 	for i, c := range cells {
-		if keep(i, c.key(e)) {
+		if keep(i, keys[i]) {
 			kept = append(kept, c)
 		}
 	}
@@ -325,16 +329,13 @@ func (e *Experiment) RunScenarioSubset(s *Scenario, keep func(index int, key str
 
 // ScenarioKeys returns the content addresses of every cell the
 // scenario compiles to, in compile order — the keys a disk cache will
-// be probed with. Campaign tooling uses it to audit which cells of a
-// resumable campaign are already on disk.
+// be probed with. Cells whose plans have equal effects share a key.
+// Campaign tooling uses it to audit which cells of a resumable
+// campaign are already on disk.
 func (e *Experiment) ScenarioKeys(s *Scenario) ([]string, error) {
 	cells, _, err := s.compile()
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, len(cells))
-	for i, c := range cells {
-		keys[i] = c.key(e)
-	}
-	return keys, nil
+	return e.cellKeys(cells)
 }

@@ -89,16 +89,24 @@ func TestScenarioCompileDeterministic(t *testing.T) {
 	if len(a) != wantCells || len(b) != wantCells {
 		t.Fatalf("compiled %d/%d cells, want %d", len(a), len(b), wantCells)
 	}
+	keysA, err := e.cellKeys(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keysB, err := e.cellKeys(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := map[string]bool{}
 	for i := range a {
-		if a[i].desc != b[i].desc || a[i].key(e) != b[i].key(e) ||
+		if a[i].desc != b[i].desc || keysA[i] != keysB[i] ||
 			a[i].point != b[i].point || a[i].plan.Name != b[i].plan.Name {
 			t.Fatalf("cell %d differs between compilations: %+v vs %+v", i, a[i], b[i])
 		}
-		if seen[a[i].key(e)] {
+		if seen[keysA[i]] {
 			t.Fatalf("cell %d (%s) reuses a content address", i, a[i].desc)
 		}
-		seen[a[i].key(e)] = true
+		seen[keysA[i]] = true
 	}
 	keys, err := e.ScenarioKeys(s)
 	if err != nil {
@@ -108,7 +116,7 @@ func TestScenarioCompileDeterministic(t *testing.T) {
 		t.Fatalf("ScenarioKeys returned %d keys, want %d", len(keys), wantCells)
 	}
 	for i, k := range keys {
-		if k != a[i].key(e) {
+		if k != keysA[i] {
 			t.Fatalf("ScenarioKeys[%d] disagrees with compile", i)
 		}
 	}
@@ -307,6 +315,9 @@ func TestColdProcessResume(t *testing.T) {
 	if got := e3.TrainCount(); got != 0 {
 		t.Fatalf("fully-warm process trained %d networks, want 0", got)
 	}
+	if e3.spikes != nil {
+		t.Fatal("fully-warm process encoded the spike corpus")
+	}
 	samePoints(t, 4, third, second)
 }
 
@@ -448,6 +459,19 @@ func TestAuditScenario(t *testing.T) {
 	}
 	if cold.Cells[0].Desc != "baseline (attack-free)" {
 		t.Fatalf("audit must lead with the baseline, got %q", cold.Cells[0].Desc)
+	}
+	// Cells that train one network are one unit of work: a 0% glitch
+	// is the baseline, so 5 cells name 3 distinct networks.
+	grid, err := e.AuditScenario(&Scenario{
+		Attack: Attack3,
+		Axes:   Axes{ChangesPc: []float64{-20, 10}, FractionsPc: []float64{0, 100}},
+	}, manifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(grid.Cells) != 5 || grid.Distinct != 3 || grid.Missing != 5 || len(grid.MissingKeys()) != 3 {
+		t.Fatalf("grid audit: %d cells → %d distinct, %d missing cells, %d missing keys; want 5 → 3, 5, 3",
+			len(grid.Cells), grid.Distinct, grid.Missing, len(grid.MissingKeys()))
 	}
 
 	// Run half the campaign: one coordinate.

@@ -18,8 +18,8 @@ import (
 )
 
 // trainedEngine trains a tiny network and returns its frozen view plus
-// the images and base seed the cell used.
-func trainedEngine(t *testing.T) (*Params, []mnist.Image, int64) {
+// the corpus the cell trained on.
+func trainedEngine(t *testing.T) (*Params, *Corpus) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.NExc, cfg.NInh = 16, 16
@@ -28,12 +28,11 @@ func trainedEngine(t *testing.T) (*Params, []mnist.Image, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	images := mnist.Synthetic(40, 7)
-	enc := encoding.NewPoissonEncoder(42)
-	if _, err := Train(n, images, enc); err != nil {
+	c := EncodeCorpus(mnist.Synthetic(40, 7), encoding.NewPoissonEncoder(42), cfg.Steps)
+	if _, err := Train(n, c); err != nil {
 		t.Fatal(err)
 	}
-	return n.Params(), images, 42
+	return n.Params(), c
 }
 
 func sameCounts(t *testing.T, label string, got, want []tensor.Vector) {
@@ -54,27 +53,27 @@ func sameCounts(t *testing.T, label string, got, want []tensor.Vector) {
 // contract: counts and accuracy are bit-identical at 1, 2 and 4
 // workers, and the serial Evaluate entry point agrees exactly.
 func TestEvaluateParallelBitIdentical(t *testing.T) {
-	p, images, seed := trainedEngine(t)
+	p, c := trainedEngine(t)
 	assignments := make([]int, p.Exc.N)
 	for j := range assignments {
 		assignments[j] = j % 10
 	}
 
-	refCounts, err := CountsParallel(p, images, EvalOptions{Workers: 1, Seed: seed})
+	refCounts, err := CountsParallel(p, c, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refAcc, err := EvaluateParallel(p, images, assignments, EvalOptions{Workers: 1, Seed: seed})
+	refAcc, err := EvaluateParallel(p, c, assignments, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4} {
-		counts, err := CountsParallel(p, images, EvalOptions{Workers: w, Seed: seed})
+		counts, err := CountsParallel(p, c, EvalOptions{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameCounts(t, "workers", counts, refCounts)
-		acc, err := EvaluateParallel(p, images, assignments, EvalOptions{Workers: w, Seed: seed})
+		acc, err := EvaluateParallel(p, c, assignments, EvalOptions{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,11 +89,11 @@ func TestEvaluateParallelBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc1, err := Evaluate(n, images, encoding.NewPoissonEncoder(seed), assignments)
+	acc1, err := Evaluate(n, c, assignments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc2, err := EvaluateParallel(n.Params(), images, assignments, EvalOptions{Workers: 4, Seed: seed})
+	acc2, err := EvaluateParallel(n.Params(), c, assignments, EvalOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +114,14 @@ func TestTrainWorkerCountInvariant(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NExc, cfg.NInh = 16, 16
 	cfg.Steps = 60
-	images := mnist.Synthetic(30, 7)
+	c := EncodeCorpus(mnist.Synthetic(30, 7), encoding.NewPoissonEncoder(42), cfg.Steps)
 
 	run := func(workers, batch int) (*TrainResult, *DiehlCook) {
 		n, err := NewDiehlCook(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := TrainWith(n, images, encoding.NewPoissonEncoder(42),
-			TrainOptions{Workers: workers, Batch: batch})
+		res, err := TrainWith(n, c, TrainOptions{Workers: workers, Batch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,15 +165,14 @@ func TestTrainBatchSemantics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NExc, cfg.NInh = 16, 16
 	cfg.Steps = 60
-	images := mnist.Synthetic(24, 3)
+	c := EncodeCorpus(mnist.Synthetic(24, 3), encoding.NewPoissonEncoder(7), cfg.Steps)
 
 	run := func(batch int) *DiehlCook {
 		n, err := NewDiehlCook(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := TrainWith(n, images, encoding.NewPoissonEncoder(7),
-			TrainOptions{Workers: 2, Batch: batch}); err != nil {
+		if _, err := TrainWith(n, c, TrainOptions{Workers: 2, Batch: batch}); err != nil {
 			t.Fatal(err)
 		}
 		return n
@@ -204,7 +201,7 @@ func TestTrainBatchSemantics(t *testing.T) {
 // against DiehlCook.Step(learn=false): with adaptation disabled
 // (ThetaPlus = 0) a learn=false presentation through the training
 // kernel IS frozen inference, so both paths must produce bit-identical
-// spike counts for the same per-image seeds.
+// spike counts for the same spike trains.
 func TestInferenceMatchesStepKernel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NExc, cfg.NInh = 20, 20
@@ -224,17 +221,12 @@ func TestInferenceMatchesStepKernel(t *testing.T) {
 	n.Exc.Reset()
 	n.Inh.Reset()
 
-	images := mnist.Synthetic(5, 3)
-	const seed = 9
+	c := EncodeCorpus(mnist.Synthetic(5, 3), encoding.NewPoissonEncoder(9), cfg.Steps)
 	p := n.Params()
 	st := p.NewState()
-	enc := encoding.NewPoissonEncoder(0)
-	for i := range images {
-		enc.Reseed(ImageSeed(seed, i))
-		enc.Begin(&images[i])
-		want := n.RunImageStream(enc.EncodeStep, false)
-
-		got := p.presentImage(st, &images[i], ImageSeed(seed, i))
+	for i := 0; i < c.Len(); i++ {
+		want := n.RunImage(c.Train(i), false)
+		got := p.presentImage(st, c.Train(i))
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("image %d neuron %d: inference %g, step kernel %g", i, j, got[j], want[j])
@@ -250,7 +242,7 @@ func TestInferenceMatchesStepKernel(t *testing.T) {
 // hook at freeze time, and later hook mutations do not leak into an
 // existing view.
 func TestParamsFreezeSemantics(t *testing.T) {
-	p, _, _ := trainedEngine(t)
+	p, _ := trainedEngine(t)
 	n, err := NewDiehlCook(p.Cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -273,13 +265,13 @@ func TestParamsFreezeSemantics(t *testing.T) {
 // like a fresh one — dirty a state thoroughly, seed the pool with it,
 // and demand the pooled pass still matches fresh-state presentations.
 func TestStatePoolObservationFree(t *testing.T) {
-	p, images, seed := trainedEngine(t)
+	p, c := trainedEngine(t)
 
 	// Fresh-state reference, bypassing the pool entirely.
-	want := make([]tensor.Vector, len(images))
-	for i := range images {
+	want := make([]tensor.Vector, c.Len())
+	for i := range want {
 		st := p.NewState()
-		want[i] = p.presentImage(st, &images[i], ImageSeed(seed, i)).Copy()
+		want[i] = p.presentImage(st, c.Train(i)).Copy()
 	}
 
 	// Dirty a state against a different configuration and poison every
@@ -292,7 +284,7 @@ func TestStatePoolObservationFree(t *testing.T) {
 	}
 	bigP := bigNet.Params()
 	dirty := bigP.NewState()
-	bigP.presentImage(dirty, &images[0], 123) // leave real dynamics behind
+	bigP.presentImage(dirty, c.Train(3)) // leave real dynamics behind
 	dirty.vExc.Fill(1e9)
 	dirty.vInh.Fill(-1e9)
 	for i := range dirty.refracExc {
@@ -303,7 +295,7 @@ func TestStatePoolObservationFree(t *testing.T) {
 	dirty.counts.Fill(5)
 	workspacePool.Put(dirty)
 
-	got, err := CountsParallel(p, images, EvalOptions{Workers: 1, Seed: seed})
+	got, err := CountsParallel(p, c, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,12 +337,11 @@ func TestPreDecayTableConcurrentGrowth(t *testing.T) {
 // an image allocates nothing — what keeps a full matrix's read-only
 // phases allocation-flat.
 func TestPresentImageAllocationFree(t *testing.T) {
-	p, images, seed := trainedEngine(t)
+	p, c := trainedEngine(t)
 	st := p.NewState()
-	seed1 := ImageSeed(seed, 1)
-	p.presentImage(st, &images[0], ImageSeed(seed, 0)) // warm buffers
+	p.presentImage(st, c.Train(0)) // warm buffers
 	avg := testing.AllocsPerRun(50, func() {
-		p.presentImage(st, &images[1], seed1)
+		p.presentImage(st, c.Train(1))
 	})
 	if avg > 0.5 {
 		t.Fatalf("presentImage allocates %.1f objects per image, want 0", avg)
@@ -396,14 +387,14 @@ func TestEvaluateParallelSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := n.Params()
-	images := mnist.Synthetic(256, 3)
+	c := EncodeCorpus(mnist.Synthetic(256, 3), encoding.NewPoissonEncoder(42), cfg.Steps)
 	assignments := make([]int, cfg.NExc)
 	for j := range assignments {
 		assignments[j] = j % 10
 	}
 	measure := func(workers int) time.Duration {
 		start := time.Now()
-		if _, err := EvaluateParallel(p, images, assignments, EvalOptions{Workers: workers, Seed: 42}); err != nil {
+		if _, err := EvaluateParallel(p, c, assignments, EvalOptions{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
@@ -433,15 +424,14 @@ func TestTrainMinibatchParallelSpeedup(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NExc, cfg.NInh = 40, 40
 	cfg.Steps = 150
-	images := mnist.Synthetic(128, 3)
+	c := EncodeCorpus(mnist.Synthetic(128, 3), encoding.NewPoissonEncoder(42), cfg.Steps)
 	measure := func(workers int) time.Duration {
 		n, err := NewDiehlCook(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc := encoding.NewPoissonEncoder(42)
 		start := time.Now()
-		if _, err := TrainWith(n, images, enc, TrainOptions{Batch: 8, Workers: workers}); err != nil {
+		if _, err := TrainWith(n, c, TrainOptions{Batch: 8, Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
@@ -455,9 +445,9 @@ func TestTrainMinibatchParallelSpeedup(t *testing.T) {
 }
 
 // TestReseedReproducesStream: in-place reseeding replays exactly the
-// stream a fresh encoder with that seed would produce (the engine
-// reseeds one pooled encoder per image), and Seed tracks the reseed
-// for the per-image derivation.
+// stream a fresh encoder with that seed would produce (EncodeCorpus
+// reseeds one encoder per image), and Seed tracks the reseed for the
+// per-image derivation.
 func TestReseedReproducesStream(t *testing.T) {
 	images := mnist.Synthetic(1, 3)
 	fresh := encoding.NewPoissonEncoder(77)

@@ -274,37 +274,45 @@ func TestEngineMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// TestRunImageStreamMatchesMaterialized pins the streaming encoder path
-// against Encode+RunImage: same seed, bit-identical spike counts and
-// weights.
-func TestRunImageStreamMatchesMaterialized(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NExc, cfg.NInh = 30, 30
-	cfg.Steps = 120
-
-	n1, err := NewDiehlCook(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2, err := NewDiehlCook(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCorpusMatchesEncoderStream pins the corpus against the encoder
+// it replaces in every pass: image i's train is, step for step, the
+// stream a fresh encoder seeded with ImageSeed(base, i) draws, under
+// either sampler, and encoding leaves the caller's encoder at its base
+// seed.
+func TestCorpusMatchesEncoderStream(t *testing.T) {
+	const steps = 120
 	images := mnist.Synthetic(4, 3)
-	encA := encoding.NewPoissonEncoder(7)
-	encB := encoding.NewPoissonEncoder(7)
-
-	for i := range images {
-		c1 := n1.RunImage(encA.Encode(&images[i], cfg.Steps), true)
-		encB.Begin(&images[i])
-		c2 := n2.RunImageStream(encB.EncodeStep, true)
-		for j := range c1 {
-			if c1[j] != c2[j] {
-				t.Fatalf("img %d: spike counts diverge at neuron %d: %g vs %g", i, j, c1[j], c2[j])
+	for _, mode := range []encoding.Sampling{encoding.SkipSampling, encoding.ReferenceSampling} {
+		enc := encoding.NewPoissonEncoder(7)
+		enc.Mode = mode
+		c := EncodeCorpus(images, enc, steps)
+		if enc.Seed() != 7 {
+			t.Fatalf("mode %d: encoder left at seed %d, want its base 7", mode, enc.Seed())
+		}
+		if c.Len() != len(images) || c.Steps != steps {
+			t.Fatalf("mode %d: corpus of %d images × %d steps, want %d × %d", mode, c.Len(), c.Steps, len(images), steps)
+		}
+		total := 0
+		for i := range images {
+			if c.Labels[i] != images[i].Label {
+				t.Fatalf("mode %d: image %d labelled %d, want %d", mode, i, c.Labels[i], images[i].Label)
+			}
+			ref := encoding.NewPoissonEncoder(ImageSeed(7, i))
+			ref.Mode = mode
+			want := ref.Encode(&images[i], steps)
+			tr := c.Train(i)
+			if tr.Steps() != steps {
+				t.Fatalf("mode %d: image %d train covers %d steps, want %d", mode, i, tr.Steps(), steps)
+			}
+			for st := range want {
+				if !sameInts(tr.Step(st), want[st]) {
+					t.Fatalf("mode %d: image %d step %d: corpus %v, encoder %v", mode, i, st, tr.Step(st), want[st])
+				}
+				total += len(want[st])
 			}
 		}
-	}
-	if !n1.W.Equal(n2.W, 0) {
-		t.Fatal("weights diverge between materialized and streaming paths")
+		if total == 0 || total != c.Spikes() {
+			t.Fatalf("mode %d: corpus holds %d spikes, trains list %d", mode, c.Spikes(), total)
+		}
 	}
 }

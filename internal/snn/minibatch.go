@@ -18,8 +18,8 @@ package snn
 //
 // Independence is what buys parallelism: the batch's presentations run
 // concurrently on a pool of worker clones, and because every image's
-// delta depends only on (frozen parameters, image, its presentation
-// seed ImageSeed(base, i)) — never on scheduling — and the merge folds
+// delta depends only on (frozen parameters, image i's spike train) —
+// never on scheduling — and the merge folds
 // deltas in image index order, the trained result is bit-identical at
 // every worker count and completion order. Batch = 1 does not route
 // here: the serial path applies updates in place, and floating point
@@ -42,8 +42,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"snnfi/internal/encoding"
-	"snnfi/internal/mnist"
 	"snnfi/internal/runner"
 	"snnfi/internal/tensor"
 )
@@ -56,21 +54,20 @@ type trainDelta struct {
 	cols   []int         // STDP-touched columns, for dirty normalization
 }
 
-// trainClone is one training worker's private network + encoder. Its
-// plastic parameters track the master's batch snapshot: sync performs
+// trainClone is one training worker's private network. Its plastic
+// parameters track the master's batch snapshot: sync performs
 // the full copy when the master has merged a batch since the clone last
 // looked, and present restores the touched entries afterwards, so
 // within a batch the clone stays on the snapshot without re-copying.
 type trainClone struct {
 	net     *DiehlCook
-	enc     *encoding.PoissonEncoder
 	version uint64 // master merge counter the clone's parameters mirror
 }
 
 // newTrainClone builds a worker clone of master: same configuration and
 // fault hooks, own weight/state storage. Plastic parameters are synced
 // separately (version 0 forces the first sync).
-func newTrainClone(master *DiehlCook, enc *encoding.PoissonEncoder) (*trainClone, error) {
+func newTrainClone(master *DiehlCook) (*trainClone, error) {
 	cfg := master.Cfg
 	exc, err := NewLIFGroup(master.Exc.Cfg)
 	if err != nil {
@@ -97,9 +94,7 @@ func newTrainClone(master *DiehlCook, enc *encoding.PoissonEncoder) (*trainClone
 		driveExc:        tensor.NewVector(cfg.NExc),
 		driveInh:        tensor.NewVector(cfg.NInh),
 	}
-	ce := encoding.NewPoissonEncoder(0)
-	ce.MaxRate, ce.Dt, ce.Mode = enc.MaxRate, enc.Dt, enc.Mode
-	return &trainClone{net: n, enc: ce}, nil
+	return &trainClone{net: n}, nil
 }
 
 // sync brings the clone's plastic parameters (weights, adaptive
@@ -116,15 +111,13 @@ func (c *trainClone) sync(master *DiehlCook, version uint64) {
 	c.version = version
 }
 
-// present runs one learning presentation of img on the clone, extracts
+// present runs one learning presentation of tr on the clone, extracts
 // the parameter delta against the master's frozen snapshot, and
 // restores the clone to the snapshot. The delta depends only on the
-// snapshot, the image, and the seed.
-func (c *trainClone) present(master *DiehlCook, img *mnist.Image, seed int64) trainDelta {
-	c.enc.Reseed(seed)
-	c.enc.Begin(img)
+// snapshot and the train.
+func (c *trainClone) present(master *DiehlCook, tr SpikeTrain) trainDelta {
 	n := c.net
-	n.presentLearn(c.enc.EncodeStep)
+	n.present(tr, true)
 
 	d := trainDelta{
 		dTheta: make(tensor.Vector, len(n.Exc.Theta)),
@@ -186,7 +179,7 @@ func applyDeltas(n *DiehlCook, deltas []trainDelta) {
 // are grouped into batches of opt.Batch, each batch is normalized,
 // presented in parallel against the frozen parameters, and merged in
 // image order. Results are bit-identical at every opt.Workers.
-func trainMinibatch(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEncoder, opt TrainOptions) error {
+func trainMinibatch(n *DiehlCook, c *Corpus, opt TrainOptions) error {
 	batch := opt.Batch
 	workers := opt.Workers
 	if workers <= 0 {
@@ -197,23 +190,17 @@ func trainMinibatch(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEnc
 	}
 	clones := make(chan *trainClone, workers)
 	for w := 0; w < workers; w++ {
-		c, err := newTrainClone(n, enc)
+		cl, err := newTrainClone(n)
 		if err != nil {
 			return err
 		}
-		clones <- c
-	}
-
-	base := enc.Seed()
-	seeds := make([]int64, len(images))
-	for i := range seeds {
-		seeds[i] = ImageSeed(base, i)
+		clones <- cl
 	}
 
 	pool := &runner.Pool[trainDelta]{Workers: workers, Obs: opt.Obs, Name: "snn.stdp"}
 	version := uint64(1)
-	for lo := 0; lo < len(images); lo += batch {
-		lo, hi := lo, min(lo+batch, len(images))
+	for lo := 0; lo < c.Len(); lo += batch {
+		lo, hi := lo, min(lo+batch, c.Len())
 		n.normalizeDirty()
 		jobs := make([]runner.Job[trainDelta], 0, hi-lo)
 		for i := lo; i < hi; i++ {
@@ -221,10 +208,10 @@ func trainMinibatch(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEnc
 			jobs = append(jobs, runner.Job[trainDelta]{
 				Label: fmt.Sprintf("train image %d", i),
 				Run: func() (trainDelta, error) {
-					c := <-clones
-					defer func() { clones <- c }()
-					c.sync(n, version)
-					return c.present(n, &images[i], seeds[i]), nil
+					cl := <-clones
+					defer func() { clones <- cl }()
+					cl.sync(n, version)
+					return cl.present(n, c.Train(i)), nil
 				},
 			})
 		}
@@ -236,7 +223,7 @@ func trainMinibatch(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEnc
 		version++
 		if opt.OnProgress != nil {
 			for i := lo; i < hi; i++ {
-				opt.OnProgress(i+1, len(images))
+				opt.OnProgress(i+1, c.Len())
 			}
 		}
 	}

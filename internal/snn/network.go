@@ -208,7 +208,7 @@ func preDecayTable(k int) []float64 {
 // NormalizeWeights rescales each excitatory neuron's afferent weights
 // to sum to Cfg.Norm (Diehl&Cook homeostasis, applied once per sample).
 // The full-matrix pass is correct regardless of how the weights were
-// modified (STDP, fault hooks, direct writes); TrainImageStream uses
+// modified (STDP, fault hooks, direct writes); TrainImage uses
 // the incremental dirty-column form instead.
 func (n *DiehlCook) NormalizeWeights() {
 	n.W.NormalizeCols(n.Cfg.Norm)
@@ -396,67 +396,41 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 	return excSpikes
 }
 
-// RunImage presents one encoded spike train (from encoding.Encode),
-// resetting state first, and returns the per-neuron excitatory spike
-// counts. Weight normalization runs before the presentation when
-// learning, as in the BindsNET training loop.
-func (n *DiehlCook) RunImage(train [][]int, learn bool) tensor.Vector {
+// RunImage presents one image's spike train (resetting state first)
+// and returns the per-neuron excitatory spike counts. When learning,
+// the full homeostatic weight normalization runs before the
+// presentation, as in the BindsNET training loop — correct whatever
+// wrote W since the last normalization.
+func (n *DiehlCook) RunImage(tr SpikeTrain, learn bool) tensor.Vector {
 	if learn {
 		n.NormalizeWeights()
 	}
-	n.ResetState()
-	counts := tensor.NewVector(n.Cfg.NExc)
-	for _, step := range train {
-		for _, j := range n.Step(step, learn) {
-			counts[j]++
-		}
-	}
-	n.rest(counts)
-	return counts
+	return n.present(tr, learn)
 }
 
-// RunImageStream presents one image of Cfg.Steps timesteps drawn from
-// next — called once per step, e.g. encoding.PoissonEncoder.EncodeStep
-// after Begin — so the full spike train is never materialized. For the
-// same random stream it is bit-identical to Encode+RunImage.
-func (n *DiehlCook) RunImageStream(next func() []int, learn bool) tensor.Vector {
-	if learn {
-		n.NormalizeWeights()
-	}
-	n.ResetState()
-	counts := tensor.NewVector(n.Cfg.NExc)
-	for t := 0; t < n.Cfg.Steps; t++ {
-		for _, j := range n.Step(next(), learn) {
-			counts[j]++
-		}
-	}
-	n.rest(counts)
-	return counts
-}
-
-// TrainImageStream presents one image of Cfg.Steps timesteps drawn
-// from next with learning enabled — RunImageStream(next, true) with the
-// per-image homeostatic normalization restricted to the weight columns
-// STDP touched since the last normalization (see normalizeDirty). This
-// is the training engine's fast path; it assumes nothing outside Step
-// has written W since the last normalization, so callers that mutate
-// weights directly (fault-injection hooks) must use RunImageStream,
-// which performs the full normalization.
-func (n *DiehlCook) TrainImageStream(next func() []int) tensor.Vector {
+// TrainImage presents one image's spike train with learning enabled —
+// RunImage(tr, true) with the per-image homeostatic normalization
+// restricted to the weight columns STDP touched since the last
+// normalization (see normalizeDirty). This is the training engine's
+// fast path; it assumes nothing outside Step has written W since the
+// last normalization, so callers that mutate weights directly
+// (fault-injection hooks) must use RunImage, which performs the full
+// normalization.
+func (n *DiehlCook) TrainImage(tr SpikeTrain) tensor.Vector {
 	n.normalizeDirty()
-	return n.presentLearn(next)
+	return n.present(tr, true)
 }
 
-// presentLearn is one learning presentation without the homeostatic
-// normalization: ResetState, Cfg.Steps learning steps, rest. The
-// normalization policy is the caller's — TrainImageStream normalizes
-// the dirty columns first; the minibatch engine presents several
-// images against one normalization.
-func (n *DiehlCook) presentLearn(next func() []int) tensor.Vector {
+// present is one presentation without the homeostatic normalization:
+// ResetState, the train's steps, rest. The normalization policy is
+// the caller's — RunImage normalizes fully, TrainImage the dirty
+// columns, and the minibatch engine presents several images against
+// one normalization.
+func (n *DiehlCook) present(tr SpikeTrain, learn bool) tensor.Vector {
 	n.ResetState()
 	counts := tensor.NewVector(n.Cfg.NExc)
-	for t := 0; t < n.Cfg.Steps; t++ {
-		for _, j := range n.Step(next(), true) {
+	for t := 0; t < tr.Steps(); t++ {
+		for _, j := range n.Step(tr.Step(t), learn) {
 			counts[j]++
 		}
 	}

@@ -16,10 +16,10 @@ package snn
 //     spike buffers, a spike-count accumulator).
 //  2. Each image's spike train depends only on the image, not on the
 //     encoder position a serial loop happened to reach. Image i is
-//     encoded from ImageSeed(base, i) — runner.DeriveSeed over the
-//     cell's base seed and the image index — by parallel AND serial
-//     paths alike, which is what makes counts and accuracy
-//     bit-identical at any worker count.
+//     encoded once, into the Corpus, from ImageSeed(base, i) —
+//     runner.DeriveSeed over the base seed and the image index — and
+//     every pass, serial or parallel, reads that train, which is what
+//     makes counts and accuracy bit-identical at any worker count.
 //
 // Frozen means frozen: a learn=false presentation updates no network
 // parameter at all. In particular the adaptive thresholds theta do not
@@ -28,26 +28,23 @@ package snn
 // update — the previous serial Evaluate let theta drift across
 // evaluation images, coupling image i's result to images < i.
 //
-// States and their encoders are recycled through a package-level
-// sync.Pool across passes and campaign cells, so a full scenario
-// matrix stays allocation-flat in its read-only phases.
+// States are recycled through a package-level sync.Pool across passes
+// and campaign cells, so a full scenario matrix stays allocation-flat
+// in its read-only phases.
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
 
-	"snnfi/internal/encoding"
-	"snnfi/internal/mnist"
 	"snnfi/internal/obs"
 	"snnfi/internal/runner"
 	"snnfi/internal/tensor"
 )
 
-// ImageSeed derives the presentation seed of image i from a cell's
-// base encoder seed. Every presentation site — serial or parallel,
-// training or inference — encodes image i from this seed, so a spike
-// train depends only on (base, i), never on presentation order.
+// ImageSeed derives the presentation seed of image i from a base
+// encoder seed. EncodeCorpus encodes image i from this seed, so a
+// spike train depends only on (base, i), never on presentation order.
 func ImageSeed(base int64, i int) int64 {
 	return runner.DeriveSeed(base, "image", i)
 }
@@ -196,14 +193,13 @@ type State struct {
 	prevExc, prevInh     []int
 	spikeExc, spikeInh   []int
 	counts               tensor.Vector
-	enc                  *encoding.PoissonEncoder
 }
 
 // NewState allocates a worker state sized for p. Most callers should
 // use the pooled acquire/release pair instead; NewState is the
 // always-fresh path (and what the pool falls back to).
 func (p *Params) NewState() *State {
-	st := &State{enc: encoding.NewPoissonEncoder(0)}
+	st := &State{}
 	st.fit(p)
 	return st
 }
@@ -219,9 +215,6 @@ func (st *State) fit(p *Params) {
 	st.counts = resizeVec(st.counts, p.Exc.N)
 	st.refracExc = resizeInts(st.refracExc, p.Exc.N)
 	st.refracInh = resizeInts(st.refracInh, p.Inh.N)
-	if st.enc == nil {
-		st.enc = encoding.NewPoissonEncoder(0)
-	}
 }
 
 func resizeVec(v tensor.Vector, n int) tensor.Vector {
@@ -253,28 +246,18 @@ func (st *State) reset(p *Params) {
 	st.prevInh = st.prevInh[:0]
 }
 
-// workspacePool recycles States (with their embedded encoder
-// workspaces) across evaluation passes and campaign cells. sync.Pool
-// may drop entries under GC pressure — correctness never depends on a
-// hit, only allocation volume does.
+// workspacePool recycles States across evaluation passes and campaign
+// cells. sync.Pool may drop entries under GC pressure — correctness
+// never depends on a hit, only allocation volume does.
 var workspacePool sync.Pool
 
-// acquireState returns a ready state for p with its encoder configured
-// (maxRate/dt of 0 select the encoder defaults, 128 Hz / 1 ms).
-func acquireState(p *Params, maxRate, dt float64) *State {
+// acquireState returns a ready state for p.
+func acquireState(p *Params) *State {
 	st, _ := workspacePool.Get().(*State)
 	if st == nil {
-		st = p.NewState()
-	} else {
-		st.fit(p)
+		return p.NewState()
 	}
-	if maxRate == 0 {
-		maxRate = 128
-	}
-	if dt == 0 {
-		dt = 1
-	}
-	st.enc.MaxRate, st.enc.Dt = maxRate, dt
+	st.fit(p)
 	return st
 }
 
@@ -317,18 +300,16 @@ func (p *Params) step(st *State, inputSpikes []int) []int {
 	return st.spikeExc
 }
 
-// presentImage runs one full presentation (Steps driven + RestSteps
-// quiet) of img under seed and returns st.counts, the per-neuron
-// excitatory spike counts. The returned vector is st's accumulator —
-// copy it to retain past the next presentation. Steady-state the call
-// allocates nothing.
-func (p *Params) presentImage(st *State, img *mnist.Image, seed int64) tensor.Vector {
+// presentImage runs one full presentation (the train's driven steps +
+// RestSteps quiet) and returns st.counts, the per-neuron excitatory
+// spike counts. The returned vector is st's accumulator — copy it to
+// retain past the next presentation. Steady-state the call allocates
+// nothing.
+func (p *Params) presentImage(st *State, tr SpikeTrain) tensor.Vector {
 	st.reset(p)
-	st.enc.Reseed(seed)
-	st.enc.Begin(img)
 	st.counts.Zero()
-	for t := 0; t < p.Cfg.Steps; t++ {
-		for _, j := range p.step(st, st.enc.EncodeStep()) {
+	for t := 0; t < tr.Steps(); t++ {
+		for _, j := range p.step(st, tr.Step(t)) {
 			st.counts[j]++
 		}
 	}
@@ -345,13 +326,6 @@ type EvalOptions struct {
 	// Workers is the evaluation pool width; ≤0 uses all CPUs. Results
 	// are bit-identical at every width.
 	Workers int
-	// Seed is the cell's base encoder seed; image i is presented from
-	// ImageSeed(Seed, i).
-	Seed int64
-	// MaxRate and Dt configure the Poisson encoding; zero values select
-	// the experiment defaults (128 Hz, 1 ms).
-	MaxRate float64
-	Dt      float64
 	// Obs, when non-nil, receives the evaluation pool's telemetry under
 	// "snn.eval.*" (per-shard run/wait histograms, job counters,
 	// utilization). Purely observational: results are bit-identical
@@ -361,42 +335,34 @@ type EvalOptions struct {
 
 // evalShard is how many consecutive images one pool job presents. The
 // shard size trades scheduling overhead against load balance; it does
-// not affect results (each image is independently seeded).
+// not affect results (each image's train is fixed in the corpus).
 const evalShard = 8
 
-// shardJobs builds one runner job per contiguous image shard. run is
-// called with a ready workspace, an image index and that image's
-// presentation seed, and returns the image's contribution to the
-// shard result. Seeds are derived once up front — DeriveSeed reflects
-// over its discriminators, and hoisting it keeps the per-image loop
-// allocation-free.
-func shardJobs[T any](p *Params, images []mnist.Image, opt EvalOptions, run func(st *State, i int, seed int64) T) []runner.Job[[]T] {
-	seeds := make([]int64, len(images))
-	for i := range seeds {
-		seeds[i] = ImageSeed(opt.Seed, i)
+// runShards presents the corpus against p in contiguous image shards
+// on the evaluation pool and returns run's per-image results in image
+// order. run is called with a ready workspace and an image index. A
+// corpus that does not fit p's configuration is an error.
+func runShards[T any](p *Params, c *Corpus, opt EvalOptions, run func(st *State, i int) T) ([]T, error) {
+	if err := c.fits(p.Cfg); err != nil {
+		return nil, err
 	}
-	jobs := make([]runner.Job[[]T], 0, (len(images)+evalShard-1)/evalShard)
-	for lo := 0; lo < len(images); lo += evalShard {
-		lo, hi := lo, min(lo+evalShard, len(images))
+	total := c.Len()
+	jobs := make([]runner.Job[[]T], 0, (total+evalShard-1)/evalShard)
+	for lo := 0; lo < total; lo += evalShard {
+		lo, hi := lo, min(lo+evalShard, total)
 		jobs = append(jobs, runner.Job[[]T]{
 			Label: fmt.Sprintf("images[%d:%d]", lo, hi),
 			Run: func() ([]T, error) {
-				st := acquireState(p, opt.MaxRate, opt.Dt)
+				st := acquireState(p)
 				defer releaseState(st)
 				out := make([]T, hi-lo)
 				for i := lo; i < hi; i++ {
-					out[i-lo] = run(st, i, seeds[i])
+					out[i-lo] = run(st, i)
 				}
 				return out, nil
 			},
 		})
 	}
-	return jobs
-}
-
-// runShards executes the shard jobs and flattens results back into
-// image order.
-func runShards[T any](opt EvalOptions, jobs []runner.Job[[]T], total int) ([]T, error) {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -413,39 +379,35 @@ func runShards[T any](opt EvalOptions, jobs []runner.Job[[]T], total int) ([]T, 
 	return out, nil
 }
 
-// CountsParallel presents every image read-only against p and returns
-// the per-image excitatory spike counts, in image order — the parallel
-// label-assignment kernel. Counts are bit-identical at any worker
-// count (and to the serial path, which is the same kernel at width 1).
-func CountsParallel(p *Params, images []mnist.Image, opt EvalOptions) ([]tensor.Vector, error) {
-	jobs := shardJobs(p, images, opt, func(st *State, i int, seed int64) tensor.Vector {
-		return p.presentImage(st, &images[i], seed).Copy()
+// CountsParallel presents every image of the corpus read-only against
+// p and returns the per-image excitatory spike counts, in image order
+// — the parallel label-assignment kernel. Counts are bit-identical at
+// any worker count (and to the serial path, which is the same kernel
+// at width 1).
+func CountsParallel(p *Params, c *Corpus, opt EvalOptions) ([]tensor.Vector, error) {
+	return runShards(p, c, opt, func(st *State, i int) tensor.Vector {
+		return p.presentImage(st, c.Train(i)).Copy()
 	})
-	return runShards(opt, jobs, len(images))
 }
 
-// EvaluateParallel presents every image read-only against p, classifies
-// each with the given neuron→class assignments, and returns the
-// fraction classified correctly. Unlike CountsParallel it keeps no
-// per-image counts, so a full evaluation pass is allocation-flat.
-func EvaluateParallel(p *Params, images []mnist.Image, assignments []int, opt EvalOptions) (float64, error) {
-	if len(images) == 0 {
-		return 0, fmt.Errorf("snn: no evaluation images")
-	}
-	jobs := shardJobs(p, images, opt, func(st *State, i int, seed int64) int {
-		counts := p.presentImage(st, &images[i], seed)
-		if Classify(counts, assignments) == int(images[i].Label) {
+// EvaluateParallel presents every image of the corpus read-only
+// against p, classifies each with the given neuron→class assignments,
+// and returns the fraction classified correctly. Unlike CountsParallel
+// it keeps no per-image counts, so a full evaluation pass is
+// allocation-flat.
+func EvaluateParallel(p *Params, c *Corpus, assignments []int, opt EvalOptions) (float64, error) {
+	correct, err := runShards(p, c, opt, func(st *State, i int) int {
+		if Classify(p.presentImage(st, c.Train(i)), assignments) == int(c.Labels[i]) {
 			return 1
 		}
 		return 0
 	})
-	correct, err := runShards(opt, jobs, len(images))
 	if err != nil {
 		return 0, err
 	}
 	total := 0
-	for _, c := range correct {
-		total += c
+	for _, ok := range correct {
+		total += ok
 	}
-	return float64(total) / float64(len(images)), nil
+	return float64(total) / float64(len(correct)), nil
 }

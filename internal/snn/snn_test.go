@@ -253,18 +253,17 @@ func TestLateralInhibitionSparsifiesActivity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		images := mnist.Synthetic(5, 3)
-		enc := encoding.NewPoissonEncoder(8)
+		c := EncodeCorpus(mnist.Synthetic(5, 3), encoding.NewPoissonEncoder(8), cfg.Steps)
 		total := 0.0
-		for i := range images {
-			counts := n.RunImage(enc.Encode(&images[i], cfg.Steps), false)
+		for i := 0; i < c.Len(); i++ {
+			counts := n.RunImage(c.Train(i), false)
 			for _, c := range counts {
 				if c > 0 {
 					total++
 				}
 			}
 		}
-		return total / float64(len(images))
+		return total / float64(c.Len())
 	}
 	withInh := run(120)
 	without := run(0)
@@ -281,10 +280,10 @@ func TestRunImageDeterministicGivenSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc := encoding.NewPoissonEncoder(8)
+		c := EncodeCorpus(images, encoding.NewPoissonEncoder(8), cfg.Steps)
 		var last tensor.Vector
-		for i := range images {
-			last = n.RunImage(enc.Encode(&images[i], cfg.Steps), true)
+		for i := 0; i < c.Len(); i++ {
+			last = n.RunImage(c.Train(i), true)
 		}
 		return last
 	}
@@ -303,9 +302,8 @@ func TestTrainImprovesOverChance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	images := mnist.Synthetic(200, 7)
-	enc := encoding.NewPoissonEncoder(42)
-	res, err := Train(n, images, enc)
+	c := EncodeCorpus(mnist.Synthetic(200, 7), encoding.NewPoissonEncoder(42), cfg.Steps)
+	res, err := Train(n, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,16 +313,27 @@ func TestTrainImprovesOverChance(t *testing.T) {
 }
 
 func TestTrainRejectsEmptyInput(t *testing.T) {
-	n, err := NewDiehlCook(smallConfig())
+	cfg := smallConfig()
+	n, err := NewDiehlCook(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	enc := encoding.NewPoissonEncoder(1)
-	if _, err := Train(n, nil, enc); err == nil {
+	empty := EncodeCorpus(nil, enc, cfg.Steps)
+	if _, err := Train(n, empty); err == nil {
 		t.Fatal("empty training set must fail")
 	}
-	if _, err := Evaluate(n, nil, enc, nil); err == nil {
+	if _, err := Evaluate(n, empty, nil); err == nil {
 		t.Fatal("empty evaluation set must fail")
+	}
+	// A corpus encoded for another presentation length would silently
+	// truncate or overrun every presentation.
+	short := EncodeCorpus(mnist.Synthetic(2, 3), enc, cfg.Steps-1)
+	if _, err := Train(n, short); err == nil {
+		t.Fatal("training on a corpus of the wrong length must fail")
+	}
+	if _, err := Evaluate(n, short, nil); err == nil {
+		t.Fatal("evaluating a corpus of the wrong length must fail")
 	}
 }
 

@@ -1,10 +1,6 @@
 package snn
 
 import (
-	"fmt"
-
-	"snnfi/internal/encoding"
-	"snnfi/internal/mnist"
 	"snnfi/internal/obs"
 	"snnfi/internal/tensor"
 )
@@ -38,11 +34,11 @@ type TrainResult struct {
 
 // TrainOptions configures TrainWith beyond its data arguments.
 type TrainOptions struct {
-	// BeforeImage, when non-nil, runs before image i is encoded and
-	// presented in the learning pass. Fault-injection campaigns use it
-	// to corrupt network parameters mid-training (e.g. re-applying
-	// synaptic drift every N images) without duplicating the
-	// training/labeling/scoring loop.
+	// BeforeImage, when non-nil, runs before image i is presented in
+	// the learning pass. Fault-injection campaigns use it to corrupt
+	// network parameters mid-training (e.g. re-applying synaptic drift
+	// every N images) without duplicating the training/labeling/scoring
+	// loop.
 	BeforeImage func(i int)
 	// Batch is the STDP minibatch size. ≤1 (the default) is the serial
 	// protocol: normalize, present, update, image by image. Batch > 1
@@ -72,38 +68,35 @@ type TrainOptions struct {
 	OnProgress func(done, total int)
 }
 
-// Train presents the images once (the paper iterates training samples
-// once), learning with STDP, then assigns each excitatory neuron the
-// class for which it spiked most ("all activity" labeling) and scores
-// classification accuracy over the same presentations — the paper's
-// protocol: "all experiments are conducted on 1000 Poisson-encoded
-// training images", with accuracy measured on those images.
-func Train(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEncoder) (*TrainResult, error) {
-	return TrainWith(n, images, enc, TrainOptions{})
+// Train presents the corpus's images once (the paper iterates training
+// samples once), learning with STDP, then assigns each excitatory
+// neuron the class for which it spiked most ("all activity" labeling)
+// and scores classification accuracy over the same presentations —
+// the paper's protocol: "all experiments are conducted on 1000
+// Poisson-encoded training images", with accuracy measured on those
+// images.
+func Train(n *DiehlCook, c *Corpus) (*TrainResult, error) {
+	return TrainWith(n, c, TrainOptions{})
 }
 
-// TrainWith runs the two-pass protocol of the intra-cell engine:
+// TrainWith runs the two-pass protocol of the intra-cell engine over
+// the corpus's spike trains:
 //
-//  1. Learning pass, serial (STDP is order-dependent): each image is
-//     presented with plasticity on, encoded from its per-image seed
-//     ImageSeed(enc.Seed(), i).
-//  2. Assignment pass, parallel: the same images are re-presented from
-//     the same per-image seeds against the frozen trained parameters
-//     (learn=false, theta folded into the effective thresholds), on
-//     opt.Workers evaluation workers. The resulting counts drive
-//     labeling and scoring, so the reported accuracy is a property of
-//     the finished network rather than of its mid-training trajectory.
+//  1. Learning pass, serial (STDP is order-dependent): each image's
+//     train is presented with plasticity on.
+//  2. Assignment pass, parallel: the same trains are re-presented
+//     against the frozen trained parameters (learn=false, theta folded
+//     into the effective thresholds), on opt.Workers evaluation
+//     workers. The resulting counts drive labeling and scoring, so the
+//     reported accuracy is a property of the finished network rather
+//     than of its mid-training trajectory.
 //
-// The encoder supplies the base seed and rate configuration; its base
-// seed is restored on return (the per-image reseeding is internal), so
-// a subsequent Evaluate with the same encoder derives its presentation
-// seeds from the original base.
-func TrainWith(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEncoder, opt TrainOptions) (*TrainResult, error) {
-	if len(images) == 0 {
-		return nil, fmt.Errorf("snn: no training images")
+// The corpus is only read, so any number of cells may train on one
+// corpus concurrently.
+func TrainWith(n *DiehlCook, c *Corpus, opt TrainOptions) (*TrainResult, error) {
+	if err := c.fits(n.Cfg); err != nil {
+		return nil, err
 	}
-	base := enc.Seed()
-	defer enc.Reseed(base)
 	stdp := obs.Span(opt.Obs, "snn.stdp")
 	switch {
 	case opt.BeforeImage != nil:
@@ -111,13 +104,11 @@ func TrainWith(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEncoder,
 		// the dirty-column tracking cannot see — keep the full
 		// normalize-every-image protocol (and serial order, which a
 		// mid-pass mutation implicitly depends on).
-		for i := range images {
+		for i, tr := range c.trains {
 			opt.BeforeImage(i)
-			enc.Reseed(ImageSeed(base, i))
-			enc.Begin(&images[i])
-			n.RunImageStream(enc.EncodeStep, true)
+			n.RunImage(tr, true)
 			if opt.OnProgress != nil {
-				opt.OnProgress(i+1, len(images))
+				opt.OnProgress(i+1, c.Len())
 			}
 		}
 	case opt.Batch > 1:
@@ -125,59 +116,50 @@ func TrainWith(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEncoder,
 		// the last normalization (fresh init, fault setup) predates the
 		// dirty tracking.
 		n.NormalizeWeights()
-		if err := trainMinibatch(n, images, enc, opt); err != nil {
+		if err := trainMinibatch(n, c, opt); err != nil {
 			return nil, err
 		}
 	default:
 		n.NormalizeWeights()
-		for i := range images {
-			enc.Reseed(ImageSeed(base, i))
-			enc.Begin(&images[i])
-			n.TrainImageStream(enc.EncodeStep)
+		for i, tr := range c.trains {
+			n.TrainImage(tr)
 			if opt.OnProgress != nil {
-				opt.OnProgress(i+1, len(images))
+				opt.OnProgress(i+1, c.Len())
 			}
 		}
 	}
 	stdp.End()
 
 	assign := obs.Span(opt.Obs, "snn.assign")
-	counts, err := CountsParallel(n.Params(), images, EvalOptions{
-		Workers: opt.Workers, Seed: base, MaxRate: enc.MaxRate, Dt: enc.Dt,
-		Obs: opt.Obs,
-	})
+	counts, err := CountsParallel(n.Params(), c, EvalOptions{Workers: opt.Workers, Obs: opt.Obs})
 	assign.End()
 	if err != nil {
 		return nil, err
 	}
 	res := &TrainResult{
 		PerImage: counts,
-		Labels:   make([]uint8, 0, len(images)),
+		Labels:   append([]uint8(nil), c.Labels...),
 	}
-	for i := range images {
-		res.Labels = append(res.Labels, images[i].Label)
-		res.TotalSpikes += counts[i].Sum()
+	for _, cnt := range counts {
+		res.TotalSpikes += cnt.Sum()
 	}
 	res.Assignments = AssignLabels(res.PerImage, res.Labels, n.Cfg.NExc)
 	correct := 0
-	for i, c := range counts {
-		if Classify(c, res.Assignments) == int(res.Labels[i]) {
+	for i, cnt := range counts {
+		if Classify(cnt, res.Assignments) == int(res.Labels[i]) {
 			correct++
 		}
 	}
-	res.Accuracy = float64(correct) / float64(len(images))
+	res.Accuracy = float64(correct) / float64(len(counts))
 	return res, nil
 }
 
-// Evaluate presents images without learning and scores them against
+// Evaluate presents the corpus without learning and scores it against
 // existing assignments. It is the serial entry point of the inference
-// engine — the same kernel and per-image seeding as EvaluateParallel
-// at width 1, so its result is bit-identical to any parallel run with
-// the same base seed.
-func Evaluate(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEncoder, assignments []int) (float64, error) {
-	return EvaluateParallel(n.Params(), images, assignments, EvalOptions{
-		Workers: 1, Seed: enc.Seed(), MaxRate: enc.MaxRate, Dt: enc.Dt,
-	})
+// engine — EvaluateParallel at width 1, so its result is bit-identical
+// to any parallel run over the same corpus.
+func Evaluate(n *DiehlCook, c *Corpus, assignments []int) (float64, error) {
+	return EvaluateParallel(n.Params(), c, assignments, EvalOptions{Workers: 1})
 }
 
 // AssignLabels implements Diehl&Cook "all activity" neuron labeling:

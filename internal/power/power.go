@@ -114,9 +114,10 @@ func (s System) AreaUm2() float64 {
 }
 
 // BaselineSystem builds the undefended system: nNeurons AH neurons,
-// each with an input driver.
+// each with an input driver. Inventories are built at their final
+// length, in one allocation.
 func BaselineSystem(nNeurons int) System {
-	var s System
+	s := System{Components: make([]Component, 0, 2*max(nNeurons, 0))}
 	for i := 0; i < nNeurons; i++ {
 		s.Components = append(s.Components, AHNeuron(), Driver())
 	}
@@ -136,7 +137,15 @@ type DefenseSelection struct {
 // DefendedSystem builds the component inventory for nNeurons under the
 // given defense selection.
 func DefendedSystem(nNeurons int, sel DefenseSelection) System {
-	var s System
+	layers := 0
+	if sel.DummyPerLayer && sel.LayerSize > 0 {
+		layers = (nNeurons + sel.LayerSize - 1) / sel.LayerSize
+	}
+	size := 2*max(nNeurons, 0) + 2*max(layers, 0)
+	if sel.SharedBandgap {
+		size++
+	}
+	s := System{Components: make([]Component, 0, size)}
 	neuron := AHNeuron
 	if sel.UpsizedNeurons {
 		neuron = AHNeuronUpsized
@@ -154,12 +163,9 @@ func DefendedSystem(nNeurons int, sel DefenseSelection) System {
 	if sel.SharedBandgap {
 		s.Components = append(s.Components, Bandgap())
 	}
-	if sel.DummyPerLayer && sel.LayerSize > 0 {
-		layers := (nNeurons + sel.LayerSize - 1) / sel.LayerSize
-		for i := 0; i < layers; i++ {
-			// One canary neuron plus its fixed-stimulus driver per layer.
-			s.Components = append(s.Components, neuron(), driver())
-		}
+	for i := 0; i < layers; i++ {
+		// One canary neuron plus its fixed-stimulus driver per layer.
+		s.Components = append(s.Components, neuron(), driver())
 	}
 	return s
 }

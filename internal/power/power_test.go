@@ -112,3 +112,25 @@ func overheadFor(n int, sel DefenseSelection) float64 {
 	sys := DefendedSystem(n, sel)
 	return 100 * (sys.AreaUm2() - base.AreaUm2()) / base.AreaUm2()
 }
+
+// TestSystemsAllocateOnce: each inventory is built at its final length
+// in one allocation, even at the 20,000-neuron amortization scale,
+// where growing by doubling would copy it about 16 times.
+func TestSystemsAllocateOnce(t *testing.T) {
+	sels := []DefenseSelection{
+		{SharedBandgap: true},
+		{UpsizedNeurons: true, RobustDrivers: true, SharedBandgap: true, DummyPerLayer: true, LayerSize: 300},
+	}
+	if a := testing.AllocsPerRun(20, func() { BaselineSystem(20000) }); a != 1 {
+		t.Fatalf("BaselineSystem: %v allocations, want 1", a)
+	}
+	for _, sel := range sels {
+		sys := DefendedSystem(20000, sel)
+		if len(sys.Components) != cap(sys.Components) {
+			t.Fatalf("%+v: %d components in a capacity of %d", sel, len(sys.Components), cap(sys.Components))
+		}
+		if a := testing.AllocsPerRun(20, func() { DefendedSystem(20000, sel) }); a != 1 {
+			t.Fatalf("%+v: %v allocations, want 1", sel, a)
+		}
+	}
+}

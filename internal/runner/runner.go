@@ -270,7 +270,12 @@ func (p *Pool[T]) Run(jobs []Job[T]) ([]T, error) {
 
 // runOne executes a single job through the cache and the in-flight
 // deduplication table; exec is where the computation itself happens
-// (local by default — see Executor).
+// (local by default — see Executor). A keyed job looks its key up
+// once, outside flightMu, and a miss is not looked up again before the
+// job leads its flight: a Put landing in between (another process
+// sharing the store) costs one duplicate compute of a pure cell, never
+// wrong bytes, and within a batch the flight table already gives each
+// key one leader.
 func (p *Pool[T]) runOne(exec Executor[T], j Job[T], flights map[string]*flight[T], flightMu *sync.Mutex) (T, bool, error) {
 	if j.Key == "" {
 		v, err := exec.Execute(j)
@@ -290,15 +295,6 @@ func (p *Pool[T]) runOne(exec Executor[T], j Job[T], flights map[string]*flight[
 			return zero, false, f.err
 		}
 		return f.v, true, nil
-	}
-	// Recheck the cache before becoming leader: another Put (a previous
-	// batch, a concurrent process sharing a disk cache) may have landed
-	// between our lock-free Get above and taking flightMu.
-	if p.Cache != nil {
-		if v, ok := p.Cache.Get(j.Key); ok {
-			flightMu.Unlock()
-			return v, true, nil
-		}
 	}
 	f := &flight[T]{done: make(chan struct{})}
 	flights[j.Key] = f

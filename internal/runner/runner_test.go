@@ -174,6 +174,45 @@ func TestPoolCacheAndSingleflight(t *testing.T) {
 	}
 }
 
+// TestPoolOneLookupPerJob: a keyed job looks its key up once and a
+// distinct key is stored once, so N jobs over K keys into an empty
+// cache make exactly N Gets and K Puts at any worker count. A second
+// lookup before computing a miss would make N+K.
+func TestPoolOneLookupPerJob(t *testing.T) {
+	const n, k = 24, 5
+	jobs := make([]Job[int], n)
+	for i := range jobs {
+		key := i % k
+		jobs[i] = Job[int]{
+			Label: fmt.Sprintf("job-%d", i),
+			Key:   fmt.Sprintf("key-%d", key),
+			Run: func() (int, error) {
+				time.Sleep(time.Millisecond)
+				return key, nil
+			},
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		cache := NewMemoryCache[int]()
+		got, err := (&Pool[int]{Workers: workers, Cache: cache}).Run(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if v != i%k {
+				t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, v, i%k)
+			}
+		}
+		hits, misses := cache.Stats()
+		if gets := hits + misses; gets != n {
+			t.Fatalf("workers=%d: %d cache Gets, want one per job (%d)", workers, gets, n)
+		}
+		if puts := cache.Puts(); puts != k {
+			t.Fatalf("workers=%d: %d cache Puts, want one per distinct key (%d)", workers, puts, k)
+		}
+	}
+}
+
 func TestPoolConcurrencySpeedup(t *testing.T) {
 	// The acceptance bar for the subsystem: ≥4 workers must cut a
 	// sweep's wall clock by ≥2× versus serial. Sleep-bound jobs make

@@ -262,7 +262,8 @@ type TranOptions struct {
 	// MaxSubdiv bounds how many times a non-converging step is halved
 	// before the analysis fails (default 10).
 	MaxSubdiv int
-	// Record filters which node names are recorded; empty records all.
+	// Record filters which node and source names are recorded; empty
+	// records all. A run without Until presizes every recorded column.
 	Record []string
 	// Until, when non-nil, ends the run early: it is called with the
 	// samples recorded so far after each full Dt step, and the run
@@ -278,17 +279,68 @@ type TranOptions struct {
 
 // TranResult is a recorded transient run.
 type TranResult struct {
-	Time  []float64
-	nodes map[string][]float64
-	// Branch currents of named sources (voltage sources and op-amps).
-	branchCur map[string][]float64
+	Time []float64
+	// cols holds the recorded columns: node voltages in node-index
+	// order, then branch currents of named sources (voltage sources and
+	// op-amps) in element order. nodeCol and branchCol map a name to its
+	// column.
+	cols               [][]float64
+	nodeCol, branchCol map[string]int
 }
 
 // V returns the recorded voltage waveform of a node (nil if absent).
-func (r *TranResult) V(name string) []float64 { return r.nodes[name] }
+func (r *TranResult) V(name string) []float64 { return r.column(r.nodeCol, name) }
 
 // I returns the recorded branch current of a named voltage source.
-func (r *TranResult) I(name string) []float64 { return r.branchCur[name] }
+func (r *TranResult) I(name string) []float64 { return r.column(r.branchCol, name) }
+
+func (r *TranResult) column(index map[string]int, name string) []float64 {
+	if j, ok := index[name]; ok {
+		return r.cols[j]
+	}
+	return nil
+}
+
+// recordPlan resolves the nodes and source branches opt.Record selects
+// (all of them when it is empty) to the MNA unknowns a step records,
+// and returns the empty result those columns fill.
+func (c *Circuit) recordPlan(opt TranOptions) (*TranResult, []int) {
+	want := map[string]bool{}
+	for _, n := range opt.Record {
+		want[n] = true
+	}
+	res := &TranResult{nodeCol: map[string]int{}, branchCol: map[string]int{}}
+	var unknowns []int
+	add := func(index map[string]int, name string, unknown int) {
+		if len(want) == 0 || want[name] {
+			index[name] = len(unknowns)
+			unknowns = append(unknowns, unknown)
+		}
+	}
+	for idx, name := range c.nodeNames {
+		add(res.nodeCol, name, idx)
+	}
+	for _, e := range c.elements {
+		switch src := e.(type) {
+		case *VSource:
+			add(res.branchCol, src.name, c.NumNodes()+src.branch)
+		case *OpAmp:
+			add(res.branchCol, src.name, c.NumNodes()+src.branch)
+		}
+	}
+	res.cols = make([][]float64, len(unknowns))
+	return res, unknowns
+}
+
+// presize gives Time and every column room for n samples in one
+// backing array, so recording them never grows a slice.
+func (r *TranResult) presize(n int) {
+	buf := make([]float64, 0, n*(len(r.cols)+1))
+	r.Time = buf[0:0:n]
+	for j := range r.cols {
+		r.cols[j] = buf[(j+1)*n : (j+1)*n : (j+2)*n]
+	}
+}
 
 // Tran runs a fixed-step transient analysis.
 func (c *Circuit) Tran(opt TranOptions) (*TranResult, error) {
@@ -335,37 +387,14 @@ func (c *Circuit) Tran(opt TranOptions) (*TranResult, error) {
 	ctx.Method = opt.Method
 	copy(ctx.XPrev, ctx.X)
 
-	recordSet := map[string]bool{}
-	for _, n := range opt.Record {
-		recordSet[n] = true
-	}
-	recording := func(name string) bool { return len(recordSet) == 0 || recordSet[name] }
-
-	res := &TranResult{nodes: map[string][]float64{}, branchCur: map[string][]float64{}}
+	res, unknowns := c.recordPlan(opt)
 	record := func(t float64) {
 		res.Time = append(res.Time, t)
-		for name, idx := range c.nodeIndex {
-			if !recording(name) {
-				continue
-			}
-			res.nodes[name] = append(res.nodes[name], ctx.X[idx])
-		}
-		for _, e := range c.elements {
-			switch src := e.(type) {
-			case *VSource:
-				if recording(src.name) {
-					res.branchCur[src.name] = append(res.branchCur[src.name], src.BranchCurrent(ctx))
-				}
-			case *OpAmp:
-				if recording(src.name) {
-					res.branchCur[src.name] = append(res.branchCur[src.name], ctx.X[ctx.BranchIndex(src.branch)])
-				}
-			}
+		for j, idx := range unknowns {
+			res.cols[j] = append(res.cols[j], ctx.X[idx])
 		}
 	}
 
-	ctx.Time = 0
-	record(0)
 	nrOpt := NROptions{}
 	// Full Dt steps that fit before Stop (the epsilon absorbs float
 	// division noise when Stop is an exact multiple of Dt), plus a
@@ -373,6 +402,18 @@ func (c *Circuit) Tran(opt TranOptions) (*TranResult, error) {
 	// count would otherwise silently drop the last partial interval
 	// (e.g. Stop=1.0, Dt=0.3 used to end at t=0.9) or overshoot Stop.
 	nFull := int(opt.Stop/opt.Dt + 1e-9)
+	partial := opt.Stop-float64(nFull)*opt.Dt > 1e-9*opt.Dt
+	if opt.Until == nil {
+		// Only a run that cannot stop early knows its length; an
+		// event-stopped one would reserve its whole window.
+		n := 1 + nFull
+		if partial {
+			n++
+		}
+		res.presize(n)
+	}
+	ctx.Time = 0
+	record(0)
 	t := 0.0
 	for step := 1; step <= nFull; step++ {
 		target := float64(step) * opt.Dt
@@ -385,7 +426,7 @@ func (c *Circuit) Tran(opt TranOptions) (*TranResult, error) {
 			return res, nil
 		}
 	}
-	if opt.Stop-t > 1e-9*opt.Dt {
+	if partial {
 		if err := c.advance(ctx, t, opt.Stop, opt, nrOpt, 0); err != nil {
 			return nil, fmt.Errorf("spice: transient at t=%.4g: %w", opt.Stop, err)
 		}

@@ -112,12 +112,10 @@ func TestTranUntilStopsAtStep(t *testing.T) {
 	full := untilFixture(t, nil)
 	for k := 1; k <= 10; k++ {
 		got := untilFixture(t, func(r *TranResult) bool { return len(r.Time) == k+1 })
-		want := &TranResult{Time: full.Time[:k+1], nodes: map[string][]float64{}, branchCur: map[string][]float64{}}
-		for name, v := range full.nodes {
-			want.nodes[name] = v[:k+1]
-		}
-		for name, v := range full.branchCur {
-			want.branchCur[name] = v[:k+1]
+		want := &TranResult{Time: full.Time[:k+1], cols: make([][]float64, len(full.cols)),
+			nodeCol: full.nodeCol, branchCol: full.branchCol}
+		for j, col := range full.cols {
+			want.cols[j] = col[:k+1]
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("stop at step %d:\n got %+v\nwant %+v", k, got, want)
@@ -163,5 +161,47 @@ func TestDebugNRReportsUnscaledDelta(t *testing.T) {
 	// computation would report ~0 here.
 	if worst < 1e-4 || worst > 1e-2 {
 		t.Fatalf("diagnostic delta %g, want ≈ 1e-3 (stale post-update delta would be ~0)", worst)
+	}
+}
+
+// spikeDrivenRC is a linear fixture driven by the paper's current-spike
+// train, so every step averages the stimulus and always converges.
+func spikeDrivenRC() *Circuit {
+	c := New()
+	c.V("V1", "in", "0", DC(0.5))
+	c.R("R1", "in", "out", 1e6)
+	c.C("C1", "out", "0", 1e-12)
+	c.I("I1", "0", "out", SpikeTrain{Amp: 200e-9, Width: 25e-9, Period: 50e-9})
+	return c
+}
+
+// TestTranRecordAllocsFlat: without a stop predicate the record is
+// presized to the step count, so a run allocates the same at any
+// length, and each column ends exactly full.
+func TestTranRecordAllocsFlat(t *testing.T) {
+	c := spikeDrivenRC()
+	allocs := func(stop float64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := c.Tran(TranOptions{Dt: 10e-9, Stop: stop, UIC: true}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(1e-6), allocs(10e-6); short != long {
+		t.Fatalf("transient allocations grow with length: %v at 1 µs, %v at 10 µs", short, long)
+	}
+	for _, stop := range []float64{1e-6, 1.005e-6} {
+		res, err := c.Tran(TranOptions{Dt: 10e-9, Stop: stop, UIC: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Time) != cap(res.Time) {
+			t.Fatalf("Stop %g: %d samples in a capacity of %d", stop, len(res.Time), cap(res.Time))
+		}
+		for _, col := range [][]float64{res.V("in"), res.V("out"), res.I("V1")} {
+			if len(col) != len(res.Time) || cap(col) != len(col) {
+				t.Fatalf("Stop %g: column of %d (cap %d) for %d samples", stop, len(col), cap(col), len(res.Time))
+			}
+		}
 	}
 }

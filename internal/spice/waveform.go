@@ -20,6 +20,26 @@ type DC float64
 // At implements Waveform.
 func (d DC) At(float64) float64 { return float64(d) }
 
+// periodMod returns math.Mod(t, p), bit for bit, without its
+// bit-by-bit reduction loop on the common path. For t, p > 0 it takes
+// the quotient q = ⌊t/p⌋ and the remainder r = t − q·p in one fused
+// multiply-add. When q is the true quotient the remainder is
+// representable, so the FMA's single rounding returns it exactly
+// (t − q*p, rounded twice, would not). A q off by one or more puts the
+// exact t − q·p outside [0, p), and rounding keeps it there: it is a
+// nonzero multiple of the smallest subnormal, and p is representable.
+// Such a q, and every other input (zeros, negatives, NaN, ±Inf, a
+// quotient that overflows), falls back to math.Mod.
+func periodMod(t, p float64) float64 {
+	if t > 0 && p > 0 {
+		q := math.Floor(t / p)
+		if r := math.FMA(-q, p, t); 0 <= r && r < p {
+			return r
+		}
+	}
+	return math.Mod(t, p)
+}
+
 // Pulse is a SPICE-style periodic pulse with linear rise/fall edges.
 // A zero Period makes the pulse one-shot.
 type Pulse struct {
@@ -37,7 +57,7 @@ func (p Pulse) At(t float64) float64 {
 		return p.Low
 	}
 	if p.Period > 0 {
-		t = math.Mod(t, p.Period)
+		t = periodMod(t, p.Period)
 	}
 	rise := p.Rise
 	if rise <= 0 {
@@ -77,7 +97,7 @@ func (s SpikeTrain) At(t float64) float64 {
 		return 0
 	}
 	if s.Period > 0 {
-		t = math.Mod(t, s.Period)
+		t = periodMod(t, s.Period)
 	}
 	edge := 0.05 * s.Width
 	switch {

@@ -209,3 +209,53 @@ func TestMeasurePeakMeanSettled(t *testing.T) {
 		t.Fatalf("empty SettledValue = %v", got)
 	}
 }
+
+// FuzzPeriodMod: the fused-multiply-add period remainder equals
+// math.Mod bit for bit, signed zeros and NaNs included.
+func FuzzPeriodMod(f *testing.F) {
+	const p = 50e-9 // the paper's spike-train period
+	negZero := math.Copysign(0, -1)
+	tiny := math.SmallestNonzeroFloat64
+	for _, s := range [][2]float64{
+		{0, p}, {negZero, p}, {p, 0}, {p, negZero}, {0, 0},
+		{tiny, p}, {p, tiny}, {3 * tiny, 2 * tiny}, {0x1p-1022, 3 * tiny},
+		{-1.5 * p, p}, {1.5 * p, -p}, {-1.5 * p, -p},
+		{1e10, p}, {0x1p60, 3}, {math.MaxFloat64, p}, {1e300, 1e-300},
+		{math.NaN(), p}, {p, math.NaN()},
+		{math.Inf(1), p}, {math.Inf(-1), p}, {p, math.Inf(1)}, {p, math.Inf(-1)},
+	} {
+		f.Add(s[0], s[1])
+	}
+	for _, k := range []float64{1, 2, 3, 7, 400, 3000, 1 << 20, 1 << 53, 1<<53 + 2} {
+		t := k * p
+		f.Add(t, p)
+		f.Add(math.Nextafter(t, 0), p)
+		f.Add(math.Nextafter(t, math.Inf(1)), p)
+	}
+	f.Fuzz(func(t *testing.T, x, y float64) {
+		got, want := periodMod(x, y), math.Mod(x, y)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("periodMod(%v, %v) = %v (%#x), math.Mod = %v (%#x)",
+				x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
+}
+
+// TestPeriodModOnStimulusGrid: at every time the F4 transient samples
+// its spike train (32 step-average samples per 10 ns step over 150 µs,
+// computed as Tran and stepAverage compute them) the remainder equals
+// math.Mod bit for bit.
+func TestPeriodModOnStimulusGrid(t *testing.T) {
+	const dt, steps, samples, period = 10e-9, 15000, 32, 50e-9
+	for step := 1; step <= steps; step++ {
+		t1 := float64(step) * dt
+		t0 := t1 - (t1 - float64(step-1)*dt)
+		h := (t1 - t0) / samples
+		for i := 0; i < samples; i++ {
+			x := t0 + (float64(i)+0.5)*h
+			if got, want := periodMod(x, period), math.Mod(x, period); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d sample %d: periodMod(%v) = %v, math.Mod = %v", step, i, x, got, want)
+			}
+		}
+	}
+}

@@ -32,7 +32,7 @@ if [ $# -lt 1 ]; then
 fi
 out="$1"
 benchtime="${BENCHTIME:-2x}"
-pattern="${BENCH_PATTERN:-BenchmarkEvaluate|BenchmarkCountsParallel|BenchmarkStep_|BenchmarkTrainImage|BenchmarkTrainMinibatch|BenchmarkEncode_|BenchmarkEncodeCorpus|BenchmarkSpiceTransientStep|BenchmarkCharacterize_AHThresholdVsVDD|BenchmarkMonteCarloThreshold|BenchmarkFig5c_|BenchmarkFig6b_|BenchmarkFig6c_|BenchmarkFig10a_}"
+pattern="${BENCH_PATTERN:-BenchmarkEvaluate|BenchmarkCountsParallel|BenchmarkStep_|BenchmarkTrainImage|BenchmarkTrainMinibatch|BenchmarkEncode_|BenchmarkEncodeCorpus|BenchmarkSpiceTransientStep|BenchmarkCharacterize_AHThresholdVsVDD|BenchmarkMonteCarloThreshold|BenchmarkFig3_|BenchmarkFig4_|BenchmarkFig5c_|BenchmarkFig6b_|BenchmarkFig6c_|BenchmarkFig10a_}"
 
 raw="$(mktemp)"
 work="$(mktemp -d)"

@@ -611,16 +611,27 @@ func BenchmarkEvaluate(b *testing.B) {
 
 // BenchmarkCountsParallel measures the label-assignment kernel (the
 // counts-returning variant TrainWith's second pass runs).
-func BenchmarkCountsParallel(b *testing.B) {
+func BenchmarkCountsParallel(b *testing.B) { benchCountsParallel(b, 1) }
+
+// BenchmarkCountsParallelCollapsed is BenchmarkCountsParallel with the
+// whole inhibitory layer at ThreshScale 0.8 (Attack 3's −20%): lateral
+// inhibition falls silent, excitatory activity collapses into dense
+// firing, and nearly every inhibitory neuron is awake. Collapsed cells
+// cost a multiple of a nominal one and dominate the network campaigns.
+func BenchmarkCountsParallelCollapsed(b *testing.B) { benchCountsParallel(b, 0.8) }
+
+func benchCountsParallel(b *testing.B, inhScale float64) {
 	cfg := benchConfig()
 	n, err := snn.NewDiehlCook(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	n.Inh.ThreshScale.Fill(inhScale)
 	p := n.Params()
 	c := snn.EncodeCorpus(mnist.Synthetic(64, 3), encoding.NewPoissonEncoder(42), cfg.Steps)
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := snn.CountsParallel(p, c, snn.EvalOptions{Workers: w}); err != nil {
 					b.Fatal(err)
@@ -650,13 +661,24 @@ func BenchmarkTrainImage(b *testing.B) {
 // with dirty-column normalization, the serial path TrainWith executes
 // per image. Encoding is done once per experiment, before training,
 // and measured by BenchmarkEncodeCorpus.
-func BenchmarkTrainImageStream(b *testing.B) {
+func BenchmarkTrainImageStream(b *testing.B) { benchTrainImageStream(b, 1) }
+
+// BenchmarkTrainImageStreamCollapsed is BenchmarkTrainImageStream with
+// the whole inhibitory layer at ThreshScale 0.8 (see
+// BenchmarkCountsParallelCollapsed): every excitatory neuron learns, so
+// depression rewrites whole weight rows and every column is
+// renormalized.
+func BenchmarkTrainImageStreamCollapsed(b *testing.B) { benchTrainImageStream(b, 0.8) }
+
+func benchTrainImageStream(b *testing.B, inhScale float64) {
 	cfg := snn.DefaultConfig()
 	n, err := snn.NewDiehlCook(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	n.Inh.ThreshScale.Fill(inhScale)
 	c := snn.EncodeCorpus(mnist.Synthetic(16, 3), encoding.NewPoissonEncoder(8), cfg.Steps)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.TrainImage(c.Train(i % c.Len()))

@@ -142,15 +142,22 @@ func (c *HTTPCache[T]) do(method, url string, body []byte) (*http.Response, erro
 			continue
 		}
 		if resp.StatusCode >= 500 {
-			// Drain so the connection is reusable, then retry.
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
+			drainClose(resp.Body)
 			lastErr = fmt.Errorf("store %s %s: %s", method, url, resp.Status)
 			continue
 		}
 		return resp, nil
 	}
 	return nil, lastErr
+}
+
+// drainClose reads what is left of a response body, up to a bound, and
+// closes it. The HTTP client reuses a connection only when the body was
+// read to its end; closing an unread one, even a short 404 page, closes
+// the connection, and the next request dials a new one.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, 4096))
+	body.Close()
 }
 
 // Get fetches the cell for key. Any failure — exhausted retries, an
@@ -167,26 +174,23 @@ func (c *HTTPCache[T]) Get(key string) (T, bool) {
 		c.misses.Inc()
 		return zero, false
 	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var v T
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+	if resp.StatusCode != http.StatusOK {
+		drainClose(resp.Body)
+		if resp.StatusCode != http.StatusNotFound {
 			c.errs.Inc()
-			c.misses.Inc()
-			return zero, false
 		}
-		c.hits.Inc()
-		return v, true
-	case http.StatusNotFound:
 		c.misses.Inc()
 		return zero, false
-	default:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	}
+	defer resp.Body.Close()
+	var v T
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		c.errs.Inc()
 		c.misses.Inc()
 		return zero, false
 	}
+	c.hits.Inc()
+	return v, true
 }
 
 // Put stores v under key. Exhausted retries and rejected writes are
@@ -207,8 +211,7 @@ func (c *HTTPCache[T]) Put(key string, v T) {
 		c.setErr(err)
 		return
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
+	drainClose(resp.Body)
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK &&
 		resp.StatusCode != http.StatusCreated {
 		c.setErr(fmt.Errorf("store PUT %s/%s: %s", c.base, key, resp.Status))
@@ -227,10 +230,11 @@ func (c *HTTPCache[T]) Manifest() ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store manifest: %w", err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		drainClose(resp.Body)
 		return nil, fmt.Errorf("store manifest: %s", resp.Status)
 	}
+	defer resp.Body.Close()
 	var keys []string
 	if err := json.NewDecoder(resp.Body).Decode(&keys); err != nil {
 		return nil, fmt.Errorf("store manifest: %w", err)

@@ -2,7 +2,9 @@ package runner
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -81,6 +83,48 @@ func newTestHTTPCache[T any](t *testing.T) (*HTTPCache[T], *storeStub) {
 	c := NewHTTPCache[T](srv.URL, "network")
 	c.Backoff = time.Millisecond // keep retry tests fast
 	return c, stub
+}
+
+// TestHTTPCacheReusesConnection: sequential lookups and writes through
+// one cache share one keep-alive connection, whatever the status. A
+// response body closed unread — a 404 miss's included — makes the
+// client drop the connection, so a cold campaign would dial once per
+// cell.
+func TestHTTPCacheReusesConnection(t *testing.T) {
+	const n = 20
+	var conns atomic.Int64
+	srv := httptest.NewUnstartedServer(newStoreStub())
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	c := NewHTTPCache[cachedResult](srv.URL, "network")
+	c.Client = &http.Client{Transport: tr}
+
+	for i := 0; i < n; i++ {
+		if _, ok := c.Get(fmt.Sprintf("miss%d", i)); ok {
+			t.Fatal("empty store must miss")
+		}
+	}
+	for i := 0; i < n; i++ {
+		c.Put(fmt.Sprintf("k%d", i), cachedResult{Name: "cell"})
+	}
+	for i := 0; i < n; i++ {
+		if _, ok := c.Get(fmt.Sprintf("k%d", i)); !ok {
+			t.Fatalf("k%d: stored cell missed", i)
+		}
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := conns.Load(); got != 1 {
+		t.Fatalf("%d misses, %d puts and %d hits opened %d connections, want 1", n, n, n, got)
+	}
 }
 
 func TestHTTPCacheRoundTrip(t *testing.T) {

@@ -201,40 +201,59 @@ func TestTrainBatchSemantics(t *testing.T) {
 // against DiehlCook.Step(learn=false): with adaptation disabled
 // (ThetaPlus = 0) a learn=false presentation through the training
 // kernel IS frozen inference, so both paths must produce bit-identical
-// spike counts for the same spike trains.
+// excitatory and inhibitory spikes, step by step, for the same spike
+// trains — under each fault configuration of the dense-reference test.
 func TestInferenceMatchesStepKernel(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NExc, cfg.NInh = 20, 20
-	cfg.Steps = 80
-	cfg.RestSteps = 4
-	n, err := NewDiehlCook(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Disable excitatory adaptation so theta stays identically zero in
-	// the training kernel (the inference kernel freezes theta always).
-	n.Exc.Cfg.ThetaPlus = 0
-	// Exercise the fault hooks too: the frozen view must fold them in.
-	n.Exc.ThreshScale.Fill(0.95)
-	n.Inh.ThreshScale.Fill(1.05)
-	n.Exc.InputGain.Fill(1.1)
-	n.Exc.Reset()
-	n.Inh.Reset()
-
-	c := EncodeCorpus(mnist.Synthetic(5, 3), encoding.NewPoissonEncoder(9), cfg.Steps)
-	p := n.Params()
-	st := p.NewState()
-	for i := 0; i < c.Len(); i++ {
-		want := n.RunImage(c.Train(i), false)
-		got := p.presentImage(st, c.Train(i))
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("image %d neuron %d: inference %g, step kernel %g", i, j, got[j], want[j])
+	for _, fc := range faultCases {
+		t.Run(fc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.NExc, cfg.NInh = 20, 20
+			cfg.Steps = 80
+			cfg.RestSteps = 4
+			n, err := NewDiehlCook(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if got.Sum() == 0 {
-			t.Fatalf("image %d: silent presentation makes the comparison vacuous", i)
-		}
+			// Disable excitatory adaptation so theta stays identically zero
+			// in the training kernel (the inference kernel freezes theta
+			// always).
+			n.Exc.Cfg.ThetaPlus = 0
+			// Exercise the fault hooks too: the frozen view must fold them in.
+			n.Exc.ThreshScale.Fill(0.95)
+			fc.apply(n)
+
+			c := EncodeCorpus(mnist.Synthetic(5, 3), encoding.NewPoissonEncoder(9), cfg.Steps)
+			p := n.Params()
+			st := p.NewState()
+			var seen pathSeen
+			for i := 0; i < c.Len(); i++ {
+				tr := c.Train(i)
+				n.ResetState()
+				st.reset(p)
+				if len(st.awakeInh.list) == cfg.NInh {
+					seen.seedAll = true
+				}
+				total := 0
+				for step := 0; step < tr.Steps()+cfg.RestSteps; step++ {
+					var spikes []int
+					if step < tr.Steps() {
+						spikes = tr.Step(step)
+					}
+					want := stepObserved(n, spikes, false, &seen)
+					got := p.step(st, spikes)
+					if !sameInts(got, want) || !sameInts(st.spikeInh, n.prevInh) {
+						t.Fatalf("image %d step %d: inference spikes exc %v inh %v, step kernel exc %v inh %v",
+							i, step, got, st.spikeInh, want, n.prevInh)
+					}
+					total += len(got)
+				}
+				if total == 0 {
+					t.Fatalf("image %d: silent presentation makes the comparison vacuous", i)
+				}
+			}
+			fc.wants.allActive = false // a learning-step path
+			fc.checkPaths(t, seen)
+		})
 	}
 }
 
@@ -293,6 +312,10 @@ func TestStatePoolObservationFree(t *testing.T) {
 	dirty.prevExc = append(dirty.prevExc[:0], 0, 1, 2)
 	dirty.prevInh = append(dirty.prevInh[:0], 3, 4)
 	dirty.counts.Fill(5)
+	// What a pool hit does with it: refit, then present. (Which pooled
+	// state a worker's Get returns is up to sync.Pool.)
+	dirty.fit(p)
+	sameCounts(t, "refitted", []tensor.Vector{p.presentImage(dirty, c.Train(0)).Copy()}, want[:1])
 	workspacePool.Put(dirty)
 
 	got, err := CountsParallel(p, c, EvalOptions{Workers: 1})

@@ -2,20 +2,18 @@ package snn
 
 // Equivalence tests pinning the sparse hot-path engine against the
 // dense pre-optimization semantics. The reference implementation below
-// reproduces the original update rules verbatim — dense per-step trace
-// decay, dense STDP loops with nonzero-trace checks, the column-strided
-// At/Set potentiation walk, unconditional LIF decays — and shares only
-// the two deliberately reordered computations (the SumRows drive
-// accumulation and the O(NExc) lateral inhibition; see EXPERIMENTS.md
-// for their calibration record). Everything else must match the engine
-// bit for bit: spike trains, weights, traces.
-//
-// The reference additionally maintains a transposed weight view through
-// the tensor transpose-sync kernels, verifying that dual-layout
-// STDP/normalization (TransposeInto, NormalizeRows, the scatter
-// kernels) tracks the engine's weights exactly.
+// reproduces the original update rules verbatim — a zeroed drive
+// accumulated row by row, dense per-step trace decay, a dense
+// inhibitory drive and layer pass every step, dense STDP loops with
+// nonzero-trace checks, the column-strided At/Set potentiation walk,
+// unconditional LIF decays, and per-column strided normalization of
+// the columns whose neurons spiked while learning — and shares only
+// the deliberately reordered O(NExc) lateral inhibition (see
+// EXPERIMENTS.md for its calibration record). Everything else must
+// match the engine bit for bit: spike trains, weights, traces.
 
 import (
+	"math"
 	"testing"
 
 	"snnfi/internal/encoding"
@@ -71,7 +69,9 @@ func (g *refLIF) step(drive tensor.Vector) []int {
 			g.refrac[i]--
 			continue
 		}
-		g.v[i] += drive[i] * g.gain[i]
+		if drive != nil { // nil: the undriven form, no drive term
+			g.v[i] += drive[i] * g.gain[i]
+		}
 		if g.v[i] >= (cfg.Thresh+g.theta[i])*g.tscale[i] {
 			g.scratch = append(g.scratch, i)
 			g.v[i] = cfg.Reset
@@ -83,18 +83,18 @@ func (g *refLIF) step(drive tensor.Vector) []int {
 	return g.scratch
 }
 
-// refNet is the dense reference network. w is the input-major weight
-// matrix; wt is its transposed view maintained through the tensor
-// kernels.
+// refNet is the dense reference network.
 type refNet struct {
-	cfg      DiehlCookConfig
-	w, wt    *tensor.Matrix
-	exc, inh *refLIF
-	preTrace tensor.Vector
-	driveExc tensor.Vector
-	driveInh tensor.Vector
-	prevExc  []int
-	prevInh  []int
+	cfg        DiehlCookConfig
+	w          *tensor.Matrix
+	driveScale float64
+	exc, inh   *refLIF
+	preTrace   tensor.Vector
+	driveExc   tensor.Vector
+	driveInh   tensor.Vector
+	prevExc    []int
+	prevInh    []int
+	dirty      []bool // columns whose neuron spiked while learning
 }
 
 func newRefNet(t *testing.T, cfg DiehlCookConfig) *refNet {
@@ -104,23 +104,36 @@ func newRefNet(t *testing.T, cfg DiehlCookConfig) *refNet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &refNet{
-		cfg: cfg,
-		w:   eng.W.Copy(), wt: tensor.NewMatrix(cfg.NExc, cfg.NInput),
+	return &refNet{
+		cfg: cfg, w: eng.W.Copy(), driveScale: 1,
 		exc: newRefLIF(t, ExcConfig(cfg.NExc)), inh: newRefLIF(t, InhConfig(cfg.NInh)),
 		preTrace: tensor.NewVector(cfg.NInput),
 		driveExc: tensor.NewVector(cfg.NExc),
 		driveInh: tensor.NewVector(cfg.NInh),
+		dirty:    make([]bool, cfg.NExc),
 	}
-	r.w.TransposeInto(r.wt)
-	return r
 }
 
+// normalize rescales each dirty column to sum to Norm, one strided
+// column at a time, and clears the dirty marks.
 func (r *refNet) normalize() {
-	r.w.NormalizeCols(r.cfg.Norm)
-	// The transposed layout normalizes by rows; both must stay in sync
-	// bit for bit (checked by the test after every image).
-	r.wt.NormalizeRows(r.cfg.Norm)
+	for j, d := range r.dirty {
+		if !d {
+			continue
+		}
+		r.dirty[j] = false
+		var s float64
+		for i := 0; i < r.w.Rows; i++ {
+			s += r.w.At(i, j)
+		}
+		if s == 0 {
+			continue
+		}
+		f := r.cfg.Norm / s
+		for i := 0; i < r.w.Rows; i++ {
+			r.w.Set(i, j, r.w.At(i, j)*f)
+		}
+	}
 }
 
 func (r *refNet) reset() {
@@ -133,9 +146,17 @@ func (r *refNet) reset() {
 
 func (r *refNet) step(inputSpikes []int, learn bool) []int {
 	cfg := &r.cfg
-	// Shared-order drive accumulation and O(NExc) inhibition — the two
-	// reordered summations, identical to the engine's.
-	r.w.SumRows(inputSpikes, r.driveExc)
+	r.driveExc.Zero()
+	for _, i := range inputSpikes {
+		for j, w := range r.w.Row(i) {
+			if r.driveScale != 1 {
+				r.driveExc[j] += r.driveScale * w
+			} else {
+				r.driveExc[j] += w
+			}
+		}
+	}
+	// The O(NExc) inhibition, reordered identically to the engine's.
 	if k := len(r.prevInh); k > 0 {
 		sub := float64(k) * cfg.WInhExc
 		for i := range r.driveExc {
@@ -153,8 +174,11 @@ func (r *refNet) step(inputSpikes []int, learn bool) []int {
 	}
 	inhSpikes := r.inh.step(r.driveInh)
 
-	// Dense pre-optimization STDP, mirrored into the transposed view.
+	// Dense pre-optimization STDP.
 	if learn {
+		for _, j := range excSpikes {
+			r.dirty[j] = true
+		}
 		for _, i := range inputSpikes {
 			row := r.w.Row(i)
 			for j, tr := range r.exc.trace {
@@ -166,7 +190,6 @@ func (r *refNet) step(inputSpikes []int, learn bool) []int {
 					w = 0
 				}
 				row[j] = w
-				r.wt.Set(j, i, w)
 			}
 		}
 		for _, j := range excSpikes {
@@ -177,7 +200,6 @@ func (r *refNet) step(inputSpikes []int, learn bool) []int {
 						w = cfg.WMax
 					}
 					r.w.Set(i, j, w)
-					r.wt.Set(j, i, w)
 				}
 			}
 		}
@@ -206,71 +228,260 @@ func sameInts(a, b []int) bool {
 	return true
 }
 
+// faultCase is one fault configuration the sparse engine must follow
+// exactly. Each is chosen for a path of the engine it drives, and
+// wants names the observations that prove the path ran.
+type faultCase struct {
+	name       string
+	inhScale   float64 // ThreshScale of the faulted inhibitory neurons
+	inhCount   int     // how many leading inhibitory neurons; 0: all
+	excGain    float64 // InputGain of the whole excitatory layer
+	driveScale float64 // InputDriveScale
+	wants      pathSeen
+}
+
+// pathSeen records which engine paths a run exercised.
+type pathSeen struct {
+	allActive   bool // depression ran with every excitatory neuron active
+	undrivenInh bool // an inhibitory neuron spiked without drive
+	seedAll     bool // Reset woke every inhibitory neuron
+}
+
+var faultCases = []faultCase{
+	{name: "nominal", inhScale: 1, excGain: 1, driveScale: 1},
+	// Inhibition falls silent and the excitatory layer collapses: every
+	// neuron is active (the contiguous depression rows) and nearly
+	// every inhibitory neuron is awake (driven steps run dense).
+	{name: "inh-x0.8", inhScale: 0.8, excGain: 1, driveScale: 1,
+		wants: pathSeen{allActive: true}},
+	// Threshold −50 mV sits below the −45 mV reset: after its refractory
+	// period a neuron that fired decays to −48.89 mV and fires again
+	// undriven.
+	{name: "inh-x1.25", inhScale: 1.25, excGain: 1, driveScale: 1,
+		wants: pathSeen{undrivenInh: true}},
+	// Threshold −64 mV is below rest: the faulted neuron fires from
+	// rest, so Reset wakes the whole layer, idle neurons included. (A
+	// whole faulted layer would silence the excitatory layer.)
+	{name: "inh-x1.6", inhScale: 1.6, inhCount: 1, excGain: 1, driveScale: 1,
+		wants: pathSeen{seedAll: true}},
+	// The SumRowsScaled drive path with a per-neuron gain.
+	{name: "exc-gain-1.1-drive-0.9", inhScale: 1, excGain: 1.1, driveScale: 0.9},
+}
+
+func (fc faultCase) apply(n *DiehlCook) {
+	fc.faultInh(n.Inh.ThreshScale)
+	n.Exc.InputGain.Fill(fc.excGain)
+	n.InputDriveScale = fc.driveScale
+}
+
+func (fc faultCase) faultInh(scale tensor.Vector) {
+	if fc.inhCount > 0 {
+		scale = scale[:fc.inhCount]
+	}
+	scale.Fill(fc.inhScale)
+}
+
+// checkPaths fails the test when a run missed a path its case wants.
+func (fc faultCase) checkPaths(t *testing.T, seen pathSeen) {
+	t.Helper()
+	if fc.wants.allActive && !seen.allActive {
+		t.Error("no learning step had every excitatory neuron active")
+	}
+	if fc.wants.undrivenInh && !seen.undrivenInh {
+		t.Error("no inhibitory neuron spiked undriven")
+	}
+	if fc.wants.seedAll && !seen.seedAll {
+		t.Error("Reset did not wake the whole inhibitory layer")
+	}
+}
+
+// stepObserved runs one engine step and records which paths it took.
+func stepObserved(n *DiehlCook, spikes []int, learn bool, seen *pathSeen) []int {
+	driven := append([]int(nil), n.prevExc...)
+	if learn && len(spikes) > 0 && len(n.postActive) == n.Cfg.NExc {
+		seen.allActive = true
+	}
+	es := n.Step(spikes, learn)
+	for _, j := range n.prevInh {
+		if !containsInt(driven, j) {
+			seen.undrivenInh = true
+		}
+	}
+	return es
+}
+
+func containsInt(s []int, x int) bool {
+	for _, v := range s {
+		if v == x {
+			return true
+		}
+	}
+	return false
+}
+
 // TestEngineMatchesDenseReference drives the sparse engine and the
-// dense reference over identical spike trains and demands bit-identical
-// spikes, traces and weights at every step, plus an exactly transposed
-// weight view.
+// dense reference over identical spike trains, with dirty-column
+// normalization between images, and demands bit-identical spikes,
+// traces and weights at every step, under each fault configuration.
 func TestEngineMatchesDenseReference(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NExc, cfg.NInh = 25, 25
-	cfg.Steps = 100
-	cfg.RestSteps = 5
+	for _, fc := range faultCases {
+		t.Run(fc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.NExc, cfg.NInh = 25, 25
+			cfg.Steps = 100
+			cfg.RestSteps = 5
 
-	eng, err := NewDiehlCook(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := newRefNet(t, cfg)
-	if !eng.W.Equal(ref.w, 0) {
-		t.Fatal("initial weights differ")
-	}
-
-	images := mnist.Synthetic(3, 9)
-	enc := encoding.NewPoissonEncoder(11)
-	totalSpikes := 0
-	for imgIdx := range images {
-		train := enc.Encode(&images[imgIdx], cfg.Steps)
-
-		eng.NormalizeWeights()
-		eng.ResetState()
-		ref.normalize()
-		ref.reset()
-
-		for st, spikes := range train {
-			es := eng.Step(spikes, true)
-			rs := ref.step(spikes, true)
-			if !sameInts(es, rs) {
-				t.Fatalf("img %d step %d: exc spikes diverge: engine %v, reference %v", imgIdx, st, es, rs)
+			eng, err := NewDiehlCook(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			totalSpikes += len(es)
-			// Lazy pre-trace must equal the dense per-step decay.
-			for _, i := range spikes {
-				if got, want := eng.PreTrace(i), ref.preTrace[i]; got != want {
-					t.Fatalf("img %d step %d: pre-trace of pixel %d: engine %g, reference %g", imgIdx, st, i, got, want)
+			ref := newRefNet(t, cfg)
+			if !eng.W.Equal(ref.w, 0) {
+				t.Fatal("initial weights differ")
+			}
+			fc.apply(eng)
+			fc.faultInh(ref.inh.tscale)
+			ref.exc.gain.Fill(fc.excGain)
+			ref.driveScale = fc.driveScale
+
+			images := mnist.Synthetic(3, 9)
+			enc := encoding.NewPoissonEncoder(11)
+			totalSpikes := 0
+			var seen pathSeen
+			for imgIdx := range images {
+				train := enc.Encode(&images[imgIdx], cfg.Steps)
+
+				eng.normalizeDirty()
+				eng.ResetState()
+				ref.normalize()
+				ref.reset()
+				if len(eng.Inh.awake.list) == cfg.NInh {
+					seen.seedAll = true
+				}
+
+				for st, spikes := range train {
+					es := stepObserved(eng, spikes, true, &seen)
+					rs := ref.step(spikes, true)
+					if !sameInts(es, rs) {
+						t.Fatalf("img %d step %d: exc spikes diverge: engine %v, reference %v", imgIdx, st, es, rs)
+					}
+					if !sameInts(eng.prevInh, ref.prevInh) {
+						t.Fatalf("img %d step %d: inh spikes diverge: engine %v, reference %v", imgIdx, st, eng.prevInh, ref.prevInh)
+					}
+					totalSpikes += len(es)
+					// Lazy pre-trace must equal the dense per-step decay.
+					for _, i := range spikes {
+						if got, want := eng.PreTrace(i), ref.preTrace[i]; got != want {
+							t.Fatalf("img %d step %d: pre-trace of pixel %d: engine %g, reference %g", imgIdx, st, i, got, want)
+						}
+					}
+				}
+				for st := 0; st < cfg.RestSteps; st++ {
+					es := stepObserved(eng, nil, false, &seen)
+					rs := ref.step(nil, false)
+					if !sameInts(es, rs) {
+						t.Fatalf("img %d rest step %d: exc spikes diverge: engine %v, reference %v", imgIdx, st, es, rs)
+					}
+				}
+
+				if !eng.W.Equal(ref.w, 0) {
+					t.Fatalf("img %d: weights diverge from dense reference", imgIdx)
+				}
+				for j := range ref.inh.v {
+					if eng.Inh.V[j] != ref.inh.v[j] || eng.Exc.V[j] != ref.exc.v[j] {
+						t.Fatalf("img %d: membrane of neuron %d diverges", imgIdx, j)
+					}
 				}
 			}
-		}
-		for st := 0; st < cfg.RestSteps; st++ {
-			es := eng.Step(nil, false)
-			rs := ref.step(nil, false)
-			if !sameInts(es, rs) {
-				t.Fatalf("img %d rest step %d: exc spikes diverge: engine %v, reference %v", imgIdx, st, es, rs)
+			eng.normalizeDirty()
+			ref.normalize()
+			if !eng.W.Equal(ref.w, 0) {
+				t.Fatal("final normalized weights diverge from dense reference")
 			}
-		}
+			if totalSpikes == 0 {
+				t.Fatal("equivalence run produced no excitatory spikes; the comparison is vacuous")
+			}
+			fc.checkPaths(t, seen)
+		})
+	}
+}
 
-		if !eng.W.Equal(ref.w, 0) {
-			t.Fatalf("img %d: weights diverge from dense reference", imgIdx)
-		}
-		for j := 0; j < cfg.NExc; j++ {
-			for i := 0; i < cfg.NInput; i++ {
-				if ref.wt.At(j, i) != ref.w.At(i, j) {
-					t.Fatalf("img %d: transposed view out of sync at (%d,%d)", imgIdx, j, i)
+// TestSparseStepMatchesDenseLoop pins the awake-set step of both paths
+// — LIFGroup.stepSparse (learning) and GroupParams.stepSparse (frozen)
+// — against the dense LIF loop on an inhibitory group, under the hooks
+// that decide the awake seed: a threshold scale that fires from rest,
+// and non-finite gains, whose 0·gain turns a driven step's zero drive
+// into NaN. A step with nothing driven adds no drive term, like the
+// dense loop's undriven form.
+func TestSparseStepMatchesDenseLoop(t *testing.T) {
+	const n = 8
+	sameFloat := func(a, b float64) bool { return a == b || (a != a && b != b) }
+	for _, tc := range []struct {
+		name string
+		hook func(scale, gain tensor.Vector)
+	}{
+		{"nominal", func(_, _ tensor.Vector) {}},
+		{"fires-from-rest", func(scale, _ tensor.Vector) { scale[5] = 1.6 }},
+		{"inf-gain", func(_, gain tensor.Vector) { gain[2] = math.Inf(1) }},
+		{"nan-gain", func(_, gain tensor.Vector) { gain[6] = math.NaN() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := InhConfig(n)
+			g, err := NewLIFGroup(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.hook(g.ThreshScale, g.InputGain)
+			g.Reset()
+			ref := newRefLIF(t, cfg)
+			copy(ref.tscale, g.ThreshScale)
+			copy(ref.gain, g.InputGain)
+			p := freezeGroup(g)
+			v := tensor.NewVector(n)
+			v.Fill(cfg.Rest)
+			refrac := make([]int, n)
+			var awake awakeSet
+			awake.reset(n)
+			if p.wakeAll {
+				awake.fill()
+			}
+			drive := tensor.NewVector(n)
+			var frozen []int
+			spikes := 0
+			for step := 0; step < 60; step++ {
+				// Drive one neuron on two steps of every five, none on the
+				// rest, starting undriven.
+				var driven []int
+				if step%5 >= 3 {
+					driven = []int{(step * 3) % n}
+				}
+				var refDrive tensor.Vector
+				if len(driven) > 0 {
+					refDrive = drive
+				}
+				for _, j := range driven {
+					drive[j] += cfg.Thresh - cfg.Rest + 2.5
+				}
+				want := ref.step(refDrive)
+				got := g.stepSparse(drive, driven)
+				frozen = p.stepSparse(v, refrac, drive, driven, &awake, frozen)
+				for _, j := range driven {
+					drive[j] = 0
+				}
+				if !sameInts(got, want) || !sameInts(frozen, want) {
+					t.Fatalf("step %d: spikes learning %v, frozen %v, dense %v", step, got, frozen, want)
+				}
+				spikes += len(want)
+				for i := 0; i < n; i++ {
+					if !sameFloat(g.V[i], ref.v[i]) || !sameFloat(v[i], ref.v[i]) {
+						t.Fatalf("step %d neuron %d: V learning %v, frozen %v, dense %v", step, i, g.V[i], v[i], ref.v[i])
+					}
 				}
 			}
-		}
-	}
-	if totalSpikes == 0 {
-		t.Fatal("equivalence run produced no excitatory spikes; the comparison is vacuous")
+			if spikes == 0 {
+				t.Fatal("no spikes; the comparison is vacuous")
+			}
+		})
 	}
 }
 

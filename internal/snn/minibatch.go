@@ -68,32 +68,15 @@ type trainClone struct {
 // fault hooks, own weight/state storage. Plastic parameters are synced
 // separately (version 0 forces the first sync).
 func newTrainClone(master *DiehlCook) (*trainClone, error) {
-	cfg := master.Cfg
-	exc, err := NewLIFGroup(master.Exc.Cfg)
+	n, err := newNetwork(master.Cfg, master.Exc.Cfg, master.Inh.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	inh, err := NewLIFGroup(master.Inh.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	copy(exc.ThreshScale, master.Exc.ThreshScale)
-	copy(exc.InputGain, master.Exc.InputGain)
-	copy(inh.ThreshScale, master.Inh.ThreshScale)
-	copy(inh.InputGain, master.Inh.InputGain)
-	n := &DiehlCook{
-		Cfg:             cfg,
-		W:               tensor.NewMatrix(cfg.NInput, cfg.NExc),
-		Exc:             exc,
-		Inh:             inh,
-		InputDriveScale: master.InputDriveScale,
-		preLastSpike:    make([]int, cfg.NInput),
-		preSeen:         make([]bool, cfg.NInput),
-		postSeen:        make([]bool, cfg.NExc),
-		dirtySeen:       make([]bool, cfg.NExc),
-		driveExc:        tensor.NewVector(cfg.NExc),
-		driveInh:        tensor.NewVector(cfg.NInh),
-	}
+	copy(n.Exc.ThreshScale, master.Exc.ThreshScale)
+	copy(n.Exc.InputGain, master.Exc.InputGain)
+	copy(n.Inh.ThreshScale, master.Inh.ThreshScale)
+	copy(n.Inh.InputGain, master.Inh.InputGain)
+	n.InputDriveScale = master.InputDriveScale
 	return &trainClone{net: n}, nil
 }
 

@@ -119,14 +119,20 @@ type DiehlCook struct {
 	// or an earlier un-normalized image, and Step marks exactly those
 	// columns. NOT maintained across direct writes to W.Data (extension
 	// fault hooks) — those callers must use the full NormalizeWeights.
+	// The layers' awake sets have the same blind spot for direct writes
+	// to membrane state (see LIFGroup.Reset).
 	dirtyCols []int
 	dirtySeen []bool
 
-	// scratch
-	driveExc tensor.Vector
-	driveInh tensor.Vector
-	prevExc  []int
-	prevInh  []int
+	// scratch. driveInh is all-zero between steps: Step sets it at the
+	// drive indices and clears them after the inhibitory step. colScratch
+	// (NExc) holds the per-neuron depression coefficients during a
+	// learning step and the column sums during normalization.
+	driveExc   tensor.Vector
+	driveInh   tensor.Vector
+	colScratch tensor.Vector
+	prevExc    []int
+	prevInh    []int
 }
 
 // NewDiehlCook builds a network with uniform random initial weights.
@@ -134,15 +140,31 @@ func NewDiehlCook(cfg DiehlCookConfig) (*DiehlCook, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	exc, err := NewLIFGroup(ExcConfig(cfg.NExc))
+	n, err := newNetwork(cfg, ExcConfig(cfg.NExc), InhConfig(cfg.NInh))
 	if err != nil {
 		return nil, err
 	}
-	inh, err := NewLIFGroup(InhConfig(cfg.NInh))
+	preDecayTable(cfg.Steps + cfg.RestSteps) // pre-size for the presentation length
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	n.W.RandFill(rng, 0, 0.3)
+	n.NormalizeWeights()
+	return n, nil
+}
+
+// newNetwork allocates a network with zero weights, nominal hooks and
+// the given layer configurations, with all of its per-network state
+// and scratch. NewDiehlCook and the minibatch clones both build through
+// it.
+func newNetwork(cfg DiehlCookConfig, excCfg, inhCfg LIFConfig) (*DiehlCook, error) {
+	exc, err := NewLIFGroup(excCfg)
 	if err != nil {
 		return nil, err
 	}
-	n := &DiehlCook{
+	inh, err := NewLIFGroup(inhCfg)
+	if err != nil {
+		return nil, err
+	}
+	return &DiehlCook{
 		Cfg:             cfg,
 		W:               tensor.NewMatrix(cfg.NInput, cfg.NExc),
 		Exc:             exc,
@@ -154,12 +176,8 @@ func NewDiehlCook(cfg DiehlCookConfig) (*DiehlCook, error) {
 		dirtySeen:       make([]bool, cfg.NExc),
 		driveExc:        tensor.NewVector(cfg.NExc),
 		driveInh:        tensor.NewVector(cfg.NInh),
-	}
-	preDecayTable(cfg.Steps + cfg.RestSteps) // pre-size for the presentation length
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n.W.RandFill(rng, 0, 0.3)
-	n.NormalizeWeights()
-	return n, nil
+		colScratch:      tensor.NewVector(cfg.NExc),
+	}, nil
 }
 
 // The pre-synaptic trace decay table is shared by every network in the
@@ -222,7 +240,7 @@ func (n *DiehlCook) NormalizeWeights() {
 // within one ulp of 1. This per-column skip is the train-protocol-v3
 // normalization contract (see ProtocolVersion).
 func (n *DiehlCook) normalizeDirty() {
-	n.W.NormalizeColsSubset(n.Cfg.Norm, n.dirtyCols)
+	n.W.NormalizeColsSubset(n.Cfg.Norm, n.dirtyCols, n.colScratch)
 	n.clearDirty()
 }
 
@@ -309,21 +327,17 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 	}
 
 	// 3. Inhibitory layer driven 1-to-1 by excitatory spikes from the
-	// previous step. With no pending spikes the drive is identically
-	// zero and the dense pass is skipped. (A sparse-drive merge-walk
-	// was tried here and lost: decayed membranes never return exactly
-	// to rest, so after the first winner-take-all volley most
-	// inhibitory neurons are permanently off the idle fast path and
-	// the branchy walk is slower than the 4-wide dense pass.)
-	var inhSpikes []int
-	if len(n.prevExc) > 0 {
-		n.driveInh.Zero()
-		for _, j := range n.prevExc {
-			n.driveInh[j] += cfg.WExcInh
-		}
-		inhSpikes = n.Inh.Step(n.driveInh)
-	} else {
-		inhSpikes = n.Inh.Step(nil)
+	// previous step. The drive is zero except at those spikers, so the
+	// layer takes a sparse step (LIFGroup.stepSparse) over its awake
+	// set: the neurons that may be off rest, which under winner-take-all
+	// are the partners of the excitatory neurons that have spiked this
+	// image (plus, in faulted layers, whatever Reset seeded).
+	for _, j := range n.prevExc {
+		n.driveInh[j] += cfg.WExcInh
+	}
+	inhSpikes := n.Inh.stepSparse(n.driveInh, n.prevExc)
+	for _, j := range n.prevExc {
+		n.driveInh[j] = 0
 	}
 
 	// 4. STDP on input→exc (post-pre rule): a pre spike depresses by
@@ -346,17 +360,37 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 				n.dirtyCols = append(n.dirtyCols, j)
 			}
 		}
-		if len(n.postActive) > 0 {
-			nuPre := cfg.NuPre
+		if len(n.postActive) > 0 && len(inputSpikes) > 0 {
+			// The depression of neuron j's synapses, nuPre·trace[j], is
+			// the same for every spiked pixel: compute it once per step.
+			dep := n.colScratch
 			trace := n.Exc.Trace
-			for _, i := range inputSpikes {
-				row := n.W.Row(i)
-				for _, j := range n.postActive {
-					w := row[j] - nuPre*trace[j]
-					if w < 0 {
-						w = 0
+			for _, j := range n.postActive {
+				dep[j] = cfg.NuPre * trace[j]
+			}
+			if len(n.postActive) == len(dep) {
+				// Every neuron is active (a collapsed layer): each row's
+				// update is one contiguous sweep.
+				for _, i := range inputSpikes {
+					row := n.W.Row(i)[:len(dep)]
+					for j, d := range dep {
+						w := row[j] - d
+						if w < 0 {
+							w = 0
+						}
+						row[j] = w
 					}
-					row[j] = w
+				}
+			} else {
+				for _, i := range inputSpikes {
+					row := n.W.Row(i)
+					for _, j := range n.postActive {
+						w := row[j] - dep[j]
+						if w < 0 {
+							w = 0
+						}
+						row[j] = w
+					}
 				}
 			}
 		}

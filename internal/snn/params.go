@@ -67,10 +67,10 @@ type GroupParams struct {
 	// hook, frozen).
 	Gain tensor.Vector
 
-	// restSafe: no neuron can fire from rest (EffThresh[i] > Rest for
-	// all i), enabling the idle skip in the undriven step — the same
-	// fast path LIFGroup.Step uses, valid for the same reason.
-	restSafe bool
+	// wakeAll: some neuron may leave rest undriven — EffThresh[i] ≤ Rest
+	// lets it fire from rest, or a non-finite gain turns zero drive into
+	// NaN — so a sparse step must walk every neuron (see awakeSet).
+	wakeAll bool
 }
 
 // freezeGroup snapshots a layer.
@@ -81,12 +81,12 @@ func freezeGroup(g *LIFGroup) GroupParams {
 		decay:     g.decay,
 		EffThresh: tensor.NewVector(cfg.N),
 		Gain:      g.InputGain.Copy(),
-		restSafe:  true,
+		wakeAll:   !allFinite(g.InputGain),
 	}
 	for i := 0; i < cfg.N; i++ {
 		gp.EffThresh[i] = g.EffectiveThreshold(i)
 		if gp.EffThresh[i] <= cfg.Rest {
-			gp.restSafe = false
+			gp.wakeAll = true
 		}
 	}
 	return gp
@@ -95,49 +95,55 @@ func freezeGroup(g *LIFGroup) GroupParams {
 // step advances one layer one timestep against per-worker state. It is
 // the learn=false image of LIFGroup.Step with theta and traces frozen:
 // same decay arithmetic, same refractory gating, same reset semantics,
-// with the threshold comparison against the precomputed EffThresh. A
-// nil drive takes the idle fast path (bit-identical to a zero drive).
+// with the threshold comparison against the precomputed EffThresh.
 func (g *GroupParams) step(v tensor.Vector, refrac []int, drive tensor.Vector, scratch []int) []int {
 	scratch = scratch[:0]
-	rest := g.Rest
 	eff := g.EffThresh[:len(v)]
-
-	if drive != nil {
-		gain := g.Gain[:len(v)]
-		drive = drive[:len(v)]
-		// Same two-phase shape as LIFGroup.Step: a 4-wide membrane decay
-		// pass, then the branchy refractory/drive/spike pass reading the
-		// decayed potentials — bit-identical to the fused loop.
-		v.DecayToward(rest, g.decay)
-		for i := range v {
-			if refrac[i] > 0 {
-				refrac[i]--
-				continue
-			}
-			x := v[i] + drive[i]*gain[i]
-			if x >= eff[i] {
-				scratch = append(scratch, i)
-				x = g.Reset
-				refrac[i] = g.Refrac
-			}
-			v[i] = x
-		}
-		return scratch
-	}
-
-	idleSkip := g.restSafe
+	gain := g.Gain[:len(v)]
+	drive = drive[:len(v)]
+	// Same two-phase shape as LIFGroup.Step: a 4-wide membrane decay
+	// pass, then the branchy refractory/drive/spike pass reading the
+	// decayed potentials — bit-identical to the fused loop.
+	v.DecayToward(g.Rest, g.decay)
 	for i := range v {
-		x := v[i]
-		if idleSkip && x == rest && refrac[i] == 0 {
+		if refrac[i] > 0 {
+			refrac[i]--
 			continue
 		}
-		if x != rest {
-			x = rest + (x-rest)*g.decay
+		x := v[i] + drive[i]*gain[i]
+		if x >= eff[i] {
+			scratch = append(scratch, i)
+			x = g.Reset
+			refrac[i] = g.Refrac
 		}
+		v[i] = x
+	}
+	return scratch
+}
+
+// stepSparse is the frozen image of LIFGroup.stepSparse: drive is zero
+// except at the indices in driven, which join the awake set, and the
+// step walks only the awake set — or, driven and mostly awake, runs
+// the dense step (see walkPays). With nothing driven, drive is not
+// read and no drive term is added.
+func (g *GroupParams) stepSparse(v tensor.Vector, refrac []int, drive tensor.Vector, driven []int, awake *awakeSet, scratch []int) []int {
+	awake.add(driven)
+	if len(driven) > 0 && !walkPays(len(awake.list), len(v)) {
+		return g.step(v, refrac, drive, scratch)
+	}
+	scratch = scratch[:0]
+	rest, decay := g.Rest, g.decay
+	eff, gain := g.EffThresh[:len(v)], g.Gain[:len(v)]
+	refrac = refrac[:len(v)]
+	for _, i := range awake.list {
+		x := rest + (v[i]-rest)*decay
 		if refrac[i] > 0 {
 			refrac[i]--
 			v[i] = x
 			continue
+		}
+		if len(driven) > 0 {
+			x += drive[i] * gain[i]
 		}
 		if x >= eff[i] {
 			scratch = append(scratch, i)
@@ -189,9 +195,10 @@ func (n *DiehlCook) Params() *Params {
 type State struct {
 	vExc, vInh           tensor.Vector
 	refracExc, refracInh []int
-	driveExc, driveInh   tensor.Vector
+	driveExc, driveInh   tensor.Vector // driveInh is all-zero between steps
 	prevExc, prevInh     []int
 	spikeExc, spikeInh   []int
+	awakeInh             awakeSet
 	counts               tensor.Vector
 }
 
@@ -236,6 +243,10 @@ func resizeInts(s []int, n int) []int {
 func (st *State) reset(p *Params) {
 	st.vExc.Fill(p.Exc.Rest)
 	st.vInh.Fill(p.Inh.Rest)
+	st.awakeInh.reset(p.Inh.N)
+	if p.Inh.wakeAll {
+		st.awakeInh.fill()
+	}
 	for i := range st.refracExc {
 		st.refracExc[i] = 0
 	}
@@ -285,14 +296,12 @@ func (p *Params) step(st *State, inputSpikes []int) []int {
 	}
 	st.spikeExc = p.Exc.step(st.vExc, st.refracExc, st.driveExc, st.spikeExc)
 
-	if len(st.prevExc) > 0 {
-		st.driveInh.Zero()
-		for _, j := range st.prevExc {
-			st.driveInh[j] += p.Cfg.WExcInh
-		}
-		st.spikeInh = p.Inh.step(st.vInh, st.refracInh, st.driveInh, st.spikeInh)
-	} else {
-		st.spikeInh = p.Inh.step(st.vInh, st.refracInh, nil, st.spikeInh)
+	for _, j := range st.prevExc {
+		st.driveInh[j] += p.Cfg.WExcInh
+	}
+	st.spikeInh = p.Inh.stepSparse(st.vInh, st.refracInh, st.driveInh, st.prevExc, &st.awakeInh, st.spikeInh)
+	for _, j := range st.prevExc {
+		st.driveInh[j] = 0
 	}
 
 	st.prevExc = append(st.prevExc[:0], st.spikeExc...)

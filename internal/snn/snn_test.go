@@ -102,7 +102,12 @@ func TestLIFThetaAdaptation(t *testing.T) {
 
 func TestLIFMembraneDecaysTowardRest(t *testing.T) {
 	g := excGroup(t, 1)
-	g.V[0] = g.Cfg.Rest + 10
+	// Drive the neuron off rest rather than writing V: a sparse step
+	// walks only neurons the group knows are awake (see Reset).
+	g.Step(tensor.Vector{10})
+	if g.V[0] != g.Cfg.Rest+10 {
+		t.Fatalf("driven membrane %v, want %v", g.V[0], g.Cfg.Rest+10)
+	}
 	g.Step(nil)
 	if g.V[0] >= g.Cfg.Rest+10 {
 		t.Fatal("membrane should decay toward rest")
@@ -150,6 +155,12 @@ func TestGroupResetSemantics(t *testing.T) {
 	}
 	if g.Theta[0] != theta {
 		t.Fatal("Reset must keep learned theta")
+	}
+	// A neuron with learned theta stays awake after Reset: its theta
+	// keeps decaying on undriven steps.
+	g.Step(nil)
+	if want := theta * g.thetaDecay; g.Theta[0] != want || want == theta {
+		t.Fatalf("undriven step after Reset left theta %v, want %v", g.Theta[0], want)
 	}
 	g.HardReset()
 	if g.Theta[0] != 0 {

@@ -154,33 +154,6 @@ func (x Vector) ScatterScale(idx []int, s float64) {
 	}
 }
 
-// ScatterAddScaledClamp performs x[i] = min(x[i]+s*src[i], hi) for each
-// i in idx. This is one row of a sparse outer-product update — the STDP
-// potentiation kernel applied to a contiguous (transposed) weight row
-// over the active pre-trace indices.
-func (x Vector) ScatterAddScaledClamp(idx []int, src Vector, s, hi float64) {
-	for _, i := range idx {
-		v := x[i] + s*src[i]
-		if v > hi {
-			v = hi
-		}
-		x[i] = v
-	}
-}
-
-// ScatterSubScaledFloor performs x[i] = max(x[i]-s*src[i], 0) for each
-// i in idx — the STDP depression kernel over the active post-trace
-// indices.
-func (x Vector) ScatterSubScaledFloor(idx []int, src Vector, s float64) {
-	for _, i := range idx {
-		v := x[i] - s*src[i]
-		if v < 0 {
-			v = 0
-		}
-		x[i] = v
-	}
-}
-
 // Dot returns the inner product of x and y.
 func (x Vector) Dot(y Vector) float64 {
 	checkLen(len(x), len(y))
@@ -276,117 +249,124 @@ func (m *Matrix) AccumulateRows(active []int, out Vector) {
 	}
 }
 
-// AccumulateRowsScaled adds s times row i of m into out for every index
-// i in active — the forward-propagation kernel with a per-spike drive
-// scale folded in, so callers avoid a second dense pass over out. Note
-// the arithmetic differs from AccumulateRows-then-Scale at the ulp
-// level (s distributes over the row sum).
-func (m *Matrix) AccumulateRowsScaled(active []int, s float64, out Vector) {
-	checkLen(len(out), m.Cols)
-	for _, i := range active {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		o := out[:len(row)]
-		for j, w := range row {
-			o[j] += s * w
-		}
-	}
+// rowN returns row i of m cut to length n, the accumulator's length, so
+// the compiler can drop the bounds checks of a loop over the
+// accumulator's indices.
+func (m *Matrix) rowN(i, n int) []float64 {
+	return m.Data[i*m.Cols : (i+1)*m.Cols][:n]
 }
 
 // SumRows overwrites out with the sum of the active rows of m (zeroing
 // out when active is empty). It is bit-identical to Zero followed by
-// AccumulateRows — the accumulation order is the same left-to-right row
-// order — but saves the zeroing pass and batches four rows per sweep of
-// out, quartering the load/store traffic on the accumulator.
+// AccumulateRows — every element adds its rows in the same
+// left-to-right order — but sweeps out once per four rows with no
+// zeroing or copy pass: the first sweep writes the sum of the first
+// rows (up to four), each middle sweep adds four more, and one last
+// sweep adds the remaining one to three.
 func (m *Matrix) SumRows(active []int, out Vector) {
 	checkLen(len(out), m.Cols)
-	if len(active) == 0 {
-		out.Zero()
-		return
-	}
-	c := m.Cols
-	o := out[:c]
-	copy(o, m.Data[active[0]*c:active[0]*c+c])
-	k := 1
-	for ; k+3 < len(active); k += 4 {
-		r1 := m.Data[active[k]*c : active[k]*c+c]
-		r2 := m.Data[active[k+1]*c : active[k+1]*c+c]
-		r3 := m.Data[active[k+2]*c : active[k+2]*c+c]
-		r4 := m.Data[active[k+3]*c : active[k+3]*c+c]
-		r1, r2, r3, r4 = r1[:len(o)], r2[:len(o)], r3[:len(o)], r4[:len(o)]
+	o := out[:m.Cols]
+	n := len(o)
+	k := min(len(active), 4)
+	switch k {
+	case 0:
+		o.Zero()
+	case 1:
+		copy(o, m.rowN(active[0], n))
+	case 2:
+		r0, r1 := m.rowN(active[0], n), m.rowN(active[1], n)
 		for j := range o {
-			o[j] = (((o[j] + r1[j]) + r2[j]) + r3[j]) + r4[j]
+			o[j] = r0[j] + r1[j]
+		}
+	case 3:
+		r0, r1, r2 := m.rowN(active[0], n), m.rowN(active[1], n), m.rowN(active[2], n)
+		for j := range o {
+			o[j] = (r0[j] + r1[j]) + r2[j]
+		}
+	case 4:
+		r0, r1, r2, r3 := m.rowN(active[0], n), m.rowN(active[1], n), m.rowN(active[2], n), m.rowN(active[3], n)
+		for j := range o {
+			o[j] = ((r0[j] + r1[j]) + r2[j]) + r3[j]
 		}
 	}
-	for ; k < len(active); k++ {
-		r := m.Data[active[k]*c : active[k]*c+c]
-		r = r[:len(o)]
+	for ; k+4 <= len(active); k += 4 {
+		r0, r1, r2, r3 := m.rowN(active[k], n), m.rowN(active[k+1], n), m.rowN(active[k+2], n), m.rowN(active[k+3], n)
 		for j := range o {
-			o[j] += r[j]
+			o[j] = (((o[j] + r0[j]) + r1[j]) + r2[j]) + r3[j]
+		}
+	}
+	switch tail := active[k:]; len(tail) {
+	case 1:
+		r0 := m.rowN(tail[0], n)
+		for j := range o {
+			o[j] += r0[j]
+		}
+	case 2:
+		r0, r1 := m.rowN(tail[0], n), m.rowN(tail[1], n)
+		for j := range o {
+			o[j] = (o[j] + r0[j]) + r1[j]
+		}
+	case 3:
+		r0, r1, r2 := m.rowN(tail[0], n), m.rowN(tail[1], n), m.rowN(tail[2], n)
+		for j := range o {
+			o[j] = ((o[j] + r0[j]) + r1[j]) + r2[j]
 		}
 	}
 }
 
 // SumRowsScaled overwrites out with s times the sum of the active rows
 // of m, scaling each row as it is accumulated (out[j] = Σ s·row[j]),
-// with the same left-to-right order and 4-row batching as SumRows.
+// with the same left-to-right order and sweeps as SumRows.
 func (m *Matrix) SumRowsScaled(active []int, s float64, out Vector) {
 	checkLen(len(out), m.Cols)
-	if len(active) == 0 {
-		out.Zero()
-		return
-	}
-	c := m.Cols
-	o := out[:c]
-	r0 := m.Data[active[0]*c : active[0]*c+c]
-	r0 = r0[:len(o)]
-	for j := range o {
-		o[j] = s * r0[j]
-	}
-	k := 1
-	for ; k+3 < len(active); k += 4 {
-		r1 := m.Data[active[k]*c : active[k]*c+c]
-		r2 := m.Data[active[k+1]*c : active[k+1]*c+c]
-		r3 := m.Data[active[k+2]*c : active[k+2]*c+c]
-		r4 := m.Data[active[k+3]*c : active[k+3]*c+c]
-		r1, r2, r3, r4 = r1[:len(o)], r2[:len(o)], r3[:len(o)], r4[:len(o)]
+	o := out[:m.Cols]
+	n := len(o)
+	k := min(len(active), 4)
+	switch k {
+	case 0:
+		o.Zero()
+	case 1:
+		r0 := m.rowN(active[0], n)
 		for j := range o {
-			o[j] = (((o[j] + s*r1[j]) + s*r2[j]) + s*r3[j]) + s*r4[j]
+			o[j] = s * r0[j]
 		}
-	}
-	for ; k < len(active); k++ {
-		r := m.Data[active[k]*c : active[k]*c+c]
-		r = r[:len(o)]
+	case 2:
+		r0, r1 := m.rowN(active[0], n), m.rowN(active[1], n)
 		for j := range o {
-			o[j] += s * r[j]
+			o[j] = s*r0[j] + s*r1[j]
+		}
+	case 3:
+		r0, r1, r2 := m.rowN(active[0], n), m.rowN(active[1], n), m.rowN(active[2], n)
+		for j := range o {
+			o[j] = (s*r0[j] + s*r1[j]) + s*r2[j]
+		}
+	case 4:
+		r0, r1, r2, r3 := m.rowN(active[0], n), m.rowN(active[1], n), m.rowN(active[2], n), m.rowN(active[3], n)
+		for j := range o {
+			o[j] = ((s*r0[j] + s*r1[j]) + s*r2[j]) + s*r3[j]
 		}
 	}
-}
-
-// TransposeInto writes mᵀ into dst, which must be Cols×Rows. The copy
-// is blocked for cache friendliness — this is the transpose-sync helper
-// for code that maintains both layouts of one logical matrix.
-func (m *Matrix) TransposeInto(dst *Matrix) {
-	if dst.Rows != m.Cols || dst.Cols != m.Rows {
-		panic(fmt.Sprintf("tensor: transpose shape mismatch: %dx%d into %dx%d",
-			m.Rows, m.Cols, dst.Rows, dst.Cols))
-	}
-	const bs = 32
-	for ii := 0; ii < m.Rows; ii += bs {
-		iMax := ii + bs
-		if iMax > m.Rows {
-			iMax = m.Rows
+	for ; k+4 <= len(active); k += 4 {
+		r0, r1, r2, r3 := m.rowN(active[k], n), m.rowN(active[k+1], n), m.rowN(active[k+2], n), m.rowN(active[k+3], n)
+		for j := range o {
+			o[j] = (((o[j] + s*r0[j]) + s*r1[j]) + s*r2[j]) + s*r3[j]
 		}
-		for jj := 0; jj < m.Cols; jj += bs {
-			jMax := jj + bs
-			if jMax > m.Cols {
-				jMax = m.Cols
-			}
-			for i := ii; i < iMax; i++ {
-				row := m.Data[i*m.Cols : (i+1)*m.Cols]
-				for j := jj; j < jMax; j++ {
-					dst.Data[j*dst.Cols+i] = row[j]
-				}
-			}
+	}
+	switch tail := active[k:]; len(tail) {
+	case 1:
+		r0 := m.rowN(tail[0], n)
+		for j := range o {
+			o[j] += s * r0[j]
+		}
+	case 2:
+		r0, r1 := m.rowN(tail[0], n), m.rowN(tail[1], n)
+		for j := range o {
+			o[j] = (o[j] + s*r0[j]) + s*r1[j]
+		}
+	case 3:
+		r0, r1, r2 := m.rowN(tail[0], n), m.rowN(tail[1], n), m.rowN(tail[2], n)
+		for j := range o {
+			o[j] = ((o[j] + s*r0[j]) + s*r1[j]) + s*r2[j]
 		}
 	}
 }
@@ -401,30 +381,6 @@ func (m *Matrix) ColSum() Vector {
 		}
 	}
 	return s
-}
-
-// RowSum returns the per-row sums of m.
-func (m *Matrix) RowSum() Vector {
-	s := NewVector(m.Rows)
-	m.RowSumInto(s)
-	return s
-}
-
-// RowSumInto writes the per-row sums of m into out (allocation-free
-// form of RowSum).
-func (m *Matrix) RowSumInto(out Vector) {
-	checkLen(len(out), m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Vector(m.Data[i*m.Cols : (i+1)*m.Cols]).Sum()
-	}
-}
-
-// ScaleRows multiplies every element of row i by f[i].
-func (m *Matrix) ScaleRows(f Vector) {
-	checkLen(len(f), m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		Vector(m.Data[i*m.Cols : (i+1)*m.Cols]).Scale(f[i])
-	}
 }
 
 // ScaleCols multiplies every element of column j by f[j], in one
@@ -461,45 +417,40 @@ func (m *Matrix) NormalizeCols(target float64) {
 
 // NormalizeColsSubset rescales only the listed columns so each sums to
 // target, leaving every other column untouched; zero-sum columns in the
-// list are also left untouched. Each column's sum accumulates over its
-// elements in ascending row order — the same per-column order ColSum
-// uses — so for a listed column the factor, and hence the rescaled
-// values, are bit-identical to a full NormalizeCols. Columns are
-// independent, so the result does not depend on the order of cols.
-// This is the dirty-column form of Diehl&Cook normalization: between
-// two normalizations STDP touches only the columns of neurons that
-// spiked, so only those columns have drifted from target.
-func (m *Matrix) NormalizeColsSubset(target float64, cols []int) {
-	r, c := m.Rows, m.Cols
-	for _, j := range cols {
-		var s float64
-		for i := 0; i < r; i++ {
-			s += m.Data[i*c+j]
-		}
-		if s == 0 {
-			continue
-		}
-		f := target / s
-		for i := 0; i < r; i++ {
-			m.Data[i*c+j] *= f
+// list are also left untouched. It makes two row-major passes over the
+// listed columns — one sums them, one rescales them — and keeps the
+// per-column sums, then factors, in sums, a caller-owned scratch of at
+// least len(cols) elements whose contents it overwrites. Each column's
+// sum accumulates over its elements in ascending row order — the same
+// per-column order ColSum uses — so for a listed column the factor, and
+// hence the rescaled values, are bit-identical to a full NormalizeCols
+// (a zero-sum column's factor is 1, and x·1 == x for every float). The
+// columns in cols must be distinct: a repeated column would be rescaled
+// twice by a factor summed once. Their order does not matter. This is
+// the dirty-column form of Diehl&Cook normalization: between two
+// normalizations STDP touches only the columns of neurons that spiked,
+// so only those columns have drifted from target.
+func (m *Matrix) NormalizeColsSubset(target float64, cols []int, sums Vector) {
+	f := sums[:len(cols)]
+	f.Zero()
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for k, j := range cols {
+			f[k] += row[j]
 		}
 	}
-}
-
-// NormalizeRows rescales each row so its sum equals target; zero-sum
-// rows are left untouched. This is NormalizeCols moved to the
-// transposed (output-major) layout, where both the reduction and the
-// rescale are contiguous. For a matrix pair kept in transpose sync it
-// computes bit-identical weights to NormalizeCols on the other layout:
-// the row sum accumulates in the same element order as the column sum.
-func (m *Matrix) NormalizeRows(target float64) {
-	for i := 0; i < m.Rows; i++ {
-		row := Vector(m.Data[i*m.Cols : (i+1)*m.Cols])
-		s := row.Sum()
+	for k, s := range f {
 		if s == 0 {
-			continue
+			f[k] = 1
+		} else {
+			f[k] = target / s
 		}
-		row.Scale(target / s)
+	}
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for k, j := range cols {
+			row[j] *= f[k]
+		}
 	}
 }
 

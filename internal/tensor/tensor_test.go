@@ -168,10 +168,10 @@ func TestNormalizeColsSkipsZeroColumns(t *testing.T) {
 func TestRowColSums(t *testing.T) {
 	m := NewMatrix(2, 2)
 	copy(m.Data, []float64{1, 2, 3, 4})
-	rs := m.RowSum()
+	r0, r1 := m.Row(0).Sum(), m.Row(1).Sum()
 	cs := m.ColSum()
-	if rs[0] != 3 || rs[1] != 7 || cs[0] != 4 || cs[1] != 6 {
-		t.Fatalf("sums: rows %v cols %v", rs, cs)
+	if r0 != 3 || r1 != 7 || cs[0] != 4 || cs[1] != 6 {
+		t.Fatalf("sums: rows %v %v cols %v", r0, r1, cs)
 	}
 }
 
@@ -257,33 +257,76 @@ func randomMatrix(t *testing.T, rows, cols int, seed int64) *Matrix {
 	return m
 }
 
-// TestSumRowsMatchesAccumulate: SumRows must be bit-identical to
-// Zero+AccumulateRows for every active-set size straddling its 4-row
-// batching (0, 1, 4, 5, 9 rows), including repeated rows.
-func TestSumRowsMatchesAccumulate(t *testing.T) {
-	m := randomMatrix(t, 12, 37, 1)
-	for _, active := range [][]int{
-		{}, {3}, {0, 5, 7, 11}, {1, 2, 3, 4, 5}, {8, 3, 3, 0, 11, 6, 2, 9, 4},
-	} {
-		want := NewVector(m.Cols)
-		want.Fill(99) // SumRows must overwrite, not accumulate
-		got := want.Copy()
-		want.Zero()
-		m.AccumulateRows(active, want)
-		m.SumRows(active, got)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("active %v col %d: SumRows %v != Zero+AccumulateRows %v", active, j, got[j], want[j])
-			}
+// sameFloat reports whether a and b are the same float64 value: equal,
+// or both NaN. The drive kernels keep their left-to-right addition
+// order, so they match a reference exactly in this sense (like the
+// reference, they may turn a lone −0 row into +0 or keep it).
+func sameFloat(a, b float64) bool { return a == b || (a != a && b != b) }
+
+// refSumRowsScaled is the plain per-row reference for SumRowsScaled:
+// zero, then add s·row for each active row in order.
+func refSumRowsScaled(m *Matrix, active []int, s float64, out Vector) {
+	out.Zero()
+	for _, i := range active {
+		for j, w := range m.Row(i) {
+			out[j] += s * w
 		}
 	}
 }
 
+// checkSumRows compares SumRows with Zero+AccumulateRows and
+// SumRowsScaled with refSumRowsScaled on one active list. Both kernels
+// must overwrite out, not accumulate into it.
+func checkSumRows(t *testing.T, m *Matrix, active []int, s float64) {
+	t.Helper()
+	want := NewVector(m.Cols)
+	m.AccumulateRows(active, want)
+	got := NewVector(m.Cols)
+	got.Fill(99)
+	m.SumRows(active, got)
+	for j := range want {
+		if !sameFloat(got[j], want[j]) {
+			t.Fatalf("active %v col %d: SumRows %v != Zero+AccumulateRows %v", active, j, got[j], want[j])
+		}
+	}
+	refSumRowsScaled(m, active, s, want)
+	got.Fill(99)
+	m.SumRowsScaled(active, s, got)
+	for j := range want {
+		if !sameFloat(got[j], want[j]) {
+			t.Fatalf("active %v scale %v col %d: SumRowsScaled %v != reference %v", active, s, j, got[j], want[j])
+		}
+	}
+}
+
+// TestSumRowsMatchesAccumulate: SumRows and SumRowsScaled must equal
+// their reference for every active length from 0 to 13 — each size of
+// the first sweep (0–4 rows), of the middle 4-row sweeps and of the
+// 1–3-row tail — in ascending, shuffled and repeated-row orders.
+func TestSumRowsMatchesAccumulate(t *testing.T) {
+	m := randomMatrix(t, 16, 37, 1)
+	rng := rand.New(rand.NewSource(2))
+	for n := 0; n <= 13; n++ {
+		ascending := make([]int, n)
+		repeated := make([]int, n)
+		for k := range ascending {
+			ascending[k] = k
+			repeated[k] = rng.Intn(3) // few distinct rows: many repeats
+		}
+		for _, active := range [][]int{ascending, rng.Perm(m.Rows)[:n], repeated} {
+			checkSumRows(t, m, active, 0.9)
+			checkSumRows(t, m, active, -2.5)
+		}
+	}
+}
+
+// TestAccumulateRowsScaled: the scaled drive sum against hand-written
+// sums, with a repeated row, overwriting whatever out held before.
 func TestAccumulateRowsScaled(t *testing.T) {
 	m := randomMatrix(t, 6, 9, 2)
 	active := []int{1, 4, 4}
 	out := NewVector(m.Cols)
-	m.AccumulateRowsScaled(active, 0.5, out)
+	m.SumRowsScaled(active, 0.5, out)
 	for j := 0; j < m.Cols; j++ {
 		want := 0.5*m.At(1, j) + 0.5*m.At(4, j) + 0.5*m.At(4, j)
 		if math.Abs(out[j]-want) > 1e-15 {
@@ -301,69 +344,89 @@ func TestAccumulateRowsScaled(t *testing.T) {
 	}
 }
 
-func TestTransposeInto(t *testing.T) {
-	// Odd shape exercising the 32×32 blocking remainder.
-	m := randomMatrix(t, 70, 33, 3)
-	tr := NewMatrix(33, 70)
-	m.TransposeInto(tr)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if tr.At(j, i) != m.At(i, j) {
-				t.Fatalf("transpose mismatch at (%d,%d)", i, j)
+// FuzzSumRows checks both drive kernels against their references on
+// fuzzed active lists, scales and matrices that include signed zeros,
+// infinities, NaN and subnormals.
+func FuzzSumRows(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6}, 0.9)
+	f.Add(int64(2), []byte{3, 3, 3, 3, 3}, -1.0)
+	f.Add(int64(3), []byte{}, 2.0)
+	f.Add(int64(4), []byte{7, 0, 7, 1, 7, 2, 7, 3, 7, 4, 7, 5, 7}, math.Inf(1))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, math.MaxFloat64}
+	f.Fuzz(func(t *testing.T, seed int64, picks []byte, s float64) {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewMatrix(8, 1+rng.Intn(19))
+		for e := range m.Data {
+			if rng.Intn(8) == 0 {
+				m.Data[e] = special[rng.Intn(len(special))]
+			} else {
+				m.Data[e] = rng.NormFloat64()
+			}
+		}
+		active := make([]int, len(picks))
+		for k, b := range picks {
+			active[k] = int(b) % m.Rows
+		}
+		checkSumRows(t, m, active, s)
+	})
+}
+
+// TestNormalizeColsSubsetMatchesPerColumn: the two-pass row-major
+// subset normalization must reproduce, bit for bit, a per-column
+// reference (sum the column in ascending row order, skip a zero sum,
+// rescale) on the listed columns and leave every other column alone —
+// for a shuffled subset with a zero-sum column, and for all columns.
+func TestNormalizeColsSubsetMatchesPerColumn(t *testing.T) {
+	ref := func(m *Matrix, target float64, cols []int) {
+		for _, j := range cols {
+			var s float64
+			for i := 0; i < m.Rows; i++ {
+				s += m.At(i, j)
+			}
+			if s == 0 {
+				continue
+			}
+			f := target / s
+			for i := 0; i < m.Rows; i++ {
+				m.Set(i, j, m.At(i, j)*f)
 			}
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shape mismatch must panic")
-		}
-	}()
-	m.TransposeInto(NewMatrix(70, 33))
-}
-
-// TestNormalizeRowsMatchesNormalizeCols: normalizing rows of the
-// transposed layout must be bit-identical to normalizing columns of the
-// original (same element-order reduction, same per-element scaling).
-func TestNormalizeRowsMatchesNormalizeCols(t *testing.T) {
-	m := randomMatrix(t, 41, 13, 4)
-	// A zero column exercises the skip path on both layouts.
-	for i := 0; i < m.Rows; i++ {
-		m.Set(i, 5, 0)
+	base := randomMatrix(t, 41, 13, 4)
+	// A zero-sum column in the list stays untouched, nonzero elements
+	// and signed zeros included.
+	for i := 0; i < base.Rows; i++ {
+		base.Set(i, 5, math.Copysign(0, -1))
 	}
-	tr := NewMatrix(m.Cols, m.Rows)
-	m.TransposeInto(tr)
-
-	m.NormalizeCols(78.4)
-	tr.NormalizeRows(78.4)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if m.At(i, j) != tr.At(j, i) {
-				t.Fatalf("layouts diverge at (%d,%d): %v vs %v", i, j, m.At(i, j), tr.At(j, i))
+	base.Set(3, 5, 0.5)
+	base.Set(7, 5, -0.5)
+	all := rand.New(rand.NewSource(6)).Perm(base.Cols)
+	for _, cols := range [][]int{{}, {5}, {9, 5, 0, 12, 3}, all} {
+		want, got := base.Copy(), base.Copy()
+		ref(want, 78.4, cols)
+		scratch := NewVector(base.Cols)
+		scratch.Fill(-7) // the kernel must not read stale scratch
+		got.NormalizeColsSubset(78.4, cols, scratch)
+		for e := range want.Data {
+			if math.Float64bits(got.Data[e]) != math.Float64bits(want.Data[e]) {
+				t.Fatalf("cols %v: element %d is %v, per-column reference %v", cols, e, got.Data[e], want.Data[e])
 			}
 		}
 	}
+	// With every column listed it is the full NormalizeCols.
+	full, sub := base.Copy(), base.Copy()
+	full.NormalizeCols(78.4)
+	sub.NormalizeColsSubset(78.4, all, NewVector(base.Cols))
+	for e := range full.Data {
+		if math.Float64bits(sub.Data[e]) != math.Float64bits(full.Data[e]) {
+			t.Fatalf("all columns: element %d is %v, NormalizeCols %v", e, sub.Data[e], full.Data[e])
+		}
+	}
 }
 
-func TestRowSumIntoScaleRowsScaleCols(t *testing.T) {
+func TestScaleCols(t *testing.T) {
 	m := randomMatrix(t, 5, 4, 5)
-	sums := NewVector(5)
-	m.RowSumInto(sums)
-	for i := range sums {
-		if math.Abs(sums[i]-m.Row(i).Sum()) > 1e-15 {
-			t.Fatalf("row %d sum mismatch", i)
-		}
-	}
 	orig := m.Copy()
-	f := Vector{1, 2, 0.5, 3, 1}
-	m.ScaleRows(f)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if m.At(i, j) != orig.At(i, j)*f[i] {
-				t.Fatalf("ScaleRows mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-	m = orig.Copy()
 	g := Vector{2, 1, 0.25, 4}
 	m.ScaleCols(g)
 	for i := 0; i < m.Rows; i++ {
@@ -383,21 +446,5 @@ func TestScatterKernels(t *testing.T) {
 		if x[i] != want[i] {
 			t.Fatalf("ScatterScale: got %v, want %v", x, want)
 		}
-	}
-
-	w := Vector{0.9, 0.5, 0.1}
-	src := Vector{1, 0.5, 1}
-	w.ScatterAddScaledClamp([]int{0, 1}, src, 0.3, 1.0)
-	if w[0] != 1.0 { // 0.9+0.3 clamps at 1
-		t.Fatalf("clamp failed: %v", w[0])
-	}
-	if math.Abs(w[1]-0.65) > 1e-15 || w[2] != 0.1 {
-		t.Fatalf("ScatterAddScaledClamp: got %v", w)
-	}
-
-	d := Vector{0.2, 0.05, 0.5}
-	d.ScatterSubScaledFloor([]int{0, 1}, Vector{1, 1, 1}, 0.1)
-	if math.Abs(d[0]-0.1) > 1e-15 || d[1] != 0 || d[2] != 0.5 {
-		t.Fatalf("ScatterSubScaledFloor: got %v (floor at 0 expected for index 1)", d)
 	}
 }

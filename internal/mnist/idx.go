@@ -59,7 +59,12 @@ func readIDXImages(path string) ([]Image, error) {
 		return nil, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
+	return decodeIDXImages(bufio.NewReader(f), path)
+}
+
+// decodeIDXImages decodes an IDX image file read from r; path names it
+// in errors.
+func decodeIDXImages(r io.Reader, path string) ([]Image, error) {
 	var hdr [4]uint32
 	for i := range hdr {
 		if err := binary.Read(r, binary.BigEndian, &hdr[i]); err != nil {
@@ -72,12 +77,13 @@ func readIDXImages(path string) ([]Image, error) {
 	if hdr[2] != Side || hdr[3] != Side {
 		return nil, fmt.Errorf("mnist: %s is %dx%d, want %dx%d", path, hdr[2], hdr[3], Side, Side)
 	}
-	n := int(hdr[1])
-	imgs := make([]Image, n)
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(r, imgs[i].Pixels[:]); err != nil {
-			return nil, fmt.Errorf("mnist: reading image %d: %w", i, err)
-		}
+	pixels, err := readPayload(r, path, int64(hdr[1])*Side*Side)
+	if err != nil {
+		return nil, err
+	}
+	imgs := make([]Image, hdr[1])
+	for i := range imgs {
+		copy(imgs[i].Pixels[:], pixels[i*Side*Side:])
 	}
 	return imgs, nil
 }
@@ -88,7 +94,12 @@ func readIDXLabels(path string) ([]uint8, error) {
 		return nil, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
+	return decodeIDXLabels(bufio.NewReader(f), path)
+}
+
+// decodeIDXLabels decodes an IDX label file read from r; path names it
+// in errors.
+func decodeIDXLabels(r io.Reader, path string) ([]uint8, error) {
 	var magic, count uint32
 	if err := binary.Read(r, binary.BigEndian, &magic); err != nil {
 		return nil, err
@@ -99,11 +110,31 @@ func readIDXLabels(path string) ([]uint8, error) {
 	if err := binary.Read(r, binary.BigEndian, &count); err != nil {
 		return nil, err
 	}
-	labels := make([]uint8, count)
-	if _, err := io.ReadFull(r, labels); err != nil {
+	labels, err := readPayload(r, path, int64(count))
+	if err != nil {
 		return nil, err
 	}
+	for i, l := range labels {
+		if l > 9 {
+			return nil, fmt.Errorf("mnist: %s: label %d is %d, want 0–9", path, i, l)
+		}
+	}
 	return labels, nil
+}
+
+// readPayload reads the n bytes of records a header claims. The buffer
+// grows as bytes arrive instead of being sized from the claim, so a
+// header that claims more than its file holds costs an error, not an
+// allocation of the claimed size.
+func readPayload(r io.Reader, path string, n int64) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, n))
+	if err != nil {
+		return nil, fmt.Errorf("mnist: reading %s: %w", path, err)
+	}
+	if int64(len(b)) < n {
+		return nil, fmt.Errorf("mnist: %s holds %d bytes of records, its header claims %d", path, len(b), n)
+	}
+	return b, nil
 }
 
 // WriteIDX saves images in the IDX pair format, the inverse of ReadIDX.

@@ -1,6 +1,8 @@
 package mnist
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -188,4 +190,95 @@ func TestSyntheticLabelProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// idxPair writes images with WriteIDX and returns the two files' bytes.
+func idxPair(t testing.TB, images []Image) (imgs, lbls []byte) {
+	dir := t.TempDir()
+	imgPath, lblPath := filepath.Join(dir, "imgs"), filepath.Join(dir, "lbls")
+	if err := WriteIDX(images, imgPath, lblPath); err != nil {
+		t.Fatal(err)
+	}
+	imgs, err := os.ReadFile(imgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lbls, err = os.ReadFile(lblPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return imgs, lbls
+}
+
+// readIDXBytes decodes an image and a label file held in memory, as
+// ReadIDX does from disk.
+func readIDXBytes(imgs, lbls []byte) ([]Image, error) {
+	got, err := decodeIDXImages(bytes.NewReader(imgs), "images")
+	if err != nil {
+		return nil, err
+	}
+	labels, err := decodeIDXLabels(bytes.NewReader(lbls), "labels")
+	if err != nil {
+		return nil, err
+	}
+	if len(got) != len(labels) {
+		return nil, fmt.Errorf("%d images but %d labels", len(got), len(labels))
+	}
+	for i := range got {
+		got[i].Label = labels[i]
+	}
+	return got, nil
+}
+
+// hugeImageHeader is a 16-byte image file whose header claims 0xFFFFFF
+// images and holds none.
+var hugeImageHeader = []byte{0, 0, 8, 3, 0, 0xff, 0xff, 0xff, 0, 0, 0, 28, 0, 0, 0, 28}
+
+// TestIDXRejectsHostileFiles: a header that claims more records than
+// its file holds is an error, not an allocation of the claimed size,
+// and so is a label outside 0–9, which would index past the ten
+// classes downstream.
+func TestIDXRejectsHostileFiles(t *testing.T) {
+	imgs, lbls := idxPair(t, Synthetic(3, 5))
+	if _, err := readIDXBytes(hugeImageHeader, lbls); err == nil {
+		t.Fatal("image header claiming 0xFFFFFF images in a 16-byte file was accepted")
+	}
+	hugeLabels := []byte{0, 0, 8, 1, 0xff, 0xff, 0xff, 0xff}
+	if _, err := readIDXBytes(imgs, hugeLabels); err == nil {
+		t.Fatal("label header claiming 2^32−1 labels in an 8-byte file was accepted")
+	}
+	if _, err := readIDXBytes(imgs[:len(imgs)-1], lbls); err == nil {
+		t.Fatal("image file one byte short was accepted")
+	}
+	bad := append([]byte(nil), lbls...)
+	bad[len(bad)-1] = 10
+	if _, err := readIDXBytes(imgs, bad); err == nil {
+		t.Fatal("label 10 was accepted")
+	}
+}
+
+// FuzzReadIDX: no image and label file pair may crash ReadIDX's
+// decoders or make them allocate beyond their input, and what they
+// accept has one image per label, every label a digit.
+func FuzzReadIDX(f *testing.F) {
+	imgs, lbls := idxPair(f, Synthetic(4, 9))
+	f.Add(imgs, lbls)
+	f.Add(hugeImageHeader, lbls)
+	bad := append([]byte(nil), lbls...)
+	bad[len(bad)-1] = 10
+	f.Add(imgs, bad)
+	f.Fuzz(func(t *testing.T, imgs, lbls []byte) {
+		got, err := readIDXBytes(imgs, lbls)
+		if err != nil {
+			return
+		}
+		if want := (len(imgs) - 16) / (Side * Side); len(got) > want {
+			t.Fatalf("%d images from %d bytes", len(got), len(imgs))
+		}
+		for i := range got {
+			if got[i].Label > 9 {
+				t.Fatalf("image %d labelled %d", i, got[i].Label)
+			}
+		}
+	})
 }

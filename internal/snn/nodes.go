@@ -18,6 +18,7 @@ package snn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"snnfi/internal/tensor"
 )
@@ -139,9 +140,14 @@ type LIFGroup struct {
 // decayed membranes settle a few ulps above rest rather than on it, so
 // a neuron once woken is rarely idle again. The list is ascending so a
 // walk emits spikes in the same order as a dense pass.
+//
+// mask is the spike bitmask of the layer's dense pass (tensor.LIFStep
+// and LIFStepFrozen), sized with the set, so a sparse step that falls
+// back to the dense pass finds it at hand.
 type awakeSet struct {
 	list []int
 	in   []bool
+	mask []uint64
 }
 
 // reset empties the set, resized for n neurons.
@@ -154,6 +160,18 @@ func (a *awakeSet) reset(n int) {
 		a.in = make([]bool, n)
 	}
 	a.in = a.in[:n]
+	a.mask = resize(a.mask, tensor.MaskWords(n))
+}
+
+// appendSpikes appends the indices of mask's set bits to dst in
+// ascending order: the spike list of a dense pass.
+func appendSpikes(dst []int, mask []uint64) []int {
+	for w, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, w<<6+bits.TrailingZeros64(word))
+		}
+	}
+	return dst
 }
 
 // fill marks every neuron awake.
@@ -187,10 +205,14 @@ func (a *awakeSet) add(idx []int) {
 // walkPays reports whether a driven sparse step over awake of n neurons
 // should walk the awake list rather than run the dense pass. Both are
 // exact — the dense pass is the reference the walk reproduces, and it
-// leaves an idle neuron idle — but the indexed walk costs about 1.4×
-// the 4-wide dense pass per neuron (5.6 vs 4.0 ns at N = 100 on a
-// 2.1 GHz Xeon), so it pays only below about 70% awake: nominal
-// winner-take-all cells, not collapsed ones.
+// leaves an idle neuron idle. At N = 100 on a 2.0 GHz Xeon the indexed
+// walk costs about 4.6 ns per awake neuron and the AVX2 dense pass
+// about 1.4 ns per neuron, so one step breaks even near 30% awake. The
+// dispatch point stays at 3/4 all the same: moving it to 1/2 or 1/3
+// won on none of the counts and training benches beyond their noise
+// (EXPERIMENTS.md, "AVX2 dense-pass record"). Nominal winner-take-all
+// cells, about 15% awake, walk under any of these points; collapsed
+// ones end every image fully awake and run dense.
 func walkPays(awake, n int) bool { return 4*awake < 3*n }
 
 // allFinite reports whether every gain is finite. A non-finite gain
@@ -298,10 +320,6 @@ func (g *LIFGroup) EffectiveThreshold(i int) float64 {
 // passing a zero vector when every gain is finite. A non-nil drive runs
 // the dense pass and marks every neuron awake, since it may drive any
 // of them, so dense and sparse steps mix exactly.
-//
-// The dense loop is branch-light: decays run unconditionally (they are
-// no-ops at the fixed point: rest + 0·decay = rest, 0·decay = 0), which
-// avoids data-dependent branches over a mixed active/idle population.
 func (g *LIFGroup) Step(drive tensor.Vector) []int {
 	if drive == nil {
 		return g.stepSparse(nil, nil)
@@ -311,65 +329,24 @@ func (g *LIFGroup) Step(drive tensor.Vector) []int {
 }
 
 // stepDense is the dense pass of Step, without marking every neuron
-// awake: it leaves an idle neuron with zero drive idle.
+// awake: it leaves an idle neuron with zero drive idle. tensor.LIFStep
+// relaxes every membrane, decays theta, counts refractory neurons down,
+// injects the drive and marks the neurons that cross threshold; the
+// spike bookkeeping then walks the marks in ascending order. The
+// kernel runs decays unconditionally — they are no-ops at the fixed
+// point (rest + 0·decay = rest, 0·decay = 0) — which avoids
+// data-dependent branches over a mixed active/idle population.
 func (g *LIFGroup) stepDense(drive tensor.Vector) []int {
 	cfg := &g.Cfg
-	g.spikeScratch = g.spikeScratch[:0]
-	rest, thresh := cfg.Rest, cfg.Thresh
-	V := g.V
-	theta, refrac := g.Theta[:len(V)], g.refrac[:len(V)]
-	tscale := g.ThreshScale[:len(V)]
 	g.decayTraces()
-
-	gain := g.InputGain[:len(V)]
-	drive = drive[:len(V)]
-	// Phase 1 — width-batched membrane decay. Each decay touches one
-	// element independently, so hoisting it out of the per-neuron
-	// branch logic into a 4-wide vector pass is bit-identical to the
-	// fused loop (the spike phase below overwrites exactly the
-	// elements the fused loop overwrote, reading the same decayed
-	// values).
-	V.DecayToward(rest, g.decay)
-	// Phase 2 — branchy scalar pass: theta decay (fused here rather
-	// than run as a separate dense pass — the same multiply on the
-	// same element before any use of theta[i], so bit-identical),
-	// refractory gating, drive injection, threshold test, spike
-	// bookkeeping.
-	thetaDecay := g.thetaDecay
-	if thetaDecay != 1 {
-		for i := range V {
-			th := theta[i] * thetaDecay
-			theta[i] = th
-			if refrac[i] > 0 {
-				refrac[i]--
-				continue
-			}
-			v := V[i] + drive[i]*gain[i]
-			if v >= (thresh+th)*tscale[i] {
-				g.spikeScratch = append(g.spikeScratch, i)
-				v = cfg.Reset
-				refrac[i] = cfg.Refrac
-				theta[i] = th + cfg.ThetaPlus
-				g.setTrace(i)
-			}
-			V[i] = v
-		}
-		return g.spikeScratch
-	}
-	for i := range V {
-		if refrac[i] > 0 {
-			refrac[i]--
-			continue
-		}
-		v := V[i] + drive[i]*gain[i]
-		if v >= (thresh+theta[i])*tscale[i] {
-			g.spikeScratch = append(g.spikeScratch, i)
-			v = cfg.Reset
-			refrac[i] = cfg.Refrac
-			theta[i] += cfg.ThetaPlus
-			g.setTrace(i)
-		}
-		V[i] = v
+	tensor.LIFStep(g.V, g.Theta, g.refrac, drive[:len(g.V)], g.InputGain, g.ThreshScale,
+		cfg.Rest, g.decay, cfg.Thresh, g.thetaDecay, g.awake.mask)
+	g.spikeScratch = appendSpikes(g.spikeScratch[:0], g.awake.mask)
+	for _, i := range g.spikeScratch {
+		g.V[i] = cfg.Reset
+		g.refrac[i] = cfg.Refrac
+		g.Theta[i] += cfg.ThetaPlus
+		g.setTrace(i)
 	}
 	return g.spikeScratch
 }

@@ -94,29 +94,18 @@ func freezeGroup(g *LIFGroup) GroupParams {
 
 // step advances one layer one timestep against per-worker state. It is
 // the learn=false image of LIFGroup.Step with theta and traces frozen:
-// same decay arithmetic, same refractory gating, same reset semantics,
-// with the threshold comparison against the precomputed EffThresh.
-func (g *GroupParams) step(v tensor.Vector, refrac []int, drive tensor.Vector, scratch []int) []int {
-	scratch = scratch[:0]
-	eff := g.EffThresh[:len(v)]
-	gain := g.Gain[:len(v)]
-	drive = drive[:len(v)]
-	// Same two-phase shape as LIFGroup.Step: a 4-wide membrane decay
-	// pass, then the branchy refractory/drive/spike pass reading the
-	// decayed potentials — bit-identical to the fused loop.
-	v.DecayToward(g.Rest, g.decay)
-	for i := range v {
-		if refrac[i] > 0 {
-			refrac[i]--
-			continue
-		}
-		x := v[i] + drive[i]*gain[i]
-		if x >= eff[i] {
-			scratch = append(scratch, i)
-			x = g.Reset
-			refrac[i] = g.Refrac
-		}
-		v[i] = x
+// tensor.LIFStepFrozen does the same decay arithmetic and refractory
+// gating, comparing against the precomputed EffThresh, and writes only
+// the worker's v, refrac and mask; the walk over mask then applies the
+// same reset.
+func (g *GroupParams) step(v tensor.Vector, refrac []int, drive tensor.Vector, mask []uint64, scratch []int) []int {
+	n := len(v)
+	mask = mask[:tensor.MaskWords(n)]
+	tensor.LIFStepFrozen(v, refrac[:n], drive[:n], g.Gain[:n], g.EffThresh[:n], g.Rest, g.decay, mask)
+	scratch = appendSpikes(scratch[:0], mask)
+	for _, i := range scratch {
+		v[i] = g.Reset
+		refrac[i] = g.Refrac
 	}
 	return scratch
 }
@@ -129,7 +118,7 @@ func (g *GroupParams) step(v tensor.Vector, refrac []int, drive tensor.Vector, s
 func (g *GroupParams) stepSparse(v tensor.Vector, refrac []int, drive tensor.Vector, driven []int, awake *awakeSet, scratch []int) []int {
 	awake.add(driven)
 	if len(driven) > 0 && !walkPays(len(awake.list), len(v)) {
-		return g.step(v, refrac, drive, scratch)
+		return g.step(v, refrac, drive, awake.mask, scratch)
 	}
 	scratch = scratch[:0]
 	rest, decay := g.Rest, g.decay
@@ -198,7 +187,8 @@ type State struct {
 	driveExc, driveInh   tensor.Vector // driveInh is all-zero between steps
 	prevExc, prevInh     []int
 	spikeExc, spikeInh   []int
-	awakeInh             awakeSet
+	maskExc              []uint64 // the excitatory dense pass's spike mask
+	awakeInh             awakeSet // holds the inhibitory layer's mask
 	counts               tensor.Vector
 }
 
@@ -215,25 +205,20 @@ func (p *Params) NewState() *State {
 // configurations so pooled states migrate between cells without
 // reallocating.
 func (st *State) fit(p *Params) {
-	st.vExc = resizeVec(st.vExc, p.Exc.N)
-	st.vInh = resizeVec(st.vInh, p.Inh.N)
-	st.driveExc = resizeVec(st.driveExc, p.Exc.N)
-	st.driveInh = resizeVec(st.driveInh, p.Inh.N)
-	st.counts = resizeVec(st.counts, p.Exc.N)
-	st.refracExc = resizeInts(st.refracExc, p.Exc.N)
-	st.refracInh = resizeInts(st.refracInh, p.Inh.N)
+	st.vExc = resize(st.vExc, p.Exc.N)
+	st.vInh = resize(st.vInh, p.Inh.N)
+	st.driveExc = resize(st.driveExc, p.Exc.N)
+	st.driveInh = resize(st.driveInh, p.Inh.N)
+	st.counts = resize(st.counts, p.Exc.N)
+	st.refracExc = resize(st.refracExc, p.Exc.N)
+	st.refracInh = resize(st.refracInh, p.Inh.N)
+	st.maskExc = resize(st.maskExc, tensor.MaskWords(p.Exc.N))
 }
 
-func resizeVec(v tensor.Vector, n int) tensor.Vector {
-	if cap(v) < n {
-		return tensor.NewVector(n)
-	}
-	return v[:n]
-}
-
-func resizeInts(s []int, n int) []int {
+// resize returns s resized to n elements, reusing its capacity.
+func resize[S ~[]E, E any](s S, n int) S {
 	if cap(s) < n {
-		return make([]int, n)
+		return make(S, n)
 	}
 	return s[:n]
 }
@@ -294,7 +279,7 @@ func (p *Params) step(st *State, inputSpikes []int) []int {
 			d[j] += p.Cfg.WInhExc
 		}
 	}
-	st.spikeExc = p.Exc.step(st.vExc, st.refracExc, st.driveExc, st.spikeExc)
+	st.spikeExc = p.Exc.step(st.vExc, st.refracExc, st.driveExc, st.maskExc, st.spikeExc)
 
 	for _, j := range st.prevExc {
 		st.driveInh[j] += p.Cfg.WExcInh

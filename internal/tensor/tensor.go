@@ -257,14 +257,31 @@ func (m *Matrix) rowN(i, n int) []float64 {
 }
 
 // SumRows overwrites out with the sum of the active rows of m (zeroing
-// out when active is empty). It is bit-identical to Zero followed by
-// AccumulateRows — every element adds its rows in the same
-// left-to-right order — but sweeps out once per four rows with no
-// zeroing or copy pass: the first sweep writes the sum of the first
-// rows (up to four), each middle sweep adds four more, and one last
-// sweep adds the remaining one to three.
+// out when active is empty). Every element starts from its first
+// active row and adds the others in order, left to right:
+// ((row0 + row1) + row2) + …. That equals Zero followed by
+// AccumulateRows except for signed zeros, since the reference starts
+// from +0: a lone −0 row sums to −0 here and to +0 there.
+//
+// On amd64 with AVX2 an assembly kernel computes it (see
+// kernels_amd64.s), with the same additions in the same order per
+// element, so the result is bit-identical to the Go loop.
 func (m *Matrix) SumRows(active []int, out Vector) {
 	checkLen(len(out), m.Cols)
+	if haveAVX2 && len(active) > 0 {
+		m.checkRows(active)
+		sumRowsAVX2(out, m.Data, m.Cols, active)
+		return
+	}
+	m.sumRowsGeneric(active, out)
+}
+
+// sumRowsGeneric is SumRows in Go, the path off amd64 or without AVX2
+// and the reference the assembly is tested against. It sweeps out once
+// per four rows with no zeroing or copy pass: the first sweep writes
+// the sum of the first rows (up to four), each middle sweep adds four
+// more, and one last sweep adds the remaining one to three.
+func (m *Matrix) sumRowsGeneric(active []int, out Vector) {
 	o := out[:m.Cols]
 	n := len(o)
 	k := min(len(active), 4)
@@ -316,9 +333,22 @@ func (m *Matrix) SumRows(active []int, out Vector) {
 
 // SumRowsScaled overwrites out with s times the sum of the active rows
 // of m, scaling each row as it is accumulated (out[j] = Σ s·row[j]),
-// with the same left-to-right order and sweeps as SumRows.
+// with the same left-to-right order as SumRows: each product is
+// rounded before it is added, never fused. Like SumRows it runs an
+// assembly kernel on amd64 with AVX2, bit-identical to the Go loop.
 func (m *Matrix) SumRowsScaled(active []int, s float64, out Vector) {
 	checkLen(len(out), m.Cols)
+	if haveAVX2 && len(active) > 0 {
+		m.checkRows(active)
+		sumRowsScaledAVX2(out, m.Data, m.Cols, active, s)
+		return
+	}
+	m.sumRowsScaledGeneric(active, s, out)
+}
+
+// sumRowsScaledGeneric is SumRowsScaled in Go, with sumRowsGeneric's
+// sweeps.
+func (m *Matrix) sumRowsScaledGeneric(active []int, s float64, out Vector) {
 	o := out[:m.Cols]
 	n := len(o)
 	k := min(len(active), 4)
@@ -367,6 +397,19 @@ func (m *Matrix) SumRowsScaled(active []int, s float64, out Vector) {
 		r0, r1, r2 := m.rowN(tail[0], n), m.rowN(tail[1], n), m.rowN(tail[2], n)
 		for j := range o {
 			o[j] = ((o[j] + s*r0[j]) + s*r1[j]) + s*r2[j]
+		}
+	}
+}
+
+// checkRows panics unless every index in active names a row of m, as
+// slicing the row would: the assembly kernels read m.Data unchecked.
+func (m *Matrix) checkRows(active []int) {
+	if len(m.Data) < m.Rows*m.Cols {
+		panic(fmt.Sprintf("tensor: %dx%d matrix holds %d elements", m.Rows, m.Cols, len(m.Data)))
+	}
+	for _, i := range active {
+		if uint(i) >= uint(m.Rows) {
+			panic(fmt.Sprintf("tensor: row %d out of range [0,%d)", i, m.Rows))
 		}
 	}
 }

@@ -32,12 +32,15 @@ if [ $# -lt 1 ]; then
 fi
 out="$1"
 benchtime="${BENCHTIME:-2x}"
-pattern="${BENCH_PATTERN:-BenchmarkEvaluate|BenchmarkCountsParallel|BenchmarkStep_|BenchmarkTrainImage|BenchmarkTrainMinibatch|BenchmarkEncode_|BenchmarkEncodeCorpus|BenchmarkSpiceTransientStep|BenchmarkCharacterize_AHThresholdVsVDD|BenchmarkMonteCarloThreshold|BenchmarkFig3_|BenchmarkFig4_|BenchmarkFig5c_|BenchmarkFig6b_|BenchmarkFig6c_|BenchmarkFig10a_}"
+pattern="${BENCH_PATTERN:-BenchmarkEvaluate|BenchmarkCountsParallel|BenchmarkStep_|BenchmarkTrainImage|BenchmarkTrainMinibatch|BenchmarkEncode_|BenchmarkEncodeCorpus|BenchmarkSpiceTransientStep|BenchmarkCharacterize_AHThresholdVsVDD|BenchmarkMonteCarloThreshold|BenchmarkFig3_|BenchmarkFig4_|BenchmarkFig5c_|BenchmarkFig6b_|BenchmarkFig6c_|BenchmarkFig10a_|BenchmarkSumRows|BenchmarkLIFStep}"
 
 raw="$(mktemp)"
 work="$(mktemp -d)"
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -f "$raw"; rm -rf "$work"' EXIT
-go test -run='^$' -bench="$pattern" -benchtime="$benchtime" . | tee "$raw" >&2
+# The root package holds the tier benches; internal/tensor holds the
+# kernel benches (SumRows, SumRowsScaled, LIFStep), each with a
+# dispatched and a generic (Go loop) sub-benchmark.
+go test -run='^$' -bench="$pattern" -benchtime="$benchtime" . ./internal/tensor | tee "$raw" >&2
 
 if [ "${SKIP_CAMPAIGN:-0}" != "1" ] || [ "${SKIP_FABRIC:-0}" != "1" ]; then
   go build -o "$work/snn-attack" ./cmd/snn-attack

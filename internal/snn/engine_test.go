@@ -251,7 +251,9 @@ func TestInferenceMatchesStepKernel(t *testing.T) {
 					t.Fatalf("image %d: silent presentation makes the comparison vacuous", i)
 				}
 			}
-			fc.wants.allActive = false // a learning-step path
+			// The STDP and normalization paths need learning steps.
+			fc.wants.allActive, fc.wants.partialDep = false, false
+			fc.wants.maskedPot, fc.wants.denseNorm = false, false
 			fc.checkPaths(t, seen)
 		})
 	}
@@ -368,6 +370,19 @@ func TestPresentImageAllocationFree(t *testing.T) {
 	})
 	if avg > 0.5 {
 		t.Fatalf("presentImage allocates %.1f objects per image, want 0", avg)
+	}
+}
+
+// TestNormalizeWeightsAllocationFree: the full normalization, which
+// RunImage(…, true) runs before every presentation, rescales into the
+// network's own scratch and allocates nothing.
+func TestNormalizeWeightsAllocationFree(t *testing.T) {
+	n, err := NewDiehlCook(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(20, n.NormalizeWeights); avg != 0 {
+		t.Fatalf("NormalizeWeights allocates %.1f objects per call, want 0", avg)
 	}
 }
 

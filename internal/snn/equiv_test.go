@@ -242,18 +242,23 @@ type faultCase struct {
 
 // pathSeen records which engine paths a run exercised.
 type pathSeen struct {
-	allActive   bool // depression ran with every excitatory neuron active
+	allActive   bool // masked depression ran with every excitatory neuron active
+	partialDep  bool // masked depression ran with a partial mask
+	maskedPot   bool // potentiation ran as the masked row kernel
+	denseNorm   bool // dirty-column normalization ran its dense kernels
 	undrivenInh bool // an inhibitory neuron spiked without drive
 	seedAll     bool // Reset woke every inhibitory neuron
 }
 
 var faultCases = []faultCase{
 	{name: "nominal", inhScale: 1, excGain: 1, driveScale: 1},
-	// Inhibition falls silent and the excitatory layer collapses: every
-	// neuron is active (the contiguous depression rows) and nearly
+	// Inhibition falls silent and the excitatory layer collapses: a
+	// quarter, then every neuron is active and many spike at once (the
+	// masked STDP kernels, with partial and full masks), most columns
+	// are dirty at each normalization (its dense kernels), and nearly
 	// every inhibitory neuron is awake (driven steps run dense).
 	{name: "inh-x0.8", inhScale: 0.8, excGain: 1, driveScale: 1,
-		wants: pathSeen{allActive: true}},
+		wants: pathSeen{allActive: true, partialDep: true, maskedPot: true, denseNorm: true}},
 	// Threshold −50 mV sits below the −45 mV reset: after its refractory
 	// period a neuron that fired decays to −48.89 mV and fires again
 	// undriven.
@@ -287,6 +292,15 @@ func (fc faultCase) checkPaths(t *testing.T, seen pathSeen) {
 	if fc.wants.allActive && !seen.allActive {
 		t.Error("no learning step had every excitatory neuron active")
 	}
+	if fc.wants.partialDep && !seen.partialDep {
+		t.Error("no learning step ran the masked depression with a partial mask")
+	}
+	if fc.wants.maskedPot && !seen.maskedPot {
+		t.Error("no learning step ran the masked potentiation")
+	}
+	if fc.wants.denseNorm && !seen.denseNorm {
+		t.Error("no normalization ran the dense kernels")
+	}
 	if fc.wants.undrivenInh && !seen.undrivenInh {
 		t.Error("no inhibitory neuron spiked undriven")
 	}
@@ -296,18 +310,57 @@ func (fc faultCase) checkPaths(t *testing.T, seen pathSeen) {
 }
 
 // stepObserved runs one engine step and records which paths it took.
+// The post-synaptic support Step's depression read is the one it
+// leaves behind; the pre-synaptic support its potentiation read is the
+// one before the step.
 func stepObserved(n *DiehlCook, spikes []int, learn bool, seen *pathSeen) []int {
 	driven := append([]int(nil), n.prevExc...)
-	if learn && len(spikes) > 0 && len(n.postActive) == n.Cfg.NExc {
-		seen.allActive = true
-	}
+	pre := len(n.preActive)
 	es := n.Step(spikes, learn)
+	if learn {
+		post, nExc := len(n.Exc.traced.list), n.Cfg.NExc
+		if len(spikes) > 0 && post == nExc {
+			seen.allActive = true
+		}
+		if len(spikes) > 0 && 4*post >= nExc && post < nExc {
+			seen.partialDep = true
+		}
+		if pre > 0 && 4*len(es) >= nExc {
+			seen.maskedPot = true
+		}
+	}
 	for _, j := range n.prevInh {
 		if !containsInt(driven, j) {
 			seen.undrivenInh = true
 		}
 	}
 	return es
+}
+
+// normalizeObserved runs the engine's dirty-column normalization and
+// records whether it took the dense kernels.
+func normalizeObserved(n *DiehlCook, seen *pathSeen) {
+	if 4*len(n.dirty.list) >= n.Cfg.NExc {
+		seen.denseNorm = true
+	}
+	n.normalizeDirty()
+}
+
+// sameFloat reports whether a and b are the same float64: the same
+// bits, so −0 differs from +0, or both NaN.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// diffWeights returns the first element at which two equally shaped
+// matrices differ by sameFloat, or −1.
+func diffWeights(a, b *tensor.Matrix) int {
+	for e, v := range a.Data {
+		if !sameFloat(v, b.Data[e]) {
+			return e
+		}
+	}
+	return -1
 }
 
 func containsInt(s []int, x int) bool {
@@ -336,8 +389,8 @@ func TestEngineMatchesDenseReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := newRefNet(t, cfg)
-			if !eng.W.Equal(ref.w, 0) {
-				t.Fatal("initial weights differ")
+			if e := diffWeights(eng.W, ref.w); e >= 0 {
+				t.Fatalf("initial weights differ at element %d", e)
 			}
 			fc.apply(eng)
 			fc.faultInh(ref.inh.tscale)
@@ -351,7 +404,7 @@ func TestEngineMatchesDenseReference(t *testing.T) {
 			for imgIdx := range images {
 				train := enc.Encode(&images[imgIdx], cfg.Steps)
 
-				eng.normalizeDirty()
+				normalizeObserved(eng, &seen)
 				eng.ResetState()
 				ref.normalize()
 				ref.reset()
@@ -384,8 +437,8 @@ func TestEngineMatchesDenseReference(t *testing.T) {
 					}
 				}
 
-				if !eng.W.Equal(ref.w, 0) {
-					t.Fatalf("img %d: weights diverge from dense reference", imgIdx)
+				if e := diffWeights(eng.W, ref.w); e >= 0 {
+					t.Fatalf("img %d: weight %d is %v, dense reference %v", imgIdx, e, eng.W.Data[e], ref.w.Data[e])
 				}
 				for j := range ref.inh.v {
 					if eng.Inh.V[j] != ref.inh.v[j] || eng.Exc.V[j] != ref.exc.v[j] {
@@ -393,10 +446,10 @@ func TestEngineMatchesDenseReference(t *testing.T) {
 					}
 				}
 			}
-			eng.normalizeDirty()
+			normalizeObserved(eng, &seen)
 			ref.normalize()
-			if !eng.W.Equal(ref.w, 0) {
-				t.Fatal("final normalized weights diverge from dense reference")
+			if e := diffWeights(eng.W, ref.w); e >= 0 {
+				t.Fatalf("final normalized weight %d is %v, dense reference %v", e, eng.W.Data[e], ref.w.Data[e])
 			}
 			if totalSpikes == 0 {
 				t.Fatal("equivalence run produced no excitatory spikes; the comparison is vacuous")
@@ -415,7 +468,6 @@ func TestEngineMatchesDenseReference(t *testing.T) {
 // dense loop's undriven form.
 func TestSparseStepMatchesDenseLoop(t *testing.T) {
 	const n = 8
-	sameFloat := func(a, b float64) bool { return a == b || (a != a && b != b) }
 	for _, tc := range []struct {
 		name string
 		hook func(scale, gain tensor.Vector)

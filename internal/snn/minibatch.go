@@ -28,11 +28,12 @@ package snn
 //
 // A per-image weight delta is sparse: STDP only touches synapses whose
 // pre and post traces are nonzero, i.e. rows in the image's final
-// preActive support and columns in its final postActive support (both
-// supersets of the touched set — depression writes inputSpikes ×
-// postActive rows/cols and every spiked pixel enters preActive the same
-// step; potentiation writes preActive × excSpikes and excSpikes joins
-// postActive before the learn pass). Extraction walks that submatrix,
+// preActive support and columns in its final post-synaptic support,
+// the excitatory layer's traced neurons (both supersets of the touched
+// set — depression writes inputSpikes × post-support rows/cols and
+// every spiked pixel enters preActive the same step; potentiation
+// writes preActive × excSpikes and excSpikes joins the post support
+// before the learn pass). Extraction walks that submatrix,
 // records entries whose value moved, and restores them to the frozen
 // values — returning the clone to the snapshot for its next image
 // without a full-matrix copy. Theta moves densely (it decays every
@@ -104,13 +105,13 @@ func (c *trainClone) present(master *DiehlCook, tr SpikeTrain) trainDelta {
 
 	d := trainDelta{
 		dTheta: make(tensor.Vector, len(n.Exc.Theta)),
-		cols:   append([]int(nil), n.dirtyCols...),
+		cols:   append([]int(nil), n.dirty.list...),
 	}
 	mw, cw := master.W.Data, n.W.Data
 	cols := n.W.Cols
 	for _, i := range n.preActive {
 		base := i * cols
-		for _, j := range n.postActive {
+		for _, j := range n.Exc.traced.list {
 			e := base + j
 			if cw[e] != mw[e] {
 				d.wIdx = append(d.wIdx, int32(e))
@@ -124,7 +125,7 @@ func (c *trainClone) present(master *DiehlCook, tr SpikeTrain) trainDelta {
 		d.dTheta[j] = n.Exc.Theta[j] - mt[j]
 	}
 	copy(n.Exc.Theta, mt)
-	n.clearDirty()
+	n.dirty.clear()
 	return d
 }
 
@@ -140,10 +141,7 @@ func applyDeltas(n *DiehlCook, deltas []trainDelta) {
 		}
 		n.Exc.Theta.Add(d.dTheta)
 		for _, j := range d.cols {
-			if !n.dirtySeen[j] {
-				n.dirtySeen[j] = true
-				n.dirtyCols = append(n.dirtyCols, j)
-			}
+			n.dirty.add(j)
 		}
 	}
 	wmax := n.Cfg.WMax

@@ -100,29 +100,26 @@ type DiehlCook struct {
 	// built by the same iterated multiplication the dense decay would
 	// perform (so values are bit-identical), shared by every network
 	// in the process (see preDecayTable). preActive lists the pixels
-	// with nonzero trace, in first-spike order; postActive likewise
-	// lists excitatory neurons with nonzero post trace (the trace
-	// itself lives densely in Exc.Trace — the excitatory support is
-	// tiny under winner-take-all dynamics).
+	// with nonzero trace, in first-spike order. The post-synaptic
+	// support, the excitatory neurons with nonzero trace, is the
+	// layer's own (Exc.traced; the trace itself lives densely in
+	// Exc.Trace).
 	preLastSpike []int
 	preSeen      []bool
 	preActive    []int
-	postActive   []int
-	postSeen     []bool
 	stepT        int // steps since ResetState
 
 	// Dirty-column tracking for incremental normalization: the weight
 	// columns STDP has touched since the last normalization, i.e. the
 	// columns that may no longer sum to Cfg.Norm. Every STDP update
-	// (depression over postActive, potentiation over excSpikes) lands in
-	// a column whose neuron spiked during a learning step of the current
-	// or an earlier un-normalized image, and Step marks exactly those
-	// columns. NOT maintained across direct writes to W.Data (extension
-	// fault hooks) — those callers must use the full NormalizeWeights.
-	// The layers' awake sets have the same blind spot for direct writes
-	// to membrane state (see LIFGroup.Reset).
-	dirtyCols []int
-	dirtySeen []bool
+	// (depression over the post-synaptic support, potentiation over
+	// excSpikes) lands in a column whose neuron spiked during a learning
+	// step of the current or an earlier un-normalized image, and Step
+	// marks exactly those columns. NOT maintained across direct writes
+	// to W.Data (extension fault hooks) — those callers must use the
+	// full NormalizeWeights. The layers' awake sets have the same blind
+	// spot for direct writes to membrane state (see LIFGroup.Reset).
+	dirty indexSet
 
 	// scratch. driveInh is all-zero between steps: Step sets it at the
 	// drive indices and clears them after the inhibitory step. colScratch
@@ -172,8 +169,7 @@ func newNetwork(cfg DiehlCookConfig, excCfg, inhCfg LIFConfig) (*DiehlCook, erro
 		InputDriveScale: 1,
 		preLastSpike:    make([]int, cfg.NInput),
 		preSeen:         make([]bool, cfg.NInput),
-		postSeen:        make([]bool, cfg.NExc),
-		dirtySeen:       make([]bool, cfg.NExc),
+		dirty:           newIndexSet(cfg.NExc),
 		driveExc:        tensor.NewVector(cfg.NExc),
 		driveInh:        tensor.NewVector(cfg.NInh),
 		colScratch:      tensor.NewVector(cfg.NExc),
@@ -229,8 +225,8 @@ func preDecayTable(k int) []float64 {
 // modified (STDP, fault hooks, direct writes); TrainImage uses
 // the incremental dirty-column form instead.
 func (n *DiehlCook) NormalizeWeights() {
-	n.W.NormalizeCols(n.Cfg.Norm)
-	n.clearDirty()
+	n.W.NormalizeCols(n.Cfg.Norm, n.colScratch)
+	n.dirty.clear()
 }
 
 // normalizeDirty renormalizes only the columns STDP has touched since
@@ -240,15 +236,8 @@ func (n *DiehlCook) NormalizeWeights() {
 // within one ulp of 1. This per-column skip is the train-protocol-v3
 // normalization contract (see ProtocolVersion).
 func (n *DiehlCook) normalizeDirty() {
-	n.W.NormalizeColsSubset(n.Cfg.Norm, n.dirtyCols, n.colScratch)
-	n.clearDirty()
-}
-
-func (n *DiehlCook) clearDirty() {
-	for _, j := range n.dirtyCols {
-		n.dirtySeen[j] = false
-	}
-	n.dirtyCols = n.dirtyCols[:0]
+	n.W.NormalizeColsSubset(n.Cfg.Norm, n.dirty.list, n.dirty.mask, n.colScratch)
+	n.dirty.clear()
 }
 
 // ResetState clears per-image dynamic state (membranes, traces,
@@ -261,10 +250,6 @@ func (n *DiehlCook) ResetState() {
 		n.preSeen[i] = false
 	}
 	n.preActive = n.preActive[:0]
-	for _, j := range n.postActive {
-		n.postSeen[j] = false
-	}
-	n.postActive = n.postActive[:0]
 	n.prevExc = n.prevExc[:0]
 	n.prevInh = n.prevInh[:0]
 	n.stepT = 0
@@ -315,16 +300,10 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 		}
 	}
 
-	// 2. Excitatory layer step. Newly spiked neurons join the sparse
-	// post-trace support before the STDP pass reads it (their trace was
-	// just set to 1).
+	// 2. Excitatory layer step. Newly spiked neurons join the layer's
+	// sparse trace support, which the STDP pass reads as the
+	// post-synaptic support (their trace was just set to 1).
 	excSpikes := n.Exc.Step(n.driveExc)
-	for _, j := range excSpikes {
-		if !n.postSeen[j] {
-			n.postSeen[j] = true
-			n.postActive = append(n.postActive, j)
-		}
-	}
 
 	// 3. Inhibitory layer driven 1-to-1 by excitatory spikes from the
 	// previous step. The drive is zero except at those spikers, so the
@@ -342,49 +321,41 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 
 	// 4. STDP on input→exc (post-pre rule): a pre spike depresses by
 	// the post trace; a post spike potentiates by the pre trace. Both
-	// loops walk the sparse supports — exactly the synapses whose
-	// traces are nonzero — instead of full layers, with arithmetic
-	// identical to the dense rule per touched weight. Depression
-	// updates each spiked pixel's contiguous weight row; potentiation
-	// walks the spiking neuron's column at the active pixels, reading
-	// each pre trace from the decay table.
+	// walk the sparse supports — exactly the synapses whose traces are
+	// nonzero — instead of full layers, with arithmetic identical to
+	// the dense rule per touched weight. Depression updates each spiked
+	// pixel's contiguous weight row at the active neurons; potentiation
+	// updates the spiking neurons' columns at the active pixels,
+	// reading each pre trace from the decay table. Once a quarter of
+	// the layer takes part (4·k ≥ NExc: k active neurons for
+	// depression, k spiking ones for potentiation), each runs as a
+	// masked row kernel over every column instead (tensor.DepressRows,
+	// PotentiateRows; four columns per instruction on AVX2 hosts),
+	// with the same operations per selected weight.
 	if learn {
 		// Mark the spikers' columns dirty for incremental normalization.
-		// Every column the two STDP loops below will ever touch belongs
-		// to a neuron in postActive, and postActive only grows via
+		// Every column the STDP updates below will ever touch belongs to
+		// a neuron in the post-synaptic support, which only grows via
 		// excSpikes — so marking spikes at learning steps covers the
 		// whole touched set by the time normalization runs.
 		for _, j := range excSpikes {
-			if !n.dirtySeen[j] {
-				n.dirtySeen[j] = true
-				n.dirtyCols = append(n.dirtyCols, j)
-			}
+			n.dirty.add(j)
 		}
-		if len(n.postActive) > 0 && len(inputSpikes) > 0 {
+		post := &n.Exc.traced
+		if len(post.list) > 0 && len(inputSpikes) > 0 {
 			// The depression of neuron j's synapses, nuPre·trace[j], is
 			// the same for every spiked pixel: compute it once per step.
 			dep := n.colScratch
 			trace := n.Exc.Trace
-			for _, j := range n.postActive {
+			for _, j := range post.list {
 				dep[j] = cfg.NuPre * trace[j]
 			}
-			if len(n.postActive) == len(dep) {
-				// Every neuron is active (a collapsed layer): each row's
-				// update is one contiguous sweep.
-				for _, i := range inputSpikes {
-					row := n.W.Row(i)[:len(dep)]
-					for j, d := range dep {
-						w := row[j] - d
-						if w < 0 {
-							w = 0
-						}
-						row[j] = w
-					}
-				}
+			if 4*len(post.list) >= len(dep) {
+				n.W.DepressRows(inputSpikes, dep, post.mask)
 			} else {
 				for _, i := range inputSpikes {
 					row := n.W.Row(i)
-					for _, j := range n.postActive {
+					for _, j := range post.list {
 						w := row[j] - dep[j]
 						if w < 0 {
 							w = 0
@@ -396,16 +367,32 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 		}
 		if len(excSpikes) > 0 {
 			decayPow := preDecayTable(n.stepT)
-			wd, cols := n.W.Data, n.W.Cols
 			nuPost, wmax := cfg.NuPost, cfg.WMax
-			for _, j := range excSpikes {
-				for _, i := range n.preActive {
-					tr := decayPow[n.stepT-1-n.preLastSpike[i]]
-					w := wd[i*cols+j] + nuPost*tr
-					if w > wmax {
-						w = wmax
+			if 4*len(excSpikes) >= cfg.NExc {
+				// Pixel i's addend nuPost·trace is the same rounded
+				// product for every spiking neuron: form it once per
+				// pixel, a stack buffer's worth of pixels at a time. The
+				// excitatory layer's last step was its dense pass, so its
+				// spike mask selects exactly excSpikes.
+				var add [64]float64
+				for lo := 0; lo < len(n.preActive); lo += len(add) {
+					rows := n.preActive[lo:min(lo+len(add), len(n.preActive))]
+					for k, i := range rows {
+						add[k] = nuPost * decayPow[n.stepT-1-n.preLastSpike[i]]
 					}
-					wd[i*cols+j] = w
+					n.W.PotentiateRows(rows, add[:len(rows)], wmax, n.Exc.awake.mask)
+				}
+			} else {
+				wd, cols := n.W.Data, n.W.Cols
+				for _, j := range excSpikes {
+					for _, i := range n.preActive {
+						tr := decayPow[n.stepT-1-n.preLastSpike[i]]
+						w := wd[i*cols+j] + nuPost*tr
+						if w > wmax {
+							w = wmax
+						}
+						wd[i*cols+j] = w
+					}
 				}
 			}
 		}

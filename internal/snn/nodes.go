@@ -116,19 +116,46 @@ type LIFGroup struct {
 
 	spikeScratch []int
 
-	// Sparse trace support: the neurons with nonzero Trace, in
-	// first-spike order (a trace becomes nonzero only by spiking and
-	// returns to zero only at Reset). The per-step trace decay walks
-	// this list instead of the dense vector — bit-identical, since
-	// decaying a zero trace is a no-op.
-	traceActive []int
-	traceSeen   []bool
+	// traced is the sparse trace support: the neurons with nonzero
+	// Trace, in first-spike order (a trace becomes nonzero only by
+	// spiking and returns to zero only at Reset), with their bitmask.
+	// The per-step trace decay walks the list instead of the dense
+	// vector — bit-identical, since decaying a zero trace is a no-op —
+	// and the excitatory layer's list and mask are the post-synaptic
+	// support of DiehlCook's STDP.
+	traced indexSet
 
 	// awake lists the neurons a sparse step (stepSparse, Step(nil))
 	// walks: every neuron that may be off its fixed point this image
 	// (see awakeSet). Reset seeds it, driven neurons join it, and a
 	// dense Step marks every neuron awake.
 	awake awakeSet
+}
+
+// indexSet is a set of distinct indices below n: a list in insertion
+// order and the bitmask of the same members (tensor.MaskWords(n)
+// words), the form the masked tensor kernels select columns by.
+type indexSet struct {
+	list []int
+	mask []uint64
+}
+
+func newIndexSet(n int) indexSet {
+	return indexSet{mask: make([]uint64, tensor.MaskWords(n))}
+}
+
+// add inserts i unless it is already a member.
+func (s *indexSet) add(i int) {
+	if w, b := i>>6, uint64(1)<<(i&63); s.mask[w]&b == 0 {
+		s.mask[w] |= b
+		s.list = append(s.list, i)
+	}
+}
+
+// clear empties the set.
+func (s *indexSet) clear() {
+	clear(s.mask)
+	s.list = s.list[:0]
 }
 
 // awakeSet is the ascending list of neurons that may be off their
@@ -241,7 +268,7 @@ func NewLIFGroup(cfg LIFConfig) (*LIFGroup, error) {
 		ThreshScale: tensor.NewVector(cfg.N),
 		InputGain:   tensor.NewVector(cfg.N),
 		decay:       math.Exp(-cfg.Dt / cfg.TCDecay),
-		traceSeen:   make([]bool, cfg.N),
+		traced:      newIndexSet(cfg.N),
 	}
 	if cfg.ThetaDecayTC > 0 {
 		g.thetaDecay = math.Exp(-cfg.Dt / cfg.ThetaDecayTC)
@@ -272,10 +299,7 @@ func NewLIFGroup(cfg LIFConfig) (*LIFGroup, error) {
 func (g *LIFGroup) Reset() {
 	g.V.Fill(g.Cfg.Rest)
 	g.Trace.Zero()
-	for _, i := range g.traceActive {
-		g.traceSeen[i] = false
-	}
-	g.traceActive = g.traceActive[:0]
+	g.traced.clear()
 	for i := range g.refrac {
 		g.refrac[i] = 0
 	}
@@ -405,7 +429,7 @@ func (g *LIFGroup) stepSparse(drive tensor.Vector, driven []int) []int {
 // is bit-identical since x·1 == x for every float.
 func (g *LIFGroup) decayTraces() {
 	if g.traceDecay != 1 {
-		g.Trace.ScatterScale(g.traceActive, g.traceDecay)
+		g.Trace.ScatterScale(g.traced.list, g.traceDecay)
 	}
 }
 
@@ -413,8 +437,5 @@ func (g *LIFGroup) decayTraces() {
 // to the sparse nonzero-trace support.
 func (g *LIFGroup) setTrace(i int) {
 	g.Trace[i] = 1
-	if !g.traceSeen[i] {
-		g.traceSeen[i] = true
-		g.traceActive = append(g.traceActive, i)
-	}
+	g.traced.add(i)
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -105,5 +106,150 @@ func BenchmarkLIFStep(b *testing.B) {
 				k.step()
 			}
 		})
+	}
+}
+
+// stdpBench is the paper's 784×100 input→excitatory matrix and a
+// random selection of k of its columns, as a list and as a mask.
+func stdpBench(k int) (*Matrix, []int, []uint64, *rand.Rand) {
+	rng := rand.New(rand.NewSource(3))
+	m := NewMatrix(784, 100)
+	m.RandFill(rng, 0, 0.3)
+	cols := rng.Perm(m.Cols)[:k]
+	return m, cols, maskOf(cols, m.Cols), rng
+}
+
+// BenchmarkDepressRows depresses 11 spiked rows, about one step's input
+// spikes, at k selected columns: "walk" is the indexed walk DiehlCook
+// runs below a quarter of the layer, "dispatched" and "generic" the
+// masked kernel as dispatched and its Go loop. The depressions are
+// small enough that weights stay off the floor.
+func BenchmarkDepressRows(b *testing.B) {
+	for _, k := range []int{10, 20, 30, 100} {
+		m, cols, sel, rng := stdpBench(k)
+		d := NewVector(m.Cols)
+		for j := range d {
+			d[j] = 1e-12 * rng.Float64()
+		}
+		sets := make([][]int, 64)
+		for s := range sets {
+			sets[s] = rng.Perm(m.Rows)[:11]
+		}
+		for _, v := range []struct {
+			name string
+			run  func(rows []int)
+		}{
+			{"walk", func(rows []int) {
+				for _, i := range rows {
+					row := m.Row(i)
+					for _, j := range cols {
+						w := row[j] - d[j]
+						if w < 0 {
+							w = 0
+						}
+						row[j] = w
+					}
+				}
+			}},
+			{"dispatched", func(rows []int) { m.DepressRows(rows, d, sel) }},
+			{"generic", func(rows []int) { m.depressRowsGeneric(0, rows, d, sel) }},
+		} {
+			b.Run(fmt.Sprintf("cols=%d/%s", k, v.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					v.run(sets[i%len(sets)])
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkPotentiateRows potentiates 166 active pixels' rows, about
+// the pre-synaptic support late in a presentation, at k spiking
+// columns. Each pixel's trace is read from a decay table through its
+// spike lag, as DiehlCook does: "walk" forms the addend per weight in
+// its column walk, "dispatched" and "generic" form it once per pixel
+// and run the masked kernel as dispatched and its Go loop. The addends
+// are small enough that weights stay below the ceiling.
+func BenchmarkPotentiateRows(b *testing.B) {
+	for _, k := range []int{5, 10, 25, 100} {
+		m, cols, sel, rng := stdpBench(k)
+		rows := rng.Perm(m.Rows)[:166]
+		decay := NewVector(250)
+		lag := make([]int, m.Rows)
+		for t := range decay {
+			decay[t] = math.Exp(-float64(t) / 20)
+		}
+		for i := range lag {
+			lag[i] = rng.Intn(len(decay))
+		}
+		const nu = 1e-12
+		add := NewVector(len(rows))
+		addends := func() {
+			for k, i := range rows {
+				add[k] = nu * decay[lag[i]]
+			}
+		}
+		for _, v := range []struct {
+			name string
+			run  func()
+		}{
+			{"walk", func() {
+				wd, n := m.Data, m.Cols
+				for _, j := range cols {
+					for _, i := range rows {
+						w := wd[i*n+j] + nu*decay[lag[i]]
+						if w > 1 {
+							w = 1
+						}
+						wd[i*n+j] = w
+					}
+				}
+			}},
+			{"dispatched", func() { addends(); m.PotentiateRows(rows, add, 1, sel) }},
+			{"generic", func() { addends(); m.potentiateRowsGeneric(0, rows, add, 1, sel) }},
+		} {
+			b.Run(fmt.Sprintf("cols=%d/%s", k, v.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					v.run()
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkNormalizeColsSubset renormalizes k dirty columns: "walk" is
+// the listed-column form NormalizeColsSubset runs below a quarter of
+// the columns, "dispatched" and "generic" its dense form (column sums,
+// deselection, masked rescale) with the kernels as dispatched and with
+// their Go loops.
+func BenchmarkNormalizeColsSubset(b *testing.B) {
+	for _, k := range []int{4, 25, 34, 100} {
+		m, cols, sel, _ := stdpBench(k)
+		sums := NewVector(m.Cols)
+		for _, v := range []struct {
+			name string
+			run  func()
+		}{
+			{"walk", func() { m.normalizeColsWalk(78.4, cols, sums) }},
+			{"dispatched", func() {
+				m.colSums(sums)
+				deselect(sums, sel)
+				m.scaleCols(78.4, sums)
+			}},
+			{"generic", func() {
+				m.colSumsGeneric(sums)
+				deselect(sums, sel)
+				m.scaleColsGeneric(0, 78.4, sums)
+			}},
+		} {
+			b.Run(fmt.Sprintf("cols=%d/%s", k, v.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					v.run()
+				}
+			})
+		}
 	}
 }

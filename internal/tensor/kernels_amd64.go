@@ -42,3 +42,15 @@ func lifStepAVX2(v, theta []float64, refrac []int, drive, gain, threshScale []fl
 
 //go:noescape
 func lifStepFrozenAVX2(v []float64, refrac []int, drive, gain, effThresh []float64, rest, decay float64, spikes []uint64)
+
+//go:noescape
+func depressRowsAVX2(data []float64, cols int, rows []int, d []float64, sel []uint64)
+
+//go:noescape
+func potentiateRowsAVX2(data []float64, cols int, rows []int, a []float64, wmax float64, sel []uint64)
+
+//go:noescape
+func colSumsAVX2(s, data []float64, rows, cols int)
+
+//go:noescape
+func scaleColsAVX2(data []float64, rows, cols int, s []float64, target float64)

@@ -19,3 +19,17 @@ func lifStepAVX2(v, theta []float64, refrac []int, drive, gain, threshScale []fl
 func lifStepFrozenAVX2(v []float64, refrac []int, drive, gain, effThresh []float64, rest, decay float64, spikes []uint64) {
 	panic("tensor: no AVX2")
 }
+
+func depressRowsAVX2(data []float64, cols int, rows []int, d []float64, sel []uint64) {
+	panic("tensor: no AVX2")
+}
+
+func potentiateRowsAVX2(data []float64, cols int, rows []int, a []float64, wmax float64, sel []uint64) {
+	panic("tensor: no AVX2")
+}
+
+func colSumsAVX2(s, data []float64, rows, cols int) { panic("tensor: no AVX2") }
+
+func scaleColsAVX2(data []float64, rows, cols int, s []float64, target float64) {
+	panic("tensor: no AVX2")
+}

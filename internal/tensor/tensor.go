@@ -414,89 +414,6 @@ func (m *Matrix) checkRows(active []int) {
 	}
 }
 
-// ColSum returns the per-column sums of m.
-func (m *Matrix) ColSum() Vector {
-	s := NewVector(m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, w := range row {
-			s[j] += w
-		}
-	}
-	return s
-}
-
-// ScaleCols multiplies every element of column j by f[j], in one
-// contiguous row-major pass.
-func (m *Matrix) ScaleCols(f Vector) {
-	checkLen(len(f), m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		ff := f[:len(row)]
-		for j := range row {
-			row[j] *= ff[j]
-		}
-	}
-}
-
-// NormalizeCols rescales each column so its sum equals target. Columns
-// whose sum is zero are left untouched. This is the Diehl&Cook weight
-// normalization applied to the input→excitatory connection. The rescale
-// runs as one contiguous row-major ScaleCols pass over a per-column
-// factor vector (factor 1 for zero-sum columns) — bit-identical to the
-// column-at-a-time strided form, since x·1 == x for every float
-// including NaN and −0, but ~Rows× fewer cache lines touched.
-func (m *Matrix) NormalizeCols(target float64) {
-	f := m.ColSum()
-	for j, s := range f {
-		if s == 0 {
-			f[j] = 1
-		} else {
-			f[j] = target / s
-		}
-	}
-	m.ScaleCols(f)
-}
-
-// NormalizeColsSubset rescales only the listed columns so each sums to
-// target, leaving every other column untouched; zero-sum columns in the
-// list are also left untouched. It makes two row-major passes over the
-// listed columns — one sums them, one rescales them — and keeps the
-// per-column sums, then factors, in sums, a caller-owned scratch of at
-// least len(cols) elements whose contents it overwrites. Each column's
-// sum accumulates over its elements in ascending row order — the same
-// per-column order ColSum uses — so for a listed column the factor, and
-// hence the rescaled values, are bit-identical to a full NormalizeCols
-// (a zero-sum column's factor is 1, and x·1 == x for every float). The
-// columns in cols must be distinct: a repeated column would be rescaled
-// twice by a factor summed once. Their order does not matter. This is
-// the dirty-column form of Diehl&Cook normalization: between two
-// normalizations STDP touches only the columns of neurons that spiked,
-// so only those columns have drifted from target.
-func (m *Matrix) NormalizeColsSubset(target float64, cols []int, sums Vector) {
-	f := sums[:len(cols)]
-	f.Zero()
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for k, j := range cols {
-			f[k] += row[j]
-		}
-	}
-	for k, s := range f {
-		if s == 0 {
-			f[k] = 1
-		} else {
-			f[k] = target / s
-		}
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for k, j := range cols {
-			row[j] *= f[k]
-		}
-	}
-}
-
 // RandFill fills m with uniform values in [lo, hi) drawn from rng.
 func (m *Matrix) RandFill(rng *rand.Rand, lo, hi float64) {
 	for i := range m.Data {
@@ -505,13 +422,14 @@ func (m *Matrix) RandFill(rng *rand.Rand, lo, hi float64) {
 }
 
 // Equal reports whether two matrices have the same shape and elements
-// within tolerance tol.
+// within tolerance tol. A NaN equals nothing, not even a NaN, and an
+// infinity equals only itself.
 func (m *Matrix) Equal(o *Matrix, tol float64) bool {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		return false
 	}
 	for i, v := range m.Data {
-		if math.Abs(v-o.Data[i]) > tol {
+		if w := o.Data[i]; v != w && !(math.Abs(v-w) <= tol) {
 			return false
 		}
 	}

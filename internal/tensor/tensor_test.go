@@ -144,7 +144,7 @@ func TestNormalizeCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMatrix(8, 4)
 	m.RandFill(rng, 0.1, 1)
-	m.NormalizeCols(2.5)
+	m.NormalizeCols(2.5, NewVector(m.Cols))
 	sums := m.ColSum()
 	for j, s := range sums {
 		if math.Abs(s-2.5) > 1e-9 {
@@ -156,7 +156,7 @@ func TestNormalizeCols(t *testing.T) {
 func TestNormalizeColsSkipsZeroColumns(t *testing.T) {
 	m := NewMatrix(3, 2)
 	m.Set(0, 0, 1)
-	m.NormalizeCols(10)
+	m.NormalizeCols(10, NewVector(m.Cols))
 	if m.At(0, 1) != 0 || m.At(1, 1) != 0 {
 		t.Fatal("zero column must stay zero")
 	}
@@ -190,6 +190,22 @@ func TestMatrixEqual(t *testing.T) {
 	if a.Equal(c, 1) {
 		t.Fatal("shape mismatch must not be equal")
 	}
+	// A NaN equals nothing, whatever the tolerance; an infinity equals
+	// itself; signed zeros are equal.
+	a.Set(1, 1, math.NaN())
+	b.Set(1, 1, 0.25)
+	if a.Equal(b, math.Inf(1)) {
+		t.Fatal("NaN must not equal 0.25")
+	}
+	if a.Equal(a.Copy(), 1) {
+		t.Fatal("NaN must not equal NaN")
+	}
+	a.Set(1, 1, math.Inf(1))
+	b.Set(1, 1, math.Inf(1))
+	a.Set(0, 1, math.Copysign(0, -1))
+	if !a.Equal(b, 1e-5) {
+		t.Fatal("equal infinities and signed zeros must be equal")
+	}
 }
 
 // Property: NormalizeCols is idempotent.
@@ -198,9 +214,9 @@ func TestNormalizeColsIdempotent(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := NewMatrix(6, 5)
 		m.RandFill(rng, 0.01, 1)
-		m.NormalizeCols(3)
+		m.NormalizeCols(3, NewVector(m.Cols))
 		before := m.Copy()
-		m.NormalizeCols(3)
+		m.NormalizeCols(3, NewVector(m.Cols))
 		return m.Equal(before, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -395,27 +411,22 @@ func FuzzSumRows(f *testing.F) {
 	})
 }
 
+// maskOf returns the selection of the listed columns of an n-column
+// matrix.
+func maskOf(cols []int, n int) []uint64 {
+	sel := make([]uint64, MaskWords(n))
+	for _, j := range cols {
+		sel[j>>6] |= 1 << (j & 63)
+	}
+	return sel
+}
+
 // TestNormalizeColsSubsetMatchesPerColumn: the two-pass row-major
 // subset normalization must reproduce, bit for bit, a per-column
 // reference (sum the column in ascending row order, skip a zero sum,
 // rescale) on the listed columns and leave every other column alone —
 // for a shuffled subset with a zero-sum column, and for all columns.
 func TestNormalizeColsSubsetMatchesPerColumn(t *testing.T) {
-	ref := func(m *Matrix, target float64, cols []int) {
-		for _, j := range cols {
-			var s float64
-			for i := 0; i < m.Rows; i++ {
-				s += m.At(i, j)
-			}
-			if s == 0 {
-				continue
-			}
-			f := target / s
-			for i := 0; i < m.Rows; i++ {
-				m.Set(i, j, m.At(i, j)*f)
-			}
-		}
-	}
 	base := randomMatrix(t, 41, 13, 4)
 	// A zero-sum column in the list stays untouched, nonzero elements
 	// and signed zeros included.
@@ -427,10 +438,10 @@ func TestNormalizeColsSubsetMatchesPerColumn(t *testing.T) {
 	all := rand.New(rand.NewSource(6)).Perm(base.Cols)
 	for _, cols := range [][]int{{}, {5}, {9, 5, 0, 12, 3}, all} {
 		want, got := base.Copy(), base.Copy()
-		ref(want, 78.4, cols)
+		normalizeReference(want, 78.4, cols)
 		scratch := NewVector(base.Cols)
 		scratch.Fill(-7) // the kernel must not read stale scratch
-		got.NormalizeColsSubset(78.4, cols, scratch)
+		got.NormalizeColsSubset(78.4, cols, maskOf(cols, base.Cols), scratch)
 		for e := range want.Data {
 			if math.Float64bits(got.Data[e]) != math.Float64bits(want.Data[e]) {
 				t.Fatalf("cols %v: element %d is %v, per-column reference %v", cols, e, got.Data[e], want.Data[e])
@@ -439,25 +450,11 @@ func TestNormalizeColsSubsetMatchesPerColumn(t *testing.T) {
 	}
 	// With every column listed it is the full NormalizeCols.
 	full, sub := base.Copy(), base.Copy()
-	full.NormalizeCols(78.4)
-	sub.NormalizeColsSubset(78.4, all, NewVector(base.Cols))
+	full.NormalizeCols(78.4, NewVector(base.Cols))
+	sub.NormalizeColsSubset(78.4, all, maskOf(all, base.Cols), NewVector(base.Cols))
 	for e := range full.Data {
 		if math.Float64bits(sub.Data[e]) != math.Float64bits(full.Data[e]) {
 			t.Fatalf("all columns: element %d is %v, NormalizeCols %v", e, sub.Data[e], full.Data[e])
-		}
-	}
-}
-
-func TestScaleCols(t *testing.T) {
-	m := randomMatrix(t, 5, 4, 5)
-	orig := m.Copy()
-	g := Vector{2, 1, 0.25, 4}
-	m.ScaleCols(g)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if m.At(i, j) != orig.At(i, j)*g[j] {
-				t.Fatalf("ScaleCols mismatch at (%d,%d)", i, j)
-			}
 		}
 	}
 }

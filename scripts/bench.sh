@@ -32,14 +32,16 @@ if [ $# -lt 1 ]; then
 fi
 out="$1"
 benchtime="${BENCHTIME:-2x}"
-pattern="${BENCH_PATTERN:-BenchmarkEvaluate|BenchmarkCountsParallel|BenchmarkStep_|BenchmarkTrainImage|BenchmarkTrainMinibatch|BenchmarkEncode_|BenchmarkEncodeCorpus|BenchmarkSpiceTransientStep|BenchmarkCharacterize_AHThresholdVsVDD|BenchmarkMonteCarloThreshold|BenchmarkFig3_|BenchmarkFig4_|BenchmarkFig5c_|BenchmarkFig6b_|BenchmarkFig6c_|BenchmarkFig10a_|BenchmarkSumRows|BenchmarkLIFStep}"
+pattern="${BENCH_PATTERN:-BenchmarkEvaluate|BenchmarkCountsParallel|BenchmarkStep_|BenchmarkTrainImage|BenchmarkTrainMinibatch|BenchmarkEncode_|BenchmarkEncodeCorpus|BenchmarkSpiceTransientStep|BenchmarkCharacterize_AHThresholdVsVDD|BenchmarkMonteCarloThreshold|BenchmarkFig3_|BenchmarkFig4_|BenchmarkFig5c_|BenchmarkFig6b_|BenchmarkFig6c_|BenchmarkFig10a_|BenchmarkSumRows|BenchmarkLIFStep|BenchmarkDepressRows|BenchmarkPotentiateRows|BenchmarkNormalizeColsSubset}"
 
 raw="$(mktemp)"
 work="$(mktemp -d)"
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -f "$raw"; rm -rf "$work"' EXIT
 # The root package holds the tier benches; internal/tensor holds the
-# kernel benches (SumRows, SumRowsScaled, LIFStep), each with a
-# dispatched and a generic (Go loop) sub-benchmark.
+# kernel benches (SumRows, SumRowsScaled, LIFStep, DepressRows,
+# PotentiateRows, NormalizeColsSubset), each with a dispatched and a
+# generic (Go loop) sub-benchmark; the last three also time the
+# indexed walk that runs below a quarter of the layer ("walk").
 go test -run='^$' -bench="$pattern" -benchtime="$benchtime" . ./internal/tensor | tee "$raw" >&2
 
 if [ "${SKIP_CAMPAIGN:-0}" != "1" ] || [ "${SKIP_FABRIC:-0}" != "1" ]; then

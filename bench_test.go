@@ -47,13 +47,32 @@ func benchExperiment(b *testing.B) *core.Experiment {
 	return e
 }
 
-// resetCache forces the next iteration to retrain: without it the
-// experiment's persistent result cache would turn every iteration
-// after the first into a map lookup and the bench would stop
-// measuring training cost. (BenchmarkRunner_CachedSweep measures the
-// warm path deliberately.)
-func resetCache(e *core.Experiment) {
+// resetCache forces the next iteration to retrain its attack cells:
+// without it the experiment's persistent result cache would turn every
+// iteration after the first into a map lookup and the bench would stop
+// measuring training cost. The attack-free baseline, which
+// benchExperiment trained, stays cached, so an iteration trains only
+// its attack cells. (BenchmarkRunner_CachedSweep measures the warm
+// path deliberately.)
+func resetCache(b *testing.B, e *core.Experiment) {
+	b.Helper()
+	keys, err := e.ScenarioKeys(&core.Scenario{Plans: []*core.FaultPlan{nil}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, _ := e.Cache.Get(keys[0])
 	e.Cache = runner.NewMemoryCache[*core.Result]()
+	e.Cache.Put(keys[0], base)
+}
+
+// sweep runs one attack family over its axes.
+func sweep(b *testing.B, e *core.Experiment, attack core.AttackID, axes core.Axes) []core.SweepPoint {
+	b.Helper()
+	pts, err := e.RunScenario(&core.Scenario{Attack: attack, Axes: axes})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pts
 }
 
 // --- Circuit-level figures ---
@@ -163,13 +182,9 @@ func BenchmarkFig7b_Attack1ThetaSweep(b *testing.B) {
 	b.ResetTimer()
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		resetCache(e)
-		pts, err := e.Attack1Sweep([]float64{-20, 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		wp, _ := core.WorstCase(pts)
-		worst = wp.Result.RelChangePc // paper: −1.5%
+		resetCache(b, e)
+		wp, _ := core.WorstCase(sweep(b, e, core.Attack1, core.Axes{ChangesPc: []float64{-20, 20}}))
+		worst = wp.RelChangePc // paper: −1.5%
 	}
 	b.ReportMetric(worst, "worst_rel_pc")
 }
@@ -179,13 +194,9 @@ func BenchmarkFig8a_Attack2ELGrid(b *testing.B) {
 	b.ResetTimer()
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		resetCache(e)
-		pts, err := e.LayerGrid(core.Excitatory, []float64{-20}, []float64{50, 100})
-		if err != nil {
-			b.Fatal(err)
-		}
-		wp, _ := core.WorstCase(pts)
-		worst = wp.Result.RelChangePc // paper: −7.32%
+		resetCache(b, e)
+		wp, _ := core.WorstCase(sweep(b, e, core.Attack2, core.Axes{ChangesPc: []float64{-20}, FractionsPc: []float64{50, 100}}))
+		worst = wp.RelChangePc // paper: −7.32%
 	}
 	b.ReportMetric(worst, "worst_rel_pc")
 }
@@ -195,13 +206,9 @@ func BenchmarkFig8b_Attack3ILGrid(b *testing.B) {
 	b.ResetTimer()
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		resetCache(e)
-		pts, err := e.LayerGrid(core.Inhibitory, []float64{-20}, []float64{50, 100})
-		if err != nil {
-			b.Fatal(err)
-		}
-		wp, _ := core.WorstCase(pts)
-		worst = wp.Result.RelChangePc // paper: −84.52%
+		resetCache(b, e)
+		wp, _ := core.WorstCase(sweep(b, e, core.Attack3, core.Axes{ChangesPc: []float64{-20}, FractionsPc: []float64{50, 100}}))
+		worst = wp.RelChangePc // paper: −84.52%
 	}
 	b.ReportMetric(worst, "worst_rel_pc")
 }
@@ -211,13 +218,9 @@ func BenchmarkFig8c_Attack4BothLayers(b *testing.B) {
 	b.ResetTimer()
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		resetCache(e)
-		pts, err := e.Attack4Sweep([]float64{-20, 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		wp, _ := core.WorstCase(pts)
-		worst = wp.Result.RelChangePc // paper: −85.65%
+		resetCache(b, e)
+		wp, _ := core.WorstCase(sweep(b, e, core.Attack4, core.Axes{ChangesPc: []float64{-20, 20}}))
+		worst = wp.RelChangePc // paper: −85.65%
 	}
 	b.ReportMetric(worst, "worst_rel_pc")
 }
@@ -227,13 +230,9 @@ func BenchmarkFig9a_Attack5VDDSweep(b *testing.B) {
 	b.ResetTimer()
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		resetCache(e)
-		pts, err := e.Attack5Sweep([]float64{0.8, 1.2}, xfer.IAF)
-		if err != nil {
-			b.Fatal(err)
-		}
-		wp, _ := core.WorstCase(pts)
-		worst = wp.Result.RelChangePc // paper: −84.93%
+		resetCache(b, e)
+		wp, _ := core.WorstCase(sweep(b, e, core.Attack5, core.Axes{VDDs: []float64{0.8, 1.2}, Kind: xfer.IAF}))
+		worst = wp.RelChangePc // paper: −84.93%
 	}
 	b.ReportMetric(worst, "worst_rel_pc")
 }
@@ -260,7 +259,7 @@ func BenchmarkFig9c_SizingDefense(b *testing.B) {
 	b.ResetTimer()
 	var recovered float64
 	for i := 0; i < b.N; i++ {
-		resetCache(e)
+		resetCache(b, e)
 		res, err := e.Run(defense.Sizing{WLMultiple: 32}.Harden(plan))
 		if err != nil {
 			b.Fatal(err)
@@ -317,7 +316,7 @@ func BenchmarkD2_BandgapDefense(b *testing.B) {
 	b.ResetTimer()
 	var recovered float64
 	for i := 0; i < b.N; i++ {
-		resetCache(e)
+		resetCache(b, e)
 		res, err := e.Run(defense.BandgapThreshold{Kind: xfer.IAF}.Harden(plan))
 		if err != nil {
 			b.Fatal(err)
@@ -406,13 +405,9 @@ func BenchmarkRunner_LayerGridWorkers(b *testing.B) {
 			b.ResetTimer()
 			var worst float64
 			for i := 0; i < b.N; i++ {
-				resetCache(e)
-				pts, err := e.LayerGrid(core.Inhibitory, []float64{-20, 20}, []float64{25, 50, 75, 100})
-				if err != nil {
-					b.Fatal(err)
-				}
-				wp, _ := core.WorstCase(pts)
-				worst = wp.Result.RelChangePc
+				resetCache(b, e)
+				wp, _ := core.WorstCase(sweep(b, e, core.Attack3, core.Axes{ChangesPc: []float64{-20, 20}, FractionsPc: []float64{25, 50, 75, 100}}))
+				worst = wp.RelChangePc
 			}
 			b.ReportMetric(worst, "worst_rel_pc")
 		})
@@ -425,19 +420,12 @@ func BenchmarkRunner_LayerGridWorkers(b *testing.B) {
 // pool scheduling).
 func BenchmarkRunner_CachedSweep(b *testing.B) {
 	e := benchExperiment(b)
-	sweep := func() error {
-		_, err := e.LayerGrid(core.Inhibitory, []float64{-20, 20}, []float64{25, 50, 75, 100})
-		return err
-	}
-	if err := sweep(); err != nil {
-		b.Fatal(err)
-	}
+	axes := core.Axes{ChangesPc: []float64{-20, 20}, FractionsPc: []float64{25, 50, 75, 100}}
+	sweep(b, e, core.Attack3, axes)
 	before := e.TrainCount()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sweep(); err != nil {
-			b.Fatal(err)
-		}
+		sweep(b, e, core.Attack3, axes)
 	}
 	b.StopTimer()
 	if e.TrainCount() != before {

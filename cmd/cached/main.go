@@ -17,8 +17,8 @@
 //
 // Long-lived campaign service: POST a suite JSON to /campaign and poll
 // GET /campaign/{id} for live present/missing progress against the
-// store manifest; GET /campaign/{id}/cells serves the sweep points
-// already computed. GET /metrics exports the obs registry (request
+// store manifest; GET /campaign/{id}/cells serves the cells already
+// computed, the baseline among them. GET /metrics exports the obs registry (request
 // counters, per-tier cache counters, request-duration histograms);
 // GET /healthz reports liveness and the store protocol version.
 package main

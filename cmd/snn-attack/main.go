@@ -187,12 +187,12 @@ func run() (retErr error) {
 		if p.Defense != "" {
 			col = p.Defense
 		}
-		fmt.Printf("%-28s plan %s\n", col+":", p.Result.Plan.Name)
-		for _, f := range p.Result.Plan.Faults {
+		fmt.Printf("%-28s plan %s\n", col+":", p.Plan.Name)
+		for _, f := range p.Plan.Faults {
 			fmt.Printf("  %-12v scale %.4f over %.0f%% of the layer\n", f.Layer, f.Scale, 100*f.Fraction)
 		}
 		fmt.Printf("  accuracy %.2f%%  relative change %+.2f%%  detector: %s\n",
-			100*p.Result.Accuracy, p.Result.RelChangePc, verdict(p.Detected))
+			100*p.Result.Accuracy, p.RelChangePc, verdict(p.Detected))
 	}
 	// The count the cache chain exists to drive to zero: a repeated
 	// invocation against a warm -cache-dir or -store must print 0.

@@ -63,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("under %s: %.1f%% accuracy (%+.1f%% vs baseline)\n",
-		plan.Name, 100*res.Accuracy, res.RelChangePc)
+		plan.Name, 100*res.Result.Accuracy, res.RelChangePc)
 	fmt.Println("the inhibitory layer is the soft spot: losing winner-take-all")
 	fmt.Println("competition destroys STDP specialization, exactly as the paper reports.")
 	fmt.Printf("trained networks: %d\n", exp.TrainCount())

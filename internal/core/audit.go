@@ -53,40 +53,37 @@ func (a *ScenarioAudit) MissingKeys() []string {
 	return keys
 }
 
-// AuditScenario compiles the scenario and checks every cell's content
-// address — plus the shared attack-free baseline's — against held,
-// typically a set built from runner.DiskCache.Manifest. Nothing is
-// trained or loaded; the audit is pure key arithmetic.
+// AuditScenario compiles the scenario and checks the content address
+// of every job of its campaign — the attack-free cell first, then the
+// compiled cells — against held, typically a set built from
+// runner.DiskCache.Manifest. Nothing is trained or loaded; the audit
+// is pure key arithmetic.
 func (e *Experiment) AuditScenario(s *Scenario, held func(key string) bool) (*ScenarioAudit, error) {
-	cells, meta, err := s.compile()
+	jobs, meta, err := s.compile()
 	if err != nil {
 		return nil, err
 	}
-	keys, err := e.cellKeys(cells)
+	keys, err := e.cellKeys(jobs)
 	if err != nil {
 		return nil, err
 	}
 	audit := &ScenarioAudit{
 		Name:  meta.name,
-		Cells: make([]CellStatus, 0, len(cells)+1),
+		Cells: make([]CellStatus, len(jobs)),
 	}
 	seen := map[string]bool{}
-	add := func(desc, key string) {
-		st := CellStatus{Desc: desc, Key: key, Present: held(key)}
+	for i, c := range jobs {
+		st := CellStatus{Desc: c.desc, Key: keys[i], Present: held(keys[i])}
 		if st.Present {
 			audit.Present++
 		} else {
 			audit.Missing++
 		}
-		if !seen[key] {
-			seen[key] = true
+		if !seen[st.Key] {
+			seen[st.Key] = true
 			audit.Distinct++
 		}
-		audit.Cells = append(audit.Cells, st)
-	}
-	add("baseline (attack-free)", e.baselineKey())
-	for i, c := range cells {
-		add(c.desc, keys[i])
+		audit.Cells[i] = st
 	}
 	return audit, nil
 }

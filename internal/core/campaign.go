@@ -11,7 +11,6 @@ import (
 	"snnfi/internal/obs"
 	"snnfi/internal/runner"
 	"snnfi/internal/snn"
-	"snnfi/internal/xfer"
 )
 
 // Experiment fixes the data, network configuration and random seeds for
@@ -25,11 +24,14 @@ import (
 // content-addressed cache keyed by (experiment fingerprint, the
 // network the cell trains) skips retraining for repeated
 // configurations — including differently named plans with the same
-// effect, such as a 0% glitch and the attack-free baseline. The
-// images are encoded into spike trains once, when the first cell
-// trains, and every cell reads those trains. Data fields must be
-// fixed before the first Run/Baseline/sweep call; the runner knobs
-// (Workers, OnProgress, Sinks) may be adjusted between sweeps.
+// effect, such as a 0% glitch and the attack-free baseline. A cell
+// stores only what its network scores; the attack-free baseline is a
+// cell like any other, and every campaign runs it as its first job
+// and scores the other cells against it when their points are
+// assembled. The images are encoded into spike trains once, when the
+// first cell trains, and every cell reads those trains. Data fields
+// must be fixed before the first Run/Baseline/sweep call; the runner
+// knobs (Workers, OnProgress, Sinks) may be adjusted between sweeps.
 type Experiment struct {
 	Images  []mnist.Image
 	Cfg     snn.DiehlCookConfig
@@ -63,9 +65,6 @@ type Experiment struct {
 	// byte-identical with or without a registry (see report_test.go).
 	Obs *obs.Registry
 
-	baseMu  sync.Mutex
-	baseRes *Result
-
 	fpOnce sync.Once
 	fp     string
 
@@ -91,46 +90,74 @@ func NewExperiment(dataDir string, n int, cfg snn.DiehlCookConfig) (*Experiment,
 	}, nil
 }
 
-// Result is one attack configuration's outcome. Results are stored
-// under the key of the network they trained, which plans with equal
-// effects share, so a stored Result carries no Plan: every method
-// that returns one hands out a copy naming the caller's own plan, and
-// stored Results are never mutated.
+// Result is what one cell computes: the score of the network it
+// trains. It is the value every cache tier stores, under the key of
+// that network, which cells with equal effects share, so a stored
+// Result names no plan and relates to no baseline; SweepPoint adds
+// both. Stored Results are never mutated.
 type Result struct {
-	Plan        *FaultPlan
 	Accuracy    float64
-	Baseline    float64
-	RelChangePc float64 // 100·(acc−base)/base, the paper's reported metric
 	TotalSpikes float64
 }
 
+// cellSchema versions the layout of a stored Result. It is a
+// fingerprint ingredient, so entries of another layout are never
+// served: until this version a Result also stored its plan, its
+// baseline and its relative change, and a binary of that era reading
+// a new entry would report every relative change as 0.
+const cellSchema = "cell-v2"
+
 // fingerprint content-addresses the experiment: the image corpus, the
-// network configuration, the encoder seed and the training-protocol
+// network configuration, the encoder seed, the training-protocol
 // version (snn.ProtocolVersion, so caches written under older
-// semantics miss rather than serve pre-engine values). Everything a
-// trained result depends on besides the fault plan's effect.
+// semantics miss rather than serve pre-engine values) and the cell
+// schema. Everything a trained result depends on besides the cell's
+// corruption.
 func (e *Experiment) fingerprint() string {
 	e.fpOnce.Do(func() {
-		e.fp = runner.KeyOf("experiment", snn.ProtocolVersion, e.Cfg, e.EncSeed, len(e.Images), mnist.Digest(e.Images))
+		e.fp = runner.KeyOf("experiment", snn.ProtocolVersion, cellSchema, e.Cfg, e.EncSeed, len(e.Images), mnist.Digest(e.Images))
 	})
 	return e.fp
 }
 
-// planKey is the content address of the network a plan trains: the
+// corruption is what a cell does to the network it trains: a
+// *FaultPlan (nil for the attack-free network), a WeightFaultSpec or a
+// LearningRateFaultSpec. Corruptions that train the same network share
+// a key.
+type corruption interface {
+	// key is the content address of the trained network.
+	key(e *Experiment) (string, error)
+	// train trains one fresh network under the corruption.
+	train(e *Experiment, opts snn.TrainOptions) (*snn.TrainResult, error)
+}
+
+// key is the content address of the network a plan trains: the
 // experiment fingerprint and the plan's effect, so plans that differ
 // only in name, or in faults that change nothing, share one cell.
-func (e *Experiment) planKey(plan *FaultPlan) (string, error) {
-	eff, err := plan.effect(e.Cfg.NExc, e.Cfg.NInh)
+func (p *FaultPlan) key(e *Experiment) (string, error) {
+	eff, err := p.effect(e.Cfg.NExc, e.Cfg.NInh)
 	if err != nil {
 		return "", err
 	}
 	return runner.KeyOf(e.fingerprint(), "plan-effect", eff.key()), nil
 }
 
-// baselineKey is the content address of the attack-free network.
-func (e *Experiment) baselineKey() string {
-	key, _ := e.planKey(nil) // the nil plan's nominal effect cannot fail
-	return key
+// train trains a fresh network with the plan applied (nil =
+// attack-free). Every call builds its own network and reads the
+// shared, immutable corpus, so cells train concurrently.
+func (p *FaultPlan) train(e *Experiment, opts snn.TrainOptions) (*snn.TrainResult, error) {
+	n, err := snn.NewDiehlCook(e.Cfg)
+	if err != nil {
+		return nil, err
+	}
+	if p != nil {
+		revert, err := p.Apply(n)
+		if err != nil {
+			return nil, err
+		}
+		defer revert()
+	}
+	return snn.TrainWith(n, e.corpus(), opts)
 }
 
 // corpus returns the experiment's spike trains, encoding them on first
@@ -144,142 +171,71 @@ func (e *Experiment) corpus() *snn.Corpus {
 	return e.spikes
 }
 
-// train trains one fresh network under plan (nil = attack-free) and
-// returns its raw score. Safe for concurrent use: every call builds
-// its own network and reads the shared, immutable corpus, and the
-// cell's read-only assignment pass runs on the intra-cell evaluation
-// pool (snn.CountsParallel) at the given width — the full Workers for
-// stand-alone runs, a campaign-divided share for sweep cells (see
-// runCampaign), so cell-level and intra-cell parallelism compose
-// instead of multiplying.
-func (e *Experiment) train(plan *FaultPlan, evalWorkers int) (*snn.TrainResult, error) {
+// compute trains the cell's network without consulting the cache —
+// the caller has already missed it — with its read-only assignment
+// pass on evalWorkers evaluation workers (snn.CountsParallel): the
+// full Workers for stand-alone lookups, a campaign-divided share for
+// sweep cells (see evalWidth), so cell-level and intra-cell
+// parallelism compose instead of multiplying.
+func (e *Experiment) compute(c corruption, evalWorkers int) (*Result, error) {
 	e.trains.Add(1)
-	n, err := snn.NewDiehlCook(e.Cfg)
+	res, err := c.train(e, snn.TrainOptions{Workers: evalWorkers, Obs: e.Obs})
 	if err != nil {
 		return nil, err
 	}
-	if plan != nil {
-		revert, err := plan.Apply(n)
-		if err != nil {
-			return nil, err
-		}
-		defer revert()
-	}
-	return snn.TrainWith(n, e.corpus(), snn.TrainOptions{Workers: evalWorkers, Obs: e.Obs})
+	return &Result{Accuracy: res.Accuracy, TotalSpikes: res.TotalSpikes}, nil
 }
 
 // TrainCount reports how many networks the experiment has trained so
 // far — the unit of work the result cache exists to avoid.
 func (e *Experiment) TrainCount() int64 { return e.trains.Load() }
 
-// Run trains a fresh network under the given plan (nil for the
-// attack-free baseline) and scores it against the baseline. Results
-// are served from the cache when a plan with the same effect was
-// already trained.
-func (e *Experiment) Run(plan *FaultPlan) (*Result, error) {
-	key, err := e.planKey(plan)
+// lookup returns the result of the cell c trains: from the cache, or
+// computed at the full pool width and stored.
+func (e *Experiment) lookup(c corruption) (*Result, error) {
+	key, err := c.key(e)
 	if err != nil {
 		return nil, err
 	}
-	r, ok := e.Cache.Get(key)
-	if !ok {
-		if r, err = e.compute(campaignJob{plan: plan}, key, e.Workers); err != nil {
-			return nil, err
-		}
-		e.Cache.Put(key, r)
+	if r, ok := e.Cache.Get(key); ok {
+		return r, nil
 	}
-	return withPlan(r, plan), nil
-}
-
-// withPlan returns a copy of a stored result naming plan.
-func withPlan(r *Result, plan *FaultPlan) *Result {
-	c := *r
-	c.Plan = plan
-	return &c
-}
-
-// compute trains and scores the cell at key without consulting the
-// cache — the caller has already missed it. Sweep jobs call it
-// directly: the campaign pool owns the single Get/Put for them, so a
-// cell is looked up and stored exactly once per execution. A plan
-// cell whose effect is nominal is the memoized baseline.
-func (e *Experiment) compute(c campaignJob, key string, evalWorkers int) (*Result, error) {
-	if key == e.baselineKey() {
-		return e.baselineResult()
-	}
-	var res *snn.TrainResult
-	var err error
-	if c.train != nil {
-		// An extension cell, whose corruption is not a FaultPlan, still
-		// counts toward TrainCount.
-		e.trains.Add(1)
-		res, err = c.train(evalWorkers)
-	} else {
-		res, err = e.train(c.plan, evalWorkers)
-	}
+	r, err := e.compute(c, e.Workers)
 	if err != nil {
 		return nil, err
 	}
-	return e.score(res)
-}
-
-// score relates one trained run to the attack-free baseline.
-func (e *Experiment) score(res *snn.TrainResult) (*Result, error) {
-	base, err := e.Baseline()
-	if err != nil {
-		return nil, err
-	}
-	r := &Result{
-		Accuracy:    res.Accuracy,
-		Baseline:    base,
-		TotalSpikes: res.TotalSpikes,
-	}
-	if base > 0 {
-		r.RelChangePc = 100 * (res.Accuracy - base) / base
-	}
+	e.Cache.Put(key, r)
 	return r, nil
 }
 
-// Baseline returns (computing once) the attack-free accuracy.
+// Baseline returns the attack-free accuracy: the nil plan's cell,
+// served from the cache once trained.
 func (e *Experiment) Baseline() (float64, error) {
-	r, err := e.baselineResult()
+	r, err := e.lookup((*FaultPlan)(nil))
 	if err != nil {
 		return 0, err
 	}
 	return r.Accuracy, nil
 }
 
-// baselineResult memoizes the attack-free run. The lock is held across
-// training so concurrent sweep workers wait for one computation
-// instead of racing to retrain.
-func (e *Experiment) baselineResult() (*Result, error) {
-	e.baseMu.Lock()
-	defer e.baseMu.Unlock()
-	if e.baseRes != nil {
-		return e.baseRes, nil
-	}
-	key := e.baselineKey()
-	if r, ok := e.Cache.Get(key); ok {
-		e.baseRes = r
-		return r, nil
-	}
-	// The baseline trains alone (runCampaign computes it before fanning
-	// out), so its assignment pass gets the full pool width.
-	res, err := e.train(nil, e.Workers)
+// Run trains a fresh network under the given plan (nil for the
+// attack-free baseline) and scores it against the baseline. Both cells
+// are served from the cache when a plan with the same effect was
+// already trained.
+func (e *Experiment) Run(plan *FaultPlan) (SweepPoint, error) {
+	r, err := e.lookup(plan)
 	if err != nil {
-		return nil, err
+		return SweepPoint{}, err
 	}
-	r := &Result{
-		Accuracy:    res.Accuracy,
-		Baseline:    res.Accuracy,
-		TotalSpikes: res.TotalSpikes,
+	base, err := e.Baseline()
+	if err != nil {
+		return SweepPoint{}, err
 	}
-	e.Cache.Put(key, r)
-	e.baseRes = r
-	return r, nil
+	return assemble(SweepPoint{Plan: plan}, r, base), nil
 }
 
-// SweepPoint is one cell of a campaign sweep.
+// SweepPoint is one cell of a campaign sweep: its coordinates, its
+// result, and that result scored against the attack-free baseline.
 type SweepPoint struct {
 	ScalePc    float64 // threshold/theta change in percent (−20 … +20)
 	FractionPc float64 // portion of the layer affected in percent
@@ -287,51 +243,48 @@ type SweepPoint struct {
 	QuantilePc float64 // mismatch quantile (variation sweeps; 0 = nominal corner)
 	Defense    string  // hardening applied to the cell ("" = undefended)
 	Detected   bool    // dummy-neuron detector verdict for the cell's attack
-	Result     *Result
+	// Plan names the cell's configuration (nil = attack-free). A
+	// weight- or learning-rate-fault cell carries a plan that only
+	// names it.
+	Plan *FaultPlan
+	// Result is the cell's stored result, shared with every cell that
+	// trains the same network; it must not be mutated.
+	Result      *Result
+	Baseline    float64 // the attack-free accuracy the cell is scored against
+	RelChangePc float64 // 100·(acc−base)/base, the paper's reported metric
 }
 
-// campaignJob is one sweep cell before execution: the cell's
-// coordinates, the fault plan built for them, and the description used
-// in error wrapping. The encoder seed is deliberately NOT part of the
-// cell — the paper's protocol trains every configuration on identical
-// spike trains, so all cells share the experiment's EncSeed (a
-// campaign needing per-cell randomness would derive child seeds with
-// runner.DeriveSeed instead).
-//
-// Plan cells leave keyOverride and train nil: the cell is addressed by
-// its plan's effect and trained by applying the plan. Extension cells
-// (weight and learning-rate faults, whose corruption is not
-// expressible as a FaultPlan) set both — plan then only names the
-// configuration in results — so they run, cache, and stream exactly
-// like plan cells.
+// assemble completes a cell's point with its result scored against the
+// attack-free accuracy base. A baseline of 0 leaves RelChangePc 0.
+func assemble(p SweepPoint, r *Result, base float64) SweepPoint {
+	p.Result, p.Baseline = r, base
+	if base > 0 {
+		p.RelChangePc = 100 * (r.Accuracy - base) / base
+	}
+	return p
+}
+
+// campaignJob is one job of a campaign before execution: the cell's
+// coordinates and the plan naming it, the corruption it trains, and
+// the description used in audits, progress and error wrapping. The
+// encoder seed is deliberately NOT part of the cell — the paper's
+// protocol trains every configuration on identical spike trains, so
+// all cells share the experiment's EncSeed (a campaign needing
+// per-cell randomness would derive child seeds with runner.DeriveSeed
+// instead).
 type campaignJob struct {
 	point SweepPoint
-	plan  *FaultPlan
+	fault corruption
 	desc  string
-
-	keyOverride string
-	train       func(evalWorkers int) (*snn.TrainResult, error)
 }
 
-// key is the cell's content address.
-func (c campaignJob) key(e *Experiment) (string, error) {
-	if c.keyOverride != "" {
-		return c.keyOverride, nil
-	}
-	key, err := e.planKey(c.plan)
-	if err != nil {
-		return "", fmt.Errorf("core: %s: %w", c.desc, err)
-	}
-	return key, nil
-}
-
-// cellKeys returns every cell's content address, in cell order.
-func (e *Experiment) cellKeys(cells []campaignJob) ([]string, error) {
-	keys := make([]string, len(cells))
-	for i, c := range cells {
-		key, err := c.key(e)
+// cellKeys returns every job's content address, in job order.
+func (e *Experiment) cellKeys(jobs []campaignJob) ([]string, error) {
+	keys := make([]string, len(jobs))
+	for i, c := range jobs {
+		key, err := c.fault.key(e)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: %s: %w", c.desc, err)
 		}
 		keys[i] = key
 	}
@@ -339,7 +292,7 @@ func (e *Experiment) cellKeys(cells []campaignJob) ([]string, error) {
 }
 
 // campaignMeta shapes the streamed records of one campaign: its sweep
-// label, whether cells carry grid coordinates (ad-hoc plan lists do
+// label, whether cells carry grid coordinates (ad-hoc cell lists do
 // not, and zeroes would misreport them), and whether the campaign is a
 // scenario matrix whose records carry the defense column and detector
 // verdict.
@@ -354,48 +307,33 @@ type campaignMeta struct {
 // across all grid cells (and cmd/snn-attack) so fractions nest.
 const gridMaskSeed = 99
 
-// runCampaign executes the cells on the worker pool, collecting
-// results in cell order, streaming one record per point to Sinks, and
-// reporting completions to OnProgress. The output is byte-identical to
-// serial execution at any worker count.
-func (e *Experiment) runCampaign(meta campaignMeta, cells []campaignJob) ([]SweepPoint, error) {
-	if len(cells) == 0 {
-		return nil, nil
+// evalWidth splits the pool between the two levels of parallelism:
+// with C cells in flight, each cell's read-only assignment pass gets
+// width/C evaluation workers, so total presentation goroutines stay
+// ≈ Workers instead of multiplying to Workers². A single-cell
+// campaign therefore gets the whole pool inside the cell — the
+// intra-cell engine's motivating case. cells must be positive.
+func (e *Experiment) evalWidth(cells int) int {
+	width := e.Workers
+	if width <= 0 {
+		width = runtime.GOMAXPROCS(0)
 	}
-	keys, err := e.cellKeys(cells)
-	if err != nil {
-		return nil, err
-	}
-	// Train the shared baseline before fanning out: every cell scores
-	// against it, and computing it up front keeps workers from queueing
-	// on the baseline lock (and keeps it trained exactly once).
-	if _, err := e.Baseline(); err != nil {
-		return nil, err
-	}
-	// Split the pool between the two levels of parallelism: with C
-	// cells in flight, each cell's read-only assignment pass gets
-	// width/C evaluation workers, so total presentation goroutines stay
-	// ≈ Workers instead of multiplying to Workers². A single-cell
-	// campaign therefore gets the whole pool inside the cell — the
-	// intra-cell engine's motivating case.
-	cellWidth := e.Workers
-	if cellWidth <= 0 {
-		cellWidth = runtime.GOMAXPROCS(0)
-	}
-	evalWorkers := cellWidth / min(cellWidth, len(cells))
-	if evalWorkers < 1 {
-		evalWorkers = 1
-	}
-	jobs := make([]runner.Job[*Result], len(cells))
-	for i := range cells {
-		c, key := cells[i], keys[i]
-		jobs[i] = runner.Job[*Result]{
+	return width / min(width, cells)
+}
+
+// runJobs runs campaign jobs on the experiment's worker pool and
+// cache, handing results to onResult in job order. Each job is looked
+// up once and computed on a miss, its assignment pass on evalWorkers
+// workers.
+func (e *Experiment) runJobs(jobs []campaignJob, keys []string, evalWorkers int, onResult func(int, *Result, bool) error) error {
+	rjobs := make([]runner.Job[*Result], len(jobs))
+	for i := range jobs {
+		c := jobs[i]
+		rjobs[i] = runner.Job[*Result]{
 			Label: c.desc,
-			Key:   key,
+			Key:   keys[i],
 			Run: func() (*Result, error) {
-				// The pool already missed the cache for this key, so
-				// compute without a second lookup.
-				r, err := e.compute(c, key, evalWorkers)
+				r, err := e.compute(c.fault, evalWorkers)
 				if err != nil {
 					return nil, fmt.Errorf("core: %s: %w", c.desc, err)
 				}
@@ -407,42 +345,62 @@ func (e *Experiment) runCampaign(meta campaignMeta, cells []campaignJob) ([]Swee
 		Workers:    e.Workers,
 		Cache:      e.Cache,
 		OnProgress: e.OnProgress,
+		OnResult:   onResult,
 		Obs:        e.Obs,
 		Name:       "core.cells",
 	}
-	if len(e.Sinks) > 0 {
-		pool.OnResult = func(i int, r *Result, _ bool) error {
-			rec := sweepRecord(meta, cells[i].point, cells[i].plan, r)
-			for _, s := range e.Sinks {
-				if err := s.Write(rec); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	results, err := pool.Run(jobs)
+	_, err := pool.Run(rjobs)
+	return err
+}
+
+// runCampaign executes a campaign's jobs — the attack-free cell first,
+// then the compiled cells — and assembles the compiled cells' points,
+// each scored against job 0. The pool emits results in job order, so
+// job 0 is known before any record streams to Sinks; completions
+// report to OnProgress. The output is byte-identical to serial
+// execution at any worker count.
+func (e *Experiment) runCampaign(meta campaignMeta, jobs []campaignJob) ([]SweepPoint, error) {
+	keys, err := e.cellKeys(jobs)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SweepPoint, len(cells))
-	for i, r := range results {
-		out[i] = cells[i].point
-		out[i].Result = withPlan(r, cells[i].plan)
+	pts := make([]SweepPoint, 0, len(jobs)-1)
+	var base float64
+	emit := func(i int, r *Result, _ bool) error {
+		if i == 0 {
+			base = r.Accuracy
+			return nil
+		}
+		p := assemble(jobs[i].point, r, base)
+		pts = append(pts, p)
+		if len(e.Sinks) == 0 {
+			return nil
+		}
+		rec := sweepRecord(meta, p)
+		for _, s := range e.Sinks {
+			if err := s.Write(rec); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return out, nil
+	// The width split counts the compiled cells only: job 0 is
+	// normally a hit, so a single-cell campaign keeps the full width.
+	if err := e.runJobs(jobs, keys, e.evalWidth(len(jobs)-1), emit); err != nil {
+		return nil, err
+	}
+	return pts, nil
 }
 
-// sweepRecord renders one sweep point of the cell with the given plan
-// for the streaming sinks. The coordinate fields are included only for
-// real sweeps — ad-hoc plan lists have no grid coordinates, and zeroes
-// would misreport them — and the defense/detector fields only for
-// scenario matrices, so plain sweeps keep their established record
-// schema.
-func sweepRecord(meta campaignMeta, p SweepPoint, plan *FaultPlan, r *Result) runner.Record {
+// sweepRecord renders one sweep point for the streaming sinks. The
+// coordinate fields are included only for real sweeps — ad-hoc cell
+// lists have no grid coordinates, and zeroes would misreport them —
+// and the defense/detector fields only for scenario matrices, so plain
+// sweeps keep their established record schema.
+func sweepRecord(meta campaignMeta, p SweepPoint) runner.Record {
 	planName := ""
-	if plan != nil {
-		planName = plan.Name
+	if p.Plan != nil {
+		planName = p.Plan.Name
 	}
 	rec := runner.Record{
 		{Name: "sweep", Value: meta.name},
@@ -462,10 +420,10 @@ func sweepRecord(meta campaignMeta, p SweepPoint, plan *FaultPlan, r *Result) ru
 		rec = append(rec, runner.Field{Name: "quantile_pc", Value: p.QuantilePc})
 	}
 	rec = append(rec,
-		runner.Field{Name: "accuracy", Value: r.Accuracy},
-		runner.Field{Name: "baseline", Value: r.Baseline},
-		runner.Field{Name: "rel_change_pc", Value: r.RelChangePc},
-		runner.Field{Name: "total_spikes", Value: r.TotalSpikes},
+		runner.Field{Name: "accuracy", Value: p.Result.Accuracy},
+		runner.Field{Name: "baseline", Value: p.Baseline},
+		runner.Field{Name: "rel_change_pc", Value: p.RelChangePc},
+		runner.Field{Name: "total_spikes", Value: p.Result.TotalSpikes},
 	)
 	if meta.matrix {
 		rec = append(rec, runner.Field{Name: "detected", Value: p.Detected})
@@ -473,77 +431,15 @@ func sweepRecord(meta campaignMeta, p SweepPoint, plan *FaultPlan, r *Result) ru
 	return rec
 }
 
-// RunPlans evaluates several fault plans through the worker pool and
-// returns one result per plan, in input order. A nil plan stands for
-// the attack-free baseline, as in Run.
-func (e *Experiment) RunPlans(plans []*FaultPlan) ([]*Result, error) {
-	pts, err := e.RunScenario(&Scenario{Name: "plans", Plans: plans})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(pts))
-	for i, p := range pts {
-		out[i] = p.Result
-	}
-	return out, nil
-}
-
-// Attack1Sweep reproduces Fig. 7b: classification accuracy versus theta
-// (per-input-spike membrane charge) change.
-func (e *Experiment) Attack1Sweep(changesPc []float64) ([]SweepPoint, error) {
-	return e.RunScenario(&Scenario{
-		Name:   "attack1-theta",
-		Attack: Attack1,
-		Axes:   Axes{ChangesPc: changesPc},
-	})
-}
-
-// LayerGrid reproduces Figs. 8a/8b: accuracy over threshold change ×
-// fraction-of-layer for one layer (Excitatory → Attack 2, Inhibitory →
-// Attack 3).
-func (e *Experiment) LayerGrid(layer Layer, changesPc, fractionsPc []float64) ([]SweepPoint, error) {
-	attack := Attack2
-	if layer == Inhibitory {
-		attack = Attack3
-	} else if layer != Excitatory {
-		return nil, fmt.Errorf("core: layer grid needs a neuron layer, got %v", layer)
-	}
-	return e.RunScenario(&Scenario{
-		Name:   fmt.Sprintf("layer-grid-%v", layer),
-		Attack: attack,
-		Axes:   Axes{ChangesPc: changesPc, FractionsPc: fractionsPc},
-	})
-}
-
-// Attack4Sweep reproduces Fig. 8c: accuracy versus threshold change
-// with both layers fully affected.
-func (e *Experiment) Attack4Sweep(changesPc []float64) ([]SweepPoint, error) {
-	return e.RunScenario(&Scenario{
-		Name:   "attack4-both-layers",
-		Attack: Attack4,
-		Axes:   Axes{ChangesPc: changesPc},
-	})
-}
-
-// Attack5Sweep reproduces Fig. 9a: accuracy versus VDD for the whole
-// shared-supply system.
-func (e *Experiment) Attack5Sweep(vdds []float64, kind xfer.NeuronKind) ([]SweepPoint, error) {
-	return e.RunScenario(&Scenario{
-		Name:   "attack5-vdd",
-		Attack: Attack5,
-		Axes:   Axes{VDDs: vdds, Kind: kind},
-	})
-}
-
 // WorstCase returns the sweep point with the most negative relative
 // accuracy change. ok is false when points is empty (or no point
-// carries a result), so callers never dereference a missing result.
+// carries a result), so callers never report a missing result.
 func WorstCase(points []SweepPoint) (worst SweepPoint, ok bool) {
 	for _, p := range points {
 		if p.Result == nil {
 			continue
 		}
-		if !ok || p.Result.RelChangePc < worst.Result.RelChangePc {
+		if !ok || p.RelChangePc < worst.RelChangePc {
 			worst, ok = p, true
 		}
 	}

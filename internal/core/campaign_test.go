@@ -36,14 +36,12 @@ func samePoints(t *testing.T, workers int, got, want []SweepPoint) {
 			g.Defense != w.Defense || g.Detected != w.Detected {
 			t.Fatalf("workers=%d: point %d coords %+v, want %+v", workers, i, g, w)
 		}
-		if g.Result.Accuracy != w.Result.Accuracy ||
-			g.Result.Baseline != w.Result.Baseline ||
-			g.Result.RelChangePc != w.Result.RelChangePc ||
-			g.Result.TotalSpikes != w.Result.TotalSpikes {
-			t.Fatalf("workers=%d: point %d result %+v, want %+v", workers, i, *g.Result, *w.Result)
+		if *g.Result != *w.Result || g.Baseline != w.Baseline || g.RelChangePc != w.RelChangePc {
+			t.Fatalf("workers=%d: point %d result %+v/%v/%v, want %+v/%v/%v", workers, i,
+				*g.Result, g.Baseline, g.RelChangePc, *w.Result, w.Baseline, w.RelChangePc)
 		}
-		if (g.Result.Plan == nil) != (w.Result.Plan == nil) ||
-			(g.Result.Plan != nil && g.Result.Plan.Name != w.Result.Plan.Name) {
+		if (g.Plan == nil) != (w.Plan == nil) ||
+			(g.Plan != nil && g.Plan.Name != w.Plan.Name) {
 			t.Fatalf("workers=%d: point %d plan mismatch", workers, i)
 		}
 	}
@@ -68,7 +66,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		sink := runner.NewJSONLSink(&buf)
 		e.Sinks = []runner.Sink{sink}
 
-		pts, err := e.LayerGrid(Inhibitory, changes, fractions)
+		pts, err := e.RunScenario(&Scenario{Attack: Attack3, Axes: Axes{ChangesPc: changes, FractionsPc: fractions}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +94,8 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 func TestSweepBaselineTrainsOnce(t *testing.T) {
 	e := tinyExperiment(t, 40)
 	e.Workers = 4
-	pts, err := e.LayerGrid(Excitatory, []float64{-20, 20}, []float64{50, 100})
+	grid := &Scenario{Attack: Attack2, Axes: Axes{ChangesPc: []float64{-20, 20}, FractionsPc: []float64{50, 100}}}
+	pts, err := e.RunScenario(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func TestSweepBaselineTrainsOnce(t *testing.T) {
 	if got := e.TrainCount(); got != wantTrains {
 		t.Fatalf("first sweep trained %d networks, want %d (cells + baseline once)", got, wantTrains)
 	}
-	again, err := e.LayerGrid(Excitatory, []float64{-20, 20}, []float64{50, 100})
+	again, err := e.RunScenario(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +116,8 @@ func TestSweepBaselineTrainsOnce(t *testing.T) {
 	}
 }
 
-// TestRunPlansOrdered routes ad-hoc plan lists (cmd/snn-attack,
-// examples/defense-eval) through the pool and keeps input order.
+// TestRunPlansOrdered routes an ad-hoc plan list through the pool and
+// keeps input order.
 func TestRunPlansOrdered(t *testing.T) {
 	e := tinyExperiment(t, 40)
 	e.Workers = 3
@@ -127,16 +126,16 @@ func TestRunPlansOrdered(t *testing.T) {
 		NewAttack3(0.8, 1, 1),
 		NewAttack4(0.9),
 	}
-	results, err := e.RunPlans(plans)
+	pts, err := e.RunScenario(&Scenario{Plans: plans})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(plans) {
-		t.Fatalf("%d results for %d plans", len(results), len(plans))
+	if len(pts) != len(plans) {
+		t.Fatalf("%d points for %d plans", len(pts), len(plans))
 	}
-	for i, r := range results {
-		if r.Plan.Name != plans[i].Name {
-			t.Fatalf("result %d is %q, want %q", i, r.Plan.Name, plans[i].Name)
+	for i, p := range pts {
+		if p.Plan.Name != plans[i].Name {
+			t.Fatalf("point %d is %q, want %q", i, p.Plan.Name, plans[i].Name)
 		}
 	}
 }
@@ -156,7 +155,7 @@ func TestRunIsCached(t *testing.T) {
 	if e.TrainCount() != before {
 		t.Fatal("identical plan must be served from the cache")
 	}
-	if r1.Accuracy != r2.Accuracy || r1.RelChangePc != r2.RelChangePc {
+	if r1.Result.Accuracy != r2.Result.Accuracy || r1.RelChangePc != r2.RelChangePc {
 		t.Fatal("cached result differs")
 	}
 	// A different configuration is a different content address.
@@ -169,7 +168,7 @@ func TestRunIsCached(t *testing.T) {
 }
 
 // TestLayerGridParallelSpeedup is the wall-clock acceptance bar: with
-// ≥4 workers a LayerGrid sweep runs ≥2× faster than serial while
+// ≥4 workers a layer-grid sweep runs ≥2× faster than serial while
 // producing identical results. Training is CPU-bound, so the test
 // needs real cores; on smaller machines the sleep-bound equivalent in
 // internal/runner still enforces the pool's concurrency.
@@ -181,16 +180,12 @@ func TestLayerGridParallelSpeedup(t *testing.T) {
 		t.Skipf("need ≥4 CPUs for a CPU-bound speedup, have %d", runtime.GOMAXPROCS(0))
 	}
 	e := tinyExperiment(t, 80)
-	changes := []float64{-20, -10, 10, 20}
-	fractions := []float64{50, 100}
-	if _, err := e.Baseline(); err != nil {
-		t.Fatal(err)
-	}
+	grid := &Scenario{Attack: Attack3, Axes: Axes{ChangesPc: []float64{-20, -10, 10, 20}, FractionsPc: []float64{50, 100}}}
 
 	e.Cache = runner.NewMemoryCache[*Result]()
 	e.Workers = 1
 	start := time.Now()
-	serialPts, err := e.LayerGrid(Inhibitory, changes, fractions)
+	serialPts, err := e.RunScenario(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +194,7 @@ func TestLayerGridParallelSpeedup(t *testing.T) {
 	e.Cache = runner.NewMemoryCache[*Result]()
 	e.Workers = 4
 	start = time.Now()
-	parallelPts, err := e.LayerGrid(Inhibitory, changes, fractions)
+	parallelPts, err := e.RunScenario(grid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,9 +260,9 @@ func TestInhibitoryWorseThanExcitatory(t *testing.T) {
 
 func TestWorstCase(t *testing.T) {
 	pts := []SweepPoint{
-		{ScalePc: -10, Result: &Result{RelChangePc: -5}},
-		{ScalePc: -20, Result: &Result{RelChangePc: -80}},
-		{ScalePc: 10, Result: &Result{RelChangePc: 2}},
+		{ScalePc: -10, Result: &Result{}, RelChangePc: -5},
+		{ScalePc: -20, Result: &Result{}, RelChangePc: -80},
+		{ScalePc: 10, Result: &Result{}, RelChangePc: 2},
 	}
 	w, ok := WorstCase(pts)
 	if !ok || w.ScalePc != -20 {
@@ -277,13 +277,6 @@ func TestWorstCaseEmpty(t *testing.T) {
 	// Points without results are skipped rather than dereferenced.
 	if _, ok := WorstCase([]SweepPoint{{ScalePc: -20}}); ok {
 		t.Fatal("result-less points must report ok=false")
-	}
-}
-
-func TestLayerGridRejectsDrivers(t *testing.T) {
-	e := testExperiment(t, 10)
-	if _, err := e.LayerGrid(Drivers, []float64{-10}, []float64{100}); err == nil {
-		t.Fatal("LayerGrid must reject the driver pseudo-layer")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 func mustPlanKey(t *testing.T, e *Experiment, p *FaultPlan) string {
 	t.Helper()
-	key, err := e.planKey(p)
+	key, err := p.key(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func mustPlanKey(t *testing.T, e *Experiment, p *FaultPlan) string {
 // its supply.
 func TestEqualEffectsShareKeys(t *testing.T) {
 	e := tinyExperiment(t, 8)
-	base := e.baselineKey()
+	base := mustPlanKey(t, e, nil)
 	for _, p := range []*FaultPlan{
 		nil,
 		NewAttack1(1),
@@ -73,11 +73,11 @@ func TestDifferentEffectsDifferentKeys(t *testing.T) {
 		if ka == kb {
 			t.Fatalf("%s: distinct effects share a key", c.name)
 		}
-		if ka == e.baselineKey() || kb == e.baselineKey() {
+		if base := mustPlanKey(t, e, nil); ka == base || kb == base {
 			t.Fatalf("%s: an attack keyed like the attack-free network", c.name)
 		}
 	}
-	if _, err := e.planKey(NewAttack4(0)); err == nil {
+	if _, err := NewAttack4(0).key(e); err == nil {
 		t.Fatal("an invalid plan must not be keyed")
 	}
 }
@@ -127,9 +127,8 @@ func TestApplyInstallsKeyedEffect(t *testing.T) {
 }
 
 // TestAliasedCellReportsOwnPlan: cells that share a network share one
-// training and one stored result, yet every returned result and
-// streamed record names the cell's own plan, and the stored result is
-// never rewritten.
+// training and one stored result, yet every returned point and
+// streamed record names the cell's own plan.
 func TestAliasedCellReportsOwnPlan(t *testing.T) {
 	e := tinyExperiment(t, 20)
 	var buf bytes.Buffer
@@ -149,7 +148,7 @@ func TestAliasedCellReportsOwnPlan(t *testing.T) {
 	}
 
 	plans := []*FaultPlan{nil, zero, NewAttack4(0.8), flat, NewAttack4(0.8)}
-	results, err := e.RunPlans(plans)
+	pts, err := e.RunScenario(&Scenario{Plans: plans})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +159,9 @@ func TestAliasedCellReportsOwnPlan(t *testing.T) {
 		t.Fatalf("trained %d networks for 2 distinct effects", got)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	for i, r := range results {
-		if r.Plan != plans[i] {
-			t.Fatalf("result %d names plan %v, want its own %v", i, r.Plan, plans[i])
+	for i, p := range pts {
+		if p.Plan != plans[i] {
+			t.Fatalf("point %d names plan %v, want its own %v", i, p.Plan, plans[i])
 		}
 		var rec map[string]any
 		if err := json.Unmarshal([]byte(lines[i]), &rec); err != nil {
@@ -176,8 +175,8 @@ func TestAliasedCellReportsOwnPlan(t *testing.T) {
 			t.Fatalf("record %d names plan %v, want %q", i, rec["plan"], want)
 		}
 	}
-	if results[1].Accuracy != results[0].Accuracy || results[3].Accuracy != results[0].Accuracy {
-		t.Fatal("attack-free aliases must report the baseline's accuracy")
+	if pts[1].Result != pts[0].Result || pts[3].Result != pts[0].Result || pts[0].RelChangePc != 0 {
+		t.Fatal("attack-free aliases must share the baseline's stored result")
 	}
 
 	if r, err = e.Run(zero); err != nil {
@@ -185,10 +184,6 @@ func TestAliasedCellReportsOwnPlan(t *testing.T) {
 	}
 	if r.Plan != zero || e.TrainCount() != 2 {
 		t.Fatalf("Run of a cached alias: plan %v after %d trainings, want its own plan and no training", r.Plan, e.TrainCount())
-	}
-	stored, ok := e.Cache.Get(e.baselineKey())
-	if !ok || stored.Plan != nil {
-		t.Fatalf("stored baseline result rewritten: %+v (present %v)", stored, ok)
 	}
 }
 

@@ -44,8 +44,10 @@ type Report struct {
 	// HitRate is Cells.Cached / Cells.Total (0 for an empty campaign).
 	HitRate float64 `json:"hit_rate"`
 	// NetworksTrained counts actual snn training runs, baseline
-	// included — Cells.Trained's denominator-free cousin (a cell-level
-	// count excludes the baseline, which trains before the pool runs).
+	// included — Cells.Trained's denominator-free cousin (the cell
+	// count covers the campaign pools only, not a baseline or a Run
+	// looked up outside them, as the suite does before its first
+	// entry to print the baseline).
 	NetworksTrained int64        `json:"networks_trained"`
 	Telemetry       obs.Snapshot `json:"telemetry"`
 }

@@ -92,8 +92,8 @@ func TestMonitorReportReconciles(t *testing.T) {
 	if cold.Schema != ReportSchema || cold.Protocol != snn.ProtocolVersion {
 		t.Fatalf("report identity = %q/%q", cold.Schema, cold.Protocol)
 	}
-	if cold.Cells.Total != 3 {
-		t.Fatalf("cold cells total = %d, want 3", cold.Cells.Total)
+	if cold.Cells.Total != 4 { // the attack-free job and 3 cells
+		t.Fatalf("cold cells total = %d, want 4", cold.Cells.Total)
 	}
 	if cold.Cells.Cached+cold.Cells.Trained != cold.Cells.Total {
 		t.Fatalf("cell partition does not sum: %+v", cold.Cells)
@@ -165,10 +165,10 @@ func TestMonitorPreservesExistingProgress(t *testing.T) {
 	if _, err := e.RunScenario(reportScenario()); err != nil {
 		t.Fatal(err)
 	}
-	if seen != 3 {
-		t.Fatalf("original observer saw %d events, want 3", seen)
+	if seen != 4 { // the attack-free job and 3 cells
+		t.Fatalf("original observer saw %d events, want 4", seen)
 	}
-	if r := mon.Report(); r.Cells.Total != 3 {
-		t.Fatalf("monitor saw %d cells, want 3", r.Cells.Total)
+	if r := mon.Report(); r.Cells.Total != 4 {
+		t.Fatalf("monitor saw %d cells, want 4", r.Cells.Total)
 	}
 }

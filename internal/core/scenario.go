@@ -70,21 +70,29 @@ type VariationAxis struct {
 // each listed defense, with the dummy-neuron detector judging
 // alongside — the paper's §IV-§V evaluation protocol as a value.
 //
-// Compiling a scenario yields one flat job list, so all cells —
-// defended and undefended alike — share a single pool run, a single
-// trained baseline, and a single ordered sink stream. When Defenses or
-// a Detector are present, streamed records gain "defense" and
+// Compiling a scenario yields one flat job list — the attack-free
+// cell first, then the compiled cells — so all cells, defended and
+// undefended alike, share a single pool run, a single trained
+// baseline, and a single ordered sink stream. When Defenses or a
+// Detector are present, streamed records gain "defense" and
 // "detected" fields.
+//
+// A scenario has exactly one cell source: an attack family, explicit
+// Plans, WeightFaults or LearningRateFaults.
 type Scenario struct {
 	// Name labels records ("sweep" field); empty derives it from the
-	// attack family.
+	// cell source.
 	Name string
 	// Attack selects the swept family (Attack1 … Attack5). Zero means
-	// the scenario enumerates explicit Plans instead.
+	// the scenario lists its cells instead.
 	Attack AttackID
-	// Plans are ad-hoc cells for attack-less scenarios (the RunPlans
-	// path); a nil plan stands for the attack-free baseline.
+	// Plans are ad-hoc cells; a nil plan stands for the attack-free
+	// baseline.
 	Plans []*FaultPlan
+	// WeightFaults and LearningRateFaults are extension cells, one per
+	// spec (see extension.go). They take no defenses and no detector.
+	WeightFaults       []WeightFaultSpec
+	LearningRateFaults []LearningRateFaultSpec
 	// Axes spans the attack family's coordinate grid.
 	Axes Axes
 	// Defenses are the hardened replays. The undefended column is
@@ -98,14 +106,30 @@ type Scenario struct {
 
 // Validate reports specification errors.
 func (s *Scenario) Validate() error {
-	if s.Attack == 0 && len(s.Plans) == 0 {
-		return fmt.Errorf("core: scenario needs an attack family or explicit plans")
+	sources := 0
+	for _, set := range []bool{s.Attack != 0, len(s.Plans) > 0, len(s.WeightFaults) > 0, len(s.LearningRateFaults) > 0} {
+		if set {
+			sources++
+		}
 	}
-	if s.Attack != 0 && len(s.Plans) > 0 {
-		return fmt.Errorf("core: scenario cannot mix an attack family with explicit plans")
+	if sources != 1 {
+		return fmt.Errorf("core: scenario needs exactly one cell source (an attack family, plans, weight faults or learning-rate faults), got %d", sources)
+	}
+	for i, w := range s.WeightFaults {
+		if err := w.Validate(); err != nil {
+			return fmt.Errorf("core: weight fault %d: %w", i, err)
+		}
+	}
+	for i, l := range s.LearningRateFaults {
+		if err := l.Validate(); err != nil {
+			return fmt.Errorf("core: learning-rate fault %d: %w", i, err)
+		}
+	}
+	if len(s.WeightFaults)+len(s.LearningRateFaults) > 0 && (len(s.Defenses) > 0 || s.Detector != nil) {
+		return fmt.Errorf("core: defenses and the detector apply to fault plans, not to weight or learning-rate faults")
 	}
 	switch s.Attack {
-	case 0: // explicit plans
+	case 0: // listed cells
 	case Attack1, Attack2, Attack3, Attack4:
 		if len(s.Axes.ChangesPc) == 0 {
 			return fmt.Errorf("core: scenario %v needs Axes.ChangesPc", s.Attack)
@@ -143,17 +167,28 @@ func (s *Scenario) Validate() error {
 
 // name resolves the record label.
 func (s *Scenario) name() string {
-	if s.Name != "" {
+	switch {
+	case s.Name != "":
 		return s.Name
+	case s.Attack != 0:
+		return s.Attack.String()
+	case len(s.WeightFaults) > 0:
+		return "ext-weight-fault"
+	case len(s.LearningRateFaults) > 0:
+		return "ext-learning-rate"
 	}
-	if s.Attack == 0 {
-		return "plans"
-	}
-	return s.Attack.String()
+	return "plans"
 }
 
-// baseCells enumerates the undefended coordinate grid of the attack
-// family, one cell per coordinate, in deterministic sweep order.
+// planJob is the campaign job that trains plan.
+func planJob(point SweepPoint, plan *FaultPlan, desc string) campaignJob {
+	point.Plan = plan
+	return campaignJob{point: point, fault: plan, desc: desc}
+}
+
+// baseCells enumerates the scenario's undefended cells — its listed
+// cells, or the attack family's coordinate grid, one cell per
+// coordinate — in deterministic sweep order.
 func (s *Scenario) baseCells() []campaignJob {
 	maskSeed := s.Axes.MaskSeed
 	if maskSeed == 0 {
@@ -164,22 +199,34 @@ func (s *Scenario) baseCells() []campaignJob {
 		fractions = []float64{100}
 	}
 	var cells []campaignJob
-	switch s.Attack {
-	case 0:
-		for _, p := range s.Plans {
-			desc := "plan (baseline)"
-			if p != nil {
-				desc = fmt.Sprintf("plan %q", p.Name)
-			}
-			cells = append(cells, campaignJob{plan: p, desc: desc})
+	for _, p := range s.Plans {
+		desc := "plan (baseline)"
+		if p != nil {
+			desc = fmt.Sprintf("plan %q", p.Name)
 		}
+		cells = append(cells, planJob(SweepPoint{}, p, desc))
+	}
+	for _, w := range s.WeightFaults {
+		cells = append(cells, campaignJob{
+			// The plan only names the cell for records; it omits cadence
+			// and seed, and the cell is keyed by the full spec.
+			point: SweepPoint{Plan: &FaultPlan{Name: fmt.Sprintf("ext-weight-fault-%.2fx-%.0f%%", w.Scale, 100*w.Fraction)}},
+			fault: w,
+			desc:  w.String(),
+		})
+	}
+	for _, l := range s.LearningRateFaults {
+		cells = append(cells, campaignJob{
+			point: SweepPoint{Plan: &FaultPlan{Name: fmt.Sprintf("ext-learning-rate-%.2fx", l.Scale)}},
+			fault: l,
+			desc:  l.String(),
+		})
+	}
+	switch s.Attack {
 	case Attack1:
 		for _, c := range s.Axes.ChangesPc {
-			cells = append(cells, campaignJob{
-				point: SweepPoint{ScalePc: c, FractionPc: 100},
-				plan:  NewAttack1(1 + c/100),
-				desc:  fmt.Sprintf("attack 1 at %+.0f%%", c),
-			})
+			cells = append(cells, planJob(SweepPoint{ScalePc: c, FractionPc: 100},
+				NewAttack1(1+c/100), fmt.Sprintf("attack 1 at %+.0f%%", c)))
 		}
 	case Attack2, Attack3:
 		layer := Excitatory
@@ -189,20 +236,14 @@ func (s *Scenario) baseCells() []campaignJob {
 		}
 		for _, c := range s.Axes.ChangesPc {
 			for _, f := range fractions {
-				cells = append(cells, campaignJob{
-					point: SweepPoint{ScalePc: c, FractionPc: f},
-					plan:  build(1+c/100, f/100, maskSeed),
-					desc:  fmt.Sprintf("%v grid at %+.0f%%/%.0f%%", layer, c, f),
-				})
+				cells = append(cells, planJob(SweepPoint{ScalePc: c, FractionPc: f},
+					build(1+c/100, f/100, maskSeed), fmt.Sprintf("%v grid at %+.0f%%/%.0f%%", layer, c, f)))
 			}
 		}
 	case Attack4:
 		for _, c := range s.Axes.ChangesPc {
-			cells = append(cells, campaignJob{
-				point: SweepPoint{ScalePc: c, FractionPc: 100},
-				plan:  NewAttack4(1 + c/100),
-				desc:  fmt.Sprintf("attack 4 at %+.0f%%", c),
-			})
+			cells = append(cells, planJob(SweepPoint{ScalePc: c, FractionPc: 100},
+				NewAttack4(1+c/100), fmt.Sprintf("attack 4 at %+.0f%%", c)))
 		}
 	case Attack5:
 		for _, v := range s.Axes.VDDs {
@@ -211,28 +252,23 @@ func (s *Scenario) baseCells() []campaignJob {
 				// as consecutive rows, which is the order the pivoted
 				// p5/p50/p95 outputs consume.
 				for _, q := range vr.QuantilesPc {
-					cells = append(cells, campaignJob{
-						point: SweepPoint{VDD: v, FractionPc: 100, QuantilePc: q},
-						plan:  NewAttack5Variation(v, s.Axes.Kind, q, vr.RelSigmaPc),
-						desc:  fmt.Sprintf("attack 5 at VDD=%.2f p%g", v, q),
-					})
+					cells = append(cells, planJob(SweepPoint{VDD: v, FractionPc: 100, QuantilePc: q},
+						NewAttack5Variation(v, s.Axes.Kind, q, vr.RelSigmaPc), fmt.Sprintf("attack 5 at VDD=%.2f p%g", v, q)))
 				}
 				continue
 			}
-			cells = append(cells, campaignJob{
-				point: SweepPoint{VDD: v, FractionPc: 100},
-				plan:  NewAttack5(v, s.Axes.Kind),
-				desc:  fmt.Sprintf("attack 5 at VDD=%.2f", v),
-			})
+			cells = append(cells, planJob(SweepPoint{VDD: v, FractionPc: 100},
+				NewAttack5(v, s.Axes.Kind), fmt.Sprintf("attack 5 at VDD=%.2f", v)))
 		}
 	}
 	return cells
 }
 
-// compile lowers the scenario to its flat job list: the coordinate
+// compile lowers the scenario to its campaign's job list: the
+// attack-free cell first, then the compiled cells — the coordinate
 // grid crossed with the defense columns (undefended first), each
 // coordinate judged once by the detector. The expansion is pure — the
-// same scenario always compiles to the same cells in the same order,
+// same scenario always compiles to the same jobs in the same order,
 // which is what makes campaign output independent of worker count.
 func (s *Scenario) compile() ([]campaignJob, campaignMeta, error) {
 	meta := campaignMeta{
@@ -245,12 +281,9 @@ func (s *Scenario) compile() ([]campaignJob, campaignMeta, error) {
 		return nil, meta, err
 	}
 	base := s.baseCells()
-	if !meta.matrix {
-		return base, meta, nil
-	}
-	cells := make([]campaignJob, 0, len(base)*(1+len(s.Defenses)))
+	jobs := make([]campaignJob, 1, 1+len(base)*(1+len(s.Defenses)))
+	jobs[0] = planJob(SweepPoint{}, nil, "baseline (attack-free)")
 	for _, b := range base {
-		detected := false
 		if s.Detector != nil {
 			judged := b.point
 			if meta.variation {
@@ -263,21 +296,20 @@ func (s *Scenario) compile() ([]campaignJob, campaignMeta, error) {
 				// corner, which is the distributional-ROC story.
 				judged.VDD = 0
 			}
-			detected = s.Detector.Judge(judged, b.plan)
+			b.point.Detected = s.Detector.Judge(judged, b.point.Plan)
 		}
-		b.point.Detected = detected
-		cells = append(cells, b)
+		jobs = append(jobs, b)
 		for _, d := range s.Defenses {
-			cell := b
-			cell.point.Defense = d.Name()
-			if b.plan != nil {
-				cell.plan = d.Harden(b.plan)
+			plan := b.point.Plan
+			if plan != nil {
+				plan = d.Harden(plan)
 			}
-			cell.desc = fmt.Sprintf("%s [%s]", b.desc, d.Name())
-			cells = append(cells, cell)
+			cell := planJob(b.point, plan, fmt.Sprintf("%s [%s]", b.desc, d.Name()))
+			cell.point.Defense = d.Name()
+			jobs = append(jobs, cell)
 		}
 	}
-	return cells, meta, nil
+	return jobs, meta, nil
 }
 
 // RunScenario compiles the scenario and executes every cell on the
@@ -285,57 +317,66 @@ func (s *Scenario) compile() ([]campaignJob, campaignMeta, error) {
 // same attack share one pool run, one trained baseline, and one
 // ordered sink stream, and each cell is served from the result cache
 // when its configuration was already trained — in this process or (with
-// a disk-backed cache) a previous one. Results arrive in compile
+// a disk-backed cache) a previous one. Points arrive in compile
 // order: coordinate-major, the undefended column before each
 // coordinate's defended replays.
 func (e *Experiment) RunScenario(s *Scenario) ([]SweepPoint, error) {
-	cells, meta, err := s.compile()
+	jobs, meta, err := s.compile()
 	if err != nil {
 		return nil, err
 	}
-	return e.runCampaign(meta, cells)
+	return e.runCampaign(meta, jobs)
 }
 
-// RunScenarioSubset compiles the scenario and executes only the cells
-// the filter keeps (called with each cell's compile-order index and
-// content address), returning their points in compile order. This is
-// the fabric worker's entry point: a shard executes exactly its
-// assigned cells, writing each result through the experiment's cache
-// chain into the shared store, and discards nothing else — the
-// coordinator later re-runs the full scenario against the warmed
-// store, where every cell is a cache hit, to emit the merged sinks.
-// Because a cell's result is a pure function of its content address,
-// which process computed it is unobservable in the merged output.
+// RunScenarioSubset executes, once each, the distinct cells of the
+// scenario's job list whose content address keep accepts, and returns
+// those keys in job order. This is the fabric worker's entry point: a
+// shard executes exactly its assigned cells, writing each result
+// through the experiment's cache chain into the shared store. It
+// never assembles points or streams records, because a shard need not
+// hold the baseline they are scored against; the coordinator later
+// re-runs the full scenario against the warmed store, where every
+// cell is a cache hit, to emit the merged sinks. Because a cell's
+// result is a pure function of its content address, which process
+// computed it is unobservable in the merged output.
 //
-// An empty selection returns immediately without training anything —
-// the shared baseline included, so a fully-warm shard costs nothing.
-func (e *Experiment) RunScenarioSubset(s *Scenario, keep func(index int, key string) bool) ([]SweepPoint, error) {
-	cells, meta, err := s.compile()
+// An empty selection returns immediately without training anything,
+// so a fully-warm shard costs nothing.
+func (e *Experiment) RunScenarioSubset(s *Scenario, keep func(key string) bool) ([]string, error) {
+	jobs, _, err := s.compile()
 	if err != nil {
 		return nil, err
 	}
-	keys, err := e.cellKeys(cells)
+	keys, err := e.cellKeys(jobs)
 	if err != nil {
 		return nil, err
 	}
-	kept := make([]campaignJob, 0, len(cells))
-	for i, c := range cells {
-		if keep(i, keys[i]) {
-			kept = append(kept, c)
+	var run []campaignJob
+	var ran []string
+	seen := map[string]bool{}
+	for i, c := range jobs {
+		if !seen[keys[i]] && keep(keys[i]) {
+			seen[keys[i]] = true
+			run, ran = append(run, c), append(ran, keys[i])
 		}
 	}
-	return e.runCampaign(meta, kept)
+	if len(run) == 0 {
+		return nil, nil
+	}
+	if err := e.runJobs(run, ran, e.evalWidth(len(run)), nil); err != nil {
+		return nil, err
+	}
+	return ran, nil
 }
 
 // ScenarioKeys returns the content addresses of every cell the
-// scenario compiles to, in compile order — the keys a disk cache will
-// be probed with. Cells whose plans have equal effects share a key.
-// Campaign tooling uses it to audit which cells of a resumable
-// campaign are already on disk.
+// scenario compiles to, in compile order and without the attack-free
+// job 0 — the keys of the points RunScenario returns. Cells whose
+// plans have equal effects share a key.
 func (e *Experiment) ScenarioKeys(s *Scenario) ([]string, error) {
-	cells, _, err := s.compile()
+	jobs, _, err := s.compile()
 	if err != nil {
 		return nil, err
 	}
-	return e.cellKeys(cells)
+	return e.cellKeys(jobs[1:])
 }

@@ -50,6 +50,11 @@ func TestScenarioValidate(t *testing.T) {
 		{"attack5 without vdds", Scenario{Attack: Attack5}},
 		{"unknown attack", Scenario{Attack: AttackID(9), Axes: Axes{ChangesPc: []float64{1}}}},
 		{"nil defense", Scenario{Attack: Attack1, Axes: Axes{ChangesPc: []float64{1}}, Defenses: []Hardening{nil}}},
+		{"two extension kinds", Scenario{WeightFaults: []WeightFaultSpec{{Scale: 0.5, Fraction: 0.5}}, LearningRateFaults: []LearningRateFaultSpec{{Scale: 0.5}}}},
+		{"invalid weight fault", Scenario{WeightFaults: []WeightFaultSpec{{Scale: 0, Fraction: 0.5}}}},
+		{"invalid learning-rate fault", Scenario{LearningRateFaults: []LearningRateFaultSpec{{Scale: -1}}}},
+		{"defended weight faults", Scenario{WeightFaults: []WeightFaultSpec{{Scale: 0.5, Fraction: 0.5}}, Defenses: []Hardening{attenuator{"a", 0.5}}}},
+		{"judged learning-rate faults", Scenario{LearningRateFaults: []LearningRateFaultSpec{{Scale: 0.5}}, Detector: bigExcursionJudge{}}},
 	}
 	for _, c := range cases {
 		if err := c.s.Validate(); err == nil {
@@ -63,9 +68,10 @@ func TestScenarioValidate(t *testing.T) {
 }
 
 // TestScenarioCompileDeterministic: compiling the same scenario twice
-// yields the same cells — coordinates, plans, descriptions, content
-// addresses — in the same order. This purity is what makes campaign
-// output independent of worker count.
+// yields the same jobs — the attack-free job first, then the cells'
+// coordinates, plans, descriptions, content addresses — in the same
+// order. This purity is what makes campaign output independent of
+// worker count.
 func TestScenarioCompileDeterministic(t *testing.T) {
 	e := tinyExperiment(t, 10)
 	s := &Scenario{
@@ -86,8 +92,11 @@ func TestScenarioCompileDeterministic(t *testing.T) {
 		t.Fatalf("matrix scenario compiled to meta %+v", metaA)
 	}
 	wantCells := 2 * 2 * 3 // coords × (undefended + 2 defenses)
-	if len(a) != wantCells || len(b) != wantCells {
-		t.Fatalf("compiled %d/%d cells, want %d", len(a), len(b), wantCells)
+	if len(a) != 1+wantCells || len(b) != 1+wantCells {
+		t.Fatalf("compiled %d/%d jobs, want the baseline and %d cells", len(a), len(b), wantCells)
+	}
+	if a[0].point.Plan != nil || a[0].desc != "baseline (attack-free)" {
+		t.Fatalf("job 0 is %q, want the attack-free cell", a[0].desc)
 	}
 	keysA, err := e.cellKeys(a)
 	if err != nil {
@@ -99,9 +108,11 @@ func TestScenarioCompileDeterministic(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for i := range a {
-		if a[i].desc != b[i].desc || keysA[i] != keysB[i] ||
-			a[i].point != b[i].point || a[i].plan.Name != b[i].plan.Name {
-			t.Fatalf("cell %d differs between compilations: %+v vs %+v", i, a[i], b[i])
+		pa, pb := a[i].point, b[i].point
+		pa.Plan, pb.Plan = nil, nil
+		if a[i].desc != b[i].desc || keysA[i] != keysB[i] || pa != pb ||
+			(i > 0 && a[i].point.Plan.Name != b[i].point.Plan.Name) {
+			t.Fatalf("job %d differs between compilations: %+v vs %+v", i, a[i], b[i])
 		}
 		if seen[keysA[i]] {
 			t.Fatalf("cell %d (%s) reuses a content address", i, a[i].desc)
@@ -116,7 +127,7 @@ func TestScenarioCompileDeterministic(t *testing.T) {
 		t.Fatalf("ScenarioKeys returned %d keys, want %d", len(keys), wantCells)
 	}
 	for i, k := range keys {
-		if k != keysA[i] {
+		if k != keysA[i+1] {
 			t.Fatalf("ScenarioKeys[%d] disagrees with compile", i)
 		}
 	}
@@ -177,20 +188,20 @@ func TestScenarioMatrixDeterministicAcrossWorkers(t *testing.T) {
 	}
 	// The defended replay really is the attenuated plan, not a copy of
 	// the undefended cell.
-	if ref[1].Result.Plan.Name != ref[0].Result.Plan.Name+"+atten" {
-		t.Fatalf("defended plan %q does not derive from %q", ref[1].Result.Plan.Name, ref[0].Result.Plan.Name)
+	if ref[1].Plan.Name != ref[0].Plan.Name+"+atten" {
+		t.Fatalf("defended plan %q does not derive from %q", ref[1].Plan.Name, ref[0].Plan.Name)
 	}
 }
 
-// TestAttack1SweepGoldenRecords pins the pre-scenario record schema of
-// the compatibility sweeps: same field names, same order, no matrix
-// fields, values matching the returned points.
+// TestAttack1SweepGoldenRecords pins the record schema of a plain
+// sweep: the pre-scenario field names, in order, no matrix fields,
+// values matching the returned points.
 func TestAttack1SweepGoldenRecords(t *testing.T) {
 	e := tinyExperiment(t, 40)
 	var buf bytes.Buffer
 	sink := runner.NewJSONLSink(&buf)
 	e.Sinks = []runner.Sink{sink}
-	pts, err := e.Attack1Sweep([]float64{-20, 20})
+	pts, err := e.RunScenario(&Scenario{Name: "attack1-theta", Attack: Attack1, Axes: Axes{ChangesPc: []float64{-20, 20}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,10 +227,11 @@ func TestAttack1SweepGoldenRecords(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatal(err)
 		}
-		if rec["sweep"] != "attack1-theta" || rec["plan"] != pts[i].Result.Plan.Name {
+		if rec["sweep"] != "attack1-theta" || rec["plan"] != pts[i].Plan.Name {
 			t.Fatalf("record %d mislabeled: %s", i, line)
 		}
-		if rec["accuracy"] != pts[i].Result.Accuracy || rec["scale_pc"] != pts[i].ScalePc {
+		if rec["accuracy"] != pts[i].Result.Accuracy || rec["baseline"] != pts[i].Baseline ||
+			rec["rel_change_pc"] != pts[i].RelChangePc || rec["scale_pc"] != pts[i].ScalePc {
 			t.Fatalf("record %d values do not match point %+v: %s", i, pts[i], line)
 		}
 	}
@@ -233,7 +245,7 @@ func TestLayerGridEquivalentToDirectRuns(t *testing.T) {
 	e := tinyExperiment(t, 40)
 	changes := []float64{-20, 10}
 	fractions := []float64{50, 100}
-	pts, err := e.LayerGrid(Excitatory, changes, fractions)
+	pts, err := e.RunScenario(&Scenario{Attack: Attack2, Axes: Axes{ChangesPc: changes, FractionsPc: fractions}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +261,8 @@ func TestLayerGridEquivalentToDirectRuns(t *testing.T) {
 			if p.ScalePc != c || p.FractionPc != f {
 				t.Fatalf("cell %d coords (%g,%g), want (%g,%g)", i, p.ScalePc, p.FractionPc, c, f)
 			}
-			if direct.Accuracy != p.Result.Accuracy || direct.RelChangePc != p.Result.RelChangePc {
-				t.Fatalf("cell %d: direct run %+v != grid %+v", i, *direct, *p.Result)
+			if direct.Result != p.Result || direct.RelChangePc != p.RelChangePc {
+				t.Fatalf("cell %d: direct run %+v != grid %+v", i, direct, p)
 			}
 			i++
 		}
@@ -280,7 +292,7 @@ func TestColdProcessResume(t *testing.T) {
 	dir := t.TempDir()
 	e1, disk1 := tieredExperiment(t, 40, dir)
 	e1.Workers = 4
-	first, err := e1.LayerGrid(Inhibitory, []float64{-20}, []float64{50, 100})
+	first, err := e1.RunScenario(&Scenario{Attack: Attack3, Axes: Axes{ChangesPc: []float64{-20}, FractionsPc: []float64{50, 100}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +308,8 @@ func TestColdProcessResume(t *testing.T) {
 	// cells must come back without training.
 	e2, _ := tieredExperiment(t, 40, dir)
 	e2.Workers = 4
-	second, err := e2.LayerGrid(Inhibitory, []float64{-20, 10}, []float64{50, 100})
+	grid := &Scenario{Attack: Attack3, Axes: Axes{ChangesPc: []float64{-20, 10}, FractionsPc: []float64{50, 100}}}
+	second, err := e2.RunScenario(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +321,7 @@ func TestColdProcessResume(t *testing.T) {
 	// Third process, identical campaign: everything is on disk.
 	e3, _ := tieredExperiment(t, 40, dir)
 	e3.Workers = 4
-	third, err := e3.LayerGrid(Inhibitory, []float64{-20, 10}, []float64{50, 100})
+	third, err := e3.RunScenario(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +335,7 @@ func TestColdProcessResume(t *testing.T) {
 }
 
 // TestExtensionFaultsPooledAndCached is the extension port's contract:
-// weight and learning-rate faults are content-addressed campaign cells
+// weight and learning-rate faults are content-addressed scenario cells
 // — repeated runs retrain zero networks (in-process and across a disk
 // resume), they count toward TrainCount, and they stream to sinks.
 func TestExtensionFaultsPooledAndCached(t *testing.T) {
@@ -332,43 +345,36 @@ func TestExtensionFaultsPooledAndCached(t *testing.T) {
 	sink := runner.NewJSONLSink(&buf)
 	e.Sinks = []runner.Sink{sink}
 
-	wspec := WeightFaultSpec{Scale: 0.7, Fraction: 0.5, EveryNImages: 10, Seed: 11}
-	lspec := LearningRateFaultSpec{Scale: 0.5}
-	w1, err := e.RunWeightFault(wspec)
-	if err != nil {
-		t.Fatal(err)
+	weight := &Scenario{WeightFaults: []WeightFaultSpec{{Scale: 0.7, Fraction: 0.5, EveryNImages: 10, Seed: 11}}}
+	rate := &Scenario{LearningRateFaults: []LearningRateFaultSpec{{Scale: 0.5}}}
+	run := func(e *Experiment, s *Scenario) SweepPoint {
+		t.Helper()
+		pts, err := e.RunScenario(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts[0]
 	}
+	w1 := run(e, weight)
 	if got := e.TrainCount(); got != 2 { // baseline + fault cell
 		t.Fatalf("weight fault accounted %d trains, want 2", got)
 	}
-	l1, err := e.RunLearningRateFault(lspec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l1 := run(e, rate)
 	if got := e.TrainCount(); got != 3 {
 		t.Fatalf("learning-rate fault accounted %d trains, want 3", got)
 	}
 
 	// Repeated extension runs retrain zero times.
-	w2, err := e.RunWeightFault(wspec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := e.RunLearningRateFault(lspec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w2, l2 := run(e, weight), run(e, rate)
 	if got := e.TrainCount(); got != 3 {
 		t.Fatalf("repeated extension runs retrained %d networks, want 0", got-3)
 	}
-	if w1.Accuracy != w2.Accuracy || l1.Accuracy != l2.Accuracy {
+	if w1.Result != w2.Result || l1.Result != l2.Result {
 		t.Fatal("cached extension results differ from the originals")
 	}
 
 	// A distinct cadence is a distinct content address.
-	if _, err := e.RunWeightFault(WeightFaultSpec{Scale: 0.7, Fraction: 0.5, EveryNImages: 20, Seed: 11}); err != nil {
-		t.Fatal(err)
-	}
+	run(e, &Scenario{WeightFaults: []WeightFaultSpec{{Scale: 0.7, Fraction: 0.5, EveryNImages: 20, Seed: 11}}})
 	if got := e.TrainCount(); got != 4 {
 		t.Fatalf("distinct cadence trained %d networks, want 1 more", got-3)
 	}
@@ -377,20 +383,18 @@ func TestExtensionFaultsPooledAndCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, `"sweep":"ext-weight-fault"`) || !strings.Contains(out, `"sweep":"ext-learning-rate"`) {
+	if !strings.Contains(out, `"sweep":"ext-weight-fault","plan":"ext-weight-fault-0.70x-50%"`) ||
+		!strings.Contains(out, `"sweep":"ext-learning-rate","plan":"ext-learning-rate-0.50x"`) {
 		t.Fatalf("extension cells did not stream to sinks:\n%s", out)
 	}
 
 	// Cold-process resume covers extensions too.
 	e2, _ := tieredExperiment(t, 40, dir)
-	w3, err := e2.RunWeightFault(wspec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w3 := run(e2, weight)
 	if got := e2.TrainCount(); got != 0 {
 		t.Fatalf("warm-disk extension run trained %d networks, want 0", got)
 	}
-	if w3.Accuracy != w1.Accuracy || w3.RelChangePc != w1.RelChangePc {
+	if w3.Result.Accuracy != w1.Result.Accuracy || w3.RelChangePc != w1.RelChangePc {
 		t.Fatal("disk-resumed extension result drifted")
 	}
 }

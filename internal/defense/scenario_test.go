@@ -56,8 +56,8 @@ func TestDefendedSweepThroughScenario(t *testing.T) {
 			g, w := pts[i], ref[i]
 			if g.VDD != w.VDD || g.Defense != w.Defense || g.Detected != w.Detected ||
 				g.Result.Accuracy != w.Result.Accuracy ||
-				g.Result.RelChangePc != w.Result.RelChangePc ||
-				g.Result.Plan.Name != w.Result.Plan.Name {
+				g.RelChangePc != w.RelChangePc ||
+				g.Plan.Name != w.Plan.Name {
 				t.Fatalf("workers=%d: point %d differs: %+v vs %+v", workers, i, g, w)
 			}
 		}
@@ -83,9 +83,9 @@ func TestDefendedSweepThroughScenario(t *testing.T) {
 	}
 	// Hardening must help: the defended 0.8 V cell cannot be worse
 	// than the undefended one.
-	if ref[1].Result.RelChangePc < ref[0].Result.RelChangePc {
+	if ref[1].RelChangePc < ref[0].RelChangePc {
 		t.Fatalf("sizing made the attack worse: %+.2f%% vs %+.2f%%",
-			ref[1].Result.RelChangePc, ref[0].Result.RelChangePc)
+			ref[1].RelChangePc, ref[0].RelChangePc)
 	}
 }
 

@@ -17,9 +17,9 @@ import (
 // suite JSON) and audited forever after against the live store
 // manifest — registration compiles the suite's network cells into
 // content addresses exactly once; every status read is pure set
-// membership against the manifest. Sweep points workers have already
-// pushed are served back as cells, so a dashboard (or a warm
-// coordinator) reads results at store latency.
+// membership against the manifest. Cells workers have already pushed
+// are served back, so a dashboard (or a warm coordinator) reads
+// results at store latency.
 
 // CampaignSchema names the campaign status wire format.
 const CampaignSchema = "snnfi-campaign-v1"
@@ -160,10 +160,12 @@ func (s *Server) handleGetCampaign(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, st)
 }
 
-// handleCampaignCells serves the sweep points already in the store:
-// every present cell with its payload, in audit order. Missing cells
-// are simply absent — the reader compares against /campaign/{id} to
-// see what is still cooking.
+// handleCampaignCells serves the cells already in the store: every
+// present cell with its payload (a core.Result: accuracy and total
+// spikes), in audit order. The baseline is its own cell (entry ""),
+// against which a reader scores the others. Missing cells are simply
+// absent — the reader compares against /campaign/{id} to see what is
+// still cooking.
 func (s *Server) handleCampaignCells(w http.ResponseWriter, r *http.Request) {
 	c := s.campaign(r.PathValue("id"))
 	if c == nil {

@@ -93,32 +93,7 @@ type Pool[T any] struct {
 	// Subsystems that own a pool set it so their phases stay separate
 	// ("core.cells", "snn.eval", "neuron.sweep").
 	Name string
-	// Executor, when non-nil, computes the jobs the cache and the
-	// in-flight table could not serve; nil means LocalExecutor (run the
-	// job in the worker goroutine). The cache/singleflight layers sit
-	// in front of it either way, so an executor sees each distinct
-	// missed key exactly once per batch.
-	Executor Executor[T]
 }
-
-// Executor is where a cache-missed job's computation happens. The
-// pool owns scheduling, caching, in-flight deduplication and ordered
-// collection; the executor owns only the compute, so local goroutines
-// and remote workers are the same interface. LocalExecutor (the
-// default) calls the job's Run in the worker goroutine; a remote
-// executor instead dispatches the job — by its content address — to
-// another process or host and returns the fetched result. Execute
-// must be safe for concurrent use.
-type Executor[T any] interface {
-	Execute(j Job[T]) (T, error)
-}
-
-// LocalExecutor computes jobs in-process — the seam's identity
-// element, and the executor every pool uses unless one is injected.
-type LocalExecutor[T any] struct{}
-
-// Execute implements Executor.
-func (LocalExecutor[T]) Execute(j Job[T]) (T, error) { return j.Run() }
 
 // flight tracks one computation of a cache key within a batch so
 // duplicate jobs wait for the leader instead of recomputing. Entries
@@ -197,11 +172,6 @@ func (p *Pool[T]) Run(jobs []Job[T]) ([]T, error) {
 		hitsCnt  = p.Obs.Counter(name + ".hits")
 	)
 
-	var exec Executor[T] = p.Executor
-	if exec == nil {
-		exec = LocalExecutor[T]{}
-	}
-
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -210,7 +180,7 @@ func (p *Pool[T]) Run(jobs []Job[T]) ([]T, error) {
 			for i := range idx {
 				jobStart := time.Now()
 				waitHist.Observe(jobStart.Sub(batchStart))
-				v, hit, err := p.runOne(exec, jobs[i], flights, &flightMu)
+				v, hit, err := p.runOne(jobs[i], flights, &flightMu)
 				jobDur := time.Since(jobStart)
 				busyNs.Add(int64(jobDur))
 				runHist.Observe(jobDur)
@@ -269,16 +239,15 @@ func (p *Pool[T]) Run(jobs []Job[T]) ([]T, error) {
 }
 
 // runOne executes a single job through the cache and the in-flight
-// deduplication table; exec is where the computation itself happens
-// (local by default — see Executor). A keyed job looks its key up
-// once, outside flightMu, and a miss is not looked up again before the
-// job leads its flight: a Put landing in between (another process
-// sharing the store) costs one duplicate compute of a pure cell, never
-// wrong bytes, and within a batch the flight table already gives each
-// key one leader.
-func (p *Pool[T]) runOne(exec Executor[T], j Job[T], flights map[string]*flight[T], flightMu *sync.Mutex) (T, bool, error) {
+// deduplication table. A keyed job looks its key up once, outside
+// flightMu, and a miss is not looked up again before the job leads
+// its flight: a Put landing in between (another process sharing the
+// store) costs one duplicate compute of a pure cell, never wrong
+// bytes, and within a batch the flight table already gives each key
+// one leader.
+func (p *Pool[T]) runOne(j Job[T], flights map[string]*flight[T], flightMu *sync.Mutex) (T, bool, error) {
 	if j.Key == "" {
-		v, err := exec.Execute(j)
+		v, err := j.Run()
 		return v, false, err
 	}
 	if p.Cache != nil {
@@ -300,7 +269,7 @@ func (p *Pool[T]) runOne(exec Executor[T], j Job[T], flights map[string]*flight[
 	flights[j.Key] = f
 	flightMu.Unlock()
 
-	f.v, f.err = exec.Execute(j)
+	f.v, f.err = j.Run()
 	if f.err == nil && p.Cache != nil {
 		p.Cache.Put(j.Key, f.v)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -133,8 +132,9 @@ func TestPoolProgress(t *testing.T) {
 func TestPoolCacheAndSingleflight(t *testing.T) {
 	// Eight jobs share one content key: with a cache attached, the
 	// computation runs exactly once (singleflight collapses the batch)
-	// and every job gets the same result.
-	var runs atomic.Int64
+	// and every job gets the same result. A keyless job in the same
+	// batch is neither cached nor deduplicated: it runs every time.
+	var runs, keyless atomic.Int64
 	jobs := make([]Job[int], 8)
 	for i := range jobs {
 		jobs[i] = Job[int]{
@@ -147,6 +147,10 @@ func TestPoolCacheAndSingleflight(t *testing.T) {
 			},
 		}
 	}
+	jobs = append(jobs, Job[int]{Label: "keyless", Run: func() (int, error) {
+		keyless.Add(1)
+		return 3, nil
+	}})
 	cache := NewMemoryCache[int]()
 	p := &Pool[int]{Workers: 8, Cache: cache}
 	got, err := p.Run(jobs)
@@ -156,18 +160,25 @@ func TestPoolCacheAndSingleflight(t *testing.T) {
 	if n := runs.Load(); n != 1 {
 		t.Fatalf("shared job ran %d times, want 1", n)
 	}
-	for i, v := range got {
+	for i, v := range got[:8] {
 		if v != 7 {
 			t.Fatalf("result[%d] = %d, want 7", i, v)
 		}
 	}
-	// A second batch is served entirely from the cache.
+	if got[8] != 3 {
+		t.Fatalf("keyless result = %d, want 3", got[8])
+	}
+	// A second batch is served entirely from the cache, except the
+	// keyless job.
 	runs.Store(0)
 	if _, err := p.Run(jobs); err != nil {
 		t.Fatal(err)
 	}
 	if n := runs.Load(); n != 0 {
 		t.Fatalf("cached batch recomputed %d times", n)
+	}
+	if n := keyless.Load(); n != 2 {
+		t.Fatalf("keyless job ran %d times in two batches, want 2", n)
 	}
 	if hits, _ := cache.Stats(); hits < 8 {
 		t.Fatalf("cache hits = %d, want ≥8", hits)
@@ -349,71 +360,5 @@ func TestCSVSink(t *testing.T) {
 	want := strings.Join([]string{"a,b,n", "1.5,x,3", "-0.25,y,4", ""}, "\n")
 	if buf.String() != want {
 		t.Fatalf("csv output:\n%q\nwant:\n%q", buf.String(), want)
-	}
-}
-
-// recordingExecutor proves the executor seam: it counts which job keys
-// reached Execute, standing in for a remote dispatcher.
-type recordingExecutor struct {
-	mu   sync.Mutex
-	keys []string
-}
-
-func (e *recordingExecutor) Execute(j Job[int]) (int, error) {
-	e.mu.Lock()
-	e.keys = append(e.keys, j.Key)
-	e.mu.Unlock()
-	return j.Run()
-}
-
-// TestPoolExecutorSeam: an injected Executor sees exactly the jobs the
-// cache and the in-flight table could not serve — one Execute per
-// distinct missed key — and results stay byte-identical to the local
-// path. This is the remote-worker contract: a dispatcher never
-// receives a key twice in one batch, and cached cells never leave the
-// process.
-func TestPoolExecutorSeam(t *testing.T) {
-	cache := NewMemoryCache[int]()
-	cache.Put("warm", 99)
-	exec := &recordingExecutor{}
-	pool := &Pool[int]{Workers: 4, Cache: cache, Executor: exec}
-
-	jobs := []Job[int]{
-		{Label: "a", Key: "warm", Run: func() (int, error) { t.Error("cached job must not run"); return 0, nil }},
-		{Label: "b", Key: "cold", Run: func() (int, error) { return 7, nil }},
-		{Label: "c", Key: "cold", Run: func() (int, error) { return 7, nil }},
-		{Label: "d", Key: "", Run: func() (int, error) { return 3, nil }},
-	}
-	got, err := pool.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{99, 7, 7, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("results = %v, want %v", got, want)
-		}
-	}
-
-	sort.Strings(exec.keys)
-	// "cold" exactly once (singleflight), "" for the keyless job,
-	// never "warm".
-	if len(exec.keys) != 2 || exec.keys[0] != "" || exec.keys[1] != "cold" {
-		t.Fatalf("executor saw keys %q, want [\"\" cold]", exec.keys)
-	}
-
-	// The default (nil Executor) path computes the same results.
-	cache2 := NewMemoryCache[int]()
-	cache2.Put("warm", 99)
-	pool2 := &Pool[int]{Workers: 4, Cache: cache2}
-	jobs[0].Run = func() (int, error) { t.Error("cached job must not run"); return 0, nil }
-	got2, err := pool2.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != got2[i] {
-			t.Fatalf("executor path diverged from local path: %v vs %v", got, got2)
-		}
 	}
 }

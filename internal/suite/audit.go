@@ -7,9 +7,9 @@ import (
 // Suite-level cell enumeration: the campaign service answers "how far
 // along is this suite?" by comparing the cells the suite would compute
 // against a store manifest — without building networks or touching
-// SPICE. Scenario entries are the shardable network tier; other entry
-// kinds (waveforms, circuit sweeps, weight faults) run locally in the
-// coordinator and are deliberately outside this audit.
+// SPICE. The entries that compile to scenarios (scenario, weight_faults
+// and learning_rate_faults) are the shardable network tier; circuit
+// entries run locally in the coordinator and are outside this audit.
 
 // CellRef is one network-tier cell a suite would compute, attributed
 // to the entry that compiles it ("" for the shared attack-free
@@ -21,7 +21,7 @@ type CellRef struct {
 	Present bool   `json:"present"`
 }
 
-// AuditCells compiles every scenario entry of the suite and reports
+// AuditCells compiles every network entry of the suite and reports
 // each distinct network cell's standing against held (a membership
 // predicate over a store manifest, core.HeldSet). Pure key arithmetic:
 // nothing is trained, the corpus is loaded only for its fingerprint.
@@ -41,12 +41,12 @@ func (r *Runner) AuditCells(held func(key string) bool) ([]CellRef, error) {
 	seen := map[string]bool{}
 	for i := range r.Suite.Entries {
 		en := &r.Suite.Entries[i]
-		if en.Scenario == nil {
-			continue
-		}
-		scn, err := en.Scenario.Compile()
+		scn, err := en.scenario()
 		if err != nil {
 			return nil, err
+		}
+		if scn == nil {
+			continue
 		}
 		audit, err := e.AuditScenario(scn, held)
 		if err != nil {

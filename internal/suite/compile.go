@@ -11,7 +11,8 @@ import (
 )
 
 // This file lowers suite specifications onto the executable layers:
-// ScenarioSpec → core.Scenario, DefenseSpec → core.Hardening,
+// ScenarioSpec, weight_faults and learning_rate_faults →
+// core.Scenario, DefenseSpec → core.Hardening,
 // DetectorSpec → defense.DetectorConfig, RecipeRef →
 // neuron.RecipeSpec. Compilation is pure — the same spec always
 // yields the same value — which is what makes a suite's cell keys
@@ -110,24 +111,12 @@ func (e *Entry) validate() error {
 			return fmt.Errorf("circuit series %d: %w", i, err)
 		}
 	}
-	if e.Scenario != nil {
-		if _, err := e.Scenario.Compile(); err != nil {
-			return err
-		}
+	if _, err := e.scenario(); err != nil {
+		return err
 	}
 	if mc := e.MonteCarlo; mc != nil {
 		if err := mc.validate(); err != nil {
 			return err
-		}
-	}
-	for i, w := range e.WeightFaults {
-		if err := w.compile().Validate(); err != nil {
-			return fmt.Errorf("weight fault %d: %w", i, err)
-		}
-	}
-	for i, l := range e.LearningRateFaults {
-		if err := l.compile().Validate(); err != nil {
-			return fmt.Errorf("learning-rate fault %d: %w", i, err)
 		}
 	}
 	if d := e.Detection; d != nil {
@@ -489,12 +478,27 @@ func (d *DetectorSpec) Compile() (defense.DetectorConfig, error) {
 	return cfg, nil
 }
 
-func (w WeightFaultSpec) compile() core.WeightFaultSpec {
-	return core.WeightFaultSpec{Scale: w.Scale, Fraction: w.Fraction, EveryNImages: w.EveryNImages, Seed: w.Seed}
-}
-
-func (l LearningRateFaultSpec) compile() core.LearningRateFaultSpec {
-	return core.LearningRateFaultSpec{Scale: l.Scale}
+// scenario compiles the entry's network cells: its scenario spec, or
+// its weight- or learning-rate-fault list as an extension scenario.
+// An entry without network cells compiles to nil.
+func (e *Entry) scenario() (*core.Scenario, error) {
+	if e.Scenario != nil {
+		return e.Scenario.Compile()
+	}
+	if len(e.WeightFaults)+len(e.LearningRateFaults) == 0 {
+		return nil, nil
+	}
+	scn := &core.Scenario{}
+	for _, w := range e.WeightFaults {
+		scn.WeightFaults = append(scn.WeightFaults, core.WeightFaultSpec{Scale: w.Scale, Fraction: w.Fraction, EveryNImages: w.EveryNImages, Seed: w.Seed})
+	}
+	for _, l := range e.LearningRateFaults {
+		scn.LearningRateFaults = append(scn.LearningRateFaults, core.LearningRateFaultSpec{Scale: l.Scale})
+	}
+	if err := scn.Validate(); err != nil {
+		return nil, err
+	}
+	return scn, nil
 }
 
 func (mc *MonteCarloSpec) validate() error {

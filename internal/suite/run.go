@@ -202,17 +202,13 @@ func (r *Runner) runEntry(e *Entry) error {
 		if e.Scenario != nil {
 			// The combined form: the circuit series owned the output;
 			// the scenario replay is print-only.
-			return r.runScenario(e.Scenario, nil)
+			return r.runScenario(e, nil)
 		}
 		return nil
-	case e.Scenario != nil:
-		return r.runScenario(e.Scenario, e.Output)
+	case e.Scenario != nil, len(e.WeightFaults) > 0, len(e.LearningRateFaults) > 0:
+		return r.runScenario(e, e.Output)
 	case e.MonteCarlo != nil:
 		return r.runMonteCarlo(e)
-	case len(e.WeightFaults) > 0:
-		return r.runWeightFaults(e)
-	case len(e.LearningRateFaults) > 0:
-		return r.runLearningRateFaults(e)
 	case e.Detection != nil:
 		return r.runDetection(e)
 	case e.Coverage != nil:
@@ -407,8 +403,8 @@ func columnValue(c ColumnSpec, series [][]neuron.Point, row int) float64 {
 	return 0
 }
 
-func (r *Runner) runScenario(spec *ScenarioSpec, out *OutputSpec) error {
-	scn, err := spec.Compile()
+func (r *Runner) runScenario(en *Entry, out *OutputSpec) error {
+	scn, err := en.scenario()
 	if err != nil {
 		return err
 	}
@@ -421,20 +417,24 @@ func (r *Runner) runScenario(spec *ScenarioSpec, out *OutputSpec) error {
 		return err
 	}
 	w := r.stdout()
-	for _, p := range pts {
+	for i, p := range pts {
 		col := "undefended"
 		if p.Defense != "" {
 			col = p.Defense
 		}
 		coord := fmt.Sprintf("Δ%+g%%/%g%%", p.ScalePc, p.FractionPc)
-		if scn.Attack == core.Attack5 {
+		switch {
+		case scn.Attack == core.Attack5 && scn.Axes.Variation != nil:
+			coord = fmt.Sprintf("VDD=%.2f p%g", p.VDD, p.QuantilePc)
+		case scn.Attack == core.Attack5:
 			coord = fmt.Sprintf("VDD=%.2f", p.VDD)
-			if scn.Axes.Variation != nil {
-				coord = fmt.Sprintf("VDD=%.2f p%g", p.VDD, p.QuantilePc)
-			}
+		case len(scn.WeightFaults) > 0:
+			coord = scn.WeightFaults[i].String()
+		case len(scn.LearningRateFaults) > 0:
+			coord = scn.LearningRateFaults[i].String()
 		}
 		line := fmt.Sprintf("  %-12s %-28s accuracy %.2f%% (%+.2f%%)",
-			coord, col, 100*p.Result.Accuracy, p.Result.RelChangePc)
+			coord, col, 100*p.Result.Accuracy, p.RelChangePc)
 		if scn.Detector != nil {
 			state := "silent"
 			if p.Detected {
@@ -444,21 +444,22 @@ func (r *Runner) runScenario(spec *ScenarioSpec, out *OutputSpec) error {
 		}
 		fmt.Fprintln(w, line)
 	}
-	if worst, ok := core.WorstCase(pts); ok && len(pts) > 1 {
+	// Extension cells have no threshold coordinate to name.
+	if worst, ok := core.WorstCase(pts); ok && len(pts) > 1 && scn.Attack != 0 {
 		fmt.Fprintf(w, "worst case: %+.2f%% at Δthr=%+.0f%%, fraction=%.0f%%\n",
-			worst.Result.RelChangePc, worst.ScalePc, worst.FractionPc)
+			worst.RelChangePc, worst.ScalePc, worst.FractionPc)
 	}
 	if out == nil {
 		return nil
 	}
 	if out.Pivot != nil {
-		return r.csv(out, out.CSV, pivotRows(out.Pivot, scn.Axes.Variation, pts))
+		return r.csv(out, out.CSV, pivotRows(out.Pivot, scn, pts))
 	}
 	rows := make([][]float64, len(pts))
 	for i, p := range pts {
 		row := make([]float64, len(out.Fields))
 		for j, f := range out.Fields {
-			row[j] = scenarioField(f, i, p)
+			row[j] = scenarioField(f, scn, i, p)
 		}
 		rows[i] = row
 	}
@@ -468,15 +469,15 @@ func (r *Runner) runScenario(spec *ScenarioSpec, out *OutputSpec) error {
 // pivotRows reshapes a variation scenario's cells (supply-major,
 // quantile-minor, undefended only — validated at load) into one row
 // per supply: vdd_v, then each pivot field at every quantile.
-func pivotRows(p *PivotSpec, v *core.VariationAxis, pts []core.SweepPoint) [][]float64 {
-	nq := len(v.QuantilesPc)
+func pivotRows(p *PivotSpec, scn *core.Scenario, pts []core.SweepPoint) [][]float64 {
+	nq := len(scn.Axes.Variation.QuantilesPc)
 	rows := make([][]float64, 0, len(pts)/nq)
 	for base := 0; base+nq <= len(pts); base += nq {
 		row := make([]float64, 0, 1+len(p.Fields)*nq)
 		row = append(row, pts[base].VDD)
 		for _, f := range p.Fields {
 			for k := 0; k < nq; k++ {
-				row = append(row, scenarioField(f, base+k, pts[base+k]))
+				row = append(row, scenarioField(f, scn, base+k, pts[base+k]))
 			}
 		}
 		rows = append(rows, row)
@@ -484,7 +485,11 @@ func pivotRows(p *PivotSpec, v *core.VariationAxis, pts []core.SweepPoint) [][]f
 	return rows
 }
 
-func scenarioField(name string, index int, p core.SweepPoint) float64 {
+// scenarioField computes one row value of cell index of scn. The
+// extension fields read the cell's spec: an extension scenario has no
+// defense columns, so cell i is spec i, and each field is validated
+// against its entry kind's vocabulary at load.
+func scenarioField(name string, scn *core.Scenario, index int, p core.SweepPoint) float64 {
 	switch name {
 	case "column_index":
 		return float64(index)
@@ -496,10 +501,21 @@ func scenarioField(name string, index int, p core.SweepPoint) float64 {
 		return p.VDD
 	case "quantile_pc":
 		return p.QuantilePc
+	case "scale":
+		if len(scn.WeightFaults) > 0 {
+			return scn.WeightFaults[index].Scale
+		}
+		return scn.LearningRateFaults[index].Scale
+	case "fraction":
+		return scn.WeightFaults[index].Fraction
+	case "cadence_images":
+		return float64(scn.WeightFaults[index].EveryNImages)
+	case "seed":
+		return float64(scn.WeightFaults[index].Seed)
 	case "accuracy_pc":
 		return 100 * p.Result.Accuracy
 	case "rel_change_pc":
-		return p.Result.RelChangePc
+		return p.RelChangePc
 	case "detected":
 		if p.Detected {
 			return 1
@@ -536,89 +552,6 @@ func (r *Runner) runMonteCarlo(en *Entry) error {
 		rows[i] = []float64{float64(i), s}
 	}
 	return r.writeOut(en.Output, rows)
-}
-
-func (r *Runner) runWeightFaults(en *Entry) error {
-	e, err := r.Experiment()
-	if err != nil {
-		return err
-	}
-	specs := make([]core.WeightFaultSpec, len(en.WeightFaults))
-	for i, w := range en.WeightFaults {
-		specs[i] = w.compile()
-	}
-	results, err := e.RunWeightFaults(specs)
-	if err != nil {
-		return err
-	}
-	rows := make([][]float64, len(results))
-	for i, res := range results {
-		s := specs[i]
-		fmt.Fprintf(r.stdout(), "  scale %.2f fraction %.2f cadence %3d: accuracy %.2f%% (%+.2f%%)\n",
-			s.Scale, s.Fraction, s.EveryNImages, 100*res.Accuracy, res.RelChangePc)
-		if en.Output != nil {
-			row := make([]float64, len(en.Output.Fields))
-			for j, f := range en.Output.Fields {
-				switch f {
-				case "scale":
-					row[j] = s.Scale
-				case "fraction":
-					row[j] = s.Fraction
-				case "cadence_images":
-					row[j] = float64(s.EveryNImages)
-				case "seed":
-					row[j] = float64(s.Seed)
-				case "accuracy_pc":
-					row[j] = 100 * res.Accuracy
-				case "rel_change_pc":
-					row[j] = res.RelChangePc
-				}
-			}
-			rows[i] = row
-		}
-	}
-	if en.Output == nil {
-		return nil
-	}
-	return r.csv(en.Output, en.Output.CSV, rows)
-}
-
-func (r *Runner) runLearningRateFaults(en *Entry) error {
-	e, err := r.Experiment()
-	if err != nil {
-		return err
-	}
-	specs := make([]core.LearningRateFaultSpec, len(en.LearningRateFaults))
-	for i, l := range en.LearningRateFaults {
-		specs[i] = l.compile()
-	}
-	results, err := e.RunLearningRateFaults(specs)
-	if err != nil {
-		return err
-	}
-	rows := make([][]float64, len(results))
-	for i, res := range results {
-		fmt.Fprintf(r.stdout(), "  ×%.2f: accuracy %.2f%% (%+.2f%%)\n",
-			specs[i].Scale, 100*res.Accuracy, res.RelChangePc)
-		if en.Output != nil {
-			row := make([]float64, len(en.Output.Fields))
-			for j, f := range en.Output.Fields {
-				switch f {
-				case "scale":
-					row[j] = specs[i].Scale
-				case "accuracy_pc":
-					row[j] = 100 * res.Accuracy
-				case "rel_change_pc":
-					row[j] = res.RelChangePc
-				}
-			}
-			rows[i] = row
-		}
-	}
-	if en.Output == nil {
-		return nil
-	}
-	return r.csv(en.Output, en.Output.CSV, rows)
 }
 
 func (r *Runner) runDetection(en *Entry) error {

@@ -81,7 +81,7 @@ if [ "${SKIP_FABRIC:-0}" != "1" ]; then
     -workers 2 -quiet >/dev/null &
   w0=$!
   "$work/snn-worker" "${fabric_args[@]}" -store "$store" -shards 2 -shard 1 \
-    -workers 2 -baseline-wait 0 -quiet >/dev/null 2>&1 &
+    -workers 2 -quiet >/dev/null 2>&1 &
   w1=$!
   wait "$w0" "$w1"
   "$work/snn-attack" "${fabric_args[@]}" -store "$store" -workers 2 \

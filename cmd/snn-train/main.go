@@ -6,16 +6,14 @@
 // Usage:
 //
 //	snn-train [-n 1000] [-data DIR] [-neurons 100] [-steps 250] [-seed 1]
-//	          [-batch 1] [-workers N] [-cache-dir DIR]
+//	          [-workers N] [-cache-dir DIR]
 //
-// The post-training label-assignment pass runs on the intra-cell
+// The learning pass is the paper's serial STDP protocol. The
+// post-training label-assignment pass runs on the intra-cell
 // evaluation pool: -workers sizes it (0 = all CPUs) and results are
-// bit-identical at every width. -batch > 1 additionally parallelizes
-// the learning pass itself with minibatch STDP (deterministic, but a
-// different protocol than serial training — see snn.TrainOptions.Batch
-// — so the batch width is part of the cache key). -cache-dir persists
-// the trained result by content address, so a repeated invocation with
-// identical data and configuration trains nothing.
+// bit-identical at every width. -cache-dir persists the trained result
+// by content address, so a repeated invocation with identical data and
+// configuration trains nothing.
 package main
 
 import (
@@ -45,7 +43,6 @@ func run() (retErr error) {
 		neurons = flag.Int("neurons", 100, "excitatory/inhibitory neurons per layer")
 		steps   = flag.Int("steps", 250, "presentation steps per image (ms)")
 		seed    = flag.Int64("seed", 1, "weight-initialization seed")
-		batch   = flag.Int("batch", 1, "STDP minibatch width (1 = the paper's serial protocol)")
 	)
 	shared := cli.AddFlags(cli.Training)
 	flag.Parse()
@@ -74,14 +71,7 @@ func run() (retErr error) {
 		if err != nil {
 			return err
 		}
-		// Batch > 1 trains under a different (minibatch) protocol, so it
-		// keys separately; 0 and 1 are both the serial path and share an
-		// address.
-		kb := *batch
-		if kb < 1 {
-			kb = 1
-		}
-		key = runner.KeyOf("snn-train", snn.ProtocolVersion, cfg, int64(encSeed), len(images), mnist.Digest(images), kb)
+		key = runner.KeyOf("snn-train", snn.ProtocolVersion, cfg, int64(encSeed), len(images), mnist.Digest(images))
 	}
 
 	trained := 0
@@ -93,10 +83,9 @@ func run() (retErr error) {
 		}
 		corpus := snn.EncodeCorpus(images, encoding.NewPoissonEncoder(encSeed), cfg.Steps)
 		// The session's live line treats each learning-pass image as one
-		// unit of progress (serial and minibatch STDP both report per
-		// image, in order: Index tracks Done, never a hit).
+		// unit of progress (in order: Index tracks Done, never a hit).
 		start := time.Now()
-		opt := snn.TrainOptions{Workers: shared.Workers, Batch: *batch}
+		opt := snn.TrainOptions{Workers: shared.Workers}
 		opt.OnProgress = func(done, total int) {
 			sess.Line.Observe(runner.Progress{
 				Done: done, Total: total, Index: done - 1,

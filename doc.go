@@ -7,7 +7,8 @@
 //
 // The implementation lives under internal/; the supported entry points
 // are the commands under cmd/ (figures, snn-train, snn-attack,
-// spice-sim) and the runnable examples under examples/. Campaign
+// spice-sim), the suite files under suites/ that cmd/figures
+// interprets, and the runnable examples under examples/. Campaign
 // sweeps execute on internal/runner's parallel worker pool with a
 // content-addressed result cache and streaming JSONL/CSV sinks;
 // results are identical at any worker count. bench_test.go in this

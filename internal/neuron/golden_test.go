@@ -33,10 +33,7 @@ func TestGoldenDriverAmplitude(t *testing.T) {
 		1.0: 2.1514137498572537e-07,
 		1.2: 2.7354772069126285e-07,
 	}
-	pts, err := DriverAmplitudeVsVDD([]float64{0.8, 1.0, 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := measure(t, nil, RecipeSpec{Name: "driver-amplitude-vs-vdd", Xs: []float64{0.8, 1.0, 1.2}})
 	for _, p := range pts {
 		if !relClose(p.Y, want[p.X]) {
 			t.Errorf("driver amplitude at VDD=%.1f: got %.17g, want %.17g", p.X, p.Y, want[p.X])
@@ -55,19 +52,13 @@ func TestGoldenThresholdEndpoints(t *testing.T) {
 		1.0: 0.50250000000000028,
 		1.2: 0.60300000000000042,
 	}
-	ah, err := AHThresholdVsVDD([]float64{0.8, 1.0, 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ah := measure(t, nil, RecipeSpec{Name: "ah-threshold-vs-vdd", Xs: []float64{0.8, 1.0, 1.2}})
 	for _, p := range ah {
 		if p.Y != wantAH[p.X] {
 			t.Errorf("AH threshold at VDD=%.1f: got %.17g, want %.17g (grid-exact)", p.X, p.Y, wantAH[p.X])
 		}
 	}
-	iaf, err := IAFThresholdVsVDD([]float64{0.8, 1.0, 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	iaf := measure(t, nil, RecipeSpec{Name: "iaf-threshold-vs-vdd", Xs: []float64{0.8, 1.0, 1.2}})
 	wantIAF := map[float64]float64{0.8: 0.4, 1.0: 0.5, 1.2: 0.6}
 	for _, p := range iaf {
 		if !relClose(p.Y, wantIAF[p.X]) {
@@ -85,10 +76,7 @@ func TestGoldenRobustDriver(t *testing.T) {
 		1.0: 2.0007496326064341e-07,
 		1.2: 2.0012388571258688e-07,
 	}
-	pts, err := RobustDriverAmplitudeVsVDD([]float64{0.8, 1.0, 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := measure(t, nil, RecipeSpec{Name: "robust-driver-amplitude-vs-vdd", Xs: []float64{0.8, 1.0, 1.2}})
 	for _, p := range pts {
 		if !relClose(p.Y, want[p.X]) {
 			t.Errorf("robust driver at VDD=%.1f: got %.17g, want %.17g", p.X, p.Y, want[p.X])

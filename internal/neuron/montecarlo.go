@@ -297,12 +297,6 @@ func (ch *Characterizer) MonteCarloThresholds(mc MonteCarlo) ([]float64, error) 
 	return out, nil
 }
 
-// MonteCarloThresholds runs mc on the default Characterizer (all CPUs,
-// uncached).
-func MonteCarloThresholds(mc MonteCarlo) ([]float64, error) {
-	return defaultChar.MonteCarloThresholds(mc)
-}
-
 // Spread returns the mean and standard deviation of samples.
 func Spread(samples []float64) (mean, sigma float64) {
 	if len(samples) == 0 {

@@ -7,6 +7,8 @@ package snn
 // ones CI runs under -race.
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -102,98 +104,122 @@ func TestEvaluateParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTrainWorkerCountInvariant: a whole training cell — learning pass
-// (serial or minibatch) plus parallel assignment pass — produces
-// bit-identical results at any worker count, for every batch size. The
-// learning pass is covered through the trained weights and thresholds:
-// if any STDP update or merge depended on scheduling, W or Theta would
-// differ and so, in general, would every downstream count. Run under
-// -race in CI, where the minibatch pool's clone-sync and delta-merge
-// paths are exercised concurrently.
+// TestTrainWorkerCountInvariant: a whole training cell — serial
+// learning pass plus parallel assignment pass — produces bit-identical
+// results at any worker count. The learning pass is covered through
+// the trained weights and thresholds, which the assignment pass reads
+// concurrently. Run under -race in CI.
 func TestTrainWorkerCountInvariant(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NExc, cfg.NInh = 16, 16
 	cfg.Steps = 60
 	c := EncodeCorpus(mnist.Synthetic(30, 7), encoding.NewPoissonEncoder(42), cfg.Steps)
 
-	run := func(workers, batch int) (*TrainResult, *DiehlCook) {
+	run := func(workers int) (*TrainResult, *DiehlCook) {
 		n, err := NewDiehlCook(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := TrainWith(n, c, TrainOptions{Workers: workers, Batch: batch})
+		res, err := TrainWith(n, c, TrainOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, n
 	}
-	for _, batch := range []int{1, 2, 8} {
-		ref, refNet := run(1, batch)
-		for _, w := range []int{2, 4} {
-			res, net := run(w, batch)
-			if res.Accuracy != ref.Accuracy || res.TotalSpikes != ref.TotalSpikes {
-				t.Fatalf("workers=%d batch=%d: accuracy/spikes %v/%v, want %v/%v",
-					w, batch, res.Accuracy, res.TotalSpikes, ref.Accuracy, ref.TotalSpikes)
+	ref, refNet := run(1)
+	for _, w := range []int{2, 4} {
+		res, net := run(w)
+		if res.Accuracy != ref.Accuracy || res.TotalSpikes != ref.TotalSpikes {
+			t.Fatalf("workers=%d: accuracy/spikes %v/%v, want %v/%v",
+				w, res.Accuracy, res.TotalSpikes, ref.Accuracy, ref.TotalSpikes)
+		}
+		for j := range ref.Assignments {
+			if res.Assignments[j] != ref.Assignments[j] {
+				t.Fatalf("workers=%d: assignment of neuron %d differs", w, j)
 			}
-			for j := range ref.Assignments {
-				if res.Assignments[j] != ref.Assignments[j] {
-					t.Fatalf("workers=%d batch=%d: assignment of neuron %d differs", w, batch, j)
-				}
-			}
-			sameCounts(t, "train", res.PerImage, ref.PerImage)
-			for e, want := range refNet.W.Data {
-				if net.W.Data[e] != want {
-					t.Fatalf("workers=%d batch=%d: trained weight %d differs: %g != %g",
-						w, batch, e, net.W.Data[e], want)
-				}
-			}
-			for j, want := range refNet.Exc.Theta {
-				if net.Exc.Theta[j] != want {
-					t.Fatalf("workers=%d batch=%d: trained theta %d differs", w, batch, j)
-				}
-			}
+		}
+		sameCounts(t, "train", res.PerImage, ref.PerImage)
+		sameLearned(t, fmt.Sprintf("workers=%d", w), net, refNet)
+	}
+}
+
+// sameLearned fails unless got's weights and excitatory thresholds
+// equal want's bit for bit.
+func sameLearned(t *testing.T, label string, got, want *DiehlCook) {
+	t.Helper()
+	for e, w := range want.W.Data {
+		if math.Float64bits(got.W.Data[e]) != math.Float64bits(w) {
+			t.Fatalf("%s: trained weight %d is %g, want %g", label, e, got.W.Data[e], w)
+		}
+	}
+	for j, th := range want.Exc.Theta {
+		if math.Float64bits(got.Exc.Theta[j]) != math.Float64bits(th) {
+			t.Fatalf("%s: trained theta %d is %g, want %g", label, j, got.Exc.Theta[j], th)
 		}
 	}
 }
 
-// TestTrainBatchSemantics pins the batch-size contract: Batch ≤ 1 and
-// the zero value are the serial protocol (identical results), while a
-// larger batch is a genuinely different — but internally deterministic
-// — computation (images in one batch see frozen weights rather than
-// each other's updates).
-func TestTrainBatchSemantics(t *testing.T) {
+// TestTrainNormalizationPolicies pins the learning pass's two
+// normalization policies against hand-written loops. With a
+// BeforeImage hook, even a no-op one, every image runs after a full
+// NormalizeWeights (the hook may write W behind the dirty-column
+// tracking's back). Without one, a single full normalization opens
+// the pass and TrainImage renormalizes only the dirty columns. Each
+// policy must end with the same weight and theta bits, and the same
+// assignment-pass spike total, as its hand loop.
+func TestTrainNormalizationPolicies(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NExc, cfg.NInh = 16, 16
 	cfg.Steps = 60
 	c := EncodeCorpus(mnist.Synthetic(24, 3), encoding.NewPoissonEncoder(7), cfg.Steps)
-
-	run := func(batch int) *DiehlCook {
+	network := func() *DiehlCook {
 		n, err := NewDiehlCook(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := TrainWith(n, c, TrainOptions{Workers: 2, Batch: batch}); err != nil {
-			t.Fatal(err)
-		}
 		return n
 	}
-	serial := run(0)
-	one := run(1)
-	for e := range serial.W.Data {
-		if one.W.Data[e] != serial.W.Data[e] {
-			t.Fatalf("Batch=1 diverged from Batch=0 at weight %d", e)
+	spikes := func(n *DiehlCook) float64 {
+		counts, err := CountsParallel(n.Params(), c, EvalOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	batched := run(4)
-	same := true
-	for e := range serial.W.Data {
-		if batched.W.Data[e] != serial.W.Data[e] {
-			same = false
-			break
+		total := 0.0
+		for _, cnt := range counts {
+			total += cnt.Sum()
 		}
+		return total
 	}
-	if same {
-		t.Fatal("Batch=4 produced bitwise-serial weights; frozen-batch semantics not in effect")
+	for _, tc := range []struct {
+		name string
+		opt  TrainOptions
+		hand func(n *DiehlCook)
+	}{
+		{"hook", TrainOptions{BeforeImage: func(int) {}}, func(n *DiehlCook) {
+			for i := 0; i < c.Len(); i++ {
+				n.NormalizeWeights()
+				n.present(c.Train(i), true)
+			}
+		}},
+		{"no-hook", TrainOptions{}, func(n *DiehlCook) {
+			n.NormalizeWeights()
+			for i := 0; i < c.Len(); i++ {
+				n.TrainImage(c.Train(i))
+			}
+		}},
+	} {
+		tc.opt.Workers = 2
+		got := network()
+		res, err := TrainWith(got, c, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := network()
+		tc.hand(want)
+		sameLearned(t, tc.name, got, want)
+		if ws := spikes(want); res.TotalSpikes != ws {
+			t.Fatalf("%s: TotalSpikes %v, want %v", tc.name, res.TotalSpikes, ws)
+		}
 	}
 }
 
@@ -374,7 +400,7 @@ func TestPresentImageAllocationFree(t *testing.T) {
 }
 
 // TestNormalizeWeightsAllocationFree: the full normalization, which
-// RunImage(…, true) runs before every presentation, rescales into the
+// TrainWith runs after every BeforeImage hook, rescales into the
 // network's own scratch and allocates nothing.
 func TestNormalizeWeightsAllocationFree(t *testing.T) {
 	n, err := NewDiehlCook(DefaultConfig())
@@ -442,43 +468,6 @@ func TestEvaluateParallelSpeedup(t *testing.T) {
 	parallel := measure(4)
 	if float64(serial)/float64(parallel) < 3 {
 		t.Fatalf("4 workers took %v, serial took %v — want ≥3× speedup", parallel, serial)
-	}
-}
-
-// TestTrainMinibatchParallelSpeedup is the learning pass's wall-clock
-// bar: with Batch 8 on a ≥4-core machine, 4 workers must train ≥1.5×
-// faster than the same minibatch protocol at width 1 (presentations
-// within a batch are independent; the serial fraction is the per-batch
-// sync + merge). Results are bit-identical either way
-// (TestTrainWorkerCountInvariant); this only times them. Skipped in
-// -short and on small hosts, like the other tiers' speedup tests.
-func TestTrainMinibatchParallelSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test skipped in -short mode")
-	}
-	if runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("need ≥4 CPUs for a CPU-bound speedup, have %d", runtime.GOMAXPROCS(0))
-	}
-	cfg := DefaultConfig()
-	cfg.NExc, cfg.NInh = 40, 40
-	cfg.Steps = 150
-	c := EncodeCorpus(mnist.Synthetic(128, 3), encoding.NewPoissonEncoder(42), cfg.Steps)
-	measure := func(workers int) time.Duration {
-		n, err := NewDiehlCook(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		if _, err := TrainWith(n, c, TrainOptions{Batch: 8, Workers: workers}); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	measure(4) // warm pools and decay tables
-	serial := measure(1)
-	parallel := measure(4)
-	if float64(serial)/float64(parallel) < 1.5 {
-		t.Fatalf("4 workers took %v, width 1 took %v — want ≥1.5× speedup", parallel, serial)
 	}
 }
 

@@ -137,31 +137,15 @@ func NewDiehlCook(cfg DiehlCookConfig) (*DiehlCook, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n, err := newNetwork(cfg, ExcConfig(cfg.NExc), InhConfig(cfg.NInh))
+	exc, err := NewLIFGroup(ExcConfig(cfg.NExc))
 	if err != nil {
 		return nil, err
 	}
-	preDecayTable(cfg.Steps + cfg.RestSteps) // pre-size for the presentation length
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n.W.RandFill(rng, 0, 0.3)
-	n.NormalizeWeights()
-	return n, nil
-}
-
-// newNetwork allocates a network with zero weights, nominal hooks and
-// the given layer configurations, with all of its per-network state
-// and scratch. NewDiehlCook and the minibatch clones both build through
-// it.
-func newNetwork(cfg DiehlCookConfig, excCfg, inhCfg LIFConfig) (*DiehlCook, error) {
-	exc, err := NewLIFGroup(excCfg)
+	inh, err := NewLIFGroup(InhConfig(cfg.NInh))
 	if err != nil {
 		return nil, err
 	}
-	inh, err := NewLIFGroup(inhCfg)
-	if err != nil {
-		return nil, err
-	}
-	return &DiehlCook{
+	n := &DiehlCook{
 		Cfg:             cfg,
 		W:               tensor.NewMatrix(cfg.NInput, cfg.NExc),
 		Exc:             exc,
@@ -173,7 +157,12 @@ func newNetwork(cfg DiehlCookConfig, excCfg, inhCfg LIFConfig) (*DiehlCook, erro
 		driveExc:        tensor.NewVector(cfg.NExc),
 		driveInh:        tensor.NewVector(cfg.NInh),
 		colScratch:      tensor.NewVector(cfg.NExc),
-	}, nil
+	}
+	preDecayTable(cfg.Steps + cfg.RestSteps) // pre-size for the presentation length
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	n.W.RandFill(rng, 0, 0.3)
+	n.NormalizeWeights()
+	return n, nil
 }
 
 // The pre-synaptic trace decay table is shared by every network in the
@@ -417,26 +406,13 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 	return excSpikes
 }
 
-// RunImage presents one image's spike train (resetting state first)
-// and returns the per-neuron excitatory spike counts. When learning,
-// the full homeostatic weight normalization runs before the
-// presentation, as in the BindsNET training loop — correct whatever
-// wrote W since the last normalization.
-func (n *DiehlCook) RunImage(tr SpikeTrain, learn bool) tensor.Vector {
-	if learn {
-		n.NormalizeWeights()
-	}
-	return n.present(tr, learn)
-}
-
-// TrainImage presents one image's spike train with learning enabled —
-// RunImage(tr, true) with the per-image homeostatic normalization
-// restricted to the weight columns STDP touched since the last
-// normalization (see normalizeDirty). This is the training engine's
-// fast path; it assumes nothing outside Step has written W since the
-// last normalization, so callers that mutate weights directly
-// (fault-injection hooks) must use RunImage, which performs the full
-// normalization.
+// TrainImage presents one image's spike train with learning enabled,
+// after the per-image homeostatic normalization restricted to the
+// weight columns STDP touched since the last normalization (see
+// normalizeDirty). It assumes nothing outside Step has written W since
+// the last normalization, so callers that mutate weights directly
+// (fault-injection hooks) must run the full NormalizeWeights first, as
+// TrainWith does after every BeforeImage hook.
 func (n *DiehlCook) TrainImage(tr SpikeTrain) tensor.Vector {
 	n.normalizeDirty()
 	return n.present(tr, true)
@@ -444,9 +420,7 @@ func (n *DiehlCook) TrainImage(tr SpikeTrain) tensor.Vector {
 
 // present is one presentation without the homeostatic normalization:
 // ResetState, the train's steps, rest. The normalization policy is
-// the caller's — RunImage normalizes fully, TrainImage the dirty
-// columns, and the minibatch engine presents several images against
-// one normalization.
+// the caller's (see TrainImage).
 func (n *DiehlCook) present(tr SpikeTrain, learn bool) tensor.Vector {
 	n.ResetState()
 	counts := tensor.NewVector(n.Cfg.NExc)

@@ -267,7 +267,7 @@ func TestLateralInhibitionSparsifiesActivity(t *testing.T) {
 		c := EncodeCorpus(mnist.Synthetic(5, 3), encoding.NewPoissonEncoder(8), cfg.Steps)
 		total := 0.0
 		for i := 0; i < c.Len(); i++ {
-			counts := n.RunImage(c.Train(i), false)
+			counts := n.present(c.Train(i), false)
 			for _, c := range counts {
 				if c > 0 {
 					total++
@@ -283,6 +283,10 @@ func TestLateralInhibitionSparsifiesActivity(t *testing.T) {
 	}
 }
 
+// TestRunImageDeterministicGivenSeeds: learning presentations after a
+// full normalization each, the per-image protocol TrainWith runs when
+// a BeforeImage hook is set, give identical spike counts for
+// identical seeds.
 func TestRunImageDeterministicGivenSeeds(t *testing.T) {
 	cfg := smallConfig()
 	images := mnist.Synthetic(3, 3)
@@ -294,7 +298,8 @@ func TestRunImageDeterministicGivenSeeds(t *testing.T) {
 		c := EncodeCorpus(images, encoding.NewPoissonEncoder(8), cfg.Steps)
 		var last tensor.Vector
 		for i := 0; i < c.Len(); i++ {
-			last = n.RunImage(c.Train(i), true)
+			n.NormalizeWeights()
+			last = n.present(c.Train(i), true)
 		}
 		return last
 	}

@@ -12,11 +12,10 @@ import (
 // the intra-cell engine's per-image seeding and frozen-network
 // assignment pass; v3 is the training-pass engine: the geometric
 // skip-sampling encoder (one RNG draw per spike instead of per pixel
-// per step; encoding.SkipSampling), dirty-column homeostatic
+// per step; encoding.SkipSampling) and dirty-column homeostatic
 // normalization (untouched columns keep their previous bits instead of
-// rescaling by ≈1), and minibatch STDP (TrainOptions.Batch) — so stale
-// caches miss instead of serving values computed under older
-// semantics.
+// rescaling by ≈1) — so stale caches miss instead of serving values
+// computed under older semantics.
 const ProtocolVersion = "train-protocol-v3"
 
 // TrainResult summarizes a training run: per-neuron class assignments,
@@ -38,24 +37,11 @@ type TrainOptions struct {
 	// the learning pass. Fault-injection campaigns use it to corrupt
 	// network parameters mid-training (e.g. re-applying synaptic drift
 	// every N images) without duplicating the training/labeling/scoring
-	// loop.
+	// loop. A full NormalizeWeights follows every call, since the hook
+	// may write W where the dirty-column tracking cannot see.
 	BeforeImage func(i int)
-	// Batch is the STDP minibatch size. ≤1 (the default) is the serial
-	// protocol: normalize, present, update, image by image. Batch > 1
-	// presents each group of Batch consecutive images against the same
-	// frozen weights and adaptive thresholds (normalized once per
-	// batch), computes each image's weight and theta updates
-	// independently — in parallel on the training pool — and merges
-	// them in image order (see trainMinibatch). Different Batch values
-	// are different training semantics and produce different results;
-	// for a fixed Batch the result is bit-identical at every worker
-	// count and scheduling order. Ignored (forced serial) when
-	// BeforeImage is set: fault hooks mutate parameters mid-pass, which
-	// has no coherent frozen-batch meaning.
-	Batch int
-	// Workers sizes the minibatch training pool (when Batch > 1) and
-	// the read-only assignment pass; ≤0 uses all CPUs. Results are
-	// bit-identical at every width.
+	// Workers sizes the read-only assignment pass; ≤0 uses all CPUs.
+	// Results are bit-identical at every width.
 	Workers int
 	// Obs, when non-nil, records phase spans: "snn.stdp" (the serial
 	// learning pass) and "snn.assign" (the parallel assignment pass),
@@ -83,7 +69,12 @@ func Train(n *DiehlCook, c *Corpus) (*TrainResult, error) {
 // the corpus's spike trains:
 //
 //  1. Learning pass, serial (STDP is order-dependent): each image's
-//     train is presented with plasticity on.
+//     train is presented with plasticity on, after the per-image
+//     homeostatic normalization. A full NormalizeWeights opens the
+//     pass, since whatever wrote W before it (fresh init, fault setup)
+//     predates the dirty-column tracking, and follows every
+//     BeforeImage hook; otherwise TrainImage renormalizes only the
+//     columns STDP touched.
 //  2. Assignment pass, parallel: the same trains are re-presented
 //     against the frozen trained parameters (learn=false, theta folded
 //     into the effective thresholds), on opt.Workers evaluation
@@ -98,34 +89,16 @@ func TrainWith(n *DiehlCook, c *Corpus, opt TrainOptions) (*TrainResult, error) 
 		return nil, err
 	}
 	stdp := obs.Span(opt.Obs, "snn.stdp")
-	switch {
-	case opt.BeforeImage != nil:
-		// Fault hooks may write W directly between presentations, which
-		// the dirty-column tracking cannot see — keep the full
-		// normalize-every-image protocol (and serial order, which a
-		// mid-pass mutation implicitly depends on).
-		for i, tr := range c.trains {
+	for i, tr := range c.trains {
+		if opt.BeforeImage != nil {
 			opt.BeforeImage(i)
-			n.RunImage(tr, true)
-			if opt.OnProgress != nil {
-				opt.OnProgress(i+1, c.Len())
-			}
 		}
-	case opt.Batch > 1:
-		// One full normalization opens the pass: whatever wrote W since
-		// the last normalization (fresh init, fault setup) predates the
-		// dirty tracking.
-		n.NormalizeWeights()
-		if err := trainMinibatch(n, c, opt); err != nil {
-			return nil, err
+		if i == 0 || opt.BeforeImage != nil {
+			n.NormalizeWeights()
 		}
-	default:
-		n.NormalizeWeights()
-		for i, tr := range c.trains {
-			n.TrainImage(tr)
-			if opt.OnProgress != nil {
-				opt.OnProgress(i+1, c.Len())
-			}
+		n.TrainImage(tr)
+		if opt.OnProgress != nil {
+			opt.OnProgress(i+1, c.Len())
 		}
 	}
 	stdp.End()

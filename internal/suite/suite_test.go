@@ -24,6 +24,28 @@ func TestPaperSuiteLoadsAndValidates(t *testing.T) {
 	}
 }
 
+// TestCheckedInSuitesValidate loads and validates every suite file in
+// suites/, so the example suites, which no other test runs, cannot rot.
+func TestCheckedInSuitesValidate(t *testing.T) {
+	paths, err := filepath.Glob("../../suites/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 3 {
+		t.Fatalf("found %d suite files (%v), want paper.json and the two examples", len(paths), paths)
+	}
+	for _, p := range paths {
+		s, err := Load(p)
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+			continue
+		}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
+	}
+}
+
 func TestDecodeRejectsUnknownFields(t *testing.T) {
 	cases := []struct {
 		name, doc, wantErr string

@@ -551,8 +551,8 @@ func BenchmarkStep_Infer(b *testing.B) { benchStepTrain(b, false) }
 
 // BenchmarkEvaluate is the acceptance bench for the intra-cell
 // parallel inference engine: a full read-only evaluation pass
-// (64 images at the reduced network scale) against one frozen Params
-// view, at several worker counts. Results are bit-identical at every
+// (64 images at the reduced network scale) of one untrained network,
+// at several worker counts. Results are bit-identical at every
 // width; on a ≥4-core machine workers=4 should be ≥3× faster than
 // workers=1 (enforced by snn.TestEvaluateParallelSpeedup).
 func BenchmarkEvaluate(b *testing.B) {
@@ -561,7 +561,6 @@ func BenchmarkEvaluate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := n.Params()
 	c := snn.EncodeCorpus(mnist.Synthetic(64, 3), encoding.NewPoissonEncoder(42), cfg.Steps)
 	assignments := make([]int, cfg.NExc)
 	for j := range assignments {
@@ -571,7 +570,7 @@ func BenchmarkEvaluate(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc, err = snn.EvaluateParallel(p, c, assignments, snn.EvalOptions{Workers: w})
+				acc, err = snn.EvaluateParallel(n, c, assignments, snn.EvalOptions{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -600,13 +599,12 @@ func benchCountsParallel(b *testing.B, inhScale float64) {
 		b.Fatal(err)
 	}
 	n.Inh.ThreshScale.Fill(inhScale)
-	p := n.Params()
 	c := snn.EncodeCorpus(mnist.Synthetic(64, 3), encoding.NewPoissonEncoder(42), cfg.Steps)
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := snn.CountsParallel(p, c, snn.EvalOptions{Workers: w}); err != nil {
+				if _, err := snn.CountsParallel(n, c, snn.EvalOptions{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

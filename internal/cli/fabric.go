@@ -8,9 +8,8 @@ import (
 	"strings"
 
 	"snnfi/internal/core"
-	"snnfi/internal/defense"
 	"snnfi/internal/runner"
-	"snnfi/internal/xfer"
+	"snnfi/internal/suite"
 )
 
 // Fabric-side CLI plumbing: the list-valued axis flags, the shared
@@ -95,38 +94,40 @@ func AddAttackFlags(fs *flag.FlagSet) *AttackFlags {
 	}
 }
 
+// defenseFlags maps each -defense value to the hardened replay columns
+// it adds.
+var defenseFlags = map[string][]suite.DefenseSpec{
+	"none":          nil,
+	"robust-driver": {{Kind: "robust-driver", ResidualPc: 0.1}},
+	"bandgap":       {{Kind: "bandgap", Neuron: "iaf"}},
+	"sizing":        {{Kind: "sizing", WLMultiple: 32}},
+	"comparator":    {{Kind: "comparator"}},
+}
+
 // Scenario compiles the flags into the canonical core.Scenario — the
 // one deterministic mapping both the coordinator and every worker run,
-// so a cell's content address is identical in every process.
+// so a cell's content address is identical in every process. The flags
+// fill a suite.ScenarioSpec, and the suite's compiler lowers it, as it
+// does a suite entry's: changes for attacks 1-4, fractions for 2-3,
+// supplies over the I&F transfer curves for 5, and the I&F detector.
 func (a *AttackFlags) Scenario() (*core.Scenario, error) {
-	scn := &core.Scenario{Detector: defense.NewDetector(xfer.IAF)}
-	switch *a.Attack {
-	case 1, 4:
-		scn.Attack = core.AttackID(*a.Attack)
-		scn.Axes = core.Axes{ChangesPc: a.Changes.Values()}
-	case 2, 3:
-		scn.Attack = core.AttackID(*a.Attack)
-		scn.Axes = core.Axes{ChangesPc: a.Changes.Values(), FractionsPc: a.Fractions.Values()}
-	case 5:
-		scn.Attack = core.Attack5
-		scn.Axes = core.Axes{VDDs: a.VDDs.Values(), Kind: xfer.IAF}
-	default:
-		return nil, fmt.Errorf("unknown attack %d (want 1-5)", *a.Attack)
-	}
-	switch *a.Defense {
-	case "none":
-	case "robust-driver":
-		scn.Defenses = []core.Hardening{defense.RobustDriver{ResidualPc: 0.1}}
-	case "bandgap":
-		scn.Defenses = []core.Hardening{defense.BandgapThreshold{Kind: xfer.IAF}}
-	case "sizing":
-		scn.Defenses = []core.Hardening{defense.Sizing{WLMultiple: 32}}
-	case "comparator":
-		scn.Defenses = []core.Hardening{defense.ComparatorNeuron{}}
-	default:
+	defenses, ok := defenseFlags[*a.Defense]
+	if !ok {
 		return nil, fmt.Errorf("unknown defense %q", *a.Defense)
 	}
-	return scn, nil
+	spec := suite.ScenarioSpec{Attack: *a.Attack, Defenses: defenses, Detector: &suite.DetectorSpec{Neuron: "iaf"}}
+	switch *a.Attack {
+	case 5:
+		spec.VDDs, spec.Neuron = a.VDDs.Values(), "iaf"
+	case 2, 3:
+		spec.FractionsPc = a.Fractions.Values()
+		fallthrough
+	default:
+		for _, c := range a.Changes.Values() {
+			spec.ChangesPc = append(spec.ChangesPc, suite.AxisValue{Value: c})
+		}
+	}
+	return spec.Compile()
 }
 
 // httpObsName names an HTTP tier's instruments: the network tier (the

@@ -71,11 +71,6 @@ func (s *Session) RunSuite(opts SuiteOptions) error {
 		return err
 	}
 	char.Cache = circuitCache
-	if opts.OutDir != "" {
-		if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
-			return err
-		}
-	}
 	r := &suite.Runner{
 		Suite:      su,
 		Name:       s.Name,

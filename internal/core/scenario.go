@@ -8,9 +8,9 @@ import (
 
 // Hardening maps an attack plan onto a defended implementation: the
 // plan that results when the same physical fault hits the hardened
-// circuit. defense.Defense satisfies this interface; core defines it
-// so scenarios can carry defense columns without importing the defense
-// package (which imports core).
+// circuit. The defense package's defenses satisfy this interface; core
+// defines it so scenarios can carry defense columns without importing
+// the defense package (which imports core).
 type Hardening interface {
 	Name() string
 	Harden(plan *FaultPlan) *FaultPlan

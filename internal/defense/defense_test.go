@@ -93,7 +93,7 @@ func TestComparatorNeuronLikeBandgap(t *testing.T) {
 }
 
 func TestDefenseNames(t *testing.T) {
-	names := map[string]Defense{
+	names := map[string]core.Hardening{
 		"robust-current-driver":       RobustDriver{},
 		"bandgap-threshold-reference": BandgapThreshold{},
 		"transistor-sizing-32x":       Sizing{WLMultiple: 32},

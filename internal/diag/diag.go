@@ -22,13 +22,8 @@ type Flags struct {
 	MemProfile string
 }
 
-// AddFlags registers -pprof, -cpuprofile and -memprofile on the
-// default flag set. Call before flag.Parse.
-func AddFlags() *Flags {
-	return AddFlagsTo(flag.CommandLine)
-}
-
-// AddFlagsTo registers the profiling flags on an explicit flag set.
+// AddFlagsTo registers -pprof, -cpuprofile and -memprofile on fs.
+// Call before parsing.
 func AddFlagsTo(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")

@@ -56,12 +56,6 @@ func AHNeuronComparator() Component {
 	return c
 }
 
-// IAFNeuron returns the voltage-amplifier I&F neuron block (30 pF of
-// capacitance dominates both power and area).
-func IAFNeuron() Component {
-	return Component{Name: "iaf-neuron", PowerUW: 1.5, AreaUm2: 30*capAreaUm2PerPF + 60}
-}
-
 // Driver returns the unsecured current-mirror driver: 200 nA from a
 // 1 V supply plus the reference branch.
 func Driver() Component {

@@ -16,7 +16,7 @@
 //     so shared work (e.g. a campaign's attack-free baseline) is
 //     computed exactly once.
 //   - Streaming. OnResult observes the completed contiguous prefix in
-//     job order (feeding JSONL/CSV sinks, see sink.go) and OnProgress
+//     job order (feeding the JSONL sink, see sink.go) and OnProgress
 //     observes every completion as it happens.
 //
 // Error semantics match serial execution: the error returned is the one

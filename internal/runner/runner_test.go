@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -335,30 +334,5 @@ func TestJSONLSink(t *testing.T) {
 `
 	if buf.String() != want {
 		t.Fatalf("jsonl output:\n%s\nwant:\n%s", buf.String(), want)
-	}
-}
-
-func TestCSVSink(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewCSVSink(&buf)
-	if err := s.Write(Record{{"a", 1.5}, {"b", "x"}, {"n", 3}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(Record{{"a", -0.25}, {"b", "y"}, {"n", 4}}); err != nil {
-		t.Fatal(err)
-	}
-	// A record whose fields disagree with the header must be rejected.
-	if err := s.Write(Record{{"a", 1.0}, {"wrong", "z"}, {"n", 5}}); err == nil {
-		t.Fatal("mismatched field name must fail")
-	}
-	if err := s.Write(Record{{"a", 1.0}}); err == nil {
-		t.Fatal("short record must fail")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Join([]string{"a,b,n", "1.5,x,3", "-0.25,y,4", ""}, "\n")
-	if buf.String() != want {
-		t.Fatalf("csv output:\n%q\nwant:\n%q", buf.String(), want)
 	}
 }

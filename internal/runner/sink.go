@@ -3,11 +3,9 @@ package runner
 import (
 	"bufio"
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 )
 
@@ -86,80 +84,4 @@ func (s *JSONLSink) Close() error {
 		return s.c.Close()
 	}
 	return nil
-}
-
-// CSVSink writes records as CSV rows. The first record fixes the
-// header (its field names, in order); later records must carry the
-// same fields in the same order.
-type CSVSink struct {
-	mu     sync.Mutex
-	cw     *csv.Writer
-	c      io.Closer
-	header []string
-}
-
-// NewCSVSink wraps w in a CSV sink.
-func NewCSVSink(w io.Writer) *CSVSink {
-	s := &CSVSink{cw: csv.NewWriter(w)}
-	if c, ok := w.(io.Closer); ok {
-		s.c = c
-	}
-	return s
-}
-
-// Write emits rec as one CSV row, writing the header first if this is
-// the first record.
-func (s *CSVSink) Write(rec Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.header == nil {
-		s.header = make([]string, len(rec))
-		for i, f := range rec {
-			s.header[i] = f.Name
-		}
-		if err := s.cw.Write(s.header); err != nil {
-			return err
-		}
-	}
-	if len(rec) != len(s.header) {
-		return fmt.Errorf("runner: csv record has %d fields, header has %d", len(rec), len(s.header))
-	}
-	row := make([]string, len(rec))
-	for i, f := range rec {
-		if f.Name != s.header[i] {
-			return fmt.Errorf("runner: csv field %d is %q, header says %q", i, f.Name, s.header[i])
-		}
-		row[i] = formatValue(f.Value)
-	}
-	return s.cw.Write(row)
-}
-
-// Close flushes pending rows and closes the underlying writer if it is
-// closable.
-func (s *CSVSink) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cw.Flush()
-	if err := s.cw.Error(); err != nil {
-		return err
-	}
-	if s.c != nil {
-		return s.c.Close()
-	}
-	return nil
-}
-
-// formatValue renders a field value for CSV: floats in shortest
-// round-trip form, everything else via %v.
-func formatValue(v any) string {
-	switch x := v.(type) {
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case float32:
-		return strconv.FormatFloat(float64(x), 'g', -1, 32)
-	case string:
-		return x
-	default:
-		return fmt.Sprintf("%v", v)
-	}
 }

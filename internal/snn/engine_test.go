@@ -1,9 +1,9 @@
 package snn
 
-// Tests for the intra-cell parallel inference engine: the params/state
-// split, the per-image seeding contract, worker-count bit-identity,
-// workspace-pool hygiene, and the shared decay table's concurrent
-// growth. The worker-determinism and decay-race tests here are the
+// Tests for the intra-cell parallel inference engine: the frozen
+// presentation, the per-image seeding contract, worker-count
+// bit-identity, frozen-copy pool hygiene, and the shared decay table's
+// concurrent growth. The worker-determinism and decay-race tests here are the
 // ones CI runs under -race.
 
 import (
@@ -19,9 +19,9 @@ import (
 	"snnfi/internal/tensor"
 )
 
-// trainedEngine trains a tiny network and returns its frozen view plus
-// the corpus the cell trained on.
-func trainedEngine(t *testing.T) (*Params, *Corpus) {
+// trainedEngine trains a tiny network and returns it plus the corpus
+// the cell trained on.
+func trainedEngine(t *testing.T) (*DiehlCook, *Corpus) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.NExc, cfg.NInh = 16, 16
@@ -34,7 +34,7 @@ func trainedEngine(t *testing.T) (*Params, *Corpus) {
 	if _, err := Train(n, c); err != nil {
 		t.Fatal(err)
 	}
-	return n.Params(), c
+	return n, c
 }
 
 func sameCounts(t *testing.T, label string, got, want []tensor.Vector) {
@@ -56,7 +56,7 @@ func sameCounts(t *testing.T, label string, got, want []tensor.Vector) {
 // workers, and the serial Evaluate entry point agrees exactly.
 func TestEvaluateParallelBitIdentical(t *testing.T) {
 	p, c := trainedEngine(t)
-	assignments := make([]int, p.Exc.N)
+	assignments := make([]int, p.Cfg.NExc)
 	for j := range assignments {
 		assignments[j] = j % 10
 	}
@@ -85,8 +85,8 @@ func TestEvaluateParallelBitIdentical(t *testing.T) {
 	}
 
 	// The serial Evaluate entry point is the same kernel at width 1:
-	// freezing a network and evaluating in parallel must agree exactly
-	// with Evaluate on that network.
+	// evaluating in parallel must agree exactly with Evaluate on that
+	// network.
 	n, err := NewDiehlCook(p.Cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestEvaluateParallelBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc2, err := EvaluateParallel(n.Params(), c, assignments, EvalOptions{Workers: 4})
+	acc2, err := EvaluateParallel(n, c, assignments, EvalOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestTrainNormalizationPolicies(t *testing.T) {
 		return n
 	}
 	spikes := func(n *DiehlCook) float64 {
-		counts, err := CountsParallel(n.Params(), c, EvalOptions{Workers: 2})
+		counts, err := CountsParallel(n, c, EvalOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestTrainNormalizationPolicies(t *testing.T) {
 		{"hook", TrainOptions{BeforeImage: func(int) {}}, func(n *DiehlCook) {
 			for i := 0; i < c.Len(); i++ {
 				n.NormalizeWeights()
-				n.present(c.Train(i), true)
+				n.present(c.Train(i), true, tensor.NewVector(cfg.NExc))
 			}
 		}},
 		{"no-hook", TrainOptions{}, func(n *DiehlCook) {
@@ -223,12 +223,13 @@ func TestTrainNormalizationPolicies(t *testing.T) {
 	}
 }
 
-// TestInferenceMatchesStepKernel anchors the frozen-parameter kernel
-// against DiehlCook.Step(learn=false): with adaptation disabled
-// (ThetaPlus = 0) a learn=false presentation through the training
-// kernel IS frozen inference, so both paths must produce bit-identical
-// excitatory and inhibitory spikes, step by step, for the same spike
-// trains — under each fault configuration of the dense-reference test.
+// TestInferenceMatchesStepKernel anchors the frozen presentation
+// against equiv_test.go's dense reference network with adaptation
+// frozen (ThetaPlus 0, theta decay 1): on a trained network, theta
+// nonzero, under each fault configuration of the dense-reference test,
+// the frozen copy CountsParallel presents with must produce
+// bit-identical excitatory and inhibitory spikes, step by step, and
+// CountsParallel the reference's per-image counts.
 func TestInferenceMatchesStepKernel(t *testing.T) {
 	for _, fc := range faultCases {
 		t.Run(fc.name, func(t *testing.T) {
@@ -240,42 +241,57 @@ func TestInferenceMatchesStepKernel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Disable excitatory adaptation so theta stays identically zero
-			// in the training kernel (the inference kernel freezes theta
-			// always).
-			n.Exc.Cfg.ThetaPlus = 0
-			// Exercise the fault hooks too: the frozen view must fold them in.
-			n.Exc.ThreshScale.Fill(0.95)
 			fc.apply(n)
-
 			c := EncodeCorpus(mnist.Synthetic(5, 3), encoding.NewPoissonEncoder(9), cfg.Steps)
-			p := n.Params()
-			st := p.NewState()
+			if _, err := Train(n, c); err != nil {
+				t.Fatal(err)
+			}
+			if !anyNonzero(n.Exc.Theta) {
+				t.Fatal("training left theta at zero; the comparison would not cover it")
+			}
+			counts, err := CountsParallel(n, c, EvalOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			ref := newRefNet(t, cfg)
+			ref.w = n.W.Copy()
+			copy(ref.exc.theta, n.Exc.Theta)
+			ref.exc.cfg.ThetaPlus, ref.exc.thDecay = 0, 1
+			fc.faultInh(ref.inh.tscale)
+			ref.exc.gain.Fill(fc.excGain)
+			ref.driveScale = fc.driveScale
+
+			f := acquireFrozen(n)
+			defer releaseFrozen(f)
 			var seen pathSeen
 			for i := 0; i < c.Len(); i++ {
 				tr := c.Train(i)
-				n.ResetState()
-				st.reset(p)
-				if len(st.awakeInh.list) == cfg.NInh {
+				f.net.ResetState()
+				ref.reset()
+				if len(f.net.Inh.awake.list) == cfg.NInh {
 					seen.seedAll = true
 				}
-				total := 0
+				want := tensor.NewVector(cfg.NExc)
 				for step := 0; step < tr.Steps()+cfg.RestSteps; step++ {
 					var spikes []int
 					if step < tr.Steps() {
 						spikes = tr.Step(step)
 					}
-					want := stepObserved(n, spikes, false, &seen)
-					got := p.step(st, spikes)
-					if !sameInts(got, want) || !sameInts(st.spikeInh, n.prevInh) {
-						t.Fatalf("image %d step %d: inference spikes exc %v inh %v, step kernel exc %v inh %v",
-							i, step, got, st.spikeInh, want, n.prevInh)
+					got := stepObserved(f.net, spikes, false, &seen)
+					rs := ref.step(spikes, false)
+					if !sameInts(got, rs) || !sameInts(f.net.prevInh, ref.prevInh) {
+						t.Fatalf("image %d step %d: frozen spikes exc %v inh %v, reference exc %v inh %v",
+							i, step, got, f.net.prevInh, rs, ref.prevInh)
 					}
-					total += len(got)
+					for _, j := range rs {
+						want[j]++
+					}
 				}
-				if total == 0 {
+				if want.Sum() == 0 {
 					t.Fatalf("image %d: silent presentation makes the comparison vacuous", i)
 				}
+				sameCounts(t, fmt.Sprintf("image %d", i), counts[i:i+1], []tensor.Vector{want})
 			}
 			// The STDP and normalization paths need learning steps.
 			fc.wants.allActive, fc.wants.partialDep = false, false
@@ -285,68 +301,128 @@ func TestInferenceMatchesStepKernel(t *testing.T) {
 	}
 }
 
-// TestParamsFreezeSemantics: EffThresh folds theta and the threshold
-// hook at freeze time, and later hook mutations do not leak into an
-// existing view.
-func TestParamsFreezeSemantics(t *testing.T) {
-	p, _ := trainedEngine(t)
-	n, err := NewDiehlCook(p.Cfg)
-	if err != nil {
+// anyNonzero reports whether some element of v is nonzero.
+func anyNonzero(v tensor.Vector) bool {
+	for _, x := range v {
+		if x != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFrozenPassLeavesNetworkUnchanged: the read-only passes write no
+// parameter of the trained network — W, both layers' theta, threshold
+// scales and input gains, and the drive scale keep their bits — and a
+// frozen copy's theta keeps the trained bits through its
+// presentations.
+func TestFrozenPassLeavesNetworkUnchanged(t *testing.T) {
+	n, c := trainedEngine(t)
+	if !anyNonzero(n.Exc.Theta) {
+		t.Fatal("training left theta at zero; the check would not cover it")
+	}
+	n.Exc.ThreshScale[3] = 0.8
+	n.Inh.InputGain[5] = 1.1
+	n.InputDriveScale = 0.9
+	params := func(net *DiehlCook) []tensor.Vector {
+		return []tensor.Vector{
+			tensor.Vector(net.W.Data), net.Exc.Theta, net.Exc.ThreshScale, net.Exc.InputGain,
+			net.Inh.Theta, net.Inh.ThreshScale, net.Inh.InputGain, {net.InputDriveScale},
+		}
+	}
+	var before []tensor.Vector
+	for _, v := range params(n) {
+		before = append(before, v.Copy())
+	}
+	assignments := make([]int, n.Cfg.NExc)
+	for j := range assignments {
+		assignments[j] = j % 10
+	}
+	if _, err := CountsParallel(n, c, EvalOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	n.Exc.Theta[3] = 7.5
-	n.Exc.ThreshScale[3] = 0.8
-	view := n.Params()
-	if got, want := view.Exc.EffThresh[3], n.Exc.EffectiveThreshold(3); got != want {
-		t.Fatalf("EffThresh[3] = %v, want EffectiveThreshold %v", got, want)
+	if _, err := EvaluateParallel(n, c, assignments, EvalOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
 	}
-	before := view.Exc.EffThresh[3]
-	n.Exc.ThreshScale[3] = 1.3
-	n.Exc.Theta[3] = 0
-	if view.Exc.EffThresh[3] != before {
-		t.Fatal("mutating the network after freezing changed the view")
+	f := newFrozenCopy(n)
+	for i := 0; i < c.Len(); i++ {
+		f.present(c.Train(i))
+	}
+	for k, v := range params(n) {
+		for i := range v {
+			if !sameFloat(v[i], before[k][i]) {
+				t.Fatalf("parameter %d element %d is %v after the frozen passes, want %v", k, i, v[i], before[k][i])
+			}
+		}
+	}
+	for i, th := range f.net.Exc.Theta {
+		if !sameFloat(th, n.Exc.Theta[i]) {
+			t.Fatalf("frozen copy's theta %d is %v after presenting, want the trained %v", i, th, n.Exc.Theta[i])
+		}
 	}
 }
 
-// TestStatePoolObservationFree: a reused workspace must behave exactly
-// like a fresh one — dirty a state thoroughly, seed the pool with it,
-// and demand the pooled pass still matches fresh-state presentations.
+// TestStatePoolObservationFree: a reused frozen copy must present
+// exactly like a fresh one. A copy of another, faulted network is
+// dirtied with a real presentation and poisoned step state, then
+// seeded into the pool next to a copy sized for a 33-neuron network;
+// the pooled pass must still match fresh-copy presentations.
 func TestStatePoolObservationFree(t *testing.T) {
-	p, c := trainedEngine(t)
+	n, c := trainedEngine(t)
 
-	// Fresh-state reference, bypassing the pool entirely.
+	// Fresh-copy reference, bypassing the pool entirely.
 	want := make([]tensor.Vector, c.Len())
 	for i := range want {
-		st := p.NewState()
-		want[i] = p.presentImage(st, c.Train(i)).Copy()
+		want[i] = newFrozenCopy(n).present(c.Train(i)).Copy()
 	}
 
-	// Dirty a state against a different configuration and poison every
-	// mutable field, then hand it to the pool.
-	bigCfg := p.Cfg
-	bigCfg.NExc, bigCfg.NInh = 33, 33
-	bigNet, err := NewDiehlCook(bigCfg)
+	other, err := NewDiehlCook(n.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigP := bigNet.Params()
-	dirty := bigP.NewState()
-	bigP.presentImage(dirty, c.Train(3)) // leave real dynamics behind
-	dirty.vExc.Fill(1e9)
-	dirty.vInh.Fill(-1e9)
-	for i := range dirty.refracExc {
-		dirty.refracExc[i] = 99
+	other.Inh.ThreshScale.Fill(1.6) // fires from rest: Reset wakes the layer
+	other.Exc.Theta.Fill(3)
+	other.Exc.InputGain.Fill(1.4)
+	other.InputDriveScale = 1.3
+	dirty := newFrozenCopy(other)
+	poison := func() {
+		dirty.present(c.Train(3)) // leave real dynamics behind
+		net := dirty.net
+		net.Exc.V.Fill(1e9)
+		net.Inh.V.Fill(-1e9)
+		for i := range net.Exc.refrac {
+			net.Exc.refrac[i] = 99
+		}
+		net.Exc.Trace.Fill(0.5)
+		net.prevExc = append(net.prevExc[:0], 0, 1, 2)
+		net.prevInh = append(net.prevInh[:0], 3, 4)
+		dirty.counts.Fill(5)
 	}
-	dirty.prevExc = append(dirty.prevExc[:0], 0, 1, 2)
-	dirty.prevInh = append(dirty.prevInh[:0], 3, 4)
-	dirty.counts.Fill(5)
-	// What a pool hit does with it: refit, then present. (Which pooled
-	// state a worker's Get returns is up to sync.Pool.)
-	dirty.fit(p)
-	sameCounts(t, "refitted", []tensor.Vector{p.presentImage(dirty, c.Train(0)).Copy()}, want[:1])
-	workspacePool.Put(dirty)
+	// What a pool hit does with it: refreeze, then present.
+	poison()
+	if f := dirty.refreeze(n); f != dirty {
+		t.Fatal("a pooled copy of the network's sizes was not reused")
+	}
+	sameCounts(t, "refrozen", []tensor.Vector{dirty.present(c.Train(0)).Copy()}, want[:1])
+	dirty.freeze(other)
+	poison()
 
-	got, err := CountsParallel(p, c, EvalOptions{Workers: 1})
+	bigCfg := n.Cfg
+	bigCfg.NExc, bigCfg.NInh = 33, 33
+	big, err := NewDiehlCook(bigCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigCopy := newFrozenCopy(big)
+	bigCopy.present(c.Train(3))
+	if f := bigCopy.refreeze(n); f == bigCopy || len(f.counts) != n.Cfg.NExc {
+		t.Fatal("a pooled copy of other sizes was reused")
+	}
+
+	// Which pooled copy a worker's Get returns is up to sync.Pool.
+	frozenPool.Put(bigCopy)
+	frozenPool.Put(dirty)
+	got, err := CountsParallel(n, c, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,18 +460,19 @@ func TestPreDecayTableConcurrentGrowth(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPresentImageAllocationFree: once a workspace is warm, presenting
-// an image allocates nothing — what keeps a full matrix's read-only
-// phases allocation-flat.
+// TestPresentImageAllocationFree: once a frozen copy is warm,
+// presenting an image allocates nothing — what keeps a full matrix's
+// read-only phases allocation-flat.
 func TestPresentImageAllocationFree(t *testing.T) {
-	p, c := trainedEngine(t)
-	st := p.NewState()
-	p.presentImage(st, c.Train(0)) // warm buffers
+	n, c := trainedEngine(t)
+	f := acquireFrozen(n)
+	defer releaseFrozen(f)
+	f.present(c.Train(0)) // warm buffers
 	avg := testing.AllocsPerRun(50, func() {
-		p.presentImage(st, c.Train(1))
+		f.present(c.Train(1))
 	})
 	if avg > 0.5 {
-		t.Fatalf("presentImage allocates %.1f objects per image, want 0", avg)
+		t.Fatalf("a frozen presentation allocates %.1f objects per image, want 0", avg)
 	}
 }
 
@@ -450,7 +527,6 @@ func TestEvaluateParallelSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := n.Params()
 	c := EncodeCorpus(mnist.Synthetic(256, 3), encoding.NewPoissonEncoder(42), cfg.Steps)
 	assignments := make([]int, cfg.NExc)
 	for j := range assignments {
@@ -458,7 +534,7 @@ func TestEvaluateParallelSpeedup(t *testing.T) {
 	}
 	measure := func(workers int) time.Duration {
 		start := time.Now()
-		if _, err := EvaluateParallel(p, c, assignments, EvalOptions{Workers: workers}); err != nil {
+		if _, err := EvaluateParallel(n, c, assignments, EvalOptions{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

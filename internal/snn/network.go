@@ -145,9 +145,20 @@ func NewDiehlCook(cfg DiehlCookConfig) (*DiehlCook, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &DiehlCook{
+	n := newDiehlCook(cfg, exc, inh)
+	n.W = tensor.NewMatrix(cfg.NInput, cfg.NExc)
+	preDecayTable(cfg.Steps + cfg.RestSteps) // pre-size for the presentation length
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	n.W.RandFill(rng, 0, 0.3)
+	n.NormalizeWeights()
+	return n, nil
+}
+
+// newDiehlCook assembles a network around two layers, with its step
+// state and scratch but no weight matrix.
+func newDiehlCook(cfg DiehlCookConfig, exc, inh *LIFGroup) *DiehlCook {
+	return &DiehlCook{
 		Cfg:             cfg,
-		W:               tensor.NewMatrix(cfg.NInput, cfg.NExc),
 		Exc:             exc,
 		Inh:             inh,
 		InputDriveScale: 1,
@@ -158,11 +169,6 @@ func NewDiehlCook(cfg DiehlCookConfig) (*DiehlCook, error) {
 		driveInh:        tensor.NewVector(cfg.NInh),
 		colScratch:      tensor.NewVector(cfg.NExc),
 	}
-	preDecayTable(cfg.Steps + cfg.RestSteps) // pre-size for the presentation length
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n.W.RandFill(rng, 0, 0.3)
-	n.NormalizeWeights()
-	return n, nil
 }
 
 // The pre-synaptic trace decay table is shared by every network in the
@@ -248,8 +254,8 @@ func (n *DiehlCook) ResetState() {
 const preTraceDecayPerMs = 0.951229424500714 // exp(-1/20)
 
 // PreTrace returns the current pre-synaptic trace of pixel i: 0 if the
-// pixel has not spiked since the last ResetState, else the decayed
-// value of the 1 set at its most recent spike.
+// pixel has not spiked at a learning step since the last ResetState,
+// else the decayed value of the 1 set at its most recent one.
 func (n *DiehlCook) PreTrace(i int) float64 {
 	if !n.preSeen[i] {
 		return 0
@@ -261,7 +267,9 @@ func (n *DiehlCook) PreTrace(i int) float64 {
 // Step advances the network one timestep given the indices of input
 // pixels that spiked. When learn is true the input→exc weights are
 // updated with the post-pre STDP rule. It returns the excitatory spike
-// indices (valid until the next call).
+// indices (valid until the next call). A learn=false step writes no
+// weight and no pre-synaptic trace; it is the frozen presentation
+// CountsParallel runs, on a copy whose theta does not adapt.
 func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 	cfg := &n.Cfg
 
@@ -390,13 +398,17 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 	// 5. Pre-synaptic trace update: record this step as the pixels'
 	// last spike time (the lazy image of "decay all traces, then set
 	// spiked pixels to 1"), extending the support with first-time
-	// spikers.
-	for _, i := range inputSpikes {
-		if !n.preSeen[i] {
-			n.preSeen[i] = true
-			n.preActive = append(n.preActive, i)
+	// spikers. Only STDP reads the pre-synaptic traces, so only a
+	// learning step records; the rest steps after a learning image
+	// carry no input, and a frozen presentation learns at no step.
+	if learn {
+		for _, i := range inputSpikes {
+			if !n.preSeen[i] {
+				n.preSeen[i] = true
+				n.preActive = append(n.preActive, i)
+			}
+			n.preLastSpike[i] = n.stepT
 		}
-		n.preLastSpike[i] = n.stepT
 	}
 	n.stepT++
 
@@ -415,30 +427,26 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 // TrainWith does after every BeforeImage hook.
 func (n *DiehlCook) TrainImage(tr SpikeTrain) tensor.Vector {
 	n.normalizeDirty()
-	return n.present(tr, true)
+	return n.present(tr, true, tensor.NewVector(n.Cfg.NExc))
 }
 
 // present is one presentation without the homeostatic normalization:
-// ResetState, the train's steps, rest. The normalization policy is
-// the caller's (see TrainImage).
-func (n *DiehlCook) present(tr SpikeTrain, learn bool) tensor.Vector {
+// ResetState, the train's steps, then the quiet RestSteps, which never
+// learn. It zeroes counts, adds each step's excitatory spikes to it and
+// returns it. The normalization policy is the caller's (see
+// TrainImage).
+func (n *DiehlCook) present(tr SpikeTrain, learn bool, counts tensor.Vector) tensor.Vector {
 	n.ResetState()
-	counts := tensor.NewVector(n.Cfg.NExc)
+	counts.Zero()
 	for t := 0; t < tr.Steps(); t++ {
 		for _, j := range n.Step(tr.Step(t), learn) {
 			counts[j]++
 		}
 	}
-	n.rest(counts)
-	return counts
-}
-
-// rest runs the quiet post-presentation steps, accumulating any
-// residual spikes into counts.
-func (n *DiehlCook) rest(counts tensor.Vector) {
 	for t := 0; t < n.Cfg.RestSteps; t++ {
 		for _, j := range n.Step(nil, false) {
 			counts[j]++
 		}
 	}
+	return counts
 }

@@ -168,9 +168,9 @@ func (s *indexSet) clear() {
 // a neuron once woken is rarely idle again. The list is ascending so a
 // walk emits spikes in the same order as a dense pass.
 //
-// mask is the spike bitmask of the layer's dense pass (tensor.LIFStep
-// and LIFStepFrozen), sized with the set, so a sparse step that falls
-// back to the dense pass finds it at hand.
+// mask is the spike bitmask of the layer's dense pass (tensor.LIFStep),
+// sized with the set, so a sparse step that falls back to the dense
+// pass finds it at hand.
 type awakeSet struct {
 	list []int
 	in   []bool
@@ -183,11 +183,10 @@ func (a *awakeSet) reset(n int) {
 		a.in[i] = false
 	}
 	a.list = a.list[:0]
-	if cap(a.in) < n {
+	if len(a.in) != n {
 		a.in = make([]bool, n)
+		a.mask = make([]uint64, tensor.MaskWords(n))
 	}
-	a.in = a.in[:n]
-	a.mask = resize(a.mask, tensor.MaskWords(n))
 }
 
 // appendSpikes appends the indices of mask's set bits to dst in
@@ -259,6 +258,11 @@ func NewLIFGroup(cfg LIFConfig) (*LIFGroup, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newLIFGroup(cfg), nil
+}
+
+// newLIFGroup is NewLIFGroup for a configuration known to be valid.
+func newLIFGroup(cfg LIFConfig) *LIFGroup {
 	g := &LIFGroup{
 		Cfg:         cfg,
 		V:           tensor.NewVector(cfg.N),
@@ -283,7 +287,23 @@ func NewLIFGroup(cfg LIFConfig) (*LIFGroup, error) {
 	g.ThreshScale.Fill(1)
 	g.InputGain.Fill(1)
 	g.Reset()
-	return g, nil
+	return g
+}
+
+// freezeFrom makes g, a group of src's size, the frozen image of src
+// that frozen presentations step: src's configuration and membrane
+// decay, its theta and fault hooks by copy, ThetaPlus 0 and theta and
+// trace decays of exactly 1. A step then leaves every theta's bits as
+// they are (θ·1 is θ, and so is θ+0 for every θ but −0, which theta
+// never holds), so g fires against src's (Thresh + Theta)·ThreshScale,
+// and it decays no trace. The new hooks take effect at the next Reset.
+func (g *LIFGroup) freezeFrom(src *LIFGroup) {
+	g.Cfg = src.Cfg
+	g.Cfg.ThetaPlus = 0
+	g.decay, g.thetaDecay, g.traceDecay = src.decay, 1, 1
+	copy(g.Theta, src.Theta)
+	copy(g.ThreshScale, src.ThreshScale)
+	copy(g.InputGain, src.InputGain)
 }
 
 // Reset restores membrane state (potentials, refractory counters,

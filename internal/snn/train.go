@@ -75,12 +75,12 @@ func Train(n *DiehlCook, c *Corpus) (*TrainResult, error) {
 //     predates the dirty-column tracking, and follows every
 //     BeforeImage hook; otherwise TrainImage renormalizes only the
 //     columns STDP touched.
-//  2. Assignment pass, parallel: the same trains are re-presented
-//     against the frozen trained parameters (learn=false, theta folded
-//     into the effective thresholds), on opt.Workers evaluation
-//     workers. The resulting counts drive labeling and scoring, so the
-//     reported accuracy is a property of the finished network rather
-//     than of its mid-training trajectory.
+//  2. Assignment pass, parallel: the same trains are re-presented to
+//     the trained network with learning off and theta frozen
+//     (CountsParallel), on opt.Workers evaluation workers. The
+//     resulting counts drive labeling and scoring, so the reported
+//     accuracy is a property of the finished network rather than of
+//     its mid-training trajectory.
 //
 // The corpus is only read, so any number of cells may train on one
 // corpus concurrently.
@@ -104,7 +104,7 @@ func TrainWith(n *DiehlCook, c *Corpus, opt TrainOptions) (*TrainResult, error) 
 	stdp.End()
 
 	assign := obs.Span(opt.Obs, "snn.assign")
-	counts, err := CountsParallel(n.Params(), c, EvalOptions{Workers: opt.Workers, Obs: opt.Obs})
+	counts, err := CountsParallel(n, c, EvalOptions{Workers: opt.Workers, Obs: opt.Obs})
 	assign.End()
 	if err != nil {
 		return nil, err
@@ -132,7 +132,7 @@ func TrainWith(n *DiehlCook, c *Corpus, opt TrainOptions) (*TrainResult, error) 
 // engine — EvaluateParallel at width 1, so its result is bit-identical
 // to any parallel run over the same corpus.
 func Evaluate(n *DiehlCook, c *Corpus, assignments []int) (float64, error) {
-	return EvaluateParallel(n.Params(), c, assignments, EvalOptions{Workers: 1})
+	return EvaluateParallel(n, c, assignments, EvalOptions{Workers: 1})
 }
 
 // AssignLabels implements Diehl&Cook "all activity" neuron labeling:

@@ -12,7 +12,6 @@ package spice
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -426,15 +425,4 @@ func (c *Circuit) Validate() error {
 		return fmt.Errorf("spice: nodes with fewer than two connections: %v", lonely)
 	}
 	return nil
-}
-
-// maxAbs returns max(|v|) over the slice.
-func maxAbs(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }

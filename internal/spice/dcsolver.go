@@ -15,13 +15,11 @@ import "fmt"
 // MOSFET.P, op-amp limits) and step-tier values (source waveforms via
 // VSource.W / ISource.W) are re-stamped by every solve automatically.
 // Constant-tier values (resistances, VCVS gains, topology) are baked
-// into the base system — after changing those, call Rebase before the
-// next Solve.
+// into the base system BeginDC builds — after changing those, begin a
+// new solver.
 type DCSolver struct {
-	c    *Circuit
-	ctx  *Context
-	snap []float64
-	has  bool
+	c   *Circuit
+	ctx *Context
 }
 
 // BeginDC returns a DC solver over the circuit's current topology.
@@ -33,13 +31,8 @@ func (c *Circuit) BeginDC() *DCSolver {
 	ctx.DC = true
 	ctx.Gmin = 1e-12
 	ctx.SrcScale = 1
-	return &DCSolver{c: c, ctx: ctx, snap: make([]float64, len(ctx.X))}
+	return &DCSolver{c: c, ctx: ctx}
 }
-
-// Rebase rebuilds the analysis-constant base system from the
-// circuit's current element values. Only needed after patching
-// constant-tier values; Vth and waveform patches never require it.
-func (s *DCSolver) Rebase() { s.c.prepareBase(s.ctx) }
 
 // Solve computes the DC solution by Newton continuation from the
 // current iterate — the cheap path when the system moved a little
@@ -74,22 +67,6 @@ func (s *DCSolver) V(name string) float64 {
 		return 0
 	}
 	return s.ctx.X[i]
-}
-
-// Snapshot saves the current solution as the warm-start point.
-func (s *DCSolver) Snapshot() {
-	copy(s.snap, s.ctx.X)
-	s.has = true
-}
-
-// Restore loads the warm-start point back into the iterate; a no-op
-// before the first Snapshot. It reports whether a snapshot existed.
-func (s *DCSolver) Restore() bool {
-	if !s.has {
-		return false
-	}
-	copy(s.ctx.X, s.snap)
-	return true
 }
 
 // SaveState copies the current solution into dst (reallocating only

@@ -31,11 +31,6 @@ func (r *Resistor) StampConst(ctx *Context) {
 // Stamp implements Element.
 func (r *Resistor) Stamp(ctx *Context) { r.StampConst(ctx) }
 
-// Current returns the current flowing a→b for a solved vector x.
-func (r *Resistor) Current(ctx *Context) float64 {
-	return (ctx.V(r.a) - ctx.V(r.b)) / r.Ohms
-}
-
 // Capacitor is a linear two-terminal capacitance discretized with the
 // analysis integrator (backward Euler or trapezoidal).
 type Capacitor struct {

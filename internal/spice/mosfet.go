@@ -132,18 +132,6 @@ func (m *MOSFET) ids(vgs, vds float64) (id, gm, gds float64) {
 	return id, gm, gds
 }
 
-// Current returns the drain current (positive into the drain for NMOS,
-// out of the drain for PMOS) at a solved context.
-func (m *MOSFET) Current(ctx *Context) float64 {
-	vd, vg, vs := ctx.V(m.d), ctx.V(m.g), ctx.V(m.s)
-	pol := 1.0
-	if m.P.Type == PMOS {
-		pol = -1
-	}
-	id, _, _ := m.ids(pol*(vg-vs), pol*(vd-vs))
-	return pol * id
-}
-
 // StampIter implements iterStamper: the transistor linearization is a
 // function of the Newton iterate, so the whole stamp is per-iterate
 // (including the gmin aid, which gmin stepping varies between solves).

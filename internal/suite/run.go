@@ -27,7 +27,7 @@ type Runner struct {
 	// Name labels the campaign report ("figures", "snn-attack").
 	Name string
 	// OutDir receives CSV artifacts; required only when an entry has an
-	// output spec.
+	// output spec, and created by the first artifact.
 	OutDir string
 	// Stdout receives the printed tables (defaults to os.Stdout).
 	Stdout io.Writer
@@ -230,7 +230,10 @@ func (r *Runner) writeOut(out *OutputSpec, rows [][]float64) error {
 
 // csv writes one artifact in the repo's established layout: the header
 // line, then %g-formatted comma-joined rows — the float-value identity
-// that makes byte identity checkable.
+// that makes byte identity checkable. It creates OutDir on the first
+// artifact, so a print-only campaign leaves no directory behind, and
+// returns the write or close error, so a full disk fails the entry
+// instead of leaving a truncated artifact behind a clean exit.
 func (r *Runner) csv(out *OutputSpec, name string, rows [][]float64) error {
 	if out == nil {
 		return nil
@@ -238,20 +241,28 @@ func (r *Runner) csv(out *OutputSpec, name string, rows [][]float64) error {
 	if r.OutDir == "" {
 		return fmt.Errorf("entry writes %s but the runner has no output directory", name)
 	}
+	if err := os.MkdirAll(r.OutDir, 0o755); err != nil {
+		return err
+	}
 	f, err := os.Create(filepath.Join(r.OutDir, name))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	fmt.Fprintln(f, out.Header)
+	_, err = fmt.Fprintln(f, out.Header)
 	for _, row := range rows {
+		if err != nil {
+			break
+		}
 		parts := make([]string, len(row))
 		for i, v := range row {
 			parts[i] = fmt.Sprintf("%g", v)
 		}
-		fmt.Fprintln(f, strings.Join(parts, ","))
+		_, err = fmt.Fprintln(f, strings.Join(parts, ","))
 	}
-	return nil
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // table prints the rows as a plain text table under the CSV header (or

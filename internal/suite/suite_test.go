@@ -278,3 +278,46 @@ func TestRunnerOnlyFiltersEntries(t *testing.T) {
 		t.Fatalf("unknown -only id: got %v, want an error naming it", err)
 	}
 }
+
+// TestRunnerArtifactWrites: the output directory appears with the first
+// artifact, so a print-only entry leaves a missing one absent and an
+// artifact entry creates it, and a write that fails, here an artifact
+// on /dev/full, fails the entry.
+func TestRunnerArtifactWrites(t *testing.T) {
+	doc := `{
+	  "name": "io",
+	  "entries": [
+	    {"id": "P", "overhead": {"neurons": 10, "per_layer": 5}},
+	    {"id": "A", "overhead": {"neurons": 10, "per_layer": 5},
+	     "output": {"csv": "a.csv", "header": "row,p,a"}},
+	    {"id": "F", "overhead": {"neurons": 10, "per_layer": 5},
+	     "output": {"csv": "full", "header": "row,p,a"}}
+	  ]
+	}`
+	su, err := Decode(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "results")
+	r := &Runner{Suite: su, OutDir: out, Stdout: io.Discard}
+	if err := r.Run([]string{"P"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("print-only entry left the output directory behind (stat: %v)", err)
+	}
+	if err := r.Run([]string{"A"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(out, "a.csv")); err != nil {
+		t.Fatalf("artifact entry did not create its directory and file: %v", err)
+	}
+
+	if fi, err := os.Stat("/dev/full"); err != nil || fi.Mode()&os.ModeCharDevice == 0 {
+		t.Skip("no /dev/full device here")
+	}
+	r.OutDir = "/dev"
+	if err := r.Run([]string{"F"}); err == nil {
+		t.Fatal("an artifact written to /dev/full reported no error")
+	}
+}

@@ -67,7 +67,7 @@ func BenchmarkLIFStep(b *testing.B) {
 	const n = 100
 	rng := rand.New(rand.NewSource(2))
 	v, theta, drive := NewVector(n), NewVector(n), NewVector(n)
-	gain, scale, eff := NewVector(n), NewVector(n), NewVector(n)
+	gain, scale := NewVector(n), NewVector(n)
 	refrac := make([]int, n)
 	mask := make([]uint64, MaskWords(n))
 	for i := 0; i < n; i++ {
@@ -75,7 +75,6 @@ func BenchmarkLIFStep(b *testing.B) {
 		theta[i] = 0.5 * rng.Float64()
 		drive[i] = 0.12 * rng.Float64()
 		gain[i], scale[i] = 1, 1
-		eff[i] = -52 + theta[i]
 		if i%10 == 0 {
 			refrac[i] = 5
 		}
@@ -91,13 +90,6 @@ func BenchmarkLIFStep(b *testing.B) {
 		{"learning/generic", func() {
 			clear(mask)
 			lifStepGeneric(0, v, theta, refrac, drive, gain, scale, -65, decay, -52, thetaDecay, mask)
-		}},
-		{"frozen/dispatched", func() {
-			LIFStepFrozen(v, refrac, drive, gain, eff, -65, decay, mask)
-		}},
-		{"frozen/generic", func() {
-			clear(mask)
-			lifStepFrozenGeneric(0, v, refrac, drive, gain, eff, -65, decay, mask)
 		}},
 	} {
 		b.Run(k.name, func(b *testing.B) {

@@ -41,9 +41,6 @@ func sumRowsScaledAVX2(out, data []float64, cols int, active []int, s float64)
 func lifStepAVX2(v, theta []float64, refrac []int, drive, gain, threshScale []float64, rest, decay, thresh, thetaDecay float64, spikes []uint64)
 
 //go:noescape
-func lifStepFrozenAVX2(v []float64, refrac []int, drive, gain, effThresh []float64, rest, decay float64, spikes []uint64)
-
-//go:noescape
 func depressRowsAVX2(data []float64, cols int, rows []int, d []float64, sel []uint64)
 
 //go:noescape

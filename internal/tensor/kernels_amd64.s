@@ -349,50 +349,6 @@ ldone:
 	VZEROUPPER
 	RET
 
-// func lifStepFrozenAVX2(v []float64, refrac []int, drive, gain, effThresh []float64, rest, decay float64, spikes []uint64)
-//
-// lifStepFrozenGeneric for the first len(v)&^3 neurons, with
-// lifStepAVX2's loop. It writes only v, refrac and spikes.
-TEXT ·lifStepFrozenAVX2(SB), NOSPLIT, $0-160
-	MOVQ         v_base+0(FP), DI
-	MOVQ         v_len+8(FP), DX
-	ANDQ         $-4, DX
-	MOVQ         refrac_base+24(FP), R8
-	MOVQ         drive_base+48(FP), R9
-	MOVQ         gain_base+72(FP), R10
-	MOVQ         effThresh_base+96(FP), R11
-	MOVQ         spikes_base+136(FP), R12
-	VBROADCASTSD rest+120(FP), Y15
-	VBROADCASTSD decay+128(FP), Y14
-	VPXOR        Y11, Y11, Y11
-	XORQ         BX, BX
-
-fword:
-	CMPQ BX, DX
-	JGE  fdone
-	XORQ R13, R13
-	XORQ CX, CX
-
-fgroup:
-	RELAX
-	REFRACTORY
-	DRIVE
-	VCMPPD $0x1d, (R11)(BX*8), Y4, Y5
-	MASKBITS
-	CMPQ   BX, DX
-	JGE    fstore
-	CMPQ   CX, $64
-	JLT    fgroup
-
-fstore:
-	MOVQ R13, (R12)
-	ADDQ $8, R12
-	JMP  fword
-
-fdone:
-	VZEROUPPER
-	RET
-
 // The masked kernels keep every unselected element's bits by blending
 // the old value back with VBLENDVPD. The row kernels select columns by
 // a bitmask (sel, in MaskWords' layout); the rescale selects the

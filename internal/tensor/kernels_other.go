@@ -16,10 +16,6 @@ func lifStepAVX2(v, theta []float64, refrac []int, drive, gain, threshScale []fl
 	panic("tensor: no AVX2")
 }
 
-func lifStepFrozenAVX2(v []float64, refrac []int, drive, gain, effThresh []float64, rest, decay float64, spikes []uint64) {
-	panic("tensor: no AVX2")
-}
-
 func depressRowsAVX2(data []float64, cols int, rows []int, d []float64, sel []uint64) {
 	panic("tensor: no AVX2")
 }

@@ -45,26 +45,6 @@ func LIFStep(v, theta Vector, refrac []int, drive, gain, threshScale Vector, res
 	lifStepGeneric(lo, v, theta, refrac, drive, gain, threshScale, rest, decay, thresh, thetaDecay, spikes)
 }
 
-// LIFStepFrozen is LIFStep with the thresholds fixed: no theta, and
-// neuron i spikes if its driven v[i] ≥ effThresh[i]. It writes only v,
-// refrac and spikes, so concurrent callers may share gain and
-// effThresh.
-func LIFStepFrozen(v Vector, refrac []int, drive, gain, effThresh Vector, rest, decay float64, spikes []uint64) {
-	n := len(v)
-	checkLen(len(refrac), n)
-	checkLen(len(drive), n)
-	checkLen(len(gain), n)
-	checkLen(len(effThresh), n)
-	spikes = spikes[:MaskWords(n)]
-	clear(spikes)
-	lo := 0
-	if haveAVX2 {
-		lifStepFrozenAVX2(v, refrac, drive, gain, effThresh, rest, decay, spikes)
-		lo = n &^ 3
-	}
-	lifStepFrozenGeneric(lo, v, refrac, drive, gain, effThresh, rest, decay, spikes)
-}
-
 // lifStepGeneric is LIFStep in Go from neuron lo on: the whole step off
 // amd64 or without AVX2, the one-to-three-neuron tail after the
 // assembly kernel, and the reference the kernel is tested against. It
@@ -85,24 +65,6 @@ func lifStepGeneric(lo int, v, theta Vector, refrac []int, drive, gain, threshSc
 		}
 		x := v[i] + drive[i]*gain[i]
 		if x >= (thresh+th)*threshScale[i] {
-			spikes[i>>6] |= 1 << (i & 63)
-		}
-		v[i] = x
-	}
-}
-
-// lifStepFrozenGeneric is LIFStepFrozen in Go from neuron lo on, with
-// lifStepGeneric's shape.
-func lifStepFrozenGeneric(lo int, v Vector, refrac []int, drive, gain, effThresh Vector, rest, decay float64, spikes []uint64) {
-	v[lo:].DecayToward(rest, decay)
-	refrac, drive, gain, effThresh = refrac[:len(v)], drive[:len(v)], gain[:len(v)], effThresh[:len(v)]
-	for i := lo; i < len(v); i++ {
-		if refrac[i] > 0 {
-			refrac[i]--
-			continue
-		}
-		x := v[i] + drive[i]*gain[i]
-		if x >= effThresh[i] {
 			spikes[i>>6] |= 1 << (i & 63)
 		}
 		v[i] = x

@@ -11,12 +11,12 @@ import (
 // partial or one neuron into the next word.
 var lifSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 130}
 
-// lifCase is one randomized layer state with the operands of both LIF
-// kernels.
+// lifCase is one randomized layer state with the LIF kernel's
+// operands.
 type lifCase struct {
-	v, theta, drive, gain, scale, eff Vector
-	refrac                            []int
-	rest, decay, thresh, thetaDecay   float64
+	v, theta, drive, gain, scale    Vector
+	refrac                          []int
+	rest, decay, thresh, thetaDecay float64
 }
 
 // lifSpecials are the values the cases sprinkle into every operand.
@@ -39,7 +39,7 @@ func newLIFCase(rng *rand.Rand, n int) *lifCase {
 	}
 	c := &lifCase{
 		v: NewVector(n), theta: NewVector(n), drive: NewVector(n),
-		gain: NewVector(n), scale: NewVector(n), eff: NewVector(n),
+		gain: NewVector(n), scale: NewVector(n),
 		refrac: make([]int, n),
 		rest:   -65, decay: math.Exp(-0.01), thresh: -52,
 		thetaDecay: math.Exp(-1e-7),
@@ -59,7 +59,6 @@ func newLIFCase(rng *rand.Rand, n int) *lifCase {
 		c.drive[i] = pick(6 * rng.NormFloat64())
 		c.gain[i] = pick(gains[rng.Intn(len(gains))])
 		c.scale[i] = pick([]float64{1, 0.8, 1.25}[rng.Intn(3)])
-		c.eff[i] = pick(-52 - 3*rng.Float64())
 		switch rng.Intn(6) {
 		case 0:
 			c.refrac[i] = 1 + rng.Intn(5)
@@ -73,69 +72,58 @@ func newLIFCase(rng *rand.Rand, n int) *lifCase {
 func (c *lifCase) copy() *lifCase {
 	d := *c
 	d.v, d.theta, d.drive = c.v.Copy(), c.theta.Copy(), c.drive.Copy()
-	d.gain, d.scale, d.eff = c.gain.Copy(), c.scale.Copy(), c.eff.Copy()
+	d.gain, d.scale = c.gain.Copy(), c.scale.Copy()
 	d.refrac = append([]int(nil), c.refrac...)
 	return &d
 }
 
 // sameLIF fails the test unless the two states hold the same bits.
-func sameLIF(t *testing.T, what string, got, want *lifCase, gotMask, wantMask []uint64) {
+func sameLIF(t *testing.T, got, want *lifCase, gotMask, wantMask []uint64) {
 	t.Helper()
 	for i := range want.v {
 		if !sameFloat(got.v[i], want.v[i]) {
-			t.Fatalf("%s neuron %d/%d: v %v, Go loop %v", what, i, len(want.v), got.v[i], want.v[i])
+			t.Fatalf("neuron %d/%d: v %v, Go loop %v", i, len(want.v), got.v[i], want.v[i])
 		}
 		if !sameFloat(got.theta[i], want.theta[i]) {
-			t.Fatalf("%s neuron %d/%d: theta %v, Go loop %v", what, i, len(want.v), got.theta[i], want.theta[i])
+			t.Fatalf("neuron %d/%d: theta %v, Go loop %v", i, len(want.v), got.theta[i], want.theta[i])
 		}
 		if got.refrac[i] != want.refrac[i] {
-			t.Fatalf("%s neuron %d/%d: refrac %d, Go loop %d", what, i, len(want.v), got.refrac[i], want.refrac[i])
+			t.Fatalf("neuron %d/%d: refrac %d, Go loop %d", i, len(want.v), got.refrac[i], want.refrac[i])
 		}
 	}
 	for w := range wantMask {
 		if gotMask[w] != wantMask[w] {
-			t.Fatalf("%s mask word %d/%d: %#x, Go loop %#x", what, w, len(wantMask), gotMask[w], wantMask[w])
+			t.Fatalf("mask word %d/%d: %#x, Go loop %#x", w, len(wantMask), gotMask[w], wantMask[w])
 		}
 	}
 }
 
 // checkLIFStep steps one random layer of n neurons three times through
-// each dispatched kernel and its Go loop and compares them bit for bit
-// after every step. It returns how many spikes the Go loops emitted.
+// the dispatched kernel and its Go loop and compares them bit for bit
+// after every step. It returns how many spikes the Go loop emitted.
 func checkLIFStep(t *testing.T, seed int64, n int) int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	words := MaskWords(n)
 	spikes := 0
-	for _, frozen := range []bool{false, true} {
-		want := newLIFCase(rng, n)
-		got := want.copy()
-		// One word past the mask holds a sentinel the kernels must not
-		// touch; the mask itself starts dirty.
-		gotMask := make([]uint64, words+1)
-		for w := range gotMask {
-			gotMask[w] = ^uint64(0)
-		}
-		wantMask := make([]uint64, words+1)
-		wantMask[words] = ^uint64(0)
-		for step := 0; step < 3; step++ {
-			clear(wantMask[:words])
-			if frozen {
-				LIFStepFrozen(got.v, got.refrac, got.drive, got.gain, got.eff, got.rest, got.decay, gotMask)
-				lifStepFrozenGeneric(0, want.v, want.refrac, want.drive, want.gain, want.eff, want.rest, want.decay, wantMask)
-			} else {
-				LIFStep(got.v, got.theta, got.refrac, got.drive, got.gain, got.scale, got.rest, got.decay, got.thresh, got.thetaDecay, gotMask)
-				lifStepGeneric(0, want.v, want.theta, want.refrac, want.drive, want.gain, want.scale, want.rest, want.decay, want.thresh, want.thetaDecay, wantMask)
-			}
-			what := "learning"
-			if frozen {
-				what = "frozen"
-			}
-			sameLIF(t, what, got, want, gotMask, wantMask)
-			for _, w := range wantMask[:words] {
-				for ; w != 0; w &= w - 1 {
-					spikes++
-				}
+	want := newLIFCase(rng, n)
+	got := want.copy()
+	// One word past the mask holds a sentinel the kernel must not touch;
+	// the mask itself starts dirty.
+	gotMask := make([]uint64, words+1)
+	for w := range gotMask {
+		gotMask[w] = ^uint64(0)
+	}
+	wantMask := make([]uint64, words+1)
+	wantMask[words] = ^uint64(0)
+	for step := 0; step < 3; step++ {
+		clear(wantMask[:words])
+		LIFStep(got.v, got.theta, got.refrac, got.drive, got.gain, got.scale, got.rest, got.decay, got.thresh, got.thetaDecay, gotMask)
+		lifStepGeneric(0, want.v, want.theta, want.refrac, want.drive, want.gain, want.scale, want.rest, want.decay, want.thresh, want.thetaDecay, wantMask)
+		sameLIF(t, got, want, gotMask, wantMask)
+		for _, w := range wantMask[:words] {
+			for ; w != 0; w &= w - 1 {
+				spikes++
 			}
 		}
 	}
@@ -157,8 +145,8 @@ func TestLIFStepMatchesGoLoop(t *testing.T) {
 	}
 }
 
-// FuzzLIFStep checks both LIF kernels, as dispatched, against their Go
-// loops on fuzzed layers: V, theta, refractory counts and the spike
+// FuzzLIFStep checks the LIF kernel, as dispatched, against its Go
+// loop on fuzzed layers: V, theta, refractory counts and the spike
 // mask, bit for bit, at every size in lifSizes.
 func FuzzLIFStep(f *testing.F) {
 	for k := range lifSizes {

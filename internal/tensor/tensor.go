@@ -41,14 +41,6 @@ func (x Vector) Add(y Vector) {
 	}
 }
 
-// Sub subtracts y from x element-wise.
-func (x Vector) Sub(y Vector) {
-	checkLen(len(x), len(y))
-	for i := range x {
-		x[i] -= y[i]
-	}
-}
-
 // Scale multiplies every element by s, four elements per iteration
 // (independent per-element products, so the unroll is bit-identical to
 // the scalar loop while exposing instruction-level parallelism).
@@ -82,14 +74,6 @@ func (x Vector) DecayToward(target, decay float64) {
 	}
 }
 
-// AddScaled adds s*y into x.
-func (x Vector) AddScaled(s float64, y Vector) {
-	checkLen(len(x), len(y))
-	for i := range x {
-		x[i] += s * y[i]
-	}
-}
-
 // Sum returns the sum of all elements.
 func (x Vector) Sum() float64 {
 	var s float64
@@ -97,37 +81,6 @@ func (x Vector) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// Max returns the maximum element and its index. For an empty vector it
-// returns (-Inf, -1).
-func (x Vector) Max() (float64, int) {
-	best, idx := math.Inf(-1), -1
-	for i, v := range x {
-		if v > best {
-			best, idx = v, i
-		}
-	}
-	return best, idx
-}
-
-// Min returns the minimum element and its index. For an empty vector it
-// returns (+Inf, -1).
-func (x Vector) Min() (float64, int) {
-	best, idx := math.Inf(1), -1
-	for i, v := range x {
-		if v < best {
-			best, idx = v, i
-		}
-	}
-	return best, idx
-}
-
-// Argmax returns the index of the largest element, breaking ties toward
-// the lowest index. Returns -1 for an empty vector.
-func (x Vector) Argmax() int {
-	_, idx := x.Max()
-	return idx
 }
 
 // Clamp limits every element to [lo, hi].
@@ -152,16 +105,6 @@ func (x Vector) ScatterScale(idx []int, s float64) {
 	for _, i := range idx {
 		x[i] *= s
 	}
-}
-
-// Dot returns the inner product of x and y.
-func (x Vector) Dot(y Vector) float64 {
-	checkLen(len(x), len(y))
-	var s float64
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s
 }
 
 // Matrix is a dense row-major matrix.

@@ -22,33 +22,6 @@ func TestVectorBasics(t *testing.T) {
 	if v[3] != 5 {
 		t.Fatalf("Add: got %v", v)
 	}
-	v.Sub(w)
-	if v[3] != 1 {
-		t.Fatalf("Sub: got %v", v)
-	}
-	v.AddScaled(2, w)
-	if v[0] != 3 {
-		t.Fatalf("AddScaled: got %v", v)
-	}
-}
-
-func TestVectorMaxMinArgmax(t *testing.T) {
-	v := Vector{3, -1, 7, 7, 2}
-	mx, i := v.Max()
-	if mx != 7 || i != 2 {
-		t.Fatalf("Max = (%v, %d)", mx, i)
-	}
-	mn, j := v.Min()
-	if mn != -1 || j != 1 {
-		t.Fatalf("Min = (%v, %d)", mn, j)
-	}
-	if v.Argmax() != 2 {
-		t.Fatalf("Argmax = %d", v.Argmax())
-	}
-	var empty Vector
-	if empty.Argmax() != -1 {
-		t.Fatal("empty Argmax should be -1")
-	}
 }
 
 func TestVectorClamp(t *testing.T) {
@@ -59,14 +32,6 @@ func TestVectorClamp(t *testing.T) {
 		if v[i] != want[i] {
 			t.Fatalf("Clamp: got %v", v)
 		}
-	}
-}
-
-func TestVectorDot(t *testing.T) {
-	a := Vector{1, 2, 3}
-	b := Vector{4, 5, 6}
-	if got := a.Dot(b); got != 32 {
-		t.Fatalf("Dot = %v", got)
 	}
 }
 

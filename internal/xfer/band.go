@@ -2,14 +2,6 @@ package xfer
 
 import "math"
 
-// Band is one transfer-map value as a per-point distribution under
-// process variation: Lo/Hi bracket the Mid (nominal) value at a chosen
-// quantile pair, turning the single curves of Figs. 5b/6a into
-// variation bands.
-type Band struct {
-	Lo, Mid, Hi float64
-}
-
 // NormalQuantile returns the standard-normal quantile z with
 // P(Z ≤ z) = p (e.g. p=0.05 → −1.6449, p=0.5 → 0, p=0.95 → +1.6449).
 func NormalQuantile(p float64) float64 {
@@ -32,27 +24,4 @@ type Variation struct {
 // the band edges.
 func (v Variation) RatioAt(c Curve, x, quantilePc float64) float64 {
 	return c.At(x) * (1 + NormalQuantile(quantilePc/100)*v.RelSigma)
-}
-
-// BandAt evaluates the curve at x as a (loPc, 50, hiPc) band.
-func (v Variation) BandAt(c Curve, x, loPc, hiPc float64) Band {
-	return Band{
-		Lo:  v.RatioAt(c, x, loPc),
-		Mid: c.At(x),
-		Hi:  v.RatioAt(c, x, hiPc),
-	}
-}
-
-// Shift returns the whole curve moved to one quantile: every Y scaled
-// by 1 + z·RelSigma. For the quantiles and sigmas in play (|z·σ/μ| ≪ 1)
-// the scale factor is positive, so monotonicity — and therefore
-// Inverse — is preserved; the shifted curve is what a per-cell
-// transfer map samples from the band.
-func (v Variation) Shift(c Curve, quantilePc float64) Curve {
-	scale := 1 + NormalQuantile(quantilePc/100)*v.RelSigma
-	y := make([]float64, len(c.Y))
-	for i, yv := range c.Y {
-		y[i] = yv * scale
-	}
-	return Curve{X: append([]float64(nil), c.X...), Y: y}
 }

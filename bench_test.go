@@ -13,11 +13,13 @@ package snnfi_test
 import (
 	"fmt"
 	"math"
+	"net/http/httptest"
 	"testing"
 
 	"snnfi/internal/core"
 	"snnfi/internal/defense"
 	"snnfi/internal/encoding"
+	"snnfi/internal/fabric"
 	"snnfi/internal/mnist"
 	"snnfi/internal/neuron"
 	"snnfi/internal/power"
@@ -425,6 +427,67 @@ func BenchmarkRunner_CachedSweep(b *testing.B) {
 	if e.TrainCount() != before {
 		b.Fatal("warm sweep must not retrain")
 	}
+}
+
+// --- Cache tier benches ---
+
+// BenchmarkDiskCache times the disk tier (-cache-dir, and each tier of
+// a cmd/cached store): a Put of a new key, a Get that hits and a Get
+// that misses. Values are network cells, the most common record.
+func BenchmarkDiskCache(b *testing.B) {
+	c, err := runner.NewDiskCache[*core.Result](b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchCacheTier(b, c)
+}
+
+// BenchmarkHTTPCache times the same three operations one level up, as
+// a -store client sees them: runner.HTTPCache against a fabric.Server
+// on a loopback listener, so each is one HTTP round trip plus the
+// server's disk tier.
+func BenchmarkHTTPCache(b *testing.B) {
+	s, err := fabric.NewServer(b.TempDir(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	benchCacheTier(b, runner.NewHTTPCache[*core.Result](srv.URL, "network"))
+}
+
+// benchCacheTier runs the three sub-benchmarks on one tier. get-hit
+// cycles over 256 held keys; get-miss repeats one absent key.
+func benchCacheTier(b *testing.B, c runner.Cache[*core.Result]) {
+	val := &core.Result{Accuracy: 0.8125, TotalSpikes: 12345}
+	b.Run("put", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Put(runner.KeyOf("put", i), val)
+		}
+	})
+	held := make([]string, 256)
+	for i := range held {
+		held[i] = runner.KeyOf("held", i)
+		c.Put(held[i], val)
+	}
+	b.Run("get-hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := c.Get(held[i%len(held)]); !ok {
+				b.Fatal("a stored key missed")
+			}
+		}
+	})
+	absent := runner.KeyOf("absent")
+	b.Run("get-miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := c.Get(absent); ok {
+				b.Fatal("an absent key hit")
+			}
+		}
+	})
 }
 
 // --- Circuit-tier characterization sweep benches ---

@@ -4,10 +4,10 @@
 // one content-addressed result namespace (see internal/fabric and
 // runner.HTTPCache; wire format runner.StoreProtocol).
 //
-// The store directory uses the exact -cache-dir layout (network/,
-// circuit/ tier subdirectories of one-JSON-file-per-cell), so an
-// existing warm cache directory can be served as-is, and a store
-// directory can be mounted back as a plain -cache-dir.
+// The store directory uses the exact -cache-dir layout (network/ and
+// circuit/ tier subdirectories, each holding one append-only log of
+// cells), so an existing warm cache directory can be served as-is, and
+// a store directory can be mounted back as a plain -cache-dir.
 //
 // Usage:
 //
@@ -114,7 +114,7 @@ func run() error {
 	case <-sig:
 		// Workers degrade to recompute-on-miss when the store goes
 		// away, so a plain close loses nothing durable — cells already
-		// written are safe on disk (temp-file + rename).
+		// written are safe on disk (appended before each PUT answers).
 		return httpSrv.Close()
 	}
 }

@@ -122,7 +122,7 @@ func (s *Server) status(c *campaign) (*campaignStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys, err := t.dc.Manifest()
+	keys, err := t.Manifest()
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +185,7 @@ func (s *Server) handleCampaignCells(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]cellOut, 0, len(c.cells))
 	for _, cell := range c.cells {
-		raw, ok := t.dc.Get(cell.Key)
+		raw, ok := t.Get(cell.Key)
 		if !ok {
 			continue
 		}

@@ -8,9 +8,10 @@
 // The store holds content-addressed result cells: the key is a
 // runner.KeyOf digest of everything that determines the value, so
 // cells never conflict, never need invalidation, and any number of
-// workers may PUT the same key concurrently (last rename wins,
-// byte-identical payloads). Correctness therefore never depends on
-// the store — a lost cell is recomputed by whoever misses it.
+// workers may PUT the same key concurrently (each PUT appends a
+// record, the last one wins, and the payloads are byte-identical).
+// Correctness therefore never depends on the store — a lost cell is
+// recomputed by whoever misses it.
 package fabric
 
 import (
@@ -25,8 +26,8 @@ import (
 	"snnfi/internal/runner"
 )
 
-// tierPat bounds tier names to DiskCache-safe directory names; cell
-// keys need no check because DiskCache.path re-hashes anything unsafe.
+// tierPat bounds tier names to safe directory names; cell keys need no
+// check because DiskCache keeps them as strings inside its log.
 var tierPat = regexp.MustCompile(`^[a-z0-9_-]{1,32}$`)
 
 // Server serves one store directory (per-tier DiskCache
@@ -38,23 +39,13 @@ type Server struct {
 	mux *http.ServeMux
 
 	mu        sync.Mutex
-	tiers     map[string]*tier
+	tiers     map[string]*runner.DiskCache[json.RawMessage]
 	campaigns map[string]*campaign
 
 	// DataDir optionally points campaign audits at a real-MNIST
 	// directory; it must match what the workers train from, or the
 	// fingerprints (and so every key) disagree.
 	DataDir string
-}
-
-// tier wraps one DiskCache with a put lock: PUTs are serialized per
-// tier so a write failure can be attributed to the request that
-// caused it (DiskCache.Put reports errors only cumulatively). Cell
-// writes are seconds apart — one training each — so the lock is never
-// contended in practice.
-type tier struct {
-	dc    *runner.DiskCache[json.RawMessage]
-	putMu sync.Mutex
 }
 
 // NewServer opens (creating if needed) a store over dir. The registry
@@ -64,7 +55,7 @@ func NewServer(dir string, reg *obs.Registry) (*Server, error) {
 	s := &Server{
 		dir:       dir,
 		reg:       reg,
-		tiers:     map[string]*tier{},
+		tiers:     map[string]*runner.DiskCache[json.RawMessage]{},
 		campaigns: map[string]*campaign{},
 	}
 	mux := http.NewServeMux()
@@ -93,22 +84,22 @@ func (s *Server) Dir() string { return s.dir }
 
 // tier returns (creating if needed) the DiskCache for one tier name,
 // or nil if the name is outside the sanctioned alphabet.
-func (s *Server) tier(name string) (*tier, error) {
+func (s *Server) tier(name string) (*runner.DiskCache[json.RawMessage], error) {
 	if !tierPat.MatchString(name) {
 		return nil, fmt.Errorf("invalid tier %q", name)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tiers[name]; ok {
-		return t, nil
+	if dc, ok := s.tiers[name]; ok {
+		return dc, nil
 	}
 	dc, err := runner.NewDiskCache[json.RawMessage](s.dir + "/" + name)
 	if err != nil {
 		return nil, err
 	}
 	dc.Instrument(s.reg, "store.disk."+name)
-	s.tiers[name] = &tier{dc: dc}
-	return s.tiers[name], nil
+	s.tiers[name] = dc
+	return dc, nil
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -127,7 +118,7 @@ func (s *Server) handleGetCell(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	raw, ok := t.dc.Get(r.PathValue("key"))
+	raw, ok := t.Get(r.PathValue("key"))
 	if !ok {
 		http.NotFound(w, r)
 		return
@@ -155,12 +146,7 @@ func (s *Server) handlePutCell(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "cell body is not valid JSON", http.StatusBadRequest)
 		return
 	}
-	t.putMu.Lock()
-	before := t.dc.WriteErrors()
-	t.dc.Put(r.PathValue("key"), json.RawMessage(body))
-	failed := t.dc.WriteErrors() > before
-	t.putMu.Unlock()
-	if failed {
+	if t.Append(r.PathValue("key"), json.RawMessage(body)) != nil {
 		// 5xx so the client's bounded retry gets a chance; DiskCache
 		// already remembered the error for the operator.
 		http.Error(w, "store write failed", http.StatusInternalServerError)
@@ -176,7 +162,7 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	keys, err := t.dc.Manifest()
+	keys, err := t.Manifest()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

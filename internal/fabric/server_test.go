@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -168,6 +169,54 @@ func TestConcurrentPutsSameKey(t *testing.T) {
 	c := newClient[cell](t, url, "network")
 	if v, ok := c.Get("hot"); !ok || v != (cell{Name: "same", Acc: 0.5}) {
 		t.Fatalf("racing writers left %+v, %v", v, ok)
+	}
+}
+
+// TestStorePutWriteFailure: a PUT whose append fails answers 500, so
+// the client's bounded retry engages and its Err reports the failure,
+// and the cell stays a miss.
+func TestStorePutWriteFailure(t *testing.T) {
+	s, url, reg := newTestServer(t)
+	c := newClient[cell](t, url, "network")
+	c.Put("ok", cell{Name: "ok"})
+	// The tier directory holds only its log. A directory in its place
+	// cannot be opened for appending, even by root.
+	tierDir := filepath.Join(s.Dir(), "network")
+	files, err := os.ReadDir(tierDir)
+	if err != nil || len(files) != 1 {
+		t.Fatalf("tier directory holds %v (%v), want just the log", files, err)
+	}
+	log := filepath.Join(tierDir, files[0].Name())
+	if err := os.Remove(log); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(log, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	req, _ := http.NewRequest(http.MethodPut, url+"/cell/network/k", strings.NewReader(`{"name":"k"}`))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("PUT with a failing append: %s, want 500", resp.Status)
+	}
+	c.Put("k2", cell{Name: "k2"})
+	if c.Err() == nil {
+		t.Fatal("the client must report the failed PUT")
+	}
+	for _, k := range []string{"k", "k2"} {
+		if _, ok := c.Get(k); ok {
+			t.Fatalf("cell %q whose write failed must miss", k)
+		}
+	}
+	if v, ok := c.Get("ok"); !ok || v.Name != "ok" {
+		t.Fatalf("cell written before the failure = %+v, %v", v, ok)
+	}
+	if got := reg.Snapshot().Counters["store.disk.network.write_errors"]; got < 2 {
+		t.Fatalf("write errors = %d, want one per failed PUT attempt (at least 2)", got)
 	}
 }
 

@@ -1,31 +1,44 @@
 package runner
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"snnfi/internal/obs"
 )
 
-// DiskCache is a Cache backed by one JSON file per key, so results
-// survive the process that computed them: a killed campaign resumed
-// against the same directory recomputes only the missing entries.
+// logName is the file a DiskCache keeps its records in, inside its
+// directory.
+const logName = "cache.jsonl"
+
+// DiskCache is a Cache backed by one append-only log per directory, so
+// results survive the process that computed them: a killed campaign
+// resumed against the same directory recomputes only the missing
+// entries.
+//
+// The log holds one JSON record per line, {"k":key,"v":value}. Put
+// appends its record with a single O_APPEND write before it returns,
+// and an in-memory index maps each key to the value of its latest
+// record. Get and Manifest answer from the index; a Get miss and every
+// Manifest first index the bytes appended since the last read, so they
+// see what other processes wrote. Holding no file open, a cache that is
+// dropped leaves nothing behind.
 //
 // Values round-trip through encoding/json, which preserves float64
 // exactly (shortest round-trip rendering), so a resumed campaign
 // streams byte-identical records. The value type must therefore be
 // JSON-codable: exported fields, no cycles.
 //
-// Writes are safe for concurrent writers — in one process and across
-// processes — because Put writes to a private temp file and renames it
-// into place (atomic on POSIX), so readers never observe a partial
-// entry. A corrupt or unreadable entry degrades to a miss, never an
+// Writers are safe in one process and across processes: on a local
+// file system the kernel appends each write whole, so records never
+// interleave. Every record starts with a newline, so a torn record (a
+// crash or a full disk mid-write) ends where the next record begins and
+// costs only itself. A damaged record degrades to a miss, never an
 // error: the worst a damaged cache can do is cost a recomputation.
 type DiskCache[T any] struct {
 	dir string
@@ -45,8 +58,10 @@ type DiskCache[T any] struct {
 	corrupt   obs.Counter
 	writeErrs obs.Counter
 
-	mu  sync.Mutex
-	err error
+	mu    sync.Mutex
+	index map[string]json.RawMessage // key → value of its latest record
+	read  int64                      // log bytes indexed so far
+	err   error
 }
 
 // NewDiskCache opens (creating if needed) a cache directory.
@@ -54,45 +69,33 @@ func NewDiskCache[T any](dir string) (*DiskCache[T], error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &DiskCache[T]{dir: dir}, nil
+	return &DiskCache[T]{dir: dir, index: map[string]json.RawMessage{}}, nil
 }
 
 // Dir returns the cache directory.
 func (c *DiskCache[T]) Dir() string { return c.dir }
 
-// path maps a key to its entry file. KeyOf digests are already safe
-// filenames; anything else (uppercase, separators, overlong) is
-// re-hashed so arbitrary keys can never escape the directory.
-func (c *DiskCache[T]) path(key string) string {
-	safe := key != "" && len(key) <= 128
-	for i := 0; safe && i < len(key); i++ {
-		ch := key[i]
-		safe = ch == '-' || ch == '_' ||
-			(ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'z')
-	}
-	if !safe {
-		sum := sha256.Sum256([]byte(key))
-		key = hex.EncodeToString(sum[:])
-	}
-	return filepath.Join(c.dir, key+".json")
-}
-
-// Get loads the entry for key, if a well-formed one exists. A corrupt
-// entry (the file read fine but did not decode) counts as both a
-// corruption and a miss — hits+misses stays the lookup count while
-// the corrupt counter flags the damage.
+// Get loads the value for key, if a well-formed record holds it. A
+// record whose value does not decode as T counts as both a corruption
+// and a miss — hits+misses stays the lookup count while the corrupt
+// counter flags the damage.
 func (c *DiskCache[T]) Get(key string) (T, bool) {
 	var v T
 	if c == nil {
 		return v, false
 	}
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		var zero T
-		c.misses.Inc()
-		return zero, false
+	c.mu.Lock()
+	raw, ok := c.index[key]
+	if !ok {
+		c.catchUp()
+		raw, ok = c.index[key]
 	}
-	if json.Unmarshal(data, &v) != nil {
+	c.mu.Unlock()
+	if !ok {
+		c.misses.Inc()
+		return v, false
+	}
+	if json.Unmarshal(raw, &v) != nil {
 		var zero T
 		c.corrupt.Inc()
 		c.misses.Inc()
@@ -102,37 +105,108 @@ func (c *DiskCache[T]) Get(key string) (T, bool) {
 	return v, true
 }
 
-// Put persists v under key via temp-file + rename, replacing any
-// previous entry. Failures are remembered (see Err) but do not stop
-// the campaign — a result that fails to persist is recomputed on
-// resume, never lost silently mid-run.
-func (c *DiskCache[T]) Put(key string, v T) {
+// Put persists v under key (see Append). A failure is remembered (see
+// Err) but does not stop the campaign — a result that fails to persist
+// is recomputed on resume, never lost silently mid-run.
+func (c *DiskCache[T]) Put(key string, v T) { c.Append(key, v) }
+
+// Append writes v's record to the log and indexes it, replacing any
+// previous value of key. It returns the write's own error, which is
+// also remembered for Err; on failure key keeps its previous value.
+func (c *DiskCache[T]) Append(key string, v T) error {
 	if c == nil {
-		return
+		return nil
 	}
 	c.puts.Inc()
-	data, err := json.Marshal(v)
+	val, err := json.Marshal(v)
 	if err != nil {
 		c.setErr(err)
-		return
+		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, ".put-*")
+	k, _ := json.Marshal(key) // a string always marshals
+	rec := make([]byte, 0, len(k)+len(val)+12)
+	rec = append(rec, "\n{\"k\":"...)
+	rec = append(append(rec, k...), ",\"v\":"...)
+	rec = append(append(rec, val...), '}')
+	// Writing under the lock keeps the index in the log's order.
+	c.mu.Lock()
+	f, err := os.OpenFile(filepath.Join(c.dir, logName), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err == nil {
+		_, err = f.Write(rec)
+		// The record ends at the file offset. If it starts where the
+		// last read ended, everything before it is indexed already.
+		if end, serr := f.Seek(0, io.SeekCurrent); err == nil && serr == nil && end-int64(len(rec)) == c.read {
+			c.read = end
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		c.index[key] = val
+	}
+	c.mu.Unlock()
 	if err != nil {
 		c.setErr(err)
-		return
 	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
+	return err
+}
+
+// catchUp indexes the records appended to the log since the last read;
+// c.mu must be held. A final line that is not a record may still be
+// being written, so it is left to be read again; any other line that
+// is not a record counts as corrupt and is skipped. Read errors leave
+// the index as it was, so lookups degrade to misses.
+func (c *DiskCache[T]) catchUp() error {
+	path := filepath.Join(c.dir, logName)
+	st, err := os.Stat(path)
+	if os.IsNotExist(err) {
+		return nil
 	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), c.path(key))
+	if err != nil || st.Size() == c.read {
+		return err
 	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		c.setErr(werr)
+	if st.Size() < c.read { // the log was cut short: index it afresh
+		c.read = 0
 	}
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	buf := make([]byte, st.Size()-c.read)
+	n, err := f.ReadAt(buf, c.read)
+	if err != nil && err != io.EOF {
+		return err
+	}
+	buf = buf[:n]
+	for len(buf) > 0 {
+		line, rest, whole := bytes.Cut(buf, []byte{'\n'})
+		key, val, ok := parseRecord(line)
+		if !whole && !ok {
+			break
+		}
+		if ok {
+			c.index[key] = val
+		} else if len(line) > 0 {
+			c.corrupt.Inc()
+		}
+		c.read += int64(len(buf) - len(rest))
+		buf = rest
+	}
+	return nil
+}
+
+// parseRecord decodes one log line into its key and value.
+func parseRecord(line []byte) (string, json.RawMessage, bool) {
+	var r struct {
+		K *string         `json:"k"`
+		V json.RawMessage `json:"v"`
+	}
+	if json.Unmarshal(line, &r) != nil || r.K == nil || r.V == nil {
+		return "", nil, false
+	}
+	return *r.K, r.V, true
 }
 
 // Err reports the first persistence failure, if any. Lookups never
@@ -148,27 +222,24 @@ func (c *DiskCache[T]) Err() error {
 	return c.err
 }
 
-// Manifest returns the keys of every entry currently held, sorted —
-// the campaign-audit view of a cache directory. It lists entry files
-// without decoding them, so a corrupt entry may appear here yet still
-// degrade to a miss on Get; the manifest answers "what has been
-// persisted", not "what is guaranteed well-formed". Keys that were
-// re-hashed into safe filenames (see path) appear as their digest.
+// Manifest returns the key of every well-formed record in the log,
+// sorted — the campaign-audit view of a cache directory. A record
+// whose value does not decode as T is listed yet still degrades to a
+// miss on Get; the manifest answers "what has been persisted", not
+// "what is guaranteed well-formed".
 func (c *DiskCache[T]) Manifest() ([]string, error) {
 	if c == nil {
 		return nil, nil
 	}
-	entries, err := os.ReadDir(c.dir)
+	c.mu.Lock()
+	err := c.catchUp()
+	keys := make([]string, 0, len(c.index))
+	for k := range c.index {
+		keys = append(keys, k)
+	}
+	c.mu.Unlock()
 	if err != nil {
 		return nil, err
-	}
-	var keys []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		keys = append(keys, strings.TrimSuffix(name, ".json"))
 	}
 	sort.Strings(keys)
 	return keys, nil
@@ -182,21 +253,14 @@ func (c *DiskCache[T]) Stats() (hits, misses int64) {
 	return c.hits.Value(), c.misses.Value()
 }
 
-// Corrupt reports how many lookups found an entry file that failed to
-// decode (each also counted as a miss).
+// Corrupt reports how many damaged records the cache met: log lines
+// that are not records, each counted when read, and lookups whose
+// record did not decode as T (each also counted as a miss).
 func (c *DiskCache[T]) Corrupt() int64 {
 	if c == nil {
 		return 0
 	}
 	return c.corrupt.Value()
-}
-
-// WriteErrors reports how many Puts failed to persist.
-func (c *DiskCache[T]) WriteErrors() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.writeErrs.Value()
 }
 
 // Puts reports how many values have been stored (attempted) since
@@ -210,7 +274,7 @@ func (c *DiskCache[T]) Puts() int64 {
 
 // Instrument publishes the cache's counters into r under
 // "<name>.hits", "<name>.misses", "<name>.puts", "<name>.corrupt" and
-// "<name>.write_errors" — the same atomics Stats/Corrupt/WriteErrors
+// "<name>.write_errors" — the same atomics Stats, Corrupt and Puts
 // read. Nil receiver or registry is a no-op.
 func (c *DiskCache[T]) Instrument(r *obs.Registry, name string) {
 	if c == nil {

@@ -250,7 +250,7 @@ func TestTieredRegistryMatchesStats(t *testing.T) {
 		{"cache.slow.misses", sm},
 		{"cache.slow.puts", slow.Puts()},
 		{"cache.slow.corrupt", slow.Corrupt()},
-		{"cache.slow.write_errors", slow.WriteErrors()},
+		{"cache.slow.write_errors", slow.writeErrs.Value()},
 	}
 	for _, c := range checks {
 		if got := snap.Counters[c.name]; got != c.want {
@@ -270,10 +270,11 @@ func TestDiskCacheCorruptCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put("good", 1)
-	if err := os.WriteFile(filepath.Join(dir, "bad.json"), []byte("{not json"), 0o644); err != nil {
+	// A record for "bad" torn mid-value, then a good record after it.
+	if err := os.WriteFile(filepath.Join(dir, logName), []byte(`{"k":"bad","v":{not json`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	c.Put("good", 1)
 	if _, ok := c.Get("good"); !ok {
 		t.Fatal("good entry must hit")
 	}
@@ -304,15 +305,11 @@ func TestDiskCacheOnFirstWriteError(t *testing.T) {
 		}
 		warned.Add(1)
 	}
-	// Make the directory unwritable so CreateTemp fails. Skip as root,
-	// where permission bits don't bind.
-	if os.Geteuid() == 0 {
-		t.Skip("running as root; cannot provoke a write error via permissions")
-	}
-	if err := os.Chmod(dir, 0o500); err != nil {
+	// A directory where the log belongs cannot be opened for writing,
+	// even by root.
+	if err := os.Mkdir(filepath.Join(dir, logName), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	defer os.Chmod(dir, 0o755)
 	c.Put("k", 1)
 	c.Put("k2", 2)
 	if warned.Load() != 1 {
@@ -321,8 +318,8 @@ func TestDiskCacheOnFirstWriteError(t *testing.T) {
 	if c.Err() == nil {
 		t.Fatal("Err must report the failure")
 	}
-	if c.WriteErrors() != 2 {
-		t.Fatalf("write errors = %d, want 2", c.WriteErrors())
+	if got := c.writeErrs.Value(); got != 2 {
+		t.Fatalf("write errors = %d, want 2", got)
 	}
 }
 

@@ -198,7 +198,7 @@ func TestTrainNormalizationPolicies(t *testing.T) {
 		{"hook", TrainOptions{BeforeImage: func(int) {}}, func(n *DiehlCook) {
 			for i := 0; i < c.Len(); i++ {
 				n.NormalizeWeights()
-				n.present(c.Train(i), true, tensor.NewVector(cfg.NExc))
+				n.present(c.Train(i), true)
 			}
 		}},
 		{"no-hook", TrainOptions{}, func(n *DiehlCook) {
@@ -396,7 +396,7 @@ func TestStatePoolObservationFree(t *testing.T) {
 		net.Exc.Trace.Fill(0.5)
 		net.prevExc = append(net.prevExc[:0], 0, 1, 2)
 		net.prevInh = append(net.prevInh[:0], 3, 4)
-		dirty.counts.Fill(5)
+		net.counts.Fill(5)
 	}
 	// What a pool hit does with it: refreeze, then present.
 	poison()
@@ -415,7 +415,7 @@ func TestStatePoolObservationFree(t *testing.T) {
 	}
 	bigCopy := newFrozenCopy(big)
 	bigCopy.present(c.Train(3))
-	if f := bigCopy.refreeze(n); f == bigCopy || len(f.counts) != n.Cfg.NExc {
+	if f := bigCopy.refreeze(n); f == bigCopy || len(f.net.counts) != n.Cfg.NExc {
 		t.Fatal("a pooled copy of other sizes was reused")
 	}
 

@@ -50,11 +50,9 @@ func ImageSeed(base int64, i int) int64 {
 }
 
 // frozenCopy is one evaluation worker's view of a trained network: a
-// DiehlCook that presents with learn=false, plus the spike-count
-// accumulator its presentations fill.
+// DiehlCook that presents with learn=false.
 type frozenCopy struct {
-	net    *DiehlCook
-	counts tensor.Vector
+	net *DiehlCook
 }
 
 // frozenPool recycles frozen copies across evaluation passes and
@@ -65,10 +63,7 @@ var frozenPool sync.Pool
 // newFrozenCopy builds a frozen copy of n outside the pool. Its own
 // weight matrix is never allocated: it shares n's.
 func newFrozenCopy(n *DiehlCook) *frozenCopy {
-	f := &frozenCopy{
-		net:    newDiehlCook(n.Cfg, newLIFGroup(n.Exc.Cfg), newLIFGroup(n.Inh.Cfg)),
-		counts: tensor.NewVector(n.Cfg.NExc),
-	}
+	f := &frozenCopy{net: newDiehlCook(n.Cfg, newLIFGroup(n.Exc.Cfg), newLIFGroup(n.Inh.Cfg))}
 	f.freeze(n)
 	return f
 }
@@ -83,7 +78,7 @@ func acquireFrozen(n *DiehlCook) *frozenCopy {
 // refreeze returns f frozen from n when f (possibly nil) has n's layer
 // sizes, else a new frozen copy of n.
 func (f *frozenCopy) refreeze(n *DiehlCook) *frozenCopy {
-	if f == nil || len(f.net.preSeen) != n.Cfg.NInput || len(f.counts) != n.Cfg.NExc || len(f.net.Inh.V) != n.Cfg.NInh {
+	if f == nil || len(f.net.preSeen) != n.Cfg.NInput || len(f.net.counts) != n.Cfg.NExc || len(f.net.Inh.V) != n.Cfg.NInh {
 		return newFrozenCopy(n)
 	}
 	f.freeze(n)
@@ -105,12 +100,12 @@ func releaseFrozen(f *frozenCopy) {
 	frozenPool.Put(f)
 }
 
-// present runs one frozen presentation and returns f.counts, the
-// per-neuron excitatory spike counts. The returned vector is f's
+// present runs one frozen presentation and returns the per-neuron
+// excitatory spike counts. The returned vector is the copy's
 // accumulator — copy it to retain past the next presentation.
 // Steady-state the call allocates nothing.
 func (f *frozenCopy) present(tr SpikeTrain) tensor.Vector {
-	return f.net.present(tr, false, f.counts)
+	return f.net.present(tr, false)
 }
 
 // EvalOptions configures a read-only presentation pass.

@@ -124,10 +124,12 @@ type DiehlCook struct {
 	// scratch. driveInh is all-zero between steps: Step sets it at the
 	// drive indices and clears them after the inhibitory step. colScratch
 	// (NExc) holds the per-neuron depression coefficients during a
-	// learning step and the column sums during normalization.
+	// learning step and the column sums during normalization. counts
+	// (NExc) is the spike-count vector present fills and returns.
 	driveExc   tensor.Vector
 	driveInh   tensor.Vector
 	colScratch tensor.Vector
+	counts     tensor.Vector
 	prevExc    []int
 	prevInh    []int
 }
@@ -168,6 +170,7 @@ func newDiehlCook(cfg DiehlCookConfig, exc, inh *LIFGroup) *DiehlCook {
 		driveExc:        tensor.NewVector(cfg.NExc),
 		driveInh:        tensor.NewVector(cfg.NInh),
 		colScratch:      tensor.NewVector(cfg.NExc),
+		counts:          tensor.NewVector(cfg.NExc),
 	}
 }
 
@@ -424,18 +427,21 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 // normalizeDirty). It assumes nothing outside Step has written W since
 // the last normalization, so callers that mutate weights directly
 // (fault-injection hooks) must run the full NormalizeWeights first, as
-// TrainWith does after every BeforeImage hook.
+// TrainWith does after every BeforeImage hook. It returns the
+// presentation's per-neuron excitatory spike counts in a vector the
+// network owns, valid until its next presentation.
 func (n *DiehlCook) TrainImage(tr SpikeTrain) tensor.Vector {
 	n.normalizeDirty()
-	return n.present(tr, true, tensor.NewVector(n.Cfg.NExc))
+	return n.present(tr, true)
 }
 
 // present is one presentation without the homeostatic normalization:
 // ResetState, the train's steps, then the quiet RestSteps, which never
-// learn. It zeroes counts, adds each step's excitatory spikes to it and
-// returns it. The normalization policy is the caller's (see
+// learn. It zeroes n.counts, adds each step's excitatory spikes to it
+// and returns it. The normalization policy is the caller's (see
 // TrainImage).
-func (n *DiehlCook) present(tr SpikeTrain, learn bool, counts tensor.Vector) tensor.Vector {
+func (n *DiehlCook) present(tr SpikeTrain, learn bool) tensor.Vector {
+	counts := n.counts
 	n.ResetState()
 	counts.Zero()
 	for t := 0; t < tr.Steps(); t++ {

@@ -267,7 +267,7 @@ func TestLateralInhibitionSparsifiesActivity(t *testing.T) {
 		c := EncodeCorpus(mnist.Synthetic(5, 3), encoding.NewPoissonEncoder(8), cfg.Steps)
 		total := 0.0
 		for i := 0; i < c.Len(); i++ {
-			counts := n.present(c.Train(i), false, tensor.NewVector(cfg.NExc))
+			counts := n.present(c.Train(i), false)
 			for _, c := range counts {
 				if c > 0 {
 					total++
@@ -299,7 +299,7 @@ func TestRunImageDeterministicGivenSeeds(t *testing.T) {
 		var last tensor.Vector
 		for i := 0; i < c.Len(); i++ {
 			n.NormalizeWeights()
-			last = n.present(c.Train(i), true, tensor.NewVector(cfg.NExc))
+			last = n.present(c.Train(i), true)
 		}
 		return last
 	}

@@ -80,6 +80,11 @@ func (c *Circuit) solveNewton(ctx *Context, opt NROptions) error {
 		lastWorst, lastWorstIdx = 0.0, -1
 		for i := 0; i < n; i++ {
 			d := math.Abs(xNew[i] - ctx.X[i])
+			if !(d <= math.MaxFloat64) {
+				// NaN or ±Inf: every comparison below would pass it
+				// as converged.
+				return fmt.Errorf("spice: non-finite Newton update at %s (iteration %d)", c.unknownName(i), iter)
+			}
 			if i < ctx.N && d > maxDelta {
 				maxDelta = d
 			}
@@ -113,13 +118,18 @@ func (c *Circuit) solveNewton(ctx *Context, opt NROptions) error {
 		}
 	}
 	if debugNR {
-		name := fmt.Sprintf("unknown %d", lastWorstIdx)
-		if lastWorstIdx >= 0 && lastWorstIdx < len(c.nodeNames) {
-			name = c.nodeNames[lastWorstIdx]
-		}
-		fmt.Fprintf(debugOut, "spice debug: NR stuck, worst delta %.3g at %s; X=%v\n", lastWorst, name, ctx.X)
+		fmt.Fprintf(debugOut, "spice debug: NR stuck, worst delta %.3g at %s; X=%v\n", lastWorst, c.unknownName(lastWorstIdx), ctx.X)
 	}
 	return fmt.Errorf("spice: Newton–Raphson did not converge in %d iterations", opt.MaxIter)
+}
+
+// unknownName names unknown i for diagnostics: its node name, or its
+// index for a branch current.
+func (c *Circuit) unknownName(i int) string {
+	if i >= 0 && i < len(c.nodeNames) {
+		return c.nodeNames[i]
+	}
+	return fmt.Sprintf("unknown %d", i)
 }
 
 // solveRobust runs the fallback ladder of production SPICE engines on

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -17,6 +18,41 @@ func rcCircuit() *Circuit {
 	c.R("R1", "in", "out", 1e3)
 	c.C("C1", "out", "0", 1e-6)
 	return c
+}
+
+// TestTranInfiniteCapacitorFails: an infinite capacitance, or a finite
+// one whose companion conductance C/Dt overflows, makes the Newton
+// updates of the transient non-finite. The solve must fail with an
+// error, not accept NaN as converged and return NaN samples.
+func TestTranInfiniteCapacitorFails(t *testing.T) {
+	deck, err := ParseNetlist("V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1e300meg\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Circuit
+		uic  bool
+	}{
+		{"deck", deck, false},
+		{"infinite", nil, false},
+		{"infinite/UIC", nil, true},
+	} {
+		c := tc.c
+		if c == nil {
+			c = New()
+			c.V("V1", "a", "0", DC(1))
+			c.R("R1", "a", "b", 1e3)
+			c.C("C1", "b", "0", math.Inf(1))
+		}
+		res, err := c.Tran(TranOptions{Dt: 1e-9, Stop: 5e-9, UIC: tc.uic})
+		if err == nil {
+			t.Fatalf("%s: Tran returned b = %v and no error", tc.name, res.V("b"))
+		}
+		if !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("%s: error %q does not name the non-finite update", tc.name, err)
+		}
+	}
 }
 
 // TestTranFinalPartialStep: a Stop that is not an integer multiple of

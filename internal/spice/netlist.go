@@ -3,6 +3,7 @@ package spice
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -383,13 +384,22 @@ func ParseValue(s string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad number %q", s)
 	}
-	if rest == "" {
-		return base, nil
-	}
-	for _, sf := range suffixes {
-		if strings.HasPrefix(rest, sf.suffix) {
-			return base * sf.mult, nil
+	v := base
+	if rest != "" {
+		mult := 0.0
+		for _, sf := range suffixes {
+			if strings.HasPrefix(rest, sf.suffix) {
+				mult = sf.mult
+				break
+			}
 		}
+		if mult == 0 {
+			return 0, fmt.Errorf("unknown unit suffix %q in %q", rest, s)
+		}
+		v *= mult
 	}
-	return 0, fmt.Errorf("unknown unit suffix %q in %q", rest, s)
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return 0, fmt.Errorf("value %q is not finite", s)
+	}
+	return v, nil
 }

@@ -73,8 +73,9 @@ var badDecks = []string{
 	"V1 a 0 PULSE(0 1)",      // too few PULSE args
 	"V1 a 0 TRIANGLE(0 1)",   // unknown waveform
 	"V1 a 0 PWL(0 0 1u)",     // odd PWL args
-	".tran 1n 1u",            // unsupported directive
-	"U1 a b out BAD",         // malformed opamp param
+	"V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1e306meg", // infinite capacitance
+	".tran 1n 1u",    // unsupported directive
+	"U1 a b out BAD", // malformed opamp param
 }
 
 func TestParseValue(t *testing.T) {
@@ -96,7 +97,7 @@ func TestParseValue(t *testing.T) {
 			t.Fatalf("ParseValue(%q) = %g, want %g", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "abc", "1x", "k1"} {
+	for _, bad := range []string{"", "abc", "1x", "k1", "1e306meg", "-1e306meg", "1e308k", "1e400"} {
 		if _, err := ParseValue(bad); err == nil {
 			t.Fatalf("ParseValue(%q) should fail", bad)
 		}

@@ -453,12 +453,25 @@ func BenchmarkHTTPCache(b *testing.B) {
 	}
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	benchCacheTier(b, runner.NewHTTPCache[*core.Result](srv.URL, "network"))
+	c := runner.NewHTTPCache[*core.Result](srv.URL, "network")
+	held := benchCacheTier(b, c)
+	// get-many looks all 256 held keys up in one request: the batch a
+	// pool makes for M1's 256 mismatch samples. Compare it with 256
+	// get-hit operations.
+	b.Run("get-many", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, oks := c.GetMany(held); !oks[len(oks)-1] {
+				b.Fatal("a stored key missed")
+			}
+		}
+	})
 }
 
-// benchCacheTier runs the three sub-benchmarks on one tier. get-hit
-// cycles over 256 held keys; get-miss repeats one absent key.
-func benchCacheTier(b *testing.B, c runner.Cache[*core.Result]) {
+// benchCacheTier runs the three sub-benchmarks on one tier and returns
+// the keys it holds. get-hit cycles over 256 held keys; get-miss
+// repeats one absent key.
+func benchCacheTier(b *testing.B, c runner.Cache[*core.Result]) []string {
 	val := &core.Result{Accuracy: 0.8125, TotalSpikes: 12345}
 	b.Run("put", func(b *testing.B) {
 		b.ReportAllocs()
@@ -488,6 +501,7 @@ func benchCacheTier(b *testing.B, c runner.Cache[*core.Result]) {
 			}
 		}
 	})
+	return held
 }
 
 // --- Circuit-tier characterization sweep benches ---
@@ -762,6 +776,42 @@ func BenchmarkEncodeCorpus(b *testing.B) {
 	}
 	b.ReportMetric(float64(c.Spikes())/float64(c.Len()), "spikes/image")
 	b.ReportMetric(float64(8*c.Spikes()+4*c.Len()*(c.Steps+1))/1e6, "MB")
+}
+
+// BenchmarkDCSolverSolve times one DC solve of the inverter the
+// Monte-Carlo threshold probe bisects (M1's inner layer): a Newton
+// continuation from the previous solution while the input walks the
+// probe's grid up and down, so each solve starts near its answer, as
+// the probe's warm-started revisits do. newton/solve is the iteration
+// count per solve.
+func BenchmarkDCSolverSolve(b *testing.B) {
+	c := spice.New()
+	c.V("VDD", "vdd", "0", spice.DC(1))
+	vin := c.V("VIN", "in", "0", spice.DC(0))
+	c.PMOSDev("MP1", "out", "in", "vdd", 2e-6, 100e-9, spice.PMOS65())
+	c.NMOSDev("MN3", "out", "in", "0", 1e-6, 100e-9, spice.NMOS65())
+	s := c.BeginDC()
+	if err := s.SolveRobust(); err != nil {
+		b.Fatal(err)
+	}
+	grid := neuron.ThresholdGrid(1)
+	period := 2*len(grid) - 2
+	_, iters0, _ := spice.SolverCounts()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % period
+		if j >= len(grid) {
+			j = period - j
+		}
+		vin.W = spice.DC(grid[j])
+		if err := s.Solve(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	_, iters, _ := spice.SolverCounts()
+	b.ReportMetric(float64(iters-iters0)/float64(b.N), "newton/solve")
 }
 
 func BenchmarkSpiceTransientStep(b *testing.B) {

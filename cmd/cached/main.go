@@ -9,6 +9,15 @@
 // cells), so an existing warm cache directory can be served as-is, and
 // a store directory can be mounted back as a plain -cache-dir.
 //
+// Cell routes (snnfi-store-v2):
+//
+//	GET  /cell/{tier}/{key}   one cell, 404 on a miss
+//	POST /cell/{tier}         a JSON array of keys in; a JSON array of as
+//	                          many cells out, null for a miss — the batch
+//	                          lookup a worker pool makes once per batch
+//	PUT  /cell/{tier}/{key}   store one cell (one PUT per computed cell)
+//	GET  /manifest/{tier}     the keys the tier holds
+//
 // Usage:
 //
 //	cached -dir store                          # serve ./store on a random port

@@ -62,6 +62,7 @@ func NewServer(dir string, reg *obs.Registry) (*Server, error) {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /cell/{tier}/{key}", s.handleGetCell)
+	mux.HandleFunc("POST /cell/{tier}", s.handleGetCells)
 	mux.HandleFunc("PUT /cell/{tier}/{key}", s.handlePutCell)
 	mux.HandleFunc("GET /manifest/{tier}", s.handleManifest)
 	mux.HandleFunc("POST /campaign", s.handlePostCampaign)
@@ -70,7 +71,7 @@ func NewServer(dir string, reg *obs.Registry) (*Server, error) {
 	s.mux = mux
 	// Seed the request counters so /metrics shows the full shape from
 	// the first scrape.
-	for _, n := range []string{"store.gets", "store.puts", "store.manifests", "store.campaigns"} {
+	for _, n := range []string{"store.gets", "store.batches", "store.puts", "store.manifests", "store.campaigns"} {
 		reg.Counter(n)
 	}
 	return s, nil
@@ -125,6 +126,49 @@ func (s *Server) handleGetCell(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(raw)
+}
+
+// maxBatchBody bounds a batch lookup's body: about 120,000 keys of 64
+// hex digits, far more than any pool batch.
+const maxBatchBody = 8 << 20
+
+// handleGetCells answers a batch lookup: the body is a JSON array of
+// keys, the answer an array of as many cells, null for a miss. Each
+// key counts in store.gets, as one GET would; store.batches counts the
+// requests.
+func (s *Server) handleGetCells(w http.ResponseWriter, r *http.Request) {
+	s.reg.Counter("store.batches").Inc()
+	defer obs.Span(s.reg, "store.get_many").End()
+	t, err := s.tier(r.PathValue("tier"))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	body, err := readBody(r, maxBatchBody)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	var keys []string
+	if err := json.Unmarshal(body, &keys); err != nil || keys == nil {
+		http.Error(w, "body is not a JSON array of keys", http.StatusBadRequest)
+		return
+	}
+	s.reg.Counter("store.gets").Add(int64(len(keys)))
+	out := []byte{'['}
+	for i, k := range keys {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		if raw, ok := t.Get(k); ok {
+			out = append(out, raw...)
+		} else {
+			out = append(out, "null"...)
+		}
+	}
+	out = append(out, ']')
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(out)
 }
 
 func (s *Server) handlePutCell(w http.ResponseWriter, r *http.Request) {

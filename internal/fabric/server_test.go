@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -55,6 +56,10 @@ func TestStoreRoundTrip(t *testing.T) {
 	if !ok || got != want {
 		t.Fatalf("round trip = %+v, %v; want %+v", got, ok, want)
 	}
+	vs, oks := c.GetMany([]string{"absent", "k1", "k1"})
+	if oks[0] || !oks[1] || !oks[2] || vs[1] != want || vs[2] != want {
+		t.Fatalf("batch lookup = %+v, %v; want a miss, then the cell twice", vs, oks)
+	}
 	keys, err := c.Manifest()
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +67,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	if len(keys) != 1 || keys[0] != "k1" {
 		t.Fatalf("manifest = %v, want [k1]", keys)
 	}
-	if c.Err() != nil {
-		t.Fatalf("unexpected persistence error: %v", c.Err())
+	if c.Err() != nil || c.Errors() != 0 {
+		t.Fatalf("unexpected store errors: %v, %d", c.Err(), c.Errors())
 	}
 
 	// The store's layout IS the -cache-dir layout: a plain DiskCache
@@ -112,6 +117,67 @@ func TestStoreRejectsBadRequests(t *testing.T) {
 			t.Fatalf("%s: %s, want rejection", path, resp.Status)
 		}
 	}
+	resp, err = http.Post(url+"/cell/No.Such.Tier", "application/json", strings.NewReader(`["k"]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("batch lookup in an invalid tier: %s, want 400", resp.Status)
+	}
+}
+
+// FuzzStoreBatchLookup: any body POSTed to the batch route gets a 200
+// with one cell per key, each the stored cell or null, or a 400; never
+// a 5xx, never a panic.
+func FuzzStoreBatchLookup(f *testing.F) {
+	for _, seed := range []string{
+		`["k1","absent","k1"]`, `[]`, `[""]`, `null`, `{}`, `"k1"`, `[1,2]`,
+		`["k1"`, `["k1"] x`, ``, `["\u0000","../../etc"]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s, err := NewServer(f.TempDir(), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	const stored = `{"name":"n","acc":0.5}`
+	put := httptest.NewRecorder()
+	h.ServeHTTP(put, httptest.NewRequest(http.MethodPut, "/cell/network/k1", strings.NewReader(stored)))
+	if put.Code != http.StatusNoContent {
+		f.Fatalf("seeding PUT: %d", put.Code)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cell/network", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			var keys []string
+			if err := json.Unmarshal(body, &keys); err != nil || keys == nil {
+				t.Fatalf("200 for a body that is not an array of keys: %q", body)
+			}
+			var cells []json.RawMessage
+			if err := json.Unmarshal(rec.Body.Bytes(), &cells); err != nil {
+				t.Fatalf("answer is not a JSON array: %v: %q", err, rec.Body.Bytes())
+			}
+			if len(cells) != len(keys) {
+				t.Fatalf("%d cells for %d keys", len(cells), len(keys))
+			}
+			for i, k := range keys {
+				want := "null"
+				if k == "k1" {
+					want = stored
+				}
+				if string(cells[i]) != want {
+					t.Fatalf("key %q: cell %s, want %s", k, cells[i], want)
+				}
+			}
+		case http.StatusBadRequest:
+		default:
+			t.Fatalf("status %d for body %q", rec.Code, body)
+		}
+	})
 }
 
 // TestStoreHealthAndMetrics: the health probe names the protocol both
@@ -123,6 +189,7 @@ func TestStoreHealthAndMetrics(t *testing.T) {
 	c.Put("k", cell{Name: "v"})
 	c.Get("k")
 	c.Get("absent")
+	c.GetMany([]string{"k", "absent", "absent"})
 
 	var health struct {
 		OK       bool   `json:"ok"`
@@ -135,11 +202,12 @@ func TestStoreHealthAndMetrics(t *testing.T) {
 
 	var snap obs.Snapshot
 	getJSON(t, url+"/metrics", &snap)
-	if snap.Counters["store.gets"] != 2 || snap.Counters["store.puts"] != 1 {
-		t.Fatalf("request counters = %v, want 2 gets / 1 put", snap.Counters)
+	// The batch counts one request and a lookup per key.
+	if snap.Counters["store.gets"] != 5 || snap.Counters["store.batches"] != 1 || snap.Counters["store.puts"] != 1 {
+		t.Fatalf("request counters = %v, want 2+3 gets / 1 batch / 1 put", snap.Counters)
 	}
-	if snap.Counters["store.disk.network.hits"] != 1 || snap.Counters["store.disk.network.misses"] != 1 {
-		t.Fatalf("disk counters = %v, want 1 hit / 1 miss", snap.Counters)
+	if snap.Counters["store.disk.network.hits"] != 2 || snap.Counters["store.disk.network.misses"] != 3 {
+		t.Fatalf("disk counters = %v, want 2 hits / 3 misses", snap.Counters)
 	}
 	if snap.Histograms["store.get"].Count != 2 {
 		t.Fatalf("store.get histogram count = %d, want 2", snap.Histograms["store.get"].Count)

@@ -84,41 +84,7 @@ func Bandgap() Component {
 	}
 }
 
-// System is a full SNN implementation inventory.
-type System struct {
-	Components []Component
-}
-
-// PowerUW returns total power.
-func (s System) PowerUW() float64 {
-	t := 0.0
-	for _, c := range s.Components {
-		t += c.PowerUW
-	}
-	return t
-}
-
-// AreaUm2 returns total area.
-func (s System) AreaUm2() float64 {
-	t := 0.0
-	for _, c := range s.Components {
-		t += c.AreaUm2
-	}
-	return t
-}
-
-// BaselineSystem builds the undefended system: nNeurons AH neurons,
-// each with an input driver. Inventories are built at their final
-// length, in one allocation.
-func BaselineSystem(nNeurons int) System {
-	s := System{Components: make([]Component, 0, 2*max(nNeurons, 0))}
-	for i := 0; i < nNeurons; i++ {
-		s.Components = append(s.Components, AHNeuron(), Driver())
-	}
-	return s
-}
-
-// DefendedSystem builds a system with the selected defenses applied.
+// DefenseSelection picks the defenses a system applies.
 type DefenseSelection struct {
 	RobustDrivers    bool
 	UpsizedNeurons   bool
@@ -128,40 +94,45 @@ type DefenseSelection struct {
 	LayerSize        int // neurons per layer for dummy amortization
 }
 
-// DefendedSystem builds the component inventory for nNeurons under the
-// given defense selection.
-func DefendedSystem(nNeurons int, sel DefenseSelection) System {
+// SystemTotals returns the total power and area of a system of
+// nNeurons under the given defense selection; the zero selection is the
+// undefended system. The inventory is nNeurons neuron-and-driver pairs,
+// then the shared bandgap, then one canary neuron with its
+// fixed-stimulus driver per layer. It is summed component by component
+// in that order, without being built: the 20,000-neuron amortization
+// row would otherwise hold 40,001 components only to add them up.
+func SystemTotals(nNeurons int, sel DefenseSelection) (powerUW, areaUm2 float64) {
 	layers := 0
 	if sel.DummyPerLayer && sel.LayerSize > 0 {
 		layers = (nNeurons + sel.LayerSize - 1) / sel.LayerSize
 	}
-	size := 2*max(nNeurons, 0) + 2*max(layers, 0)
-	if sel.SharedBandgap {
-		size++
-	}
-	s := System{Components: make([]Component, 0, size)}
-	neuron := AHNeuron
+	neuron := AHNeuron()
 	if sel.UpsizedNeurons {
-		neuron = AHNeuronUpsized
+		neuron = AHNeuronUpsized()
 	}
 	if sel.ComparatorNeuron {
-		neuron = AHNeuronComparator
+		neuron = AHNeuronComparator()
 	}
-	driver := Driver
+	driver := Driver()
 	if sel.RobustDrivers {
-		driver = RobustDriver
+		driver = RobustDriver()
+	}
+	add := func(c Component) {
+		powerUW += c.PowerUW
+		areaUm2 += c.AreaUm2
 	}
 	for i := 0; i < nNeurons; i++ {
-		s.Components = append(s.Components, neuron(), driver())
+		add(neuron)
+		add(driver)
 	}
 	if sel.SharedBandgap {
-		s.Components = append(s.Components, Bandgap())
+		add(Bandgap())
 	}
 	for i := 0; i < layers; i++ {
-		// One canary neuron plus its fixed-stimulus driver per layer.
-		s.Components = append(s.Components, neuron(), driver())
+		add(neuron)
+		add(driver)
 	}
-	return s
+	return powerUW, areaUm2
 }
 
 // OverheadRow is one line of the defense-overhead table (experiment D1).
@@ -178,14 +149,14 @@ func (r OverheadRow) String() string {
 // OverheadTable computes the §V overhead summary for a system of
 // nNeurons organized into layers of layerSize.
 func OverheadTable(nNeurons, layerSize int) []OverheadRow {
-	base := BaselineSystem(nNeurons)
+	baseP, baseA := SystemTotals(nNeurons, DefenseSelection{})
 	rows := []OverheadRow{}
 	add := func(name string, sel DefenseSelection) {
-		sys := DefendedSystem(nNeurons, sel)
+		p, a := SystemTotals(nNeurons, sel)
 		rows = append(rows, OverheadRow{
 			Defense: name,
-			PowerPc: 100 * (sys.PowerUW() - base.PowerUW()) / base.PowerUW(),
-			AreaPc:  100 * (sys.AreaUm2() - base.AreaUm2()) / base.AreaUm2(),
+			PowerPc: 100 * (p - baseP) / baseP,
+			AreaPc:  100 * (a - baseA) / baseA,
 		})
 	}
 	add("robust-current-driver", DefenseSelection{RobustDrivers: true})

@@ -32,17 +32,90 @@ func TestNeuronAreaDominatedByCapacitors(t *testing.T) {
 	}
 }
 
+// system is a component inventory, built as a slice. SystemTotals
+// must equal its sums bit for bit: it adds the same components in the
+// same order without building them.
+type system struct {
+	Components []Component
+}
+
+func (s system) PowerUW() float64 {
+	t := 0.0
+	for _, c := range s.Components {
+		t += c.PowerUW
+	}
+	return t
+}
+
+func (s system) AreaUm2() float64 {
+	t := 0.0
+	for _, c := range s.Components {
+		t += c.AreaUm2
+	}
+	return t
+}
+
+// defendedSystem builds the inventory SystemTotals sums: nNeurons
+// neuron-and-driver pairs, the shared bandgap, then one canary pair
+// per layer.
+func defendedSystem(nNeurons int, sel DefenseSelection) system {
+	layers := 0
+	if sel.DummyPerLayer && sel.LayerSize > 0 {
+		layers = (nNeurons + sel.LayerSize - 1) / sel.LayerSize
+	}
+	neuron := AHNeuron
+	if sel.UpsizedNeurons {
+		neuron = AHNeuronUpsized
+	}
+	if sel.ComparatorNeuron {
+		neuron = AHNeuronComparator
+	}
+	driver := Driver
+	if sel.RobustDrivers {
+		driver = RobustDriver
+	}
+	var s system
+	for i := 0; i < nNeurons; i++ {
+		s.Components = append(s.Components, neuron(), driver())
+	}
+	if sel.SharedBandgap {
+		s.Components = append(s.Components, Bandgap())
+	}
+	for i := 0; i < layers; i++ {
+		s.Components = append(s.Components, neuron(), driver())
+	}
+	return s
+}
+
+// selections are the defense selections D1 uses, plus every defense at
+// once.
+var selections = []DefenseSelection{
+	{},
+	{RobustDrivers: true},
+	{UpsizedNeurons: true},
+	{ComparatorNeuron: true},
+	{SharedBandgap: true},
+	{DummyPerLayer: true, LayerSize: 100},
+	{UpsizedNeurons: true, RobustDrivers: true, SharedBandgap: true, DummyPerLayer: true, LayerSize: 300},
+}
+
+// TestSystemTotals: the totals equal the built inventory's sums bit
+// for bit, at every scale D1 prints and under every selection.
 func TestSystemTotals(t *testing.T) {
-	s := BaselineSystem(10)
-	if len(s.Components) != 20 {
-		t.Fatalf("10 neurons + 10 drivers, got %d components", len(s.Components))
-	}
 	wantP := 10 * (AHNeuron().PowerUW + Driver().PowerUW)
-	if math.Abs(s.PowerUW()-wantP) > 1e-9 {
-		t.Fatalf("system power %v, want %v", s.PowerUW(), wantP)
+	if p, _ := SystemTotals(10, DefenseSelection{}); math.Abs(p-wantP) > 1e-9 {
+		t.Fatalf("system power %v, want %v", p, wantP)
 	}
-	if s.AreaUm2() <= 0 {
-		t.Fatal("system area must be positive")
+	for _, n := range []int{0, 1, 7, 200, 2000, 20000} {
+		for _, sel := range selections {
+			ref := defendedSystem(n, sel)
+			p, a := SystemTotals(n, sel)
+			if math.Float64bits(p) != math.Float64bits(ref.PowerUW()) ||
+				math.Float64bits(a) != math.Float64bits(ref.AreaUm2()) {
+				t.Fatalf("n=%d %+v: totals %v µW, %v µm²; inventory sums %v µW, %v µm²",
+					n, sel, p, a, ref.PowerUW(), ref.AreaUm2())
+			}
+		}
 	}
 }
 
@@ -50,9 +123,7 @@ func TestBandgapAreaAt200Neurons(t *testing.T) {
 	// §V-B1: "the area overhead incurred by the bandgap circuit is 65%"
 	// for the 200-neuron implementation; the capacitors also pull in the
 	// driver area, so accept the low 60s.
-	base := BaselineSystem(200)
-	sys := DefendedSystem(200, DefenseSelection{SharedBandgap: true})
-	overhead := 100 * (sys.AreaUm2() - base.AreaUm2()) / base.AreaUm2()
+	overhead := overheadFor(200, DefenseSelection{SharedBandgap: true})
 	if overhead < 55 || overhead > 70 {
 		t.Fatalf("bandgap area overhead %.1f%%, want ≈65%%", overhead)
 	}
@@ -70,10 +141,10 @@ func TestBandgapAmortizesWithScale(t *testing.T) {
 
 func TestDummyNeuronAboutOnePercent(t *testing.T) {
 	// §V-C: ~1% power and area each for the 100-neuron-per-layer system.
-	base := BaselineSystem(200)
-	sys := DefendedSystem(200, DefenseSelection{DummyPerLayer: true, LayerSize: 100})
-	p := 100 * (sys.PowerUW() - base.PowerUW()) / base.PowerUW()
-	a := 100 * (sys.AreaUm2() - base.AreaUm2()) / base.AreaUm2()
+	baseP, baseA := SystemTotals(200, DefenseSelection{})
+	sysP, sysA := SystemTotals(200, DefenseSelection{DummyPerLayer: true, LayerSize: 100})
+	p := 100 * (sysP - baseP) / baseP
+	a := 100 * (sysA - baseA) / baseA
 	if math.Abs(p-1) > 0.3 || math.Abs(a-1) > 0.3 {
 		t.Fatalf("dummy overhead power %.2f%%, area %.2f%%, want ≈1%%", p, a)
 	}
@@ -108,29 +179,17 @@ func TestOverheadTableRows(t *testing.T) {
 }
 
 func overheadFor(n int, sel DefenseSelection) float64 {
-	base := BaselineSystem(n)
-	sys := DefendedSystem(n, sel)
-	return 100 * (sys.AreaUm2() - base.AreaUm2()) / base.AreaUm2()
+	_, base := SystemTotals(n, DefenseSelection{})
+	_, area := SystemTotals(n, sel)
+	return 100 * (area - base) / base
 }
 
-// TestSystemsAllocateOnce: each inventory is built at its final length
-// in one allocation, even at the 20,000-neuron amortization scale,
-// where growing by doubling would copy it about 16 times.
-func TestSystemsAllocateOnce(t *testing.T) {
-	sels := []DefenseSelection{
-		{SharedBandgap: true},
-		{UpsizedNeurons: true, RobustDrivers: true, SharedBandgap: true, DummyPerLayer: true, LayerSize: 300},
-	}
-	if a := testing.AllocsPerRun(20, func() { BaselineSystem(20000) }); a != 1 {
-		t.Fatalf("BaselineSystem: %v allocations, want 1", a)
-	}
-	for _, sel := range sels {
-		sys := DefendedSystem(20000, sel)
-		if len(sys.Components) != cap(sys.Components) {
-			t.Fatalf("%+v: %d components in a capacity of %d", sel, len(sys.Components), cap(sys.Components))
-		}
-		if a := testing.AllocsPerRun(20, func() { DefendedSystem(20000, sel) }); a != 1 {
-			t.Fatalf("%+v: %v allocations, want 1", sel, a)
+// TestSystemTotalsAllocateNothing: the totals are summed without an
+// inventory, even at the 20,000-neuron amortization scale.
+func TestSystemTotalsAllocateNothing(t *testing.T) {
+	for _, sel := range selections {
+		if a := testing.AllocsPerRun(20, func() { SystemTotals(20000, sel) }); a != 0 {
+			t.Fatalf("%+v: %v allocations, want 0", sel, a)
 		}
 	}
 }

@@ -18,6 +18,28 @@ type Cache[T any] interface {
 	Put(key string, v T)
 }
 
+// batchGetter is a Cache that answers many lookups in one call:
+// GetMany returns one value and one found flag per key, in key order,
+// and counts each key as Get would. Pool.Run looks a batch's keyed
+// jobs up through it before dispatching them, so a chain over the
+// HTTP store pays one round trip per batch instead of one per job.
+type batchGetter[T any] interface {
+	GetMany(keys []string) ([]T, []bool)
+}
+
+// getMany looks keys up in c: in one call when c answers batches,
+// else key by key.
+func getMany[T any](c Cache[T], keys []string) ([]T, []bool) {
+	if b, ok := c.(batchGetter[T]); ok {
+		return b.GetMany(keys)
+	}
+	vs, oks := make([]T, len(keys)), make([]bool, len(keys))
+	for i, k := range keys {
+		vs[i], oks[i] = c.Get(k)
+	}
+	return vs, oks
+}
+
 // MemoryCache is an in-process Cache with hit/miss accounting. The
 // zero value and a nil pointer are both usable (a nil cache never hits
 // and drops every Put), so callers can pass caches around without

@@ -68,6 +68,46 @@ func (c *Chain[T]) Get(key string) (T, bool) {
 	return zero, false
 }
 
+// GetMany is Get for many keys: each level is probed once, for the
+// keys still missing, and each hit is promoted and counted exactly as
+// Get promotes and counts it. A level that answers batches (the HTTP
+// store) gets its keys in one call; in-process levels are asked key
+// by key. A key given twice is looked up twice, both times before
+// either hit is promoted.
+func (c *Chain[T]) GetMany(keys []string) ([]T, []bool) {
+	vs, oks := make([]T, len(keys)), make([]bool, len(keys))
+	missing := make([]int, len(keys)) // indices into keys, in order
+	for i := range missing {
+		missing[i] = i
+	}
+	for li, l := range c.levels {
+		if len(missing) == 0 {
+			break
+		}
+		ks := make([]string, len(missing))
+		for m, i := range missing {
+			ks[m] = keys[i]
+		}
+		lvs, loks := getMany(l, ks)
+		still := missing[:0]
+		for m, i := range missing {
+			if !loks[m] {
+				still = append(still, i)
+				continue
+			}
+			vs[i], oks[i] = lvs[m], true
+			if li > 0 {
+				c.promotes[li].Inc()
+				for j := 0; j < li; j++ {
+					c.levels[j].Put(keys[i], lvs[m])
+				}
+			}
+		}
+		missing = still
+	}
+	return vs, oks
+}
+
 // Put implements Cache: write-through to every level.
 func (c *Chain[T]) Put(key string, v T) {
 	for _, l := range c.levels {

@@ -120,3 +120,40 @@ func TestChainInstrument(t *testing.T) {
 		t.Fatal("the fastest level cannot be promoted from; no l0 counter expected")
 	}
 }
+
+// TestChainGetManyMatchesGet: a batch lookup of distinct keys through
+// a three-level chain answers, counts, promotes and writes exactly as
+// the same keys looked up one by one. (A key repeated in one batch is
+// looked up per occurrence before either is promoted, as two workers
+// looking it up at once would.)
+func TestChainGetManyMatchesGet(t *testing.T) {
+	build := func() (*Chain[int], []*MemoryCache[int]) {
+		ls := []*MemoryCache[int]{NewMemoryCache[int](), NewMemoryCache[int](), NewMemoryCache[int]()}
+		ls[0].Put("fast", 1)
+		ls[1].Put("mid", 2)
+		ls[2].Put("deep", 3)
+		ls[2].Put("mid", 20) // shadowed by level 1
+		return NewChain[int](ls[0], ls[1], ls[2]), ls
+	}
+	keys := []string{"deep", "absent", "fast", "mid"}
+	one, oneLs := build()
+	many, manyLs := build()
+	vs, oks := many.GetMany(keys)
+	for i, k := range keys {
+		v, ok := one.Get(k)
+		if vs[i] != v || oks[i] != ok {
+			t.Fatalf("%s: GetMany %d, %v; Get %d, %v", k, vs[i], oks[i], v, ok)
+		}
+	}
+	for i := range oneLs {
+		h1, m1 := oneLs[i].Stats()
+		h2, m2 := manyLs[i].Stats()
+		if h1 != h2 || m1 != m2 || oneLs[i].Puts() != manyLs[i].Puts() {
+			t.Fatalf("level %d: Get %d/%d/%d hits/misses/puts, GetMany %d/%d/%d",
+				i, h1, m1, oneLs[i].Puts(), h2, m2, manyLs[i].Puts())
+		}
+		if one.Promotions(i) != many.Promotions(i) {
+			t.Fatalf("level %d promotions: Get %d, GetMany %d", i, one.Promotions(i), many.Promotions(i))
+		}
+	}
+}

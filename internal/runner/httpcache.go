@@ -17,12 +17,18 @@ import (
 // backend speaks (see internal/fabric for the server side):
 //
 //	GET  {base}/cell/{tier}/{key}   → 200 JSON cell | 404 miss
+//	POST {base}/cell/{tier}         ← JSON array of keys
+//	                                → 200 JSON array of as many cells, null for a miss
 //	PUT  {base}/cell/{tier}/{key}   → 204 stored
 //	GET  {base}/manifest/{tier}     → 200 JSON array of held keys
 //
-// Bump it when a route or body changes meaning; client and server both
-// embed it so a version skew fails loudly at health-check time.
-const StoreProtocol = "snnfi-store-v1"
+// v2 added the POST batch lookup, which Pool.Run uses through GetMany
+// so that a batch of cells costs one round trip; writes stay one PUT
+// per cell. Bump it when a route or body changes meaning. The server
+// reports it at GET /healthz, but no client reads that yet: a v2
+// client against a v1 server sees every batch lookup fail with a 404,
+// counted in errors, and recomputes the cells.
+const StoreProtocol = "snnfi-store-v2"
 
 // HTTPCache is a Cache backed by a shared content store served over
 // HTTP (cmd/cached), the third backend next to MemoryCache and
@@ -62,12 +68,13 @@ type HTTPCache[T any] struct {
 
 	// Accounting lives in obs instruments (see MemoryCache): Instrument
 	// publishes these same atomics under cache.http.* names.
-	hits    obs.Counter
-	misses  obs.Counter
-	puts    obs.Counter
-	retries obs.Counter
-	errs    obs.Counter
-	rt      obs.Histogram // per-attempt HTTP round-trip duration
+	hits     obs.Counter
+	misses   obs.Counter
+	puts     obs.Counter
+	requests obs.Counter // HTTP requests sent, first attempts only
+	retries  obs.Counter
+	errs     obs.Counter
+	rt       obs.Histogram // per-attempt HTTP round-trip duration
 
 	mu  sync.Mutex
 	err error
@@ -115,6 +122,7 @@ func (c *HTTPCache[T]) backoff() time.Duration {
 // (200, 404, 4xx) is returned to the caller. On exhaustion the last
 // error (or a status error) is returned.
 func (c *HTTPCache[T]) do(method, url string, body []byte) (*http.Response, error) {
+	c.requests.Inc()
 	var lastErr error
 	delay := c.backoff()
 	for attempt := 0; attempt < c.attempts(); attempt++ {
@@ -191,6 +199,67 @@ func (c *HTTPCache[T]) Get(key string) (T, bool) {
 	}
 	c.hits.Inc()
 	return v, true
+}
+
+// GetMany fetches the cells for keys in one POST. Each key counts as
+// one hit or miss, as Get counts it. An answer that fails after its
+// retries, or that is not a JSON array of len(keys) cells, is a miss
+// for every key, each counted in the errors counter; a cell that does
+// not decode is a miss and an error for its key alone.
+func (c *HTTPCache[T]) GetMany(keys []string) ([]T, []bool) {
+	vs, oks := make([]T, len(keys)), make([]bool, len(keys))
+	if c == nil || len(keys) == 0 {
+		return vs, oks
+	}
+	cells, err := c.fetchMany(keys)
+	if err != nil {
+		n := int64(len(keys))
+		c.errs.Add(n)
+		c.misses.Add(n)
+		return vs, oks
+	}
+	for i, raw := range cells {
+		if string(raw) == "null" {
+			c.misses.Inc()
+			continue
+		}
+		if err := json.Unmarshal(raw, &vs[i]); err != nil {
+			var zero T
+			vs[i] = zero
+			c.errs.Inc()
+			c.misses.Inc()
+			continue
+		}
+		oks[i] = true
+		c.hits.Inc()
+	}
+	return vs, oks
+}
+
+// fetchMany sends one batch lookup and returns the answer's cells,
+// which are as many as keys.
+func (c *HTTPCache[T]) fetchMany(keys []string) ([]json.RawMessage, error) {
+	body, _ := json.Marshal(keys) // a string slice always marshals
+	resp, err := c.do(http.MethodPost, c.base, body)
+	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("store POST %s: %s", c.base, resp.Status)
+	}
+	var cells []json.RawMessage
+	if err := json.Unmarshal(data, &cells); err != nil {
+		return nil, fmt.Errorf("store POST %s: %w", c.base, err)
+	}
+	if len(cells) != len(keys) {
+		return nil, fmt.Errorf("store POST %s: %d cells for %d keys", c.base, len(cells), len(keys))
+	}
+	return cells, nil
 }
 
 // Put stores v under key. Exhausted retries and rejected writes are
@@ -278,8 +347,10 @@ func (c *HTTPCache[T]) Errors() int64 {
 }
 
 // Instrument publishes the cache's counters and round-trip histogram
-// into r under "<name>.{hits,misses,puts,retries,errors}" and
-// "<name>.rt" — the same atomics Stats/Retries/Errors read.
+// into r under "<name>.{hits,misses,puts,requests,retries,errors}" and
+// "<name>.rt" — the same atomics Stats/Retries/Errors read. Hits,
+// misses and puts count cells; requests counts the HTTP requests that
+// carried them (a batch lookup is one), and retries the extra attempts.
 func (c *HTTPCache[T]) Instrument(r *obs.Registry, name string) {
 	if c == nil {
 		return
@@ -287,6 +358,7 @@ func (c *HTTPCache[T]) Instrument(r *obs.Registry, name string) {
 	r.RegisterCounter(name+".hits", &c.hits)
 	r.RegisterCounter(name+".misses", &c.misses)
 	r.RegisterCounter(name+".puts", &c.puts)
+	r.RegisterCounter(name+".requests", &c.requests)
 	r.RegisterCounter(name+".retries", &c.retries)
 	r.RegisterCounter(name+".errors", &c.errs)
 	r.RegisterHistogram(name+".rt", &c.rt)

@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,7 +34,7 @@ func newStoreStub() *storeStub {
 	return &storeStub{
 		cells: map[string][]byte{},
 		failNext: map[string]*atomic.Int64{
-			http.MethodGet: {}, http.MethodPut: {},
+			http.MethodGet: {}, http.MethodPut: {}, http.MethodPost: {},
 		},
 	}
 }
@@ -53,6 +55,20 @@ func (s *storeStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			keys = append(keys, k)
 		}
 		json.NewEncoder(w).Encode(keys)
+	case r.Method == http.MethodPost && r.URL.Path == "/cell/network":
+		var keys []string
+		if err := json.NewDecoder(r.Body).Decode(&keys); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		cells := make([]string, len(keys))
+		for i, k := range keys {
+			cells[i] = "null"
+			if data, ok := s.cells[k]; ok {
+				cells[i] = string(data)
+			}
+		}
+		io.WriteString(w, "["+strings.Join(cells, ",")+"]")
 	case r.Method == http.MethodGet:
 		key := r.URL.Path[len("/cell/network/"):]
 		data, ok := s.cells[key]
@@ -205,6 +221,17 @@ func TestHTTPCacheDegradeToMiss(t *testing.T) {
 	if c.Err() != nil {
 		t.Fatal("lookup failures must never set the persistence error")
 	}
+	// An exhausted batch lookup is a miss, and an error, for every key.
+	stub.failNext[http.MethodPost].Store(1000)
+	if _, oks := c.GetMany([]string{"k", "absent"}); oks[0] || oks[1] {
+		t.Fatal("a down store must degrade a batch to misses")
+	}
+	if e := c.Errors(); e != 3 {
+		t.Fatalf("errors = %d, want 1 + one per batch key = 3", e)
+	}
+	if h, m := c.Stats(); h != 0 || m != 3 {
+		t.Fatalf("stats = %d hits/%d misses, want 0/3", h, m)
+	}
 
 	var warned int
 	c.OnFirstWriteError = func(error) { warned++ }
@@ -262,9 +289,187 @@ func TestHTTPCacheInstrument(t *testing.T) {
 		t.Fatalf("retries = %d, want 1", snap.Counters["cache.http.retries"])
 	}
 	rt := snap.Histograms["cache.http.rt"]
-	// One put + one get with one retry + one miss = 4 round trips.
+	// One put + one get with one retry + one miss = 4 round trips, of
+	// which 3 are requests and 1 a retry.
 	if rt.Count != 4 {
 		t.Fatalf("round-trip histogram count = %d, want 4", rt.Count)
+	}
+	if got := snap.Counters["cache.http.requests"]; got != 3 {
+		t.Fatalf("requests = %d, want 3", got)
+	}
+}
+
+// TestHTTPCacheGetMany: one POST answers many keys in key order, and
+// each key counts as one hit or miss, as Get counts it. A cell that
+// does not decode is a miss and an error for its key alone.
+func TestHTTPCacheGetMany(t *testing.T) {
+	c, stub := newTestHTTPCache[cachedResult](t)
+	reg := obs.NewRegistry()
+	c.Instrument(reg, "cache.http")
+	a, cc := cachedResult{Name: "a", Acc: 0.5}, cachedResult{Name: "c"}
+	c.Put("a", a)
+	c.Put("c", cc)
+	stub.mu.Lock()
+	stub.cells["bad"] = []byte(`{"Name":1}`) // valid JSON, not a cachedResult
+	stub.mu.Unlock()
+
+	before := stub.requests.Load()
+	vs, oks := c.GetMany([]string{"a", "b", "c", "bad", "a"})
+	if n := stub.requests.Load() - before; n != 1 {
+		t.Fatalf("a batch of 5 keys made %d requests, want 1", n)
+	}
+	want := []struct {
+		v  cachedResult
+		ok bool
+	}{{a, true}, {cachedResult{}, false}, {cc, true}, {cachedResult{}, false}, {a, true}}
+	for i, w := range want {
+		if oks[i] != w.ok || vs[i] != w.v {
+			t.Fatalf("key %d = %+v, %v; want %+v, %v", i, vs[i], oks[i], w.v, w.ok)
+		}
+	}
+	if h, m := c.Stats(); h != 3 || m != 2 {
+		t.Fatalf("stats = %d hits/%d misses, want 3/2", h, m)
+	}
+	if e := c.Errors(); e != 1 {
+		t.Fatalf("errors = %d, want 1 (the cell that does not decode)", e)
+	}
+	if got := reg.Snapshot().Counters["cache.http.requests"]; got != 3 {
+		t.Fatalf("requests = %d, want 2 puts + 1 batch = 3", got)
+	}
+	if vs, oks := c.GetMany(nil); len(vs) != 0 || len(oks) != 0 || stub.requests.Load()-before != 1 {
+		t.Fatal("an empty batch must answer empty without a request")
+	}
+}
+
+// TestHTTPCacheGetManyRejected: an answer other than a 200 is a miss
+// and an error for every key, whatever its body. A store that predates
+// the batch route answers 404. (FuzzHTTPCacheGetMany's seeds cover
+// malformed 200 answers.)
+func TestHTTPCacheGetManyRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		status int
+		body   string
+	}{
+		{"old store", http.StatusNotFound, `404 page not found`},
+		{"bad request", http.StatusBadRequest, `[null,null]`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(tc.status)
+				io.WriteString(w, tc.body)
+			}))
+			defer srv.Close()
+			c := NewHTTPCache[cachedResult](srv.URL, "network")
+			if _, oks := c.GetMany([]string{"k0", "k1"}); oks[0] || oks[1] {
+				t.Fatal("a rejected batch must miss every key")
+			}
+			if h, m := c.Stats(); h != 0 || m != 2 {
+				t.Fatalf("stats = %d hits/%d misses, want 0/2", h, m)
+			}
+			if e := c.Errors(); e != 2 {
+				t.Fatalf("errors = %d, want one per key (2)", e)
+			}
+		})
+	}
+}
+
+// FuzzHTTPCacheGetMany: any answer body leaves GetMany without a
+// panic. An answer that is not a JSON array of one cell per key misses
+// every key, with one error each; otherwise each cell is a miss when
+// null or undecodable and a hit with its decoded value else.
+func FuzzHTTPCacheGetMany(f *testing.F) {
+	for _, seed := range []string{
+		`[null,{"Name":"x","Acc":0.5}]`,
+		`[{"Name":"x","Inner":{"Acc":1}},null]`,
+		`[{"Name":1},"s"]`,
+		`[null]`,
+		`[null,null,null]`,
+		`[null,null] x`,
+		`[null,{"Name":"a"`,
+		`{}`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	var body atomic.Pointer[[]byte]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(*body.Load())
+	}))
+	f.Cleanup(srv.Close)
+	keys := []string{"k0", "k1"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		body.Store(&data)
+		c := NewHTTPCache[cachedResult](srv.URL, "network")
+		vs, oks := c.GetMany(keys)
+		if len(vs) != len(keys) || len(oks) != len(keys) {
+			t.Fatalf("%d values and %d flags for %d keys", len(vs), len(oks), len(keys))
+		}
+		hits, misses := c.Stats()
+		if hits+misses != int64(len(keys)) {
+			t.Fatalf("%d hits + %d misses for %d keys", hits, misses, len(keys))
+		}
+		var cells []json.RawMessage
+		if json.Unmarshal(data, &cells) != nil || len(cells) != len(keys) {
+			if hits != 0 || c.Errors() != int64(len(keys)) {
+				t.Fatalf("malformed answer: %d hits, %d errors; want 0 and %d", hits, c.Errors(), len(keys))
+			}
+			return
+		}
+		for i, raw := range cells {
+			var want cachedResult
+			ok := string(raw) != "null" && json.Unmarshal(raw, &want) == nil
+			if oks[i] != ok || (ok && !reflect.DeepEqual(vs[i], want)) {
+				t.Fatalf("cell %d %s: got %+v, %v", i, raw, vs[i], oks[i])
+			}
+		}
+	})
+}
+
+// TestPoolOneStoreRequestPerBatch: a pool over memory → HTTP store
+// looks a batch up in one request, however many keys miss memory, and
+// still writes one PUT per computed cell. A warm batch, served from
+// memory, makes no request.
+func TestPoolOneStoreRequestPerBatch(t *testing.T) {
+	httpc, stub := newTestHTTPCache[int](t)
+	for i := 0; i < 4; i++ { // another process stored cells 0-3
+		httpc.Put(fmt.Sprintf("k%d", i), 100+i)
+	}
+	jobs := make([]Job[int], 10)
+	var runs atomic.Int64
+	for i := range jobs {
+		jobs[i] = Job[int]{Key: fmt.Sprintf("k%d", i), Run: func() (int, error) {
+			runs.Add(1)
+			return 100 + i, nil
+		}}
+	}
+	p := &Pool[int]{Workers: 2, Cache: NewChain[int](NewMemoryCache[int](), httpc)}
+	before := stub.requests.Load()
+	got, err := p.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != 100+i {
+			t.Fatalf("result[%d] = %d, want %d", i, v, 100+i)
+		}
+	}
+	if n := runs.Load(); n != 6 {
+		t.Fatalf("computed %d cells, want the 6 the store lacks", n)
+	}
+	if n := stub.requests.Load() - before; n != 1+6 {
+		t.Fatalf("%d store requests, want 1 batch lookup + 6 PUTs", n)
+	}
+	if h, m := httpc.Stats(); h != 4 || m != 6 {
+		t.Fatalf("store stats = %d hits/%d misses, want 4/6", h, m)
+	}
+	before = stub.requests.Load()
+	if _, err := p.Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if n := stub.requests.Load() - before; n != 0 {
+		t.Fatalf("a batch memory serves made %d store requests, want 0", n)
 	}
 }
 

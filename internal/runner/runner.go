@@ -73,7 +73,10 @@ type Progress struct {
 type Pool[T any] struct {
 	// Workers is the pool width; ≤0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Cache, when non-nil, memoizes results by Job.Key.
+	// Cache, when non-nil, memoizes results by Job.Key. Every keyed
+	// job of a batch is looked up before any job is dispatched: in one
+	// GetMany call when the cache has one (Chain, HTTPCache), else key
+	// by key.
 	Cache Cache[T]
 	// OnProgress, when non-nil, observes every job completion.
 	OnProgress func(Progress)
@@ -139,6 +142,14 @@ func (p *Pool[T]) Run(jobs []Job[T]) ([]T, error) {
 	flights := make(map[string]*flight[T])
 	var flightMu sync.Mutex
 
+	// Pool telemetry: instruments are resolved once per batch, and
+	// every per-job method below is nil-safe, so a pool without a
+	// registry pays only the time.Now calls Progress.Elapsed needs
+	// anyway. The batch starts before its lookup, which the pool's
+	// wait and wall times then include.
+	batchStart := time.Now()
+	cached, found := p.lookUp(jobs)
+
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	abort := func() { stopOnce.Do(func() { close(stop) }) }
@@ -155,11 +166,6 @@ func (p *Pool[T]) Run(jobs []Job[T]) ([]T, error) {
 		}
 	}()
 
-	// Pool telemetry: instruments are resolved once per batch, and
-	// every per-job method below is nil-safe, so a pool without a
-	// registry pays only the time.Now calls Progress.Elapsed needs
-	// anyway.
-	batchStart := time.Now()
 	var busyNs atomic.Int64
 	name := p.Name
 	if name == "" {
@@ -180,7 +186,7 @@ func (p *Pool[T]) Run(jobs []Job[T]) ([]T, error) {
 			for i := range idx {
 				jobStart := time.Now()
 				waitHist.Observe(jobStart.Sub(batchStart))
-				v, hit, err := p.runOne(jobs[i], flights, &flightMu)
+				v, hit, err := p.runOne(jobs[i], cached[i], found[i], flights, &flightMu)
 				jobDur := time.Since(jobStart)
 				busyNs.Add(int64(jobDur))
 				runHist.Observe(jobDur)
@@ -238,22 +244,47 @@ func (p *Pool[T]) Run(jobs []Job[T]) ([]T, error) {
 	return results, nil
 }
 
-// runOne executes a single job through the cache and the in-flight
-// deduplication table. A keyed job looks its key up once, outside
-// flightMu, and a miss is not looked up again before the job leads
-// its flight: a Put landing in between (another process sharing the
-// store) costs one duplicate compute of a pure cell, never wrong
-// bytes, and within a batch the flight table already gives each key
-// one leader.
-func (p *Pool[T]) runOne(j Job[T], flights map[string]*flight[T], flightMu *sync.Mutex) (T, bool, error) {
+// lookUp looks every keyed job of the batch up, in job order, before
+// any is dispatched: in one GetMany call when the cache answers
+// batches, so a chain over the store pays one round trip per batch
+// instead of one per job, else key by key. Unkeyed jobs read as
+// misses. Looking up ahead widens the window in which another process
+// may store a cell this batch then computes again: one duplicate
+// compute of a pure cell, never wrong bytes.
+func (p *Pool[T]) lookUp(jobs []Job[T]) (cached []T, found []bool) {
+	cached, found = make([]T, len(jobs)), make([]bool, len(jobs))
+	if p.Cache == nil {
+		return cached, found
+	}
+	var keys []string
+	var at []int // job index of each key
+	for i, j := range jobs {
+		if j.Key != "" {
+			keys = append(keys, j.Key)
+			at = append(at, i)
+		}
+	}
+	if len(keys) == 0 {
+		return cached, found
+	}
+	vs, oks := getMany(p.Cache, keys)
+	for k, i := range at {
+		cached[i], found[i] = vs[k], oks[k]
+	}
+	return cached, found
+}
+
+// runOne executes a single job through the in-flight deduplication
+// table, given its batch lookup's answer. A miss is not looked up
+// again before the job leads its flight, and within a batch the
+// flight table gives each key one leader.
+func (p *Pool[T]) runOne(j Job[T], cached T, found bool, flights map[string]*flight[T], flightMu *sync.Mutex) (T, bool, error) {
 	if j.Key == "" {
 		v, err := j.Run()
 		return v, false, err
 	}
-	if p.Cache != nil {
-		if v, ok := p.Cache.Get(j.Key); ok {
-			return v, true, nil
-		}
+	if found {
+		return cached, true, nil
 	}
 	flightMu.Lock()
 	if f, ok := flights[j.Key]; ok {

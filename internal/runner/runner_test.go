@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -219,6 +220,74 @@ func TestPoolOneLookupPerJob(t *testing.T) {
 		}
 		if puts := cache.Puts(); puts != k {
 			t.Fatalf("workers=%d: %d cache Puts, want one per distinct key (%d)", workers, puts, k)
+		}
+	}
+}
+
+// batchCache is a MemoryCache that also answers batches, recording
+// the keys of each batch it is asked.
+type batchCache struct {
+	*MemoryCache[int]
+	mu      sync.Mutex
+	batches [][]string
+}
+
+func (c *batchCache) GetMany(keys []string) ([]int, []bool) {
+	c.mu.Lock()
+	c.batches = append(c.batches, append([]string(nil), keys...))
+	c.mu.Unlock()
+	return getMany[int](c.MemoryCache, keys)
+}
+
+// TestPoolBatchLookup: with a cache that answers batches, the pool
+// looks every keyed job up in one call, in job order, before any job
+// runs, and no job looks its key up again. Cached jobs do not run,
+// duplicates of a missing key run once, and each distinct missing key
+// is stored once, at any worker count.
+func TestPoolBatchLookup(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		cache := &batchCache{MemoryCache: NewMemoryCache[int]()}
+		cache.Put("held", 5)
+		var runs atomic.Int64
+		job := func(key string, v int) Job[int] {
+			return Job[int]{Label: key, Key: key, Run: func() (int, error) {
+				runs.Add(1)
+				return v, nil
+			}}
+		}
+		jobs := []Job[int]{
+			job("held", -1), job("a", 1), {Label: "keyless", Run: func() (int, error) { return 9, nil }},
+			job("b", 2), job("a", 1), job("held", -1),
+		}
+		var hitIdx []int
+		var mu sync.Mutex
+		p := &Pool[int]{Workers: workers, Cache: cache, OnProgress: func(pr Progress) {
+			mu.Lock()
+			defer mu.Unlock()
+			if pr.CacheHit {
+				hitIdx = append(hitIdx, pr.Index)
+			}
+		}}
+		got, err := p.Run(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{5, 1, 9, 2, 1, 5}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d: results %v, want %v", workers, got, want)
+		}
+		if want := "[[held a b a held]]"; fmt.Sprint(cache.batches) != want {
+			t.Fatalf("workers=%d: batches %v, want %s", workers, cache.batches, want)
+		}
+		if hits, misses := cache.Stats(); hits != 2 || misses != 3 {
+			t.Fatalf("workers=%d: %d hits/%d misses, want one lookup per keyed job: 2/3", workers, hits, misses)
+		}
+		if n, puts := runs.Load(), cache.Puts(); n != 2 || puts != 1+2 {
+			t.Fatalf("workers=%d: %d runs and %d puts, want 2 and 1+2", workers, n, puts)
+		}
+		// Either duplicate of "a" may lead; the other reports a hit.
+		sort.Ints(hitIdx)
+		if h := fmt.Sprint(hitIdx); h != "[0 1 5]" && h != "[0 4 5]" {
+			t.Fatalf("workers=%d: cache hits reported at %v, want jobs 0, 5 and one of 1 and 4", workers, hitIdx)
 		}
 	}
 }

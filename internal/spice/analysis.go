@@ -67,7 +67,6 @@ func (c *Circuit) solveNewton(ctx *Context, opt NROptions) error {
 			damping *= 0.5
 		}
 		iters = iter + 1
-		metrics.restamps.Inc()
 		c.assemble(ctx)
 		copy(xNew, ctx.B)
 		if err := luSolve(ctx.A, xNew); err != nil {

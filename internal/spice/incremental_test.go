@@ -3,6 +3,8 @@ package spice
 import (
 	"math"
 	"testing"
+
+	"snnfi/internal/obs"
 )
 
 // buildNeuronish constructs a small feedback-heavy MOS circuit with
@@ -142,5 +144,29 @@ func TestSolveNewtonAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("solveNewton allocated %.1f objects per solve, want 0", allocs)
+	}
+}
+
+// TestSolverCountsOneIterationCounter: every Newton iteration restamps
+// once, so the restamp count is the iteration count, read from one
+// counter under both names.
+func TestSolverCountsOneIterationCounter(t *testing.T) {
+	reg := obs.NewRegistry()
+	Instrument(reg)
+	_, iters0, _ := SolverCounts()
+	c := buildNeuronish(false)
+	ctx := c.newContext()
+	ctx.DC = true
+	ctx.Gmin = 1e-12
+	if err := c.solveRobust(ctx, NROptions{}); err != nil {
+		t.Fatal(err)
+	}
+	_, iters, restamps := SolverCounts()
+	if iters == iters0 || restamps != iters {
+		t.Fatalf("SolverCounts: %d iterations (from %d), %d restamps; want more iterations and restamps equal to them", iters, iters0, restamps)
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["spice.restamps"] != snap.Counters["spice.newton_iters"] {
+		t.Fatalf("registry: spice.restamps %d, spice.newton_iters %d", snap.Counters["spice.restamps"], snap.Counters["spice.newton_iters"])
 	}
 }

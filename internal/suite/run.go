@@ -639,10 +639,9 @@ func (r *Runner) runOverhead(en *Entry) error {
 	if len(o.Amortize) > 0 {
 		fmt.Fprintln(r.stdout(), "bandgap area amortization at larger scales:")
 		for _, n := range o.Amortize {
-			base := power.BaselineSystem(n)
-			sys := power.DefendedSystem(n, power.DefenseSelection{SharedBandgap: true})
-			fmt.Fprintf(r.stdout(), "   %6d neurons: area %+6.2f%%\n", n,
-				100*(sys.AreaUm2()-base.AreaUm2())/base.AreaUm2())
+			_, base := power.SystemTotals(n, power.DefenseSelection{})
+			_, area := power.SystemTotals(n, power.DefenseSelection{SharedBandgap: true})
+			fmt.Fprintf(r.stdout(), "   %6d neurons: area %+6.2f%%\n", n, 100*(area-base)/base)
 		}
 	}
 	return r.writeOut(en.Output, rows)

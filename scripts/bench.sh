@@ -32,7 +32,7 @@ if [ $# -lt 1 ]; then
 fi
 out="$1"
 benchtime="${BENCHTIME:-2x}"
-pattern="${BENCH_PATTERN:-BenchmarkEvaluate|BenchmarkCountsParallel|BenchmarkStep_|BenchmarkTrainImage|BenchmarkEncode_|BenchmarkEncodeCorpus|BenchmarkSpiceTransientStep|BenchmarkCharacterize_AHThresholdVsVDD|BenchmarkMonteCarloThreshold|BenchmarkFig3_|BenchmarkFig4_|BenchmarkFig5c_|BenchmarkFig6b_|BenchmarkFig6c_|BenchmarkFig10a_|BenchmarkSumRows|BenchmarkLIFStep|BenchmarkDepressRows|BenchmarkPotentiateRows|BenchmarkNormalizeColsSubset|BenchmarkDiskCache|BenchmarkHTTPCache}"
+pattern="${BENCH_PATTERN:-BenchmarkEvaluate|BenchmarkCountsParallel|BenchmarkStep_|BenchmarkTrainImage|BenchmarkEncode_|BenchmarkEncodeCorpus|BenchmarkSpiceTransientStep|BenchmarkCharacterize_AHThresholdVsVDD|BenchmarkMonteCarloThreshold|BenchmarkFig3_|BenchmarkFig4_|BenchmarkFig5c_|BenchmarkFig6b_|BenchmarkFig6c_|BenchmarkFig10a_|BenchmarkSumRows|BenchmarkLIFStep|BenchmarkDepressRows|BenchmarkPotentiateRows|BenchmarkNormalizeColsSubset|BenchmarkDiskCache|BenchmarkHTTPCache|BenchmarkDCSolverSolve}"
 
 raw="$(mktemp)"
 work="$(mktemp -d)"

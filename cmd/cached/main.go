@@ -29,7 +29,8 @@
 // store manifest; GET /campaign/{id}/cells serves the cells already
 // computed, the baseline among them. GET /metrics exports the obs registry (request
 // counters, per-tier cache counters, request-duration histograms);
-// GET /healthz reports liveness and the store protocol version.
+// GET /healthz reports liveness and the store protocol version, which
+// every command given -store checks at start.
 package main
 
 import (

@@ -122,9 +122,15 @@ type Session struct {
 	closed   bool
 }
 
-// Start builds the session after flag.Parse: it starts the requested
-// profiles, opens the JSONL sink and wires the progress chain.
+// Start builds the session after flag.Parse: it checks the -store's
+// protocol, starts the requested profiles, opens the JSONL sink and
+// wires the progress chain.
 func (f *Flags) Start(name string) (*Session, error) {
+	if f.Store != "" {
+		if err := checkStore(os.Stderr, name, f.Store); err != nil {
+			return nil, err
+		}
+	}
 	s := &Session{Name: name, Flags: f, Registry: obs.NewRegistry()}
 	if f.prof != nil {
 		stop, err := f.prof.Start()

@@ -3,6 +3,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -138,6 +139,24 @@ func httpObsName(tier string) string {
 		return "cache.http"
 	}
 	return "cache.http." + tier
+}
+
+// checkStore asks the -store once which protocol it speaks. A store
+// that speaks another version fails the command: its routes differ,
+// so every lookup would fail and every cell be recomputed without a
+// word. A store that does not answer is only warned about, on w: its
+// lookups degrade to misses, as they always have, and the campaign
+// still runs.
+func checkStore(w io.Writer, name, base string) error {
+	p, err := runner.StoreProtocolAt(base)
+	if err != nil {
+		fmt.Fprintf(w, "%s: warning: store %s did not report its protocol: %v\n", name, base, err)
+		return nil
+	}
+	if p != runner.StoreProtocol {
+		return fmt.Errorf("store %s speaks %q, not %q: serve it with a cached built from this version", base, p, runner.StoreProtocol)
+	}
+	return nil
 }
 
 // Tiers composes one result tier's cache chain under the session's

@@ -1,14 +1,21 @@
 package cli
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"snnfi/internal/core"
 	"snnfi/internal/defense"
+	"snnfi/internal/fabric"
+	"snnfi/internal/obs"
+	"snnfi/internal/runner"
 	"snnfi/internal/snn"
 	"snnfi/internal/xfer"
 )
@@ -79,5 +86,53 @@ func TestAttackFlagsScenarioKeys(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestStartChecksStoreProtocol: a session refuses a -store that speaks
+// another protocol (a v1 store would fail every batch lookup, and the
+// campaign would recompute every cell without a word), starts against
+// a store of this version, and only warns about a store that does not
+// answer, whose lookups degrade to misses.
+func TestStartChecksStoreProtocol(t *testing.T) {
+	v1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			http.NotFound(w, r)
+			return
+		}
+		fmt.Fprint(w, `{"ok":true,"protocol":"snnfi-store-v1"}`)
+	}))
+	defer v1.Close()
+	srv, err := fabric.NewServer(t.TempDir(), obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := httptest.NewServer(srv.Handler())
+	defer v2.Close()
+	down := httptest.NewServer(http.NotFoundHandler())
+	down.Close()
+
+	start := func(store string) error {
+		f := AddFlagsTo(flag.NewFlagSet("t", flag.ContinueOnError), Store)
+		f.Store = store
+		s, err := f.Start("test")
+		if err == nil {
+			s.Close()
+		}
+		return err
+	}
+	if err := start(v1.URL); err == nil ||
+		!strings.Contains(err.Error(), "snnfi-store-v1") || !strings.Contains(err.Error(), runner.StoreProtocol) {
+		t.Fatalf("v1 store: err = %v, want a refusal naming both protocols", err)
+	}
+	if err := start(v2.URL + "/"); err != nil {
+		t.Fatalf("%s store: %v", runner.StoreProtocol, err)
+	}
+	var warn bytes.Buffer
+	if err := checkStore(&warn, "test", down.URL); err != nil {
+		t.Fatalf("unreachable store: %v, want only a warning", err)
+	}
+	if !strings.Contains(warn.String(), "test: warning: store "+down.URL) {
+		t.Fatalf("unreachable store warning = %q", warn.String())
 	}
 }

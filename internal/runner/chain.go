@@ -7,8 +7,8 @@ import (
 )
 
 // Chain composes any number of caches fastest-first, write-through:
-// Get probes levels in order and promotes a deeper hit into every
-// faster level; Put stores in all levels. The canonical compositions
+// a lookup probes levels in order and promotes a deeper hit into
+// every faster level; Put stores in all levels. The canonical compositions
 // are memory→disk (the -cache-dir wiring, see NewTiered) and
 // memory→disk→http (the campaign-fabric wiring, where the deepest
 // level is a shared store every worker process writes through).
@@ -50,30 +50,20 @@ func NewTiered[T any](fast, slow Cache[T]) *Chain[T] {
 // Len reports the number of levels in the chain.
 func (c *Chain[T]) Len() int { return len(c.levels) }
 
-// Get implements Cache: first hit wins, and the hit is promoted into
-// every faster level so the next lookup stops sooner.
+// Get implements Cache: a one-key GetMany.
 func (c *Chain[T]) Get(key string) (T, bool) {
-	for i, l := range c.levels {
-		if v, ok := l.Get(key); ok {
-			if i > 0 {
-				c.promotes[i].Inc()
-				for j := 0; j < i; j++ {
-					c.levels[j].Put(key, v)
-				}
-			}
-			return v, true
-		}
-	}
-	var zero T
-	return zero, false
+	vs, oks := c.GetMany([]string{key})
+	return vs[0], oks[0]
 }
 
-// GetMany is Get for many keys: each level is probed once, for the
-// keys still missing, and each hit is promoted and counted exactly as
-// Get promotes and counts it. A level that answers batches (the HTTP
-// store) gets its keys in one call; in-process levels are asked key
-// by key. A key given twice is looked up twice, both times before
-// either hit is promoted.
+// GetMany looks keys up level by level, fastest first: each level is
+// probed once, for the keys still missing, and the first hit wins. A
+// hit is promoted into every faster level, so the next lookup stops
+// sooner, and counted in the promotion counter of the level that
+// served it. A level that answers batches (the HTTP store) gets its
+// keys in one call; in-process levels are asked key by key. A key
+// given twice is looked up twice, both times before either hit is
+// promoted.
 func (c *Chain[T]) GetMany(keys []string) ([]T, []bool) {
 	vs, oks := make([]T, len(keys)), make([]bool, len(keys))
 	missing := make([]int, len(keys)) // indices into keys, in order

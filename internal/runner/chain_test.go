@@ -10,7 +10,8 @@ import (
 // old Tiered contract: a hit at the deepest level is promoted into
 // every faster level (one Put each), deeper levels are never probed
 // past the hit, and the promotion counters attribute the hit to the
-// level that served it.
+// level that served it. A batch of keys held at different depths
+// obeys the same rule key by key.
 func TestChainThreeLevelPromotion(t *testing.T) {
 	l0 := NewMemoryCache[int]()
 	l1 := NewMemoryCache[int]()
@@ -80,6 +81,40 @@ func TestChainThreeLevelPromotion(t *testing.T) {
 	if _, ok := c.Get("absent"); ok {
 		t.Fatal("miss in all levels must miss")
 	}
+
+	// A batch: each key is served by the fastest level holding it, and
+	// each level is probed once per key still missing above it.
+	l0.Put("b0", 1)
+	l1.Put("b1", 2)
+	l2.Put("b1", 20) // shadowed by level 1
+	l2.Put("b2", 3)
+	var before [3][3]int64 // hits, misses, puts per level
+	for i, l := range []*MemoryCache[int]{l0, l1, l2} {
+		before[i][0], before[i][1] = l.Stats()
+		before[i][2] = l.Puts()
+	}
+	p1, p2 := c.Promotions(1), c.Promotions(2)
+	keys := []string{"b2", "none", "b0", "b1"}
+	vs, oks := c.GetMany(keys)
+	for i, want := range []struct {
+		v  int
+		ok bool
+	}{{3, true}, {0, false}, {1, true}, {2, true}} {
+		if vs[i] != want.v || oks[i] != want.ok {
+			t.Fatalf("GetMany %s = %d, %v; want %d, %v", keys[i], vs[i], oks[i], want.v, want.ok)
+		}
+	}
+	for i, want := range [3][3]int64{{1, 3, 2}, {1, 2, 1}, {1, 1, 0}} {
+		l := []*MemoryCache[int]{l0, l1, l2}[i]
+		h, m := l.Stats()
+		got := [3]int64{h - before[i][0], m - before[i][1], l.Puts() - before[i][2]}
+		if got != want {
+			t.Fatalf("level %d batch hits/misses/puts = %v, want %v", i, got, want)
+		}
+	}
+	if d1, d2 := c.Promotions(1)-p1, c.Promotions(2)-p2; d1 != 1 || d2 != 1 {
+		t.Fatalf("batch promotions l1/l2 = %d/%d, want 1/1", d1, d2)
+	}
 }
 
 // TestChainDropsNilLevels: optional tiers are passed unconditionally;
@@ -118,42 +153,5 @@ func TestChainInstrument(t *testing.T) {
 	}
 	if _, ok := snap.Counters["cache.test.chain.promote.l0"]; ok {
 		t.Fatal("the fastest level cannot be promoted from; no l0 counter expected")
-	}
-}
-
-// TestChainGetManyMatchesGet: a batch lookup of distinct keys through
-// a three-level chain answers, counts, promotes and writes exactly as
-// the same keys looked up one by one. (A key repeated in one batch is
-// looked up per occurrence before either is promoted, as two workers
-// looking it up at once would.)
-func TestChainGetManyMatchesGet(t *testing.T) {
-	build := func() (*Chain[int], []*MemoryCache[int]) {
-		ls := []*MemoryCache[int]{NewMemoryCache[int](), NewMemoryCache[int](), NewMemoryCache[int]()}
-		ls[0].Put("fast", 1)
-		ls[1].Put("mid", 2)
-		ls[2].Put("deep", 3)
-		ls[2].Put("mid", 20) // shadowed by level 1
-		return NewChain[int](ls[0], ls[1], ls[2]), ls
-	}
-	keys := []string{"deep", "absent", "fast", "mid"}
-	one, oneLs := build()
-	many, manyLs := build()
-	vs, oks := many.GetMany(keys)
-	for i, k := range keys {
-		v, ok := one.Get(k)
-		if vs[i] != v || oks[i] != ok {
-			t.Fatalf("%s: GetMany %d, %v; Get %d, %v", k, vs[i], oks[i], v, ok)
-		}
-	}
-	for i := range oneLs {
-		h1, m1 := oneLs[i].Stats()
-		h2, m2 := manyLs[i].Stats()
-		if h1 != h2 || m1 != m2 || oneLs[i].Puts() != manyLs[i].Puts() {
-			t.Fatalf("level %d: Get %d/%d/%d hits/misses/puts, GetMany %d/%d/%d",
-				i, h1, m1, oneLs[i].Puts(), h2, m2, manyLs[i].Puts())
-		}
-		if one.Promotions(i) != many.Promotions(i) {
-			t.Fatalf("level %d promotions: Get %d, GetMany %d", i, one.Promotions(i), many.Promotions(i))
-		}
 	}
 }

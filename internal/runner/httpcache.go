@@ -25,10 +25,32 @@ import (
 // v2 added the POST batch lookup, which Pool.Run uses through GetMany
 // so that a batch of cells costs one round trip; writes stay one PUT
 // per cell. Bump it when a route or body changes meaning. The server
-// reports it at GET /healthz, but no client reads that yet: a v2
-// client against a v1 server sees every batch lookup fail with a 404,
-// counted in errors, and recomputes the cells.
+// reports it at GET /healthz (StoreProtocolAt), and every command
+// given -store reads it there once and refuses a store that speaks
+// another version: a v2 client would see every batch lookup of a v1
+// server fail with a 404 and recompute every cell.
 const StoreProtocol = "snnfi-store-v2"
+
+// StoreProtocolAt asks the store at base which protocol it speaks,
+// through GET /healthz, in one attempt.
+func StoreProtocolAt(base string) (string, error) {
+	url := strings.TrimRight(base, "/") + "/healthz"
+	resp, err := defaultStoreClient.Get(url)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("store GET %s: %s", url, resp.Status)
+	}
+	var health struct {
+		Protocol string `json:"protocol"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		return "", fmt.Errorf("store GET %s: %w", url, err)
+	}
+	return health.Protocol, nil
+}
 
 // HTTPCache is a Cache backed by a shared content store served over
 // HTTP (cmd/cached), the third backend next to MemoryCache and

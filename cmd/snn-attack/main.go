@@ -1,10 +1,8 @@
 // Command snn-attack runs one of the paper's five power attacks against
 // the Diehl&Cook digit classifier and reports accuracy relative to the
 // attack-free baseline, with optional defended replays and the
-// dummy-neuron detector judging alongside. With -suite it instead
-// interprets a declarative suite file (see internal/suite and
-// suites/paper.json), so arbitrary attack×defense×axis compositions run
-// without recompiling.
+// dummy-neuron detector judging alongside. Whole campaigns, declared
+// as suite files, run under cmd/figures -suite.
 //
 // Usage:
 //
@@ -13,8 +11,6 @@
 //	snn-attack -attack 5 -vdd 0.8 [-defense bandgap] [-cache-dir DIR]
 //	snn-attack -attack 4 -change -20 -cache-dir DIR -audit
 //	snn-attack -attack 3 -change -20,10 -store http://HOST:PORT -audit-json -
-//	snn-attack -suite my-suite.json [-only S1,S2] [-out results]
-//	snn-attack -suite my-suite.json -list
 //
 // Attacks: 1 (driver theta), 2 (excitatory threshold), 3 (inhibitory
 // threshold), 4 (both layers), 5 (black-box VDD).
@@ -60,12 +56,6 @@ func run() (retErr error) {
 		dataDir   = flag.String("data", "", "optional real-MNIST directory")
 		audit     = flag.Bool("audit", false, "report which cells -cache-dir/-store already hold, without training anything")
 		auditJSON = flag.String("audit-json", "", "write the audit as JSON to this file ('-' = stdout); implies -audit")
-
-		suitePath = flag.String("suite", "", "interpret a declarative suite file instead of building one scenario from the flags")
-		only      = flag.String("only", "", "comma-separated suite entry ids (with -suite)")
-		list      = flag.Bool("list", false, "print the suite's entries and exit (with -suite)")
-		validate  = flag.Bool("validate", false, "check the suite file and exit (with -suite)")
-		outDir    = flag.String("out", "", "output directory for suite CSV artifacts (with -suite)")
 	)
 	attackFlags := cli.AddAttackFlags(flag.CommandLine)
 	shared := cli.AddFlags(cli.Campaign)
@@ -76,35 +66,12 @@ func run() (retErr error) {
 	if *audit && shared.CacheDir == "" && shared.Store == "" {
 		return fmt.Errorf("-audit needs -cache-dir or -store to inspect")
 	}
-	if (*only != "" || *list || *validate || *outDir != "") && *suitePath == "" {
-		return fmt.Errorf("-only/-list/-validate/-out need -suite")
-	}
 
 	sess, err := shared.Start("snn-attack")
 	if err != nil {
 		return err
 	}
 	defer sess.CloseInto(&retErr)
-
-	if *suitePath != "" {
-		// -n keeps its single-attack default; only an explicit value
-		// overrides the suite's own network spec.
-		images := 0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "n" {
-				images = *nImages
-			}
-		})
-		return sess.RunSuite(cli.SuiteOptions{
-			Path:     *suitePath,
-			Only:     *only,
-			List:     *list,
-			Validate: *validate,
-			OutDir:   *outDir,
-			DataDir:  *dataDir,
-			Images:   images,
-		})
-	}
 
 	scn, err := attackFlags.Scenario()
 	if err != nil {
@@ -130,9 +97,9 @@ func run() (retErr error) {
 	}
 	spice.Instrument(sess.Registry)
 
-	// Same tier layout as suite mode and cmd/figures (network/ under
-	// -cache-dir, the "network" store tier), so one cache warms every
-	// binary — and with -store, every machine.
+	// Same tier layout as cmd/figures (network/ under -cache-dir, the
+	// "network" store tier), so one cache warms every binary — and with
+	// -store, every machine.
 	cache, disk, store, err := cli.Tiers[*core.Result](sess, exp.Cache, "network")
 	if err != nil {
 		return err

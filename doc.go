@@ -6,11 +6,11 @@
 // the §V defenses.
 //
 // The implementation lives under internal/; the supported entry points
-// are the commands under cmd/ (figures, snn-train, snn-attack,
-// spice-sim), the suite files under suites/ that cmd/figures
-// interprets, and the runnable examples under examples/. Campaign
-// sweeps execute on internal/runner's parallel worker pool with a
-// content-addressed result cache and a streaming JSONL sink;
+// are the commands under cmd/ (figures, snn-attack, snn-worker,
+// cached, spice-sim, report-check), the suite files under suites/ that
+// cmd/figures interprets, and the runnable examples under examples/.
+// Campaign sweeps execute on internal/runner's parallel worker pool
+// with a content-addressed result cache and a streaming JSONL sink;
 // results are identical at any worker count. bench_test.go in this
 // directory regenerates every figure and table as a testing.B
 // benchmark; see DESIGN.md for the experiment index and the runner

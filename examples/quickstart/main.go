@@ -45,7 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		exp.Cache = runner.NewTiered[*core.Result](exp.Cache, disk)
+		exp.Cache = runner.NewChain[*core.Result](exp.Cache, disk)
 	}
 
 	base, err := exp.Baseline()

@@ -1,5 +1,5 @@
 // Package cli holds the flag wiring and run-session lifecycle shared
-// by the campaign binaries (cmd/figures, cmd/snn-attack, cmd/snn-train):
+// by the campaign binaries (cmd/figures, cmd/snn-attack, cmd/snn-worker):
 // the -workers/-jsonl/-cache-dir/-report/-quiet/-progress flags, the
 // pprof flags, the live progress line, JSONL sink setup/teardown, disk
 // cache instrumentation with first-write-error warnings, and
@@ -21,7 +21,7 @@ import (
 )
 
 // Group selects which shared flags a binary registers. Binaries differ
-// (snn-train has no JSONL stream or campaign report), so the groups
+// (snn-worker has no JSONL stream or campaign report), so the groups
 // keep each command's flag surface honest: a flag is only present when
 // the session actually honors it.
 type Group uint
@@ -39,9 +39,6 @@ const (
 
 	// Campaign is the full surface of the sweep-running binaries.
 	Campaign = Workers | JSONL | CacheDir | Report | Quiet | Progress | Pprof | Store
-	// Training is snn-train's surface: no sweep stream, no campaign
-	// report, no per-cell progress logging.
-	Training = Workers | CacheDir | Quiet | Pprof
 	// Worker is cmd/snn-worker's surface: a fabric worker streams no
 	// JSONL and writes no campaign report (the coordinator merge owns
 	// both), but shares everything else including the store.
@@ -189,20 +186,6 @@ func (s *Session) WarnWriteError(tier string) func(error) {
 // command at Close — a campaign whose results did not persist is not
 // resumable, and exiting 0 would hide that.
 func (s *Session) TrackDisk(d interface{ Err() error }) { s.disks = append(s.disks, d) }
-
-// Disk opens a DiskCache under the session's lifecycle: instrumented
-// into the registry, first write failure warned once, persistent
-// failure surfaced at Close.
-func Disk[T any](s *Session, dir, name, tier string) (*runner.DiskCache[T], error) {
-	d, err := runner.NewDiskCache[T](dir)
-	if err != nil {
-		return nil, err
-	}
-	d.Instrument(s.Registry, name)
-	d.OnFirstWriteError = s.WarnWriteError(tier)
-	s.TrackDisk(d)
-	return d, nil
-}
 
 // FinishReport ends the live line and emits the campaign report: JSON
 // to -report when requested, and the stderr digest unless -quiet. A

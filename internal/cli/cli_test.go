@@ -23,15 +23,15 @@ func TestGroupsGateFlagRegistration(t *testing.T) {
 			t.Errorf("Campaign group is missing -%s", name)
 		}
 	}
-	training := reg(Training)
-	for _, name := range []string{"workers", "cache-dir", "quiet", "pprof"} {
-		if !training[name] {
-			t.Errorf("Training group is missing -%s", name)
+	worker := reg(Worker)
+	for _, name := range []string{"workers", "cache-dir", "quiet", "progress", "pprof", "store"} {
+		if !worker[name] {
+			t.Errorf("Worker group is missing -%s", name)
 		}
 	}
-	for _, name := range []string{"jsonl", "report", "progress"} {
-		if training[name] {
-			t.Errorf("Training group registers -%s it does not honor", name)
+	for _, name := range []string{"jsonl", "report"} {
+		if worker[name] {
+			t.Errorf("Worker group registers -%s it does not honor", name)
 		}
 	}
 }

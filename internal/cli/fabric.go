@@ -171,10 +171,13 @@ func Tiers[T any](s *Session, mem runner.Cache[T], tier string) (runner.Cache[T]
 	var disk *runner.DiskCache[T]
 	if s.Flags.CacheDir != "" {
 		var err error
-		disk, err = Disk[T](s, filepath.Join(s.Flags.CacheDir, tier), "cache."+tier, tier)
+		disk, err = runner.NewDiskCache[T](filepath.Join(s.Flags.CacheDir, tier))
 		if err != nil {
 			return nil, nil, nil, err
 		}
+		disk.Instrument(s.Registry, "cache."+tier)
+		disk.OnFirstWriteError = s.WarnWriteError(tier)
+		s.TrackDisk(disk)
 		levels = append(levels, disk)
 	}
 	var store *runner.HTTPCache[T]

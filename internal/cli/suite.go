@@ -11,9 +11,9 @@ import (
 	"snnfi/internal/suite"
 )
 
-// SuiteOptions carries the suite-mode knobs shared by cmd/figures and
-// cmd/snn-attack: which file to interpret, which entries, where the
-// artifacts go, and the reduced-scale overrides.
+// SuiteOptions carries cmd/figures' suite knobs: which file to
+// interpret, which entries, where the artifacts go, and the
+// reduced-scale overrides.
 type SuiteOptions struct {
 	// Path is the suite file (-suite).
 	Path string

@@ -46,12 +46,6 @@ func AttackByNumber(n int) (AttackID, error) {
 	return AttackID(n), nil
 }
 
-// WhiteBox reports whether the attack needs layout/placement knowledge
-// (everything except the shared-supply Attack 5... which the paper
-// still counts as black box because only the external power port is
-// touched).
-func (a AttackID) WhiteBox() bool { return a != Attack5 }
-
 // NewAttack1 builds the driver-corruption plan: thetaScale multiplies
 // the membrane voltage change per input spike (paper sweeps ±20%).
 func NewAttack1(thetaScale float64) *FaultPlan {

@@ -53,7 +53,7 @@ type Experiment struct {
 	// configurations (the shared baseline, re-run sweeps) skip
 	// retraining. NewExperiment installs an in-memory cache;
 	// campaigns that must survive the process compose a
-	// runner.DiskCache under it (runner.NewTiered), which lets a
+	// runner.DiskCache under it (runner.NewChain), which lets a
 	// fresh process resume with only the missing cells retrained.
 	// Experiments over the same data may share a cache safely because
 	// keys cover the full experiment fingerprint.

@@ -147,14 +147,6 @@ func TestAttack5NominalIsNoOp(t *testing.T) {
 }
 
 func TestAttackIDMetadata(t *testing.T) {
-	if Attack5.WhiteBox() {
-		t.Fatal("Attack 5 is the black-box attack")
-	}
-	for _, a := range []AttackID{Attack1, Attack2, Attack3, Attack4} {
-		if !a.WhiteBox() {
-			t.Fatalf("%v should be white box", a)
-		}
-	}
 	if Attack3.String() != "attack-3" {
 		t.Fatalf("String = %q", Attack3.String())
 	}
@@ -169,8 +161,8 @@ func TestAffectedCountRounding(t *testing.T) {
 		{100, 0, 0}, {100, 1, 100}, {100, 0.5, 50}, {100, 0.254, 25}, {3, 0.5, 2},
 	}
 	for _, c := range cases {
-		if got := AffectedCount(c.n, c.fraction); got != c.want {
-			t.Fatalf("AffectedCount(%d, %v) = %d, want %d", c.n, c.fraction, got, c.want)
+		if got := affected(c.n, c.fraction); got != c.want {
+			t.Fatalf("affected(%d, %v) = %d, want %d", c.n, c.fraction, got, c.want)
 		}
 	}
 }

@@ -58,16 +58,11 @@ func (s WeightFaultSpec) String() string {
 	return fmt.Sprintf("weight fault ×%.2f over %.0f%% every %d images", s.Scale, 100*s.Fraction, s.EveryNImages)
 }
 
-// hits is how many of total synapses the drift scales.
-func (s WeightFaultSpec) hits(total int) int {
-	return int(s.Fraction*float64(total) + 0.5)
-}
-
 // nominal reports whether the drift leaves every weight of cfg's
 // network unchanged: a scale of 1, or a fraction that rounds to no
 // synapse.
 func (s WeightFaultSpec) nominal(cfg snn.DiehlCookConfig) bool {
-	return s.Scale == 1 || s.hits(cfg.NInput*cfg.NExc) <= 0
+	return s.Scale == 1 || affected(cfg.NInput*cfg.NExc, s.Fraction) == 0
 }
 
 // apply scales a random subset of the weight matrix in place. The
@@ -77,11 +72,11 @@ func (s WeightFaultSpec) nominal(cfg snn.DiehlCookConfig) bool {
 // some synapses and cover fewer than advertised.
 func (s WeightFaultSpec) apply(n *snn.DiehlCook, rng *rand.Rand) {
 	total := len(n.W.Data)
-	k := s.hits(total)
-	if k <= 0 {
+	k := affected(total, s.Fraction)
+	if k == 0 {
 		return
 	}
-	if k >= total {
+	if k == total {
 		for i := range n.W.Data {
 			n.W.Data[i] *= s.Scale
 		}

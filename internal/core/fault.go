@@ -201,11 +201,11 @@ func (e planEffect) key() string {
 // scaleMasked scales a random Fraction of the vector's entries.
 func scaleMasked(v []float64, f FaultSpec) {
 	n := len(v)
-	k := int(f.Fraction*float64(n) + 0.5)
-	if k <= 0 {
+	k := affected(n, f.Fraction)
+	if k == 0 {
 		return
 	}
-	if k >= n {
+	if k == n {
 		for i := range v {
 			v[i] *= f.Scale
 		}
@@ -218,15 +218,9 @@ func scaleMasked(v []float64, f FaultSpec) {
 	}
 }
 
-// AffectedCount returns how many of n neurons a fraction covers (the
-// same rounding Apply uses).
-func AffectedCount(n int, fraction float64) int {
-	k := int(fraction*float64(n) + 0.5)
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
+// affected returns how many of n elements a fraction covers: the
+// nearest whole count, within [0, n]. Neuron masks and weight drift
+// both draw that many distinct elements.
+func affected(n int, fraction float64) int {
+	return min(max(int(fraction*float64(n)+0.5), 0), n)
 }

@@ -78,7 +78,7 @@ func TestMonitorReportReconciles(t *testing.T) {
 			t.Fatal(err)
 		}
 		fast := runner.NewMemoryCache[*Result]()
-		e.Cache = runner.NewTiered[*Result](fast, disk)
+		e.Cache = runner.NewChain[*Result](fast, disk)
 		mon := NewMonitor(e, "report-smoke")
 		disk.Instrument(mon.Registry(), "cache.slow")
 		fast.Instrument(mon.Registry(), "cache.fast")

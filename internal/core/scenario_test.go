@@ -280,7 +280,7 @@ func tieredExperiment(t *testing.T, nImages int, dir string) (*Experiment, *runn
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Cache = runner.NewTiered[*Result](e.Cache, disk)
+	e.Cache = runner.NewChain[*Result](e.Cache, disk)
 	return e, disk
 }
 

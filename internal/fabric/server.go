@@ -119,7 +119,7 @@ func (s *Server) handleGetCell(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	raw, ok := t.Get(r.PathValue("key"))
+	raw, ok := t.Raw(r.PathValue("key"))
 	if !ok {
 		http.NotFound(w, r)
 		return
@@ -160,7 +160,7 @@ func (s *Server) handleGetCells(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			out = append(out, ',')
 		}
-		if raw, ok := t.Get(k); ok {
+		if raw, ok := t.Raw(k); ok {
 			out = append(out, raw...)
 		} else {
 			out = append(out, "null"...)

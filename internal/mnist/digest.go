@@ -6,10 +6,8 @@ import (
 )
 
 // Digest content-addresses an image corpus (pixels and labels, in
-// order). Both campaign fingerprints (internal/core) and the
-// standalone trainer's result cache (cmd/snn-train) build their keys
-// from this one digest, so the two can never disagree about what "the
-// same data" means.
+// order). Campaign fingerprints (internal/core) build every cell key
+// from it, so cells trained on different data never share an address.
 func Digest(images []Image) string {
 	h := sha256.New()
 	for i := range images {

@@ -60,15 +60,6 @@ func TestSyntheticPixelsInRangeAndInk(t *testing.T) {
 	}
 }
 
-func TestSyntheticClassSingle(t *testing.T) {
-	imgs := SyntheticClass(7, 12, 5)
-	for i := range imgs {
-		if imgs[i].Label != 7 {
-			t.Fatalf("SyntheticClass produced label %d", imgs[i].Label)
-		}
-	}
-}
-
 func TestSyntheticSeparability(t *testing.T) {
 	// The corpus must be classifiable: nearest-centroid accuracy well
 	// above chance is the substitution's fitness criterion (DESIGN.md).

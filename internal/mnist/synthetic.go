@@ -21,16 +21,6 @@ func Synthetic(n int, seed int64) []Image {
 	return out
 }
 
-// SyntheticClass generates n jittered samples of a single digit class.
-func SyntheticClass(label uint8, n int, seed int64) []Image {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Image, n)
-	for i := range out {
-		out[i] = renderDigit(label, rng)
-	}
-	return out
-}
-
 type point struct{ x, y float64 }
 
 type stroke []point // polyline in normalized [0,1]² coordinates, y down

@@ -31,7 +31,6 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -360,21 +359,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// HistogramNames returns the registered histogram names, sorted.
-func (r *Registry) HistogramNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Timer is a started span: End records the elapsed time into the

@@ -54,9 +54,6 @@ func TestNilSafety(t *testing.T) {
 	if snap.Counters != nil || snap.Histograms != nil {
 		t.Fatal("nil registry snapshot must be empty")
 	}
-	if r.HistogramNames() != nil {
-		t.Fatal("nil registry has no histogram names")
-	}
 }
 
 func TestHistogramExactFields(t *testing.T) {

@@ -8,8 +8,8 @@ import (
 
 // Chain composes any number of caches fastest-first, write-through:
 // a lookup probes levels in order and promotes a deeper hit into
-// every faster level; Put stores in all levels. The canonical compositions
-// are memory→disk (the -cache-dir wiring, see NewTiered) and
+// every faster level; Put stores in all levels. The canonical
+// compositions are memory→disk (the -cache-dir wiring) and
 // memory→disk→http (the campaign-fabric wiring, where the deepest
 // level is a shared store every worker process writes through).
 //
@@ -39,12 +39,6 @@ func NewChain[T any](levels ...Cache[T]) *Chain[T] {
 		panic("runner: NewChain needs at least one non-nil level")
 	}
 	return &Chain[T]{levels: kept, promotes: make([]obs.Counter, len(kept))}
-}
-
-// NewTiered builds the two-level composition — the fast-over-slow
-// special case the -cache-dir wiring has always used.
-func NewTiered[T any](fast, slow Cache[T]) *Chain[T] {
-	return NewChain[T](fast, slow)
 }
 
 // Len reports the number of levels in the chain.

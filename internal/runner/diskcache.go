@@ -24,10 +24,10 @@ const logName = "cache.jsonl"
 // The log holds one JSON record per line, {"k":key,"v":value}. Put
 // appends its record with a single O_APPEND write before it returns,
 // and an in-memory index maps each key to the value of its latest
-// record. Get and Manifest answer from the index; a Get miss and every
-// Manifest first index the bytes appended since the last read, so they
-// see what other processes wrote. Holding no file open, a cache that is
-// dropped leaves nothing behind.
+// record. Get, Raw and Manifest answer from the index; a lookup miss
+// and every Manifest first index the bytes appended since the last
+// read, so they see what other processes wrote. Holding no file open,
+// a cache that is dropped leaves nothing behind.
 //
 // Values round-trip through encoding/json, which preserves float64
 // exactly (shortest round-trip rendering), so a resumed campaign
@@ -81,8 +81,22 @@ func (c *DiskCache[T]) Dir() string { return c.dir }
 // counter flags the damage.
 func (c *DiskCache[T]) Get(key string) (T, bool) {
 	var v T
+	_, ok := c.lookup(key, &v)
+	return v, ok
+}
+
+// Raw looks key up as Get does, but returns the value's JSON as its
+// record holds it instead of decoding it: the bytes a store serves.
+// They are the index's own and must not be modified.
+func (c *DiskCache[T]) Raw(key string) (json.RawMessage, bool) {
+	return c.lookup(key, nil)
+}
+
+// lookup finds key's latest record, decodes its value into v unless v
+// is nil, and counts the lookup as one hit or one miss.
+func (c *DiskCache[T]) lookup(key string, v *T) (json.RawMessage, bool) {
 	if c == nil {
-		return v, false
+		return nil, false
 	}
 	c.mu.Lock()
 	raw, ok := c.index[key]
@@ -91,18 +105,18 @@ func (c *DiskCache[T]) Get(key string) (T, bool) {
 		raw, ok = c.index[key]
 	}
 	c.mu.Unlock()
+	if ok && v != nil && json.Unmarshal(raw, v) != nil {
+		var zero T
+		*v = zero
+		c.corrupt.Inc()
+		ok = false
+	}
 	if !ok {
 		c.misses.Inc()
-		return v, false
-	}
-	if json.Unmarshal(raw, &v) != nil {
-		var zero T
-		c.corrupt.Inc()
-		c.misses.Inc()
-		return zero, false
+		return nil, false
 	}
 	c.hits.Inc()
-	return v, true
+	return raw, true
 }
 
 // Put persists v under key (see Append). A failure is remembered (see

@@ -65,6 +65,32 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDiskCacheRawMatchesGet: Raw serves the bytes Get decodes into a
+// json.RawMessage, for records read from the log and records put, and
+// counts each lookup as the same hit or miss.
+func TestDiskCacheRawMatchesGet(t *testing.T) {
+	dir := t.TempDir()
+	log := "\n{\"k\":\"a\",\"v\": {\"x\": [1, 2.50]} }\n{\"k\":\"b\",\"v\":\"s\"}\n"
+	if err := os.WriteFile(filepath.Join(dir, logName), []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewDiskCache[json.RawMessage](dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put("c", json.RawMessage(` { "y" : null } `))
+	for _, k := range []string{"a", "b", "c", "absent"} {
+		got, gok := c.Get(k)
+		raw, rok := c.Raw(k)
+		if gok != rok || !bytes.Equal(got, raw) {
+			t.Fatalf("key %q: Get = %s, %v; Raw = %s, %v", k, got, gok, raw, rok)
+		}
+	}
+	if hits, misses := c.Stats(); hits != 6 || misses != 2 {
+		t.Fatalf("stats = %d/%d, want 6 hits 2 misses", hits, misses)
+	}
+}
+
 func TestDiskCacheCorruptEntryIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewDiskCache[*cachedResult](dir)
@@ -293,7 +319,7 @@ func TestDiskCacheConcurrentPut(t *testing.T) {
 func TestTieredWriteThroughAndPromotion(t *testing.T) {
 	fast := NewMemoryCache[string]()
 	slow := NewMemoryCache[string]()
-	c := NewTiered[string](fast, slow)
+	c := NewChain[string](fast, slow)
 
 	c.Put("k", "v")
 	if _, ok := fast.Get("k"); !ok {

@@ -172,12 +172,12 @@ func TestTieredPromotionCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := NewTiered[int](fast, slow)
+	tiered := NewChain[int](fast, slow)
 	tiered.Put("k", 9) // 1 fast put, 1 slow put
 
 	// Clear the fast tier to force promotion.
 	fast2 := NewMemoryCache[int]()
-	tiered = NewTiered[int](fast2, slow)
+	tiered = NewChain[int](fast2, slow)
 	if v, ok := tiered.Get("k"); !ok || v != 9 {
 		t.Fatalf("get = %d,%v want 9,true", v, ok)
 	}
@@ -218,7 +218,7 @@ func TestTieredRegistryMatchesStats(t *testing.T) {
 	}
 	fast.Instrument(reg, "cache.fast")
 	slow.Instrument(reg, "cache.slow")
-	tiered := NewTiered[int](fast, slow)
+	tiered := NewChain[int](fast, slow)
 
 	var wg sync.WaitGroup
 	keys := []string{"a", "b", "c", "d"}

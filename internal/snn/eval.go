@@ -6,7 +6,7 @@ package snn
 // Training mutates a DiehlCook in place and is inherently serial — each
 // presentation's STDP depends on the weights the previous one left
 // behind. The read-only phases are not: the label-assignment pass after
-// training and every Evaluate present images to the *frozen* trained
+// training and every evaluation present images to the *frozen* trained
 // network, so images can run concurrently once two things hold:
 //
 //  1. Workers share the trained network without sharing mutable state.

@@ -39,8 +39,10 @@ type DiehlCookConfig struct {
 // rather than the 0.0004/0.0002 quoted in the paper's text: under our
 // discretization the quoted rates cannot bootstrap neuron
 // specialization (winners rotate uniformly and never imprint), while
-// the library defaults reproduce the paper's ~76% baseline. See
-// EXPERIMENTS.md for the calibration record.
+// the library defaults learn. They overshoot the paper's 75.92%
+// baseline: at the paper's scale and seed 7 the baseline reads 88.00%
+// on 1000 images (ROADMAP items 1–2 measure its seed band and fit
+// nu_post to it). See EXPERIMENTS.md for the calibration record.
 func DefaultConfig() DiehlCookConfig {
 	return DiehlCookConfig{
 		NInput: 784, NExc: 100, NInh: 100,

@@ -343,13 +343,6 @@ func (g *LIFGroup) Reset() {
 	}
 }
 
-// HardReset additionally clears the adaptive thresholds (a fresh,
-// untrained group).
-func (g *LIFGroup) HardReset() {
-	g.Theta.Zero()
-	g.Reset()
-}
-
 // EffectiveThreshold returns the firing threshold of neuron i with the
 // fault hook applied: (Thresh + Theta)·ThreshScale.
 func (g *LIFGroup) EffectiveThreshold(i int) float64 {

@@ -162,10 +162,6 @@ func TestGroupResetSemantics(t *testing.T) {
 	if want := theta * g.thetaDecay; g.Theta[0] != want || want == theta {
 		t.Fatalf("undriven step after Reset left theta %v, want %v", g.Theta[0], want)
 	}
-	g.HardReset()
-	if g.Theta[0] != 0 {
-		t.Fatal("HardReset must clear theta")
-	}
 }
 
 func smallConfig() DiehlCookConfig {
@@ -319,7 +315,7 @@ func TestTrainImprovesOverChance(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := EncodeCorpus(mnist.Synthetic(200, 7), encoding.NewPoissonEncoder(42), cfg.Steps)
-	res, err := Train(n, c)
+	res, err := TrainWith(n, c, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,19 +332,19 @@ func TestTrainRejectsEmptyInput(t *testing.T) {
 	}
 	enc := encoding.NewPoissonEncoder(1)
 	empty := EncodeCorpus(nil, enc, cfg.Steps)
-	if _, err := Train(n, empty); err == nil {
+	if _, err := TrainWith(n, empty, TrainOptions{}); err == nil {
 		t.Fatal("empty training set must fail")
 	}
-	if _, err := Evaluate(n, empty, nil); err == nil {
+	if _, err := EvaluateParallel(n, empty, nil, EvalOptions{Workers: 1}); err == nil {
 		t.Fatal("empty evaluation set must fail")
 	}
 	// A corpus encoded for another presentation length would silently
 	// truncate or overrun every presentation.
 	short := EncodeCorpus(mnist.Synthetic(2, 3), enc, cfg.Steps-1)
-	if _, err := Train(n, short); err == nil {
+	if _, err := TrainWith(n, short, TrainOptions{}); err == nil {
 		t.Fatal("training on a corpus of the wrong length must fail")
 	}
-	if _, err := Evaluate(n, short, nil); err == nil {
+	if _, err := EvaluateParallel(n, short, nil, EvalOptions{Workers: 1}); err == nil {
 		t.Fatal("evaluating a corpus of the wrong length must fail")
 	}
 }

@@ -7,15 +7,15 @@ import (
 
 // ProtocolVersion names the training/evaluation semantics trained
 // results depend on, and belongs in every cache key that stores them
-// (core experiment fingerprints, cmd/snn-train's result cache). Bump
-// it whenever a change alters what a trained result contains — v2 was
-// the intra-cell engine's per-image seeding and frozen-network
-// assignment pass; v3 is the training-pass engine: the geometric
-// skip-sampling encoder (one RNG draw per spike instead of per pixel
-// per step; encoding.SkipSampling) and dirty-column homeostatic
-// normalization (untouched columns keep their previous bits instead of
-// rescaling by ≈1) — so stale caches miss instead of serving values
-// computed under older semantics.
+// (the core experiment fingerprint). Bump it whenever a change alters
+// what a trained result contains — v2 was the intra-cell engine's
+// per-image seeding and frozen-network assignment pass; v3 is the
+// training-pass engine: the geometric skip-sampling encoder (one RNG
+// draw per spike instead of per pixel per step;
+// encoding.SkipSampling) and dirty-column homeostatic normalization
+// (untouched columns keep their previous bits instead of rescaling by
+// ≈1) — so stale caches miss instead of serving values computed under
+// older semantics.
 const ProtocolVersion = "train-protocol-v3"
 
 // TrainResult summarizes a training run: per-neuron class assignments,
@@ -48,25 +48,16 @@ type TrainOptions struct {
 	// plus the assignment pool's "snn.eval.*" metrics. Observation
 	// only — trained results are identical with or without it.
 	Obs *obs.Registry
-	// OnProgress, when non-nil, observes each learning-pass image as
-	// (done, total) — the serial counterpart of the pool's progress
-	// stream, for live training status.
-	OnProgress func(done, total int)
 }
 
-// Train presents the corpus's images once (the paper iterates training
-// samples once), learning with STDP, then assigns each excitatory
-// neuron the class for which it spiked most ("all activity" labeling)
-// and scores classification accuracy over the same presentations —
-// the paper's protocol: "all experiments are conducted on 1000
-// Poisson-encoded training images", with accuracy measured on those
-// images.
-func Train(n *DiehlCook, c *Corpus) (*TrainResult, error) {
-	return TrainWith(n, c, TrainOptions{})
-}
-
-// TrainWith runs the two-pass protocol of the intra-cell engine over
-// the corpus's spike trains:
+// TrainWith presents the corpus's images once (the paper iterates
+// training samples once), learning with STDP, then assigns each
+// excitatory neuron the class for which it spiked most ("all activity"
+// labeling) and scores classification accuracy over the same
+// presentations — the paper's protocol: "all experiments are conducted
+// on 1000 Poisson-encoded training images", with accuracy measured on
+// those images. It runs as the intra-cell engine's two passes over the
+// corpus's spike trains:
 //
 //  1. Learning pass, serial (STDP is order-dependent): each image's
 //     train is presented with plasticity on, after the per-image
@@ -97,9 +88,6 @@ func TrainWith(n *DiehlCook, c *Corpus, opt TrainOptions) (*TrainResult, error) 
 			n.NormalizeWeights()
 		}
 		n.TrainImage(tr)
-		if opt.OnProgress != nil {
-			opt.OnProgress(i+1, c.Len())
-		}
 	}
 	stdp.End()
 
@@ -125,14 +113,6 @@ func TrainWith(n *DiehlCook, c *Corpus, opt TrainOptions) (*TrainResult, error) 
 	}
 	res.Accuracy = float64(correct) / float64(len(counts))
 	return res, nil
-}
-
-// Evaluate presents the corpus without learning and scores it against
-// existing assignments. It is the serial entry point of the inference
-// engine — EvaluateParallel at width 1, so its result is bit-identical
-// to any parallel run over the same corpus.
-func Evaluate(n *DiehlCook, c *Corpus, assignments []int) (float64, error) {
-	return EvaluateParallel(n, c, assignments, EvalOptions{Workers: 1})
 }
 
 // AssignLabels implements Diehl&Cook "all activity" neuron labeling:

@@ -24,7 +24,7 @@ import (
 // are identical at any worker count.
 type Runner struct {
 	Suite *Suite
-	// Name labels the campaign report ("figures", "snn-attack").
+	// Name labels the campaign report ("figures").
 	Name string
 	// OutDir receives CSV artifacts; required only when an entry has an
 	// output spec, and created by the first artifact.

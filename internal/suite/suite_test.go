@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -320,4 +321,34 @@ func TestRunnerArtifactWrites(t *testing.T) {
 	if err := r.Run([]string{"F"}); err == nil {
 		t.Fatal("an artifact written to /dev/full reported no error")
 	}
+}
+
+// readmeSuite is the README's one-line custom suite.
+const readmeSuite = `{"name":"mine","entries":[{"id":"S1","scenario":{"name":"my-sweep","attack":3,"changes_pc":[-30],"fractions_pc":[75],"defenses":[{"kind":"bandgap","neuron":"iaf"}],"detector":{"neuron":"iaf"}}}]}`
+
+// FuzzSuiteDecode: a suite file is outside input, so decoding any
+// bytes and validating what decodes must end in a suite or an error,
+// never a panic. Seeded with every checked-in suite and the README's.
+func FuzzSuiteDecode(f *testing.F) {
+	paths, err := filepath.Glob("../../suites/*.json")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no suites to seed from: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(readmeSuite))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Decode(bytes.NewReader(data))
+		if (s == nil) == (err == nil) {
+			t.Fatalf("Decode returned suite %v and error %v: want exactly one", s != nil, err)
+		}
+		if s != nil {
+			_ = s.Validate()
+		}
+	})
 }

@@ -83,17 +83,6 @@ func (x Vector) Sum() float64 {
 	return s
 }
 
-// Clamp limits every element to [lo, hi].
-func (x Vector) Clamp(lo, hi float64) {
-	for i, v := range x {
-		if v < lo {
-			x[i] = lo
-		} else if v > hi {
-			x[i] = hi
-		}
-	}
-}
-
 // Zero sets every element to 0.
 func (x Vector) Zero() { x.Fill(0) }
 
@@ -139,12 +128,6 @@ func (m *Matrix) Copy() *Matrix {
 
 // Fill sets every element to v.
 func (m *Matrix) Fill(v float64) { Vector(m.Data).Fill(v) }
-
-// Scale multiplies every element by s.
-func (m *Matrix) Scale(s float64) { Vector(m.Data).Scale(s) }
-
-// Clamp limits every element to [lo, hi].
-func (m *Matrix) Clamp(lo, hi float64) { Vector(m.Data).Clamp(lo, hi) }
 
 // MulVec computes out = mᵀ·x when transpose is true (treating rows as
 // inputs, columns as outputs, the synapse convention w[pre][post]) or

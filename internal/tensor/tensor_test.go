@@ -24,17 +24,6 @@ func TestVectorBasics(t *testing.T) {
 	}
 }
 
-func TestVectorClamp(t *testing.T) {
-	v := Vector{-2, 0.5, 3}
-	v.Clamp(0, 1)
-	want := Vector{0, 0.5, 1}
-	for i := range v {
-		if v[i] != want[i] {
-			t.Fatalf("Clamp: got %v", v)
-		}
-	}
-}
-
 func TestVectorCopyIndependent(t *testing.T) {
 	a := Vector{1, 2}
 	b := a.Copy()

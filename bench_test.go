@@ -58,13 +58,14 @@ func benchExperiment(b *testing.B) *core.Experiment {
 // path deliberately.)
 func resetCache(b *testing.B, e *core.Experiment) {
 	b.Helper()
-	keys, err := e.ScenarioKeys(&core.Scenario{Plans: []*core.FaultPlan{nil}})
+	a, err := e.AuditScenario(&core.Scenario{Plans: []*core.FaultPlan{nil}}, func(string) bool { return false })
 	if err != nil {
 		b.Fatal(err)
 	}
-	base, _ := e.Cache.Get(keys[0])
+	key := a.Cells[0].Key
+	base, _ := e.Cache.Get(key)
 	e.Cache = runner.NewMemoryCache[*core.Result]()
-	e.Cache.Put(keys[0], base)
+	e.Cache.Put(key, base)
 }
 
 // sweep runs one attack family over its axes.

@@ -9,14 +9,14 @@
 // cells), so an existing warm cache directory can be served as-is, and
 // a store directory can be mounted back as a plain -cache-dir.
 //
-// Cell routes (snnfi-store-v2):
+// Cell routes (snnfi-store-v3), the only way to ask about a cell, by
+// its key:
 //
 //	GET  /cell/{tier}/{key}   one cell, 404 on a miss
 //	POST /cell/{tier}         a JSON array of keys in; a JSON array of as
 //	                          many cells out, null for a miss — the batch
 //	                          lookup a worker pool makes once per batch
 //	PUT  /cell/{tier}/{key}   store one cell (one PUT per computed cell)
-//	GET  /manifest/{tier}     the keys the tier holds
 //
 // Usage:
 //
@@ -25,12 +25,13 @@
 //	cached -dir store -addr-file store.addr    # write the bound address (CI/scripts)
 //
 // Long-lived campaign service: POST a suite JSON to /campaign and poll
-// GET /campaign/{id} for live present/missing progress against the
-// store manifest; GET /campaign/{id}/cells serves the cells already
-// computed, the baseline among them. GET /metrics exports the obs registry (request
-// counters, per-tier cache counters, request-duration histograms);
-// GET /healthz reports liveness and the store protocol version, which
-// every command given -store checks at start.
+// GET /campaign/{id} for live present/missing progress, each cell
+// looked up by key; GET /campaign/{id}/cells serves the cells already
+// computed, the baseline among them, as stored. GET /metrics exports
+// the obs registry (request counters, per-tier cache counters,
+// request-duration histograms); GET /healthz reports liveness and the
+// store protocol version, which every command given -store checks at
+// start.
 package main
 
 import (

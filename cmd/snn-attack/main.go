@@ -22,17 +22,18 @@
 // -jsonl streams every cell as a JSON-lines record, and -cache-dir /
 // -store persist trained results (memory→disk→store chain) so a
 // repeated invocation (same data, same configuration) retrains
-// nothing; with -store that holds across machines. -audit prints
-// which of the scenario's cells the cache tiers already hold and
-// exits without training anything; -audit-json writes the same audit
-// machine-readably (the fabric's shard-assignment input, see
-// cmd/snn-worker).
+// nothing; with -store that holds across machines. -audit asks the
+// -cache-dir and -store tiers for each of the scenario's cells by key,
+// prints which they hold, and exits without training anything; a store
+// that fails a lookup fails the audit. -audit-json writes the same
+// audit as JSON.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"snnfi/internal/cli"
 	"snnfi/internal/core"
@@ -107,11 +108,7 @@ func run() (retErr error) {
 	exp.Cache = cache
 
 	if *audit {
-		held, source, err := heldCells(disk, store)
-		if err != nil {
-			return err
-		}
-		a, err := exp.AuditScenario(scn, core.HeldSet(held))
+		a, source, err := auditTiers(exp, scn, disk, store, shared.Store)
 		if err != nil {
 			return err
 		}
@@ -127,7 +124,7 @@ func run() (retErr error) {
 			}
 			return a.WriteJSON(w)
 		}
-		fmt.Printf("audit of %s against %s (%d keys held):\n", a.Name, source, len(held))
+		fmt.Printf("audit of %s against %s:\n", a.Name, source)
 		for _, c := range a.Cells {
 			status := "MISSING"
 			if c.Present {
@@ -168,36 +165,41 @@ func run() (retErr error) {
 	return sess.FinishReport(mon)
 }
 
-// heldCells merges the manifests of whichever slow tiers are
-// configured — an audit reflects what a resume's chain would find,
-// and a resume probes disk and store alike.
-func heldCells(disk *runner.DiskCache[*core.Result], store *runner.HTTPCache[*core.Result]) ([]string, string, error) {
-	var held []string
+// auditTiers audits the scenario against the slow tiers a resume's
+// chain would probe, asking each by key, once per distinct cell, the
+// disk tier first, and names the tiers it asked. A cell that does not
+// decode reads as missing, as a resume would treat it. The first store
+// lookup that fails ends the store's part and fails the audit, so no
+// cell is reported missing for want of an answer.
+func auditTiers(exp *core.Experiment, scn *core.Scenario, disk *runner.DiskCache[*core.Result], store *runner.HTTPCache[*core.Result], url string) (*core.ScenarioAudit, string, error) {
 	var sources []string
 	if disk != nil {
-		keys, err := disk.Manifest()
-		if err != nil {
-			return nil, "", err
-		}
-		held = append(held, keys...)
 		sources = append(sources, disk.Dir())
 	}
 	if store != nil {
-		keys, err := store.Manifest()
-		if err != nil {
-			return nil, "", err
-		}
-		held = append(held, keys...)
-		sources = append(sources, "the store")
+		sources = append(sources, url)
 	}
-	source := ""
-	for i, s := range sources {
-		if i > 0 {
-			source += " + "
+	held := map[string]bool{}
+	var storeErr error
+	a, err := exp.AuditScenario(scn, func(key string) bool {
+		if ok, asked := held[key]; asked {
+			return ok
 		}
-		source += s
+		_, ok := disk.Get(key)
+		if !ok && store != nil && storeErr == nil {
+			errs := store.Errors()
+			_, ok = store.Get(key)
+			if store.Errors() != errs {
+				storeErr = fmt.Errorf("store %s failed a lookup, so the audit is incomplete", url)
+			}
+		}
+		held[key] = ok
+		return ok
+	})
+	if err != nil {
+		return nil, "", err
 	}
-	return held, source, nil
+	return a, strings.Join(sources, " + "), storeErr
 }
 
 func verdict(detected bool) string {

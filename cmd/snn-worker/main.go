@@ -1,18 +1,20 @@
-// Command snn-worker executes one shard of a campaign's missing cells
-// against a shared content store (cmd/cached) — the worker side of the
+// Command snn-worker executes one shard of a campaign's cells against a
+// shared content store (cmd/cached) — the worker side of the
 // distributed fabric.
 //
 // Every process launched with the same attack flags, the same -shards
-// count and a distinct -shard index derives the identical audit from
-// the store manifest, takes the missing cells whose round-robin slot
-// matches its index, trains them, and writes the results through the
-// store. The attack-free baseline is one of those cells: a cell stores
-// only its own score, so no shard waits for another. No coordination
-// channel exists or is needed: cells are pure functions of their
-// content address, so the only shared state is the store itself. When
-// every shard exits, a coordinator run (snn-attack with the same flags
-// and -store) finds the store warm, trains nothing, and emits sinks
-// byte-identical to a single-process run.
+// count and a distinct -shard index deals itself the same share of the
+// campaign's distinct cells: those whose position in job order (the
+// attack-free baseline first, then compile order) matches its index
+// round-robin. The deal reads nothing from the store, so each cell has
+// exactly one owner whenever the workers start. A worker runs its cells
+// through its cache chain, so cells already in the store are hits, and
+// writes the rest through to the store. No coordination channel exists
+// or is needed: cells are pure functions of their content address, so
+// the only shared state is the store itself. When every shard exits, a
+// coordinator run (snn-attack with the same flags and -store) finds the
+// store warm, trains nothing, and emits sinks byte-identical to a
+// single-process run.
 //
 //	cached -dir store -addr-file store.addr &
 //	snn-worker -store http://$(cat store.addr) -attack 3 -change -20,-10,10,20 -shards 2 -shard 0 &
@@ -25,11 +27,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 
 	"snnfi/internal/cli"
 	"snnfi/internal/core"
-	"snnfi/internal/fabric"
 	"snnfi/internal/runner"
 	"snnfi/internal/snn"
 	"snnfi/internal/spice"
@@ -82,33 +82,17 @@ func run() (retErr error) {
 	}
 	spice.Instrument(sess.Registry)
 
-	cache, _, store, err := cli.Tiers[*core.Result](sess, exp.Cache, "network")
+	cache, _, _, err := cli.Tiers[*core.Result](sess, exp.Cache, "network")
 	if err != nil {
 		return err
 	}
 	exp.Cache = cache
 
-	// The shard assignment input: audit the scenario against the store
-	// manifest. Every worker derives the same ordered missing list, the
-	// attack-free baseline first when it is missing; cells that share a
-	// key (plans with equal effects) are one unit of work.
-	held, err := store.Manifest()
+	ran, cells, err := exp.RunShard(scn, *shard, *shards)
 	if err != nil {
 		return err
 	}
-	audit, err := exp.AuditScenario(scn, core.HeldSet(held))
-	if err != nil {
-		return err
-	}
-	missing := audit.MissingKeys()
-	mine := fabric.Shard(missing, *shard, *shards)
-	fmt.Printf("shard %d/%d: %d of %d missing cells assigned (%d already in store)\n",
-		*shard, *shards, len(mine), len(missing), audit.Present)
-
-	ran, err := exp.RunScenarioSubset(scn, func(key string) bool { return slices.Contains(mine, key) })
-	if err != nil {
-		return err
-	}
+	fmt.Printf("shard %d/%d: %d of %d cells\n", *shard, *shards, len(ran), cells)
 	fmt.Printf("executed cells: %d\n", len(ran))
 	fmt.Printf("trained networks: %d\n", exp.TrainCount())
 	return nil

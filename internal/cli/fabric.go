@@ -164,8 +164,8 @@ func checkStore(w io.Writer, name, base string) error {
 // when set), each slower level instrumented, warned on first write
 // failure and surfaced at Close exactly like the classic disk tier.
 // With neither flag set, mem is returned untouched. The typed disk
-// and HTTP tiers come back too (nil when absent) for callers that
-// need Manifest().
+// and HTTP tiers come back too (nil when absent) for callers that ask
+// a tier directly, as snn-attack's audit does.
 func Tiers[T any](s *Session, mem runner.Cache[T], tier string) (runner.Cache[T], *runner.DiskCache[T], *runner.HTTPCache[T], error) {
 	levels := []runner.Cache[T]{mem}
 	var disk *runner.DiskCache[T]

@@ -60,6 +60,17 @@ func TestAttackFlagsScenarioKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	changes, fractions, vdds := []float64{-20, 10}, []float64{50, 100}, []float64{0.8, 1.2}
+	keys := func(scn *core.Scenario) ([]string, error) {
+		a, err := e.AuditScenario(scn, func(string) bool { return false })
+		if err != nil {
+			return nil, err
+		}
+		var keys []string
+		for _, c := range a.Cells {
+			keys = append(keys, c.Key)
+		}
+		return keys, nil
+	}
 	for attack := 1; attack <= 5; attack++ {
 		for _, def := range []string{"none", "robust-driver", "bandgap", "sizing", "comparator"} {
 			t.Run(fmt.Sprintf("attack%d/%s", attack, def), func(t *testing.T) {
@@ -73,15 +84,15 @@ func TestAttackFlagsScenarioKeys(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := e.ScenarioKeys(scn)
+				got, err := keys(scn)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := e.ScenarioKeys(handScenario(attack, changes, fractions, vdds, def))
+				want, err := keys(handScenario(attack, changes, fractions, vdds, def))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got) == 0 || !reflect.DeepEqual(got, want) {
+				if len(got) < 2 || !reflect.DeepEqual(got, want) {
 					t.Fatalf("cell keys %v, want the hand-built scenario's %v", got, want)
 				}
 			})
@@ -90,25 +101,30 @@ func TestAttackFlagsScenarioKeys(t *testing.T) {
 }
 
 // TestStartChecksStoreProtocol: a session refuses a -store that speaks
-// another protocol (a v1 store would fail every batch lookup, and the
-// campaign would recompute every cell without a word), starts against
-// a store of this version, and only warns about a store that does not
-// answer, whose lookups degrade to misses.
+// any other protocol, v1 and v2 included (a v1 store would fail every
+// batch lookup, and the campaign would recompute every cell without a
+// word; the same exact match makes a v2 client, which lists a tier,
+// refuse a store of this version at start), starts against a store of
+// this version, and only warns about a store that does not answer,
+// whose lookups degrade to misses.
 func TestStartChecksStoreProtocol(t *testing.T) {
-	v1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/healthz" {
-			http.NotFound(w, r)
-			return
-		}
-		fmt.Fprint(w, `{"ok":true,"protocol":"snnfi-store-v1"}`)
-	}))
-	defer v1.Close()
+	stub := func(protocol string) *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/healthz" {
+				http.NotFound(w, r)
+				return
+			}
+			fmt.Fprintf(w, `{"ok":true,"protocol":%q}`, protocol)
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
 	srv, err := fabric.NewServer(t.TempDir(), obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := httptest.NewServer(srv.Handler())
-	defer v2.Close()
+	current := httptest.NewServer(srv.Handler())
+	defer current.Close()
 	down := httptest.NewServer(http.NotFoundHandler())
 	down.Close()
 
@@ -121,11 +137,13 @@ func TestStartChecksStoreProtocol(t *testing.T) {
 		}
 		return err
 	}
-	if err := start(v1.URL); err == nil ||
-		!strings.Contains(err.Error(), "snnfi-store-v1") || !strings.Contains(err.Error(), runner.StoreProtocol) {
-		t.Fatalf("v1 store: err = %v, want a refusal naming both protocols", err)
+	for _, old := range []string{"snnfi-store-v1", "snnfi-store-v2"} {
+		if err := start(stub(old).URL); err == nil ||
+			!strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), runner.StoreProtocol) {
+			t.Fatalf("%s store: err = %v, want a refusal naming both protocols", old, err)
+		}
 	}
-	if err := start(v2.URL + "/"); err != nil {
+	if err := start(current.URL + "/"); err != nil {
 		t.Fatalf("%s store: %v", runner.StoreProtocol, err)
 	}
 	var warn bytes.Buffer

@@ -5,16 +5,16 @@ import (
 	"io"
 )
 
-// Campaign manifest audit: given a scenario and the set of keys a
-// result cache holds (runner.DiskCache.Manifest or the HTTP store's
-// manifest), report which cells are already computed and which a
-// resume would retrain — without training anything. cmd/snn-attack
-// surfaces this as -audit (human table) and -audit-json (the
-// machine-readable form the fabric's shard assignment consumes).
+// Campaign audit: given a scenario and a predicate that says whether a
+// result cache holds a key, report which cells are already computed
+// and which a resume would retrain — without training anything.
+// cmd/snn-attack surfaces this as -audit (human table) and -audit-json
+// (the same audit as JSON), asking its -cache-dir and -store tiers by
+// key.
 
-// AuditSchema names the -audit-json layout. Consumers (cmd/snn-worker,
-// fabric tooling, scripts) match on it; bump it when a field changes
-// meaning.
+// AuditSchema names the -audit-json layout. No program in this
+// repository reads it back; the audit golden pins it. Bump it when a
+// field changes meaning.
 const AuditSchema = "snnfi-audit-v2"
 
 // CellStatus is one compiled cell's cache standing.
@@ -55,9 +55,8 @@ func (a *ScenarioAudit) MissingKeys() []string {
 
 // AuditScenario compiles the scenario and checks the content address
 // of every job of its campaign — the attack-free cell first, then the
-// compiled cells — against held, typically a set built from
-// runner.DiskCache.Manifest. Nothing is trained or loaded; the audit
-// is pure key arithmetic.
+// compiled cells — against held. Nothing is trained or loaded; the
+// audit costs what held costs.
 func (e *Experiment) AuditScenario(s *Scenario, held func(key string) bool) (*ScenarioAudit, error) {
 	jobs, meta, err := s.compile()
 	if err != nil {
@@ -91,11 +90,8 @@ func (e *Experiment) AuditScenario(s *Scenario, held func(key string) bool) (*Sc
 // WriteJSON renders the audit in the -audit-json wire format: the
 // schema name, then the cells in compile order (baseline first) with
 // their content addresses and standing, the distinct-key count and
-// the rollup. Keys appear exactly as the cache is probed with them,
-// so the output is directly usable as the fabric's shard-assignment
-// input — a worker executes the missing keys assigned to it and
-// nothing else. The rendering is deterministic: same audit, same
-// bytes.
+// the rollup. Keys appear exactly as the cache is probed with them.
+// The rendering is deterministic: same audit, same bytes.
 func (a *ScenarioAudit) WriteJSON(w io.Writer) error {
 	type auditJSON struct {
 		Schema string `json:"schema"`
@@ -105,14 +101,4 @@ func (a *ScenarioAudit) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(auditJSON{Schema: AuditSchema, ScenarioAudit: a, Complete: a.Complete()})
-}
-
-// HeldSet adapts a key list (runner.DiskCache.Manifest output) into
-// the membership predicate AuditScenario consumes.
-func HeldSet(keys []string) func(string) bool {
-	set := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		set[k] = true
-	}
-	return func(k string) bool { return set[k] }
 }

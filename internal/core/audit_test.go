@@ -38,8 +38,7 @@ func TestAuditJSONGolden(t *testing.T) {
 	if len(probe.Cells) != 5 { // baseline + 2 coords × (undefended + atten)
 		t.Fatalf("compiled %d cells, want 5", len(probe.Cells))
 	}
-	held := HeldSet([]string{probe.Cells[0].Key, probe.Cells[1].Key})
-	audit, err := e.AuditScenario(scn, held)
+	audit, err := e.AuditScenario(scn, func(k string) bool { return k == probe.Cells[0].Key || k == probe.Cells[1].Key })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,55 +328,45 @@ func (e *Experiment) RunScenario(s *Scenario) ([]SweepPoint, error) {
 	return e.runCampaign(meta, jobs)
 }
 
-// RunScenarioSubset executes, once each, the distinct cells of the
-// scenario's job list whose content address keep accepts, and returns
-// those keys in job order. This is the fabric worker's entry point: a
-// shard executes exactly its assigned cells, writing each result
-// through the experiment's cache chain into the shared store. It
-// never assembles points or streams records, because a shard need not
-// hold the baseline they are scored against; the coordinator later
-// re-runs the full scenario against the warmed store, where every
-// cell is a cache hit, to emit the merged sinks. Because a cell's
-// result is a pure function of its content address, which process
-// computed it is unobservable in the merged output.
-//
-// An empty selection returns immediately without training anything,
-// so a fully-warm shard costs nothing.
-func (e *Experiment) RunScenarioSubset(s *Scenario, keep func(key string) bool) ([]string, error) {
+// RunShard runs shard `shard` of `shards` of the scenario's campaign,
+// the fabric worker's entry point: the distinct cells in job order (the
+// attack-free cell first, then compile order) at positions shard,
+// shard+shards, …. The deal depends on the scenario alone, so every
+// cell has exactly one owner whenever the shards start. Cells run
+// through the cache chain: a stored cell is a hit, a computed one is
+// written through to the store. No points are assembled, since a shard
+// need not hold the baseline; the coordinator re-runs the full scenario
+// over the warmed store to emit the merged sinks. It returns the dealt
+// keys and the scenario's number of distinct cells.
+func (e *Experiment) RunShard(s *Scenario, shard, shards int) ([]string, int, error) {
+	if shards < 1 || shard < 0 || shard >= shards {
+		return nil, 0, fmt.Errorf("core: shard %d of %d is out of range", shard, shards)
+	}
 	jobs, _, err := s.compile()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	keys, err := e.cellKeys(jobs)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var run []campaignJob
-	var ran []string
+	var dealt []string
 	seen := map[string]bool{}
 	for i, c := range jobs {
-		if !seen[keys[i]] && keep(keys[i]) {
-			seen[keys[i]] = true
-			run, ran = append(run, c), append(ran, keys[i])
+		if seen[keys[i]] {
+			continue
 		}
+		if len(seen)%shards == shard {
+			run, dealt = append(run, c), append(dealt, keys[i])
+		}
+		seen[keys[i]] = true
 	}
 	if len(run) == 0 {
-		return nil, nil
+		return nil, len(seen), nil
 	}
-	if err := e.runJobs(run, ran, e.evalWidth(len(run)), nil); err != nil {
-		return nil, err
+	if err := e.runJobs(run, dealt, e.evalWidth(len(run)), nil); err != nil {
+		return nil, 0, err
 	}
-	return ran, nil
-}
-
-// ScenarioKeys returns the content addresses of every cell the
-// scenario compiles to, in compile order and without the attack-free
-// job 0 — the keys of the points RunScenario returns. Cells whose
-// plans have equal effects share a key.
-func (e *Experiment) ScenarioKeys(s *Scenario) ([]string, error) {
-	jobs, _, err := s.compile()
-	if err != nil {
-		return nil, err
-	}
-	return e.cellKeys(jobs[1:])
+	return dealt, len(seen), nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -118,18 +119,6 @@ func TestScenarioCompileDeterministic(t *testing.T) {
 			t.Fatalf("cell %d (%s) reuses a content address", i, a[i].desc)
 		}
 		seen[keysA[i]] = true
-	}
-	keys, err := e.ScenarioKeys(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != wantCells {
-		t.Fatalf("ScenarioKeys returned %d keys, want %d", len(keys), wantCells)
-	}
-	for i, k := range keys {
-		if k != keysA[i+1] {
-			t.Fatalf("ScenarioKeys[%d] disagrees with compile", i)
-		}
 	}
 }
 
@@ -432,9 +421,10 @@ func TestWeightFaultHitsDistinctSynapses(t *testing.T) {
 	}
 }
 
-// TestAuditScenario: the campaign manifest audit reports exactly which
-// cells (plus the shared baseline) a cache directory holds, without
-// training anything — and flips to complete after the campaign runs.
+// TestAuditScenario: the campaign audit reports exactly which cells
+// (plus the shared baseline) a cache directory holds, asking it by
+// key, without training anything — and flips to complete after the
+// campaign runs.
 func TestAuditScenario(t *testing.T) {
 	dir := t.TempDir()
 	e, disk := tieredExperiment(t, 40, dir)
@@ -443,15 +433,12 @@ func TestAuditScenario(t *testing.T) {
 		Axes:   Axes{ChangesPc: []float64{-20, 10}},
 	}
 
-	manifest := func() func(string) bool {
-		keys, err := disk.Manifest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return HeldSet(keys)
+	held := func(key string) bool {
+		_, ok := disk.Get(key)
+		return ok
 	}
 
-	cold, err := e.AuditScenario(s, manifest())
+	cold, err := e.AuditScenario(s, held)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +456,7 @@ func TestAuditScenario(t *testing.T) {
 	grid, err := e.AuditScenario(&Scenario{
 		Attack: Attack3,
 		Axes:   Axes{ChangesPc: []float64{-20, 10}, FractionsPc: []float64{0, 100}},
-	}, manifest())
+	}, held)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +469,7 @@ func TestAuditScenario(t *testing.T) {
 	if _, err := e.RunScenario(&Scenario{Attack: Attack3, Axes: Axes{ChangesPc: []float64{-20}}}); err != nil {
 		t.Fatal(err)
 	}
-	half, err := e.AuditScenario(s, manifest())
+	half, err := e.AuditScenario(s, held)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +487,7 @@ func TestAuditScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	trained := e.TrainCount()
-	full, err := e.AuditScenario(s, manifest())
+	full, err := e.AuditScenario(s, held)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,13 +498,74 @@ func TestAuditScenario(t *testing.T) {
 		t.Fatal("audit trained networks")
 	}
 	// The audit keys are the very keys the campaign would probe.
-	keys, err := e.ScenarioKeys(s)
+	jobs, _, err := s.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := e.cellKeys(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
-		if full.Cells[i+1].Key != k { // +1: audit leads with the baseline
-			t.Fatalf("audit key %d disagrees with ScenarioKeys", i)
+		if full.Cells[i].Key != k {
+			t.Fatalf("audit key %d disagrees with the campaign's", i)
+		}
+	}
+}
+
+// TestRunShardDealsEveryCellOnce: the shards of a campaign deal its
+// distinct cells, in job order, round-robin: their keys are disjoint,
+// together they are the audit's distinct keys, and the attack-free
+// cell is shard 0's first. Here the 0% cells alias the baseline, so 7
+// cells are 5 distinct networks, and 6 shards leave one empty. Each
+// shard trains exactly its own cells; bad geometry is an error.
+func TestRunShardDealsEveryCellOnce(t *testing.T) {
+	s := &Scenario{
+		Attack: Attack3,
+		Axes:   Axes{ChangesPc: []float64{-20, 10}, FractionsPc: []float64{0, 50, 100}},
+	}
+	audit, err := tinyExperiment(t, 20).AuditScenario(s, func(string) bool { return false })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var distinct []string
+	for _, c := range audit.Cells {
+		if !slices.Contains(distinct, c.Key) {
+			distinct = append(distinct, c.Key)
+		}
+	}
+	if len(audit.Cells) != 7 || len(distinct) != 5 {
+		t.Fatalf("%d cells → %d distinct, want 7 → 5 (the 0%% cells are the baseline)", len(audit.Cells), len(distinct))
+	}
+	for _, shards := range []int{1, 2, 3, 6} {
+		var union []string
+		for shard := 0; shard < shards; shard++ {
+			e := tinyExperiment(t, 20)
+			dealt, cells, err := e.RunShard(s, shard, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cells != len(distinct) || e.TrainCount() != int64(len(dealt)) {
+				t.Fatalf("shard %d/%d: %d of %d cells, trained %d", shard, shards, len(dealt), cells, e.TrainCount())
+			}
+			for i, k := range dealt {
+				if k != distinct[shard+i*shards] {
+					t.Fatalf("shard %d/%d: key %d is not the campaign's distinct cell %d", shard, shards, i, shard+i*shards)
+				}
+			}
+			union = append(union, dealt...)
+		}
+		if !slices.Equal(union[:1], distinct[:1]) || len(union) != len(distinct) {
+			t.Fatalf("%d shards dealt %d keys, want the %d distinct ones, the baseline first", shards, len(union), len(distinct))
+		}
+		slices.Sort(union)
+		if want := slices.Sorted(slices.Values(distinct)); !slices.Equal(union, want) {
+			t.Fatalf("%d shards: keys overlap or miss a cell", shards)
+		}
+	}
+	for _, g := range [][2]int{{0, 0}, {-1, 2}, {2, 2}, {5, 3}} {
+		if _, _, err := tinyExperiment(t, 20).RunShard(s, g[0], g[1]); err == nil {
+			t.Fatalf("RunShard(%d of %d) must fail", g[0], g[1])
 		}
 	}
 }

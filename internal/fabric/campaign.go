@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"snnfi/internal/core"
 	"snnfi/internal/runner"
 	"snnfi/internal/suite"
 )
@@ -14,12 +13,11 @@ import (
 // The campaign service: the long-lived front that answers "how far
 // along is this suite, and what has it already computed?" without
 // training anything. A campaign is registered once (POST /campaign, a
-// suite JSON) and audited forever after against the live store
-// manifest — registration compiles the suite's network cells into
-// content addresses exactly once; every status read is pure set
-// membership against the manifest. Cells workers have already pushed
-// are served back, so a dashboard (or a warm coordinator) reads
-// results at store latency.
+// suite JSON): registration compiles the suite's network cells into
+// content addresses exactly once, and every status read looks each of
+// those keys up in the store's network tier. Cells workers have
+// already pushed are served back, so a dashboard (or a warm
+// coordinator) reads results at store latency.
 
 // CampaignSchema names the campaign status wire format.
 const CampaignSchema = "snnfi-campaign-v1"
@@ -96,7 +94,7 @@ func (s *Server) handlePostCampaign(w http.ResponseWriter, r *http.Request) {
 		Neurons: ov.neurons,
 		Steps:   ov.steps,
 	}
-	cells, err := run.AuditCells(func(string) bool { return false })
+	cells, err := run.AuditCells()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -115,18 +113,13 @@ func (s *Server) campaign(id string) *campaign {
 	return s.campaigns[id]
 }
 
-// status re-audits the campaign's fixed key set against the live
-// network-tier manifest.
+// status looks the campaign's fixed key set up in the live network
+// tier.
 func (s *Server) status(c *campaign) (*campaignStatus, error) {
 	t, err := s.tier(networkTier)
 	if err != nil {
 		return nil, err
 	}
-	keys, err := t.Manifest()
-	if err != nil {
-		return nil, err
-	}
-	held := core.HeldSet(keys)
 	st := &campaignStatus{
 		Schema: CampaignSchema,
 		ID:     c.ID,
@@ -134,7 +127,7 @@ func (s *Server) status(c *campaign) (*campaignStatus, error) {
 		Cells:  make([]suite.CellRef, len(c.cells)),
 	}
 	for i, cell := range c.cells {
-		cell.Present = held(cell.Key)
+		_, cell.Present = t.Raw(cell.Key)
 		if cell.Present {
 			st.Present++
 		} else {
@@ -185,7 +178,7 @@ func (s *Server) handleCampaignCells(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]cellOut, 0, len(c.cells))
 	for _, cell := range c.cells {
-		raw, ok := t.Get(cell.Key)
+		raw, ok := t.Raw(cell.Key)
 		if !ok {
 			continue
 		}

@@ -64,14 +64,13 @@ func NewServer(dir string, reg *obs.Registry) (*Server, error) {
 	mux.HandleFunc("GET /cell/{tier}/{key}", s.handleGetCell)
 	mux.HandleFunc("POST /cell/{tier}", s.handleGetCells)
 	mux.HandleFunc("PUT /cell/{tier}/{key}", s.handlePutCell)
-	mux.HandleFunc("GET /manifest/{tier}", s.handleManifest)
 	mux.HandleFunc("POST /campaign", s.handlePostCampaign)
 	mux.HandleFunc("GET /campaign/{id}", s.handleGetCampaign)
 	mux.HandleFunc("GET /campaign/{id}/cells", s.handleCampaignCells)
 	s.mux = mux
 	// Seed the request counters so /metrics shows the full shape from
 	// the first scrape.
-	for _, n := range []string{"store.gets", "store.batches", "store.puts", "store.manifests", "store.campaigns"} {
+	for _, n := range []string{"store.gets", "store.batches", "store.puts", "store.campaigns"} {
 		reg.Counter(n)
 	}
 	return s, nil
@@ -197,24 +196,6 @@ func (s *Server) handlePutCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("store.manifests").Inc()
-	t, err := s.tier(r.PathValue("tier"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	keys, err := t.Manifest()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if keys == nil {
-		keys = []string{}
-	}
-	writeJSON(w, keys)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -60,13 +60,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	if oks[0] || !oks[1] || !oks[2] || vs[1] != want || vs[2] != want {
 		t.Fatalf("batch lookup = %+v, %v; want a miss, then the cell twice", vs, oks)
 	}
-	keys, err := c.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 1 || keys[0] != "k1" {
-		t.Fatalf("manifest = %v, want [k1]", keys)
-	}
 	if c.Err() != nil || c.Errors() != 0 {
 		t.Fatalf("unexpected store errors: %v, %d", c.Err(), c.Errors())
 	}
@@ -107,7 +100,7 @@ func TestStoreRejectsBadRequests(t *testing.T) {
 		t.Fatal("rejected cell must not be stored")
 	}
 
-	for _, path := range []string{"/cell/..%2Fescape/k", "/manifest/No.Such.Tier"} {
+	for _, path := range []string{"/cell/..%2Fescape/k", "/cell/No.Such.Tier/k"} {
 		resp, err := http.Get(url + path)
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"snnfi/internal/obs"
@@ -24,10 +23,10 @@ const logName = "cache.jsonl"
 // The log holds one JSON record per line, {"k":key,"v":value}. Put
 // appends its record with a single O_APPEND write before it returns,
 // and an in-memory index maps each key to the value of its latest
-// record. Get, Raw and Manifest answer from the index; a lookup miss
-// and every Manifest first index the bytes appended since the last
-// read, so they see what other processes wrote. Holding no file open,
-// a cache that is dropped leaves nothing behind.
+// record. Get and Raw answer from the index; a lookup that misses it
+// first indexes the bytes appended since the last read, so it sees
+// what other processes wrote. Holding no file open, a cache that is
+// dropped leaves nothing behind.
 //
 // Values round-trip through encoding/json, which preserves float64
 // exactly (shortest round-trip rendering), so a resumed campaign
@@ -171,27 +170,24 @@ func (c *DiskCache[T]) Append(key string, v T) error {
 // being written, so it is left to be read again; any other line that
 // is not a record counts as corrupt and is skipped. Read errors leave
 // the index as it was, so lookups degrade to misses.
-func (c *DiskCache[T]) catchUp() error {
+func (c *DiskCache[T]) catchUp() {
 	path := filepath.Join(c.dir, logName)
 	st, err := os.Stat(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
 	if err != nil || st.Size() == c.read {
-		return err
+		return
 	}
 	if st.Size() < c.read { // the log was cut short: index it afresh
 		c.read = 0
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return
 	}
 	defer f.Close()
 	buf := make([]byte, st.Size()-c.read)
 	n, err := f.ReadAt(buf, c.read)
 	if err != nil && err != io.EOF {
-		return err
+		return
 	}
 	buf = buf[:n]
 	for len(buf) > 0 {
@@ -208,7 +204,6 @@ func (c *DiskCache[T]) catchUp() error {
 		c.read += int64(len(buf) - len(rest))
 		buf = rest
 	}
-	return nil
 }
 
 // parseRecord decodes one log line into its key and value.
@@ -234,29 +229,6 @@ func (c *DiskCache[T]) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
-}
-
-// Manifest returns the key of every well-formed record in the log,
-// sorted — the campaign-audit view of a cache directory. A record
-// whose value does not decode as T is listed yet still degrades to a
-// miss on Get; the manifest answers "what has been persisted", not
-// "what is guaranteed well-formed".
-func (c *DiskCache[T]) Manifest() ([]string, error) {
-	if c == nil {
-		return nil, nil
-	}
-	c.mu.Lock()
-	err := c.catchUp()
-	keys := make([]string, 0, len(c.index))
-	for k := range c.index {
-		keys = append(keys, k)
-	}
-	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(keys)
-	return keys, nil
 }
 
 // Stats reports lookup hits and misses since creation.

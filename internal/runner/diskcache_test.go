@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -139,18 +138,18 @@ func wantServed(t *testing.T, c *DiskCache[*cachedResult], want map[string]*cach
 			t.Fatalf("key %q = %+v, want a miss", k, v)
 		}
 	}
-	keys, err := c.Manifest()
-	if err != nil {
-		t.Fatal(err)
+	if n := indexed(c); n != len(want) {
+		t.Fatalf("index holds %d keys, want the %d served", n, len(want))
 	}
-	if len(keys) != len(want) {
-		t.Fatalf("manifest = %v, want the %d served keys", keys, len(want))
-	}
-	for _, k := range keys {
-		if want[k] == nil {
-			t.Fatalf("manifest lists %q, which is not served", k)
-		}
-	}
+}
+
+// indexed indexes what c's log gained since its last read and returns
+// how many keys c holds.
+func indexed[T any](c *DiskCache[T]) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.catchUp()
+	return len(c.index)
 }
 
 // TestDiskCacheTornTail: a record cut short at the end of the log, as a
@@ -364,22 +363,18 @@ func TestDeriveSeedAddressFree(t *testing.T) {
 	}
 }
 
-func TestDiskCacheManifest(t *testing.T) {
+// TestDiskCacheIgnoresStrayFiles: files beside the log are not
+// entries: an entry file of the one-file-per-key layout older builds
+// wrote, a stray file, a subdirectory.
+func TestDiskCacheIgnoresStrayFiles(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewDiskCache[*cachedResult](dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := c.Manifest()
-	if err != nil || len(keys) != 0 {
-		t.Fatalf("empty cache manifest = %v, %v", keys, err)
-	}
 	kA, kB := KeyOf("cell-a"), KeyOf("cell-b")
 	c.Put(kB, &cachedResult{Name: "b"})
 	c.Put(kA, &cachedResult{Name: "a"})
-	// Files beside the log are not entries: an entry file of the
-	// one-file-per-key layout older builds wrote, a stray file, a
-	// subdirectory.
 	legacy := KeyOf("legacy")
 	if err := os.WriteFile(filepath.Join(dir, legacy+".json"), []byte(`{"Name":"old"}`), 0o644); err != nil {
 		t.Fatal(err)
@@ -390,23 +385,12 @@ func TestDiskCacheManifest(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(dir, "sub.json"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(legacy); ok {
-		t.Fatal("an entry file of the old layout must miss")
-	}
-	keys, err = c.Manifest()
+	fresh, err := NewDiskCache[*cachedResult](dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantKeys := []string{kA, kB}
-	sort.Strings(wantKeys)
-	if len(keys) != 2 || keys[0] != wantKeys[0] || keys[1] != wantKeys[1] {
-		t.Fatalf("manifest = %v, want sorted %v", keys, wantKeys)
-	}
-	// A nil cache (no -cache-dir) audits as empty, not as an error.
-	var nilCache *DiskCache[*cachedResult]
-	keys, err = nilCache.Manifest()
-	if err != nil || keys != nil {
-		t.Fatalf("nil cache manifest = %v, %v", keys, err)
+	for _, c := range []*DiskCache[*cachedResult]{c, fresh} {
+		wantServed(t, c, map[string]*cachedResult{kA: {Name: "a"}, kB: {Name: "b"}}, legacy, "README", "sub")
 	}
 }
 
@@ -505,12 +489,13 @@ func TestDiskCacheTwoProcesses(t *testing.T) {
 	}
 }
 
-// FuzzDiskCacheLog opens a cache over arbitrary bytes as its log. Open,
-// Get and Manifest must not panic, and every line that decodes as a
-// record must be served with the value of the key's last record, both
-// by an instance that reads the log at once and by one that read its
-// first part before the rest was appended. The split falls before a
-// newline, where every appended record begins.
+// FuzzDiskCacheLog opens a cache over arbitrary bytes as its log. Open
+// and Get must not panic, the index must hold exactly the keys of the
+// lines that decode as records, and each must be served with the value
+// of the key's last record, both by an instance that reads the log at
+// once and by one whose first lookup missed and read the log's first
+// part before the rest was appended. The split falls before a newline,
+// where every appended record begins.
 func FuzzDiskCacheLog(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -550,9 +535,7 @@ func FuzzDiskCacheLog(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := grown.Manifest(); err != nil {
-			t.Fatal(err)
-		}
+		grown.Get("") // its index is empty, so the lookup reads data[:at]
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -561,17 +544,12 @@ func FuzzDiskCacheLog(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, c := range []*DiskCache[json.RawMessage]{grown, fresh} {
-			keys, err := c.Manifest()
-			if err != nil {
-				t.Fatal(err)
+			if n := indexed(c); n != len(want) {
+				t.Fatalf("index holds %d keys, want the %d keys of %q", n, len(want), data)
 			}
-			if len(keys) != len(want) {
-				t.Fatalf("manifest = %q, want the %d keys of %q", keys, len(want), data)
-			}
-			for _, k := range keys {
-				got, ok := c.Get(k)
-				if v, held := want[k]; !held || !ok || string(got) != v {
-					t.Fatalf("key %q = %q, %v; want %q, %v", k, got, ok, v, held)
+			for k, v := range want {
+				if got, ok := c.Get(k); !ok || string(got) != v {
+					t.Fatalf("key %q = %q, %v; want %q", k, got, ok, v)
 				}
 			}
 		}

@@ -20,16 +20,18 @@ import (
 //	POST {base}/cell/{tier}         ← JSON array of keys
 //	                                → 200 JSON array of as many cells, null for a miss
 //	PUT  {base}/cell/{tier}/{key}   → 204 stored
-//	GET  {base}/manifest/{tier}     → 200 JSON array of held keys
 //
 // v2 added the POST batch lookup, which Pool.Run uses through GetMany
 // so that a batch of cells costs one round trip; writes stay one PUT
-// per cell. Bump it when a route or body changes meaning. The server
-// reports it at GET /healthz (StoreProtocolAt), and every command
-// given -store reads it there once and refuses a store that speaks
-// another version: a v2 client would see every batch lookup of a v1
-// server fail with a 404 and recompute every cell.
-const StoreProtocol = "snnfi-store-v2"
+// per cell. v3 dropped the route that listed a tier's keys: a client
+// asks about a cell only by its key. Bump it when a route or body
+// changes meaning. The server reports it at GET /healthz
+// (StoreProtocolAt), and every command given -store reads it there
+// once and refuses a store that speaks another version, whose routes
+// differ: a client that still lists a tier is refused at start, not by
+// a 404 mid-run, and a client of a store without the batch route would
+// recompute every cell.
+const StoreProtocol = "snnfi-store-v3"
 
 // StoreProtocolAt asks the store at base which protocol it speaks,
 // through GET /healthz, in one attempt.
@@ -72,7 +74,6 @@ func StoreProtocolAt(base string) (string, error) {
 // records.
 type HTTPCache[T any] struct {
 	base string // "{store}/cell/{tier}", no trailing slash
-	man  string // "{store}/manifest/{tier}"
 
 	// Client is the HTTP client used for every request; nil uses a
 	// dedicated client with a 30 s per-request timeout.
@@ -106,11 +107,7 @@ type HTTPCache[T any] struct {
 // store's cell namespace. base is the store root, e.g.
 // "http://127.0.0.1:8475".
 func NewHTTPCache[T any](base, tier string) *HTTPCache[T] {
-	root := strings.TrimRight(base, "/")
-	return &HTTPCache[T]{
-		base: root + "/cell/" + tier,
-		man:  root + "/manifest/" + tier,
-	}
+	return &HTTPCache[T]{base: strings.TrimRight(base, "/") + "/cell/" + tier}
 }
 
 func (c *HTTPCache[T]) client() *http.Client {
@@ -307,30 +304,6 @@ func (c *HTTPCache[T]) Put(key string, v T) {
 		resp.StatusCode != http.StatusCreated {
 		c.setErr(fmt.Errorf("store PUT %s/%s: %s", c.base, key, resp.Status))
 	}
-}
-
-// Manifest fetches the keys the store's tier currently holds, sorted
-// by the server — the cross-process audit view AuditScenario consumes.
-// Unlike Get/Put it returns its error: sharding decisions must not be
-// made against a silently empty manifest.
-func (c *HTTPCache[T]) Manifest() ([]string, error) {
-	if c == nil {
-		return nil, nil
-	}
-	resp, err := c.do(http.MethodGet, c.man, nil)
-	if err != nil {
-		return nil, fmt.Errorf("store manifest: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		drainClose(resp.Body)
-		return nil, fmt.Errorf("store manifest: %s", resp.Status)
-	}
-	defer resp.Body.Close()
-	var keys []string
-	if err := json.NewDecoder(resp.Body).Decode(&keys); err != nil {
-		return nil, fmt.Errorf("store manifest: %w", err)
-	}
-	return keys, nil
 }
 
 // Err reports the first persistence failure, if any (see DiskCache.Err

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -49,12 +50,6 @@ func (s *storeStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
-	case r.Method == http.MethodGet && r.URL.Path == "/manifest/network":
-		keys := make([]string, 0, len(s.cells))
-		for k := range s.cells {
-			keys = append(keys, k)
-		}
-		json.NewEncoder(w).Encode(keys)
 	case r.Method == http.MethodPost && r.URL.Path == "/cell/network":
 		var keys []string
 		if err := json.NewDecoder(r.Body).Decode(&keys); err != nil {
@@ -160,14 +155,6 @@ func TestHTTPCacheRoundTrip(t *testing.T) {
 	}
 	if c.Err() != nil {
 		t.Fatalf("unexpected persistence error: %v", c.Err())
-	}
-
-	keys, err := c.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 1 || keys[0] != "k1" {
-		t.Fatalf("manifest = %v, want [k1]", keys)
 	}
 }
 
@@ -423,6 +410,88 @@ func FuzzHTTPCacheGetMany(f *testing.F) {
 			if oks[i] != ok || (ok && !reflect.DeepEqual(vs[i], want)) {
 				t.Fatalf("cell %d %s: got %+v, %v", i, raw, vs[i], oks[i])
 			}
+		}
+	})
+}
+
+// statusRecorder remembers the status of the last response its
+// transport returned, the answer the client saw.
+type statusRecorder struct {
+	tr   *http.Transport
+	last atomic.Int64
+}
+
+func (r *statusRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := r.tr.RoundTrip(req)
+	if err == nil {
+		r.last.Store(int64(resp.StatusCode))
+	}
+	return resp, err
+}
+
+// FuzzHTTPCacheGet: whatever status and body a store answers a lookup
+// with, Get does not panic. Only a 200 whose body decodes is a hit,
+// with the decoded value; a 404 is a plain miss; any other answer is a
+// miss and one error, and never a persistence error. The status is
+// mapped into 100–599; a 1xx other than 101 is informational, so the
+// answer the client sees is the 200 that follows it.
+func FuzzHTTPCacheGet(f *testing.F) {
+	good, _ := json.Marshal(cachedResult{Name: "x", Acc: 0.5, Inner: &cachedResult{Acc: 1}})
+	for _, seed := range []struct {
+		status int
+		body   string
+	}{
+		{http.StatusOK, string(good)},
+		{http.StatusNotFound, "404 page not found"},
+		{http.StatusInternalServerError, "store write failed"},
+		{http.StatusOK, string(good[:len(good)/2])},
+		{http.StatusOK, ""},
+	} {
+		f.Add(uint16(seed.status), []byte(seed.body))
+	}
+	type answer struct {
+		status int
+		body   []byte
+	}
+	var ans atomic.Pointer[answer]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		a := ans.Load()
+		w.WriteHeader(a.status)
+		w.Write(a.body)
+	}))
+	f.Cleanup(srv.Close)
+	rec := &statusRecorder{tr: &http.Transport{}}
+	f.Cleanup(rec.tr.CloseIdleConnections)
+	f.Fuzz(func(t *testing.T, status uint16, body []byte) {
+		ans.Store(&answer{status: 100 + int(status)%500, body: body})
+		rec.last.Store(0)
+		c := NewHTTPCache[cachedResult](srv.URL, "network")
+		c.Client = &http.Client{Transport: rec}
+		c.MaxAttempts = 1
+		got, ok := c.Get("k")
+
+		seen := int(rec.last.Load())
+		var want cachedResult
+		decodes := json.NewDecoder(bytes.NewReader(body)).Decode(&want) == nil
+		switch {
+		case seen == http.StatusOK && decodes:
+			if !ok || !reflect.DeepEqual(got, want) || c.Errors() != 0 {
+				t.Fatalf("200 %q: got %+v, %v with %d errors; want a hit with %+v", body, got, ok, c.Errors(), want)
+			}
+		case seen == http.StatusNotFound:
+			if ok || c.Errors() != 0 {
+				t.Fatalf("404: got %v with %d errors; want a plain miss", ok, c.Errors())
+			}
+		default:
+			if ok || c.Errors() != 1 {
+				t.Fatalf("%d %q: got %v with %d errors; want a miss and one error", seen, body, ok, c.Errors())
+			}
+		}
+		if hits, misses := c.Stats(); hits+misses != 1 {
+			t.Fatalf("%d hits + %d misses for one lookup", hits, misses)
+		}
+		if c.Err() != nil {
+			t.Fatalf("a lookup set the persistence error: %v", c.Err())
 		}
 	})
 }

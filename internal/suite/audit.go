@@ -5,11 +5,12 @@ import (
 )
 
 // Suite-level cell enumeration: the campaign service answers "how far
-// along is this suite?" by comparing the cells the suite would compute
-// against a store manifest — without building networks or touching
-// SPICE. The entries that compile to scenarios (scenario, weight_faults
-// and learning_rate_faults) are the shardable network tier; circuit
-// entries run locally in the coordinator and are outside this audit.
+// along is this suite?" by looking up the cells the suite would
+// compute in the store — without building networks or touching SPICE.
+// The entries that compile to scenarios (scenario, weight_faults and
+// learning_rate_faults) are the network tier the fabric distributes;
+// circuit entries run locally in the coordinator and are outside this
+// audit.
 
 // CellRef is one network-tier cell a suite would compute, attributed
 // to the entry that compiles it ("" for the shared attack-free
@@ -21,14 +22,13 @@ type CellRef struct {
 	Present bool   `json:"present"`
 }
 
-// AuditCells compiles every network entry of the suite and reports
-// each distinct network cell's standing against held (a membership
-// predicate over a store manifest, core.HeldSet). Pure key arithmetic:
-// nothing is trained, the corpus is loaded only for its fingerprint.
-// The shared baseline appears exactly once, first; after it, cells
-// follow entry order then compile order, so the listing is
-// deterministic and directly shardable.
-func (r *Runner) AuditCells(held func(key string) bool) ([]CellRef, error) {
+// AuditCells compiles every network entry of the suite and lists each
+// distinct network cell, Present left false for the caller to fill.
+// Pure key arithmetic: nothing is trained, the corpus is loaded only
+// for its fingerprint. The shared baseline appears exactly once,
+// first; after it, cells follow entry order then compile order, so the
+// listing is deterministic.
+func (r *Runner) AuditCells() ([]CellRef, error) {
 	if err := r.Suite.Validate(); err != nil {
 		return nil, err
 	}
@@ -48,7 +48,7 @@ func (r *Runner) AuditCells(held func(key string) bool) ([]CellRef, error) {
 		if scn == nil {
 			continue
 		}
-		audit, err := e.AuditScenario(scn, held)
+		audit, err := e.AuditScenario(scn, func(string) bool { return false })
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +61,7 @@ func (r *Runner) AuditCells(held func(key string) bool) ([]CellRef, error) {
 			if j == 0 { // the shared baseline leads every scenario audit
 				entry = ""
 			}
-			cells = append(cells, CellRef{Entry: entry, Desc: c.Desc, Key: c.Key, Present: c.Present})
+			cells = append(cells, CellRef{Entry: entry, Desc: c.Desc, Key: c.Key})
 		}
 	}
 	return cells, nil

@@ -11,7 +11,7 @@ import (
 // cells the scenario and extension entries would compute — the shared
 // baseline once and first, then entry order — attributes them
 // correctly, dedups cells shared across entries (a nominal extension
-// spec is the baseline), and agrees with core.ScenarioKeys on every
+// spec is the baseline), and agrees with the scenario audit on every
 // content address. Nothing trains.
 func TestAuditCells(t *testing.T) {
 	doc := `{
@@ -31,7 +31,7 @@ func TestAuditCells(t *testing.T) {
 	}
 	r := &Runner{Suite: su}
 
-	cells, err := r.AuditCells(func(string) bool { return false })
+	cells, err := r.AuditCells()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestAuditCells(t *testing.T) {
 			t.Fatalf("cells[%d] attributed to %q, want %q", i, c.Entry, wantEntries[i])
 		}
 		if c.Present {
-			t.Fatalf("cells[%d] present against an empty manifest", i)
+			t.Fatalf("cells[%d] marked present by a listing that looks nothing up", i)
 		}
 	}
 
@@ -64,25 +64,13 @@ func TestAuditCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := e.ScenarioKeys(scn)
+	audit, err := e.AuditScenario(scn, func(string) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, k := range keys {
-		if cells[1+i].Key != k {
-			t.Fatalf("cell key %d disagrees with ScenarioKeys", i)
-		}
-	}
-
-	// A held set flips standings without reordering.
-	warm, err := r.AuditCells(core.HeldSet([]string{cells[0].Key, cells[2].Key}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range warm {
-		want := i == 0 || i == 2
-		if c.Present != want || c.Key != cells[i].Key {
-			t.Fatalf("warm cells[%d] = %+v, want present=%v, same key", i, c, want)
+	for i, c := range audit.Cells {
+		if cells[i].Key != c.Key {
+			t.Fatalf("cell key %d disagrees with the scenario audit", i)
 		}
 	}
 }

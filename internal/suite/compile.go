@@ -16,7 +16,7 @@ import (
 // DetectorSpec → defense.DetectorConfig, RecipeRef →
 // neuron.RecipeSpec. Compilation is pure — the same spec always
 // yields the same value — which is what makes a suite's cell keys
-// (core.ScenarioKeys) stable across runs and processes.
+// stable across runs and processes.
 
 // Kind names the entry's primary experiment family.
 func (e *Entry) Kind() string {

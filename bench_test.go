@@ -666,7 +666,7 @@ func BenchmarkCountsParallel(b *testing.B) { benchCountsParallel(b, 1) }
 // BenchmarkCountsParallelCollapsed is BenchmarkCountsParallel with the
 // whole inhibitory layer at ThreshScale 0.8 (Attack 3's −20%): lateral
 // inhibition falls silent, excitatory activity collapses into dense
-// firing, and nearly every inhibitory neuron is awake. Collapsed cells
+// firing, and the inhibitory layer runs its dense pass. Collapsed cells
 // cost a multiple of a nominal one and dominate the network campaigns.
 func BenchmarkCountsParallelCollapsed(b *testing.B) { benchCountsParallel(b, 0.8) }
 

@@ -127,8 +127,9 @@ func (e *Experiment) fingerprint() string {
 type corruption interface {
 	// key is the content address of the trained network.
 	key(e *Experiment) (string, error)
-	// train trains one fresh network under the corruption.
-	train(e *Experiment, opts snn.TrainOptions) (*snn.TrainResult, error)
+	// train trains n, a fresh network of the experiment's
+	// configuration, under the corruption.
+	train(e *Experiment, n *snn.DiehlCook, opts snn.TrainOptions) (*snn.TrainResult, error)
 }
 
 // key is the content address of the network a plan trains: the
@@ -142,14 +143,10 @@ func (p *FaultPlan) key(e *Experiment) (string, error) {
 	return runner.KeyOf(e.fingerprint(), "plan-effect", eff.key()), nil
 }
 
-// train trains a fresh network with the plan applied (nil =
-// attack-free). Every call builds its own network and reads the
-// shared, immutable corpus, so cells train concurrently.
-func (p *FaultPlan) train(e *Experiment, opts snn.TrainOptions) (*snn.TrainResult, error) {
-	n, err := snn.NewDiehlCook(e.Cfg)
-	if err != nil {
-		return nil, err
-	}
+// train trains n with the plan applied (nil = attack-free). Every
+// cell trains its own network and reads the shared, immutable corpus,
+// so cells train concurrently.
+func (p *FaultPlan) train(e *Experiment, n *snn.DiehlCook, opts snn.TrainOptions) (*snn.TrainResult, error) {
 	if p != nil {
 		revert, err := p.Apply(n)
 		if err != nil {
@@ -179,7 +176,12 @@ func (e *Experiment) corpus() *snn.Corpus {
 // parallelism compose instead of multiplying.
 func (e *Experiment) compute(c corruption, evalWorkers int) (*Result, error) {
 	e.trains.Add(1)
-	res, err := c.train(e, snn.TrainOptions{Workers: evalWorkers, Obs: e.Obs})
+	n, err := snn.NewDiehlCook(e.Cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer n.Release()
+	res, err := c.train(e, n, snn.TrainOptions{Workers: evalWorkers, Obs: e.Obs})
 	if err != nil {
 		return nil, err
 	}

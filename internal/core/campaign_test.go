@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -203,5 +204,33 @@ func TestLayerGridParallelSpeedup(t *testing.T) {
 	samePoints(t, 4, parallelPts, serialPts)
 	if parallel > serial/2 {
 		t.Fatalf("4 workers took %v, serial took %v — want ≥2× speedup", parallel, serial)
+	}
+}
+
+// TestSecondCellReusesWeights: once one cell has run, the next cell of
+// the same experiment takes the weight matrix the first released, so
+// it allocates less than one weight matrix in all. The collector is off
+// and one processor runs the cells, so the pool cannot drop or strand
+// the matrix in between.
+func TestSecondCellReusesWeights(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := tinyExperiment(t, 6)
+	if _, err := e.compute((*FaultPlan)(nil), 1); err != nil {
+		t.Fatal(err)
+	}
+	plan := &FaultPlan{Name: "il-0.9", Faults: []FaultSpec{{Layer: Inhibitory, Scale: 0.9, Fraction: 1}}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := e.compute(plan, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	matrix := uint64(8 * e.Cfg.NInput * e.Cfg.NExc)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= matrix {
+		t.Fatalf("the second cell allocated %d B, a weight matrix is %d B", got, matrix)
 	}
 }

@@ -97,19 +97,15 @@ func (s WeightFaultSpec) key(e *Experiment) (string, error) {
 	return runner.KeyOf(e.fingerprint(), "ext-weight-fault-v1", s), nil
 }
 
-// train trains through snn.TrainWith's BeforeImage hook, re-applying
+// train trains n through snn.TrainWith's BeforeImage hook, re-applying
 // the drift at the spec's cadence. A nominal drift trains the
 // attack-free network on the baseline's own path, so a cell keyed as
 // the baseline computes the baseline's bytes: the hook path
 // renormalizes every weight column before each image, which moves the
 // columns STDP left alone by ulps.
-func (s WeightFaultSpec) train(e *Experiment, opts snn.TrainOptions) (*snn.TrainResult, error) {
+func (s WeightFaultSpec) train(e *Experiment, n *snn.DiehlCook, opts snn.TrainOptions) (*snn.TrainResult, error) {
 	if s.nominal(e.Cfg) {
-		return (*FaultPlan)(nil).train(e, opts)
-	}
-	n, err := snn.NewDiehlCook(e.Cfg)
-	if err != nil {
-		return nil, err
+		return (*FaultPlan)(nil).train(e, n, opts)
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
 	opts.BeforeImage = func(i int) {
@@ -151,14 +147,11 @@ func (s LearningRateFaultSpec) key(e *Experiment) (string, error) {
 	return runner.KeyOf(e.fingerprint(), "ext-learning-rate-v1", s), nil
 }
 
-// train trains under the scaled learning rates.
-func (s LearningRateFaultSpec) train(e *Experiment, opts snn.TrainOptions) (*snn.TrainResult, error) {
-	cfg := e.Cfg
-	cfg.NuPre *= s.Scale
-	cfg.NuPost *= s.Scale
-	n, err := snn.NewDiehlCook(cfg)
-	if err != nil {
-		return nil, err
-	}
+// train trains n under the scaled learning rates. The initial
+// weights do not depend on the rates, so n starts where a network
+// built with them would.
+func (s LearningRateFaultSpec) train(e *Experiment, n *snn.DiehlCook, opts snn.TrainOptions) (*snn.TrainResult, error) {
+	n.Cfg.NuPre *= s.Scale
+	n.Cfg.NuPost *= s.Scale
 	return snn.TrainWith(n, e.corpus(), opts)
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"snnfi/internal/snn"
-)
+import "testing"
 
 func TestWeightFaultSpecValidation(t *testing.T) {
 	if err := (WeightFaultSpec{Scale: 0, Fraction: 0.5}).Validate(); err == nil {
@@ -81,12 +77,11 @@ func TestLearningRateFreezeDegrades(t *testing.T) {
 // directly here, past the cache that would serve the baseline.
 func TestLearningRateNominalIsNoOp(t *testing.T) {
 	e := testExperiment(t, 200)
-	opts := snn.TrainOptions{Workers: 1}
-	got, err := LearningRateFaultSpec{Scale: 1}.train(e, opts)
+	got, err := e.compute(LearningRateFaultSpec{Scale: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (*FaultPlan)(nil).train(e, opts)
+	want, err := e.compute((*FaultPlan)(nil), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"snnfi/internal/encoding"
 	"snnfi/internal/mnist"
+	"snnfi/internal/obs"
 	"snnfi/internal/tensor"
 )
 
@@ -121,6 +122,54 @@ func TestTrainWorkerCountInvariant(t *testing.T) {
 		}
 		sameCounts(t, "train", res.PerImage, ref.PerImage)
 		sameLearned(t, fmt.Sprintf("workers=%d", w), net, refNet)
+	}
+}
+
+// TestWorkCountsPublished: TrainWith adds its learning pass's work
+// counts and its assignment pass's to the registry, and they are exact:
+// the same at any worker count, and the assignment pass's equal what
+// CountsParallel publishes for the trained network on its own.
+func TestWorkCountsPublished(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NExc, cfg.NInh = 16, 16
+	cfg.Steps = 60
+	c := EncodeCorpus(mnist.Synthetic(20, 7), encoding.NewPoissonEncoder(42), cfg.Steps)
+	counters := func(reg *obs.Registry) workCounts {
+		var w workCounts
+		for i, name := range workNames {
+			w[i] = reg.Counter(name).Value()
+		}
+		return w
+	}
+	var want workCounts
+	for k, workers := range []int{1, 3} {
+		n, err := NewDiehlCook(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Inh.ThreshScale[0] = 0.8 // some inhibitory updates walk
+		reg := obs.NewRegistry()
+		if _, err := TrainWith(n, c, TrainOptions{Workers: workers, Obs: reg}); err != nil {
+			t.Fatal(err)
+		}
+		got := counters(reg)
+		if k == 0 {
+			want = got
+			if got[inhEvent] == 0 || got[inhWalk] == 0 || got[stdpWalk] == 0 || got[normWalk] == 0 {
+				t.Fatalf("counts %v: a path the run takes counted nothing", got)
+			}
+		} else if got != want {
+			t.Fatalf("workers=%d: counts %v, want %v", workers, got, want)
+		}
+		learned := n.work()
+		frozen := obs.NewRegistry()
+		if _, err := CountsParallel(n, c, EvalOptions{Workers: workers, Obs: frozen}); err != nil {
+			t.Fatal(err)
+		}
+		learned.add(counters(frozen))
+		if learned != got {
+			t.Fatalf("workers=%d: learning pass %v plus a read-only pass make %v, TrainWith published %v", workers, n.work(), learned, got)
+		}
 	}
 }
 
@@ -239,20 +288,18 @@ func TestInferenceMatchesStepKernel(t *testing.T) {
 			ref.w = n.W.Copy()
 			copy(ref.exc.theta, n.Exc.Theta)
 			ref.exc.cfg.ThetaPlus, ref.exc.thDecay = 0, 1
-			fc.faultInh(ref.inh.tscale)
+			fc.faultInh(ref.inh.tscale, ref.inh.gain)
 			ref.exc.gain.Fill(fc.excGain)
 			ref.driveScale = fc.driveScale
 
 			f := acquireFrozen(n)
 			defer releaseFrozen(f)
+			f.net.clearWork()
 			var seen pathSeen
 			for i := 0; i < c.Len(); i++ {
 				tr := c.Train(i)
 				f.net.ResetState()
 				ref.reset()
-				if len(f.net.Inh.awake.list) == cfg.NInh {
-					seen.seedAll = true
-				}
 				want := tensor.NewVector(cfg.NExc)
 				for step := 0; step < tr.Steps()+cfg.RestSteps; step++ {
 					var spikes []int
@@ -278,6 +325,7 @@ func TestInferenceMatchesStepKernel(t *testing.T) {
 			fc.wants.allActive, fc.wants.partialDep = false, false
 			fc.wants.maskedPot, fc.wants.denseNorm = false, false
 			fc.checkPaths(t, seen)
+			fc.checkEventOnly(t, f.net.work())
 		})
 	}
 }
@@ -439,6 +487,46 @@ func TestPreDecayTableConcurrentGrowth(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestTrajectoryConcurrentBuild: layers seeding at once from
+// constants no layer has used share one trajectory, built once, whose
+// entries are the iterated update's bits up to its fixed point. Run
+// under -race in CI.
+func TestTrajectoryConcurrentBuild(t *testing.T) {
+	const rest, reset = -61.5, -47.25
+	decay := math.Exp(-1 / 7.5)
+	want := []float64{reset}
+	for {
+		x := rest + (want[len(want)-1]-rest)*decay
+		if math.Float64bits(x) == math.Float64bits(want[len(want)-1]) {
+			break
+		}
+		want = append(want, x)
+	}
+	got := make([]*trajectory, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = trajectoryOf(rest, reset, decay)
+		}()
+	}
+	wg.Wait()
+	for g, tr := range got {
+		if tr != got[0] {
+			t.Fatalf("goroutine %d got its own trajectory", g)
+		}
+	}
+	if len(got[0].v) != len(want) {
+		t.Fatalf("trajectory of %d entries, want %d", len(got[0].v), len(want))
+	}
+	for k, x := range want {
+		if math.Float64bits(got[0].v[k]) != math.Float64bits(x) {
+			t.Fatalf("entry %d is %v, want %v", k, got[0].v[k], x)
+		}
+	}
 }
 
 // TestPresentImageAllocationFree: once a frozen copy is warm,

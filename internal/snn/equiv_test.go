@@ -168,11 +168,18 @@ func (r *refNet) step(inputSpikes []int, learn bool) []int {
 	}
 	excSpikes := r.exc.step(r.driveExc)
 
+	// A step after one with no excitatory spike drives no inhibitory
+	// neuron: the undriven form, with no drive term, as the engine's
+	// (the same bits unless a gain is non-finite, where 0·gain is NaN).
 	r.driveInh.Zero()
 	for _, j := range r.prevExc {
 		r.driveInh[j] += cfg.WExcInh
 	}
-	inhSpikes := r.inh.step(r.driveInh)
+	var inhDrive tensor.Vector
+	if len(r.prevExc) > 0 {
+		inhDrive = r.driveInh
+	}
+	inhSpikes := r.inh.step(inhDrive)
 
 	// Dense pre-optimization STDP.
 	if learn {
@@ -235,6 +242,7 @@ type faultCase struct {
 	name       string
 	inhScale   float64 // ThreshScale of the faulted inhibitory neurons
 	inhCount   int     // how many leading inhibitory neurons; 0: all
+	inhGain    float64 // InputGain of inhibitory neuron 0; 0: nominal
 	excGain    float64 // InputGain of the whole excitatory layer
 	driveScale float64 // InputDriveScale
 	wants      pathSeen
@@ -247,39 +255,74 @@ type pathSeen struct {
 	maskedPot   bool // potentiation ran as the masked row kernel
 	denseNorm   bool // dirty-column normalization ran its dense kernels
 	undrivenInh bool // an inhibitory neuron spiked without drive
-	seedAll     bool // Reset woke every inhibitory neuron
+	pinned      bool // an inhibitory neuron was explicit for a whole image
+	leftTraj    bool // a driven inhibitory neuron stayed below threshold and became explicit
+	inhDense    bool // the inhibitory layer switched to its dense pass mid-image
+	// eventOnly: every inhibitory update was an event — no neuron left
+	// rest or the trajectory but by spiking. Only a want; the run's
+	// counters decide it.
+	eventOnly bool
 }
 
+// The inhibitory cases span the event-driven layer's rules. A driven
+// inhibitory neuron gets WExcInh = 22.5 mV; from rest (−60 mV) that
+// reaches −37.5 mV, and once its refractory period ends the post-spike
+// trajectory from the −45 mV reset is at −48.89 mV and falling.
 var faultCases = []faultCase{
-	{name: "nominal", inhScale: 1, excGain: 1, driveScale: 1},
+	// Threshold −40 mV: every drive fires a neuron that is not
+	// refractory, so neurons only ever rest or ride the trajectory.
+	{name: "nominal", inhScale: 1, excGain: 1, driveScale: 1,
+		wants: pathSeen{eventOnly: true}},
+	// Thresholds −44 and −48 mV: lower, and still above the trajectory's
+	// −48.89 mV, so the same holds.
+	{name: "inh-x1.1", inhScale: 1.1, excGain: 1, driveScale: 1,
+		wants: pathSeen{eventOnly: true}},
+	{name: "inh-x1.2", inhScale: 1.2, excGain: 1, driveScale: 1,
+		wants: pathSeen{eventOnly: true}},
+	// Threshold −36 mV: a drive from rest stays below it, and the neuron
+	// leaves rest for an explicit state.
+	{name: "inh-x0.9", inhScale: 0.9, excGain: 1, driveScale: 1,
+		wants: pathSeen{leftTraj: true}},
 	// Inhibition falls silent and the excitatory layer collapses: a
 	// quarter, then every neuron is active and many spike at once (the
 	// masked STDP kernels, with partial and full masks), most columns
-	// are dirty at each normalization (its dense kernels), and nearly
-	// every inhibitory neuron is awake (driven steps run dense).
+	// are dirty at each normalization (its dense kernels), and most
+	// inhibitory neurons are driven at once (the layer runs dense).
 	{name: "inh-x0.8", inhScale: 0.8, excGain: 1, driveScale: 1,
-		wants: pathSeen{allActive: true, partialDep: true, maskedPot: true, denseNorm: true}},
-	// Threshold −50 mV sits below the −45 mV reset: after its refractory
-	// period a neuron that fired decays to −48.89 mV and fires again
-	// undriven.
+		wants: pathSeen{allActive: true, partialDep: true, maskedPot: true, denseNorm: true, leftTraj: true, inhDense: true}},
+	// Threshold −50 mV sits below the trajectory's −48.89 mV: after its
+	// refractory period a neuron that fired fires again undriven, so
+	// every neuron is pinned explicit.
 	{name: "inh-x1.25", inhScale: 1.25, excGain: 1, driveScale: 1,
-		wants: pathSeen{undrivenInh: true}},
-	// Threshold −64 mV is below rest: the faulted neuron fires from
-	// rest, so Reset wakes the whole layer, idle neurons included. (A
-	// whole faulted layer would silence the excitatory layer.)
+		wants: pathSeen{undrivenInh: true, pinned: true}},
+	// Thresholds −60 and −64 mV are at and below rest: the faulted
+	// neuron fires from rest, so it is pinned. (A whole faulted layer
+	// would silence the excitatory layer.)
+	{name: "inh-x1.5", inhScale: 1.5, inhCount: 1, excGain: 1, driveScale: 1,
+		wants: pathSeen{undrivenInh: true, pinned: true}},
 	{name: "inh-x1.6", inhScale: 1.6, inhCount: 1, excGain: 1, driveScale: 1,
-		wants: pathSeen{seedAll: true}},
+		wants: pathSeen{undrivenInh: true, pinned: true}},
+	// An infinite gain turns a zero drive into NaN (0·Inf), so its
+	// neuron is pinned; it fires on its first drive and its membrane is
+	// NaN from the next driven step that does not drive it.
+	{name: "inh-gain-inf", inhScale: 1, inhGain: math.Inf(1), excGain: 1, driveScale: 1,
+		wants: pathSeen{pinned: true}},
 	// The SumRowsScaled drive path with a per-neuron gain.
 	{name: "exc-gain-1.1-drive-0.9", inhScale: 1, excGain: 1.1, driveScale: 0.9},
 }
 
 func (fc faultCase) apply(n *DiehlCook) {
-	fc.faultInh(n.Inh.ThreshScale)
+	fc.faultInh(n.Inh.ThreshScale, n.Inh.InputGain)
 	n.Exc.InputGain.Fill(fc.excGain)
 	n.InputDriveScale = fc.driveScale
 }
 
-func (fc faultCase) faultInh(scale tensor.Vector) {
+// faultInh applies the case's inhibitory hooks to a layer's threshold
+// scales and input gains.
+func (fc faultCase) faultInh(scale, gain tensor.Vector) {
+	if fc.inhGain != 0 {
+		gain[0] = fc.inhGain
+	}
 	if fc.inhCount > 0 {
 		scale = scale[:fc.inhCount]
 	}
@@ -304,8 +347,24 @@ func (fc faultCase) checkPaths(t *testing.T, seen pathSeen) {
 	if fc.wants.undrivenInh && !seen.undrivenInh {
 		t.Error("no inhibitory neuron spiked undriven")
 	}
-	if fc.wants.seedAll && !seen.seedAll {
-		t.Error("Reset did not wake the whole inhibitory layer")
+	if fc.wants.pinned && !seen.pinned {
+		t.Error("no inhibitory neuron was pinned explicit")
+	}
+	if fc.wants.leftTraj && !seen.leftTraj {
+		t.Error("no driven inhibitory neuron became explicit")
+	}
+	if fc.wants.inhDense && !seen.inhDense {
+		t.Error("the inhibitory layer never switched to its dense pass")
+	}
+}
+
+// checkEventOnly fails the test unless the case wants every inhibitory
+// update to be an event and the counts say so: events, and no walk or
+// dense pass.
+func (fc faultCase) checkEventOnly(t *testing.T, w workCounts) {
+	t.Helper()
+	if fc.wants.eventOnly && (w[inhEvent] == 0 || w[inhWalk] != 0 || w[inhDense] != 0) {
+		t.Errorf("inhibitory updates by event, walk, dense: %d, %d, %d; want events only", w[inhEvent], w[inhWalk], w[inhDense])
 	}
 }
 
@@ -316,6 +375,8 @@ func (fc faultCase) checkPaths(t *testing.T, seen pathSeen) {
 func stepObserved(n *DiehlCook, spikes []int, learn bool, seen *pathSeen) []int {
 	driven := append([]int(nil), n.prevExc...)
 	pre := len(n.preActive)
+	inh := n.Inh
+	wasEvents := inh.mode == events
 	es := n.Step(spikes, learn)
 	if learn {
 		post, nExc := len(n.Exc.traced.list), n.Cfg.NExc
@@ -334,6 +395,13 @@ func stepObserved(n *DiehlCook, spikes []int, learn bool, seen *pathSeen) []int 
 			seen.undrivenInh = true
 		}
 	}
+	if inh.mode == events {
+		for _, s := range inh.state {
+			seen.pinned = seen.pinned || s == pinnedState
+			seen.leftTraj = seen.leftTraj || s == explicitState
+		}
+	}
+	seen.inhDense = seen.inhDense || (wasEvents && inh.mode == dense)
 	return es
 }
 
@@ -393,7 +461,7 @@ func TestEngineMatchesDenseReference(t *testing.T) {
 				t.Fatalf("initial weights differ at element %d", e)
 			}
 			fc.apply(eng)
-			fc.faultInh(ref.inh.tscale)
+			fc.faultInh(ref.inh.tscale, ref.inh.gain)
 			ref.exc.gain.Fill(fc.excGain)
 			ref.driveScale = fc.driveScale
 
@@ -408,9 +476,6 @@ func TestEngineMatchesDenseReference(t *testing.T) {
 				eng.ResetState()
 				ref.normalize()
 				ref.reset()
-				if len(eng.Inh.awake.list) == cfg.NInh {
-					seen.seedAll = true
-				}
 
 				for st, spikes := range train {
 					es := stepObserved(eng, spikes, true, &seen)
@@ -440,8 +505,9 @@ func TestEngineMatchesDenseReference(t *testing.T) {
 				if e := diffWeights(eng.W, ref.w); e >= 0 {
 					t.Fatalf("img %d: weight %d is %v, dense reference %v", imgIdx, e, eng.W.Data[e], ref.w.Data[e])
 				}
+				eng.Inh.writeOut()
 				for j := range ref.inh.v {
-					if eng.Inh.V[j] != ref.inh.v[j] || eng.Exc.V[j] != ref.exc.v[j] {
+					if !sameFloat(eng.Inh.V[j], ref.inh.v[j]) || !sameFloat(eng.Exc.V[j], ref.exc.v[j]) {
 						t.Fatalf("img %d: membrane of neuron %d diverges", imgIdx, j)
 					}
 				}
@@ -455,16 +521,18 @@ func TestEngineMatchesDenseReference(t *testing.T) {
 				t.Fatal("equivalence run produced no excitatory spikes; the comparison is vacuous")
 			}
 			fc.checkPaths(t, seen)
+			fc.checkEventOnly(t, eng.work())
 		})
 	}
 }
 
-// TestSparseStepMatchesDenseLoop pins the awake-set step,
+// TestSparseStepMatchesDenseLoop pins the event-driven step,
 // LIFGroup.stepSparse, against the dense LIF loop on an inhibitory
-// group, under the hooks that decide the awake seed: a threshold scale that fires from rest,
-// and non-finite gains, whose 0·gain turns a driven step's zero drive
-// into NaN. A step with nothing driven adds no drive term, like the
-// dense loop's undriven form.
+// group, under the hooks that pin a neuron explicit: a threshold scale
+// that fires from rest, and non-finite gains, whose 0·gain turns a
+// driven step's zero drive into NaN. A step with nothing driven adds
+// no drive term, like the dense loop's undriven form. FuzzInhibitoryStep
+// covers the rest of the rules.
 func TestSparseStepMatchesDenseLoop(t *testing.T) {
 	const n = 8
 	for _, tc := range []struct {
@@ -512,6 +580,7 @@ func TestSparseStepMatchesDenseLoop(t *testing.T) {
 					t.Fatalf("step %d: spikes %v, dense %v", step, got, want)
 				}
 				spikes += len(want)
+				g.writeOut()
 				for i := 0; i < n; i++ {
 					if !sameFloat(g.V[i], ref.v[i]) {
 						t.Fatalf("step %d neuron %d: V %v, dense %v", step, i, g.V[i], ref.v[i])
@@ -523,6 +592,126 @@ func TestSparseStepMatchesDenseLoop(t *testing.T) {
 			}
 		})
 	}
+}
+
+// script reads a fuzz input one byte at a time, zeros once it runs out.
+type script []byte
+
+func (s *script) next() byte {
+	if len(*s) == 0 {
+		return 0
+	}
+	b := (*s)[0]
+	*s = (*s)[1:]
+	return b
+}
+
+// FuzzInhibitoryStep drives an inhibitory-style layer, whose theta
+// cannot change, through the event-driven step and the dense LIF loop
+// side by side, and demands the same spike lists, membranes and
+// refractory counts after every step. The input script picks the layer
+// size (1–12, so a few explicit neurons reach the dense switch), the
+// refractory period, the decay constant, a reset above, at or below
+// rest (a falling, flat or rising trajectory), and a rest of −60 mV, +0
+// or −0 (where the update moves a resting −0 membrane to +0), with
+// Thresh and Reset kept at InhConfig's distances from it. For each
+// neuron it then picks a threshold scale (thresholds from about 40 mV
+// above rest to 75 mV below it at rest −60 mV, from 8 to 73 mV above
+// it at rest ±0), a fixed theta, and a gain that is
+// sometimes 0, negative or non-finite. Each step is then undriven, a
+// dense Step, a Reset between images, or a sparse step driving a
+// chosen subset of neurons with chosen drives.
+func FuzzInhibitoryStep(f *testing.F) {
+	// Nominal neurons driven with WExcInh, a layer whose drives fall
+	// short of threshold, a pinned neuron, and a non-finite gain; the
+	// first layer again at rest +0 and at rest −0.
+	nominal := []byte{8, 2, 0, 0, 0, 100, 128, 200, 100, 128, 200, 100, 128, 200, 100, 128, 200,
+		100, 128, 200, 100, 128, 200, 100, 128, 200, 100, 128, 200,
+		5, 0x81, 90, 90, 0, 5, 0x81, 90, 90, 5, 0x3c, 90, 90, 90, 90, 1, 5, 0x81, 90, 90, 2, 5, 0xff, 90, 90, 90, 90, 90, 90, 90, 90}
+	f.Add(nominal)
+	f.Add([]byte{6, 2, 0, 0, 0, 80, 128, 200, 80, 128, 200, 80, 128, 200, 80, 128, 200, 80, 128, 200, 80, 128, 200,
+		5, 0x3f, 80, 80, 80, 80, 80, 80, 0, 0, 5, 0x15, 60, 60, 60, 5, 0x3f, 80, 80, 80, 80, 80, 80, 0, 5, 0x2a, 90, 90, 90, 1})
+	f.Add([]byte{4, 1, 1, 1, 0, 125, 140, 200, 150, 100, 3, 100, 128, 200, 60, 128, 200,
+		0, 0, 5, 0x0f, 90, 90, 90, 90, 0, 0, 0, 4, 0x05, 20, 20, 0, 2, 0, 0})
+	for _, r := range []byte{1, 2} {
+		seed := append([]byte(nil), nominal...)
+		seed[4] = r
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := script(data)
+		n := 1 + int(in.next())%12
+		cfg := InhConfig(n)
+		cfg.Refrac = int(in.next()) % 6
+		cfg.TCDecay = [...]float64{10, 3, 100}[in.next()%3]
+		cfg.Reset = [...]float64{-45, -60, -70}[in.next()%3]
+		rest := [...]float64{-60, 0, math.Copysign(0, -1)}[in.next()%3]
+		off := rest - cfg.Rest
+		cfg.Rest, cfg.Thresh, cfg.Reset = rest, cfg.Thresh+off, cfg.Reset+off
+		g, err := NewLIFGroup(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			g.ThreshScale[i] = 0.5 + float64(in.next())/100
+			g.Theta[i] = (float64(in.next()) - 128) / 32
+			switch b := in.next(); {
+			case b < 6:
+				g.InputGain[i] = [...]float64{0, -1, math.Inf(1), math.Inf(-1), math.NaN(), -0.5}[b]
+			default:
+				g.InputGain[i] = float64(b) / 200
+			}
+		}
+		ref := newRefLIF(t, cfg)
+		copy(ref.tscale, g.ThreshScale)
+		copy(ref.theta, g.Theta)
+		copy(ref.gain, g.InputGain)
+		g.Reset()
+		drive := tensor.NewVector(n)
+		for step := 0; len(in) > 0; step++ {
+			var got, want []int
+			switch kind := in.next() % 6; kind {
+			case 0:
+				got, want = g.Step(nil), ref.step(nil)
+			case 1:
+				for i := range drive {
+					drive[i] = float64(in.next()) / 4
+				}
+				got, want = g.Step(drive), ref.step(drive)
+				drive.Zero()
+			case 2:
+				g.Reset()
+				ref.reset()
+				continue
+			default:
+				var driven []int
+				sel := int(in.next()) | int(in.next())<<8
+				for i := 0; i < n; i++ {
+					if sel&(1<<i) != 0 {
+						driven = append(driven, i)
+						drive[i] = float64(in.next()) / 4
+					}
+				}
+				var refDrive tensor.Vector
+				if len(driven) > 0 {
+					refDrive = drive
+				}
+				want = ref.step(refDrive)
+				got = g.stepSparse(drive, driven)
+				drive.Zero()
+			}
+			if !sameInts(got, want) {
+				t.Fatalf("step %d: spikes %v, dense %v", step, got, want)
+			}
+			g.writeOut()
+			for i := 0; i < n; i++ {
+				if !sameFloat(g.V[i], ref.v[i]) || g.refrac[i] != ref.refrac[i] || !sameFloat(g.Theta[i], ref.theta[i]) {
+					t.Fatalf("step %d neuron %d: V %v refrac %d theta %v, dense %v, %d, %v",
+						step, i, g.V[i], g.refrac[i], g.Theta[i], ref.v[i], ref.refrac[i], ref.theta[i])
+				}
+			}
+		}
+	})
 }
 
 // TestCorpusMatchesEncoderStream pins the corpus against the encoder

@@ -115,8 +115,9 @@ type EvalOptions struct {
 	Workers int
 	// Obs, when non-nil, receives the evaluation pool's telemetry under
 	// "snn.eval.*" (per-shard run/wait histograms, job counters,
-	// utilization). Purely observational: results are bit-identical
-	// with or without it.
+	// utilization) and the pass's work counters (see workCounts),
+	// added once when the pass ends. Purely observational: results are
+	// bit-identical with or without it.
 	Obs *obs.Registry
 }
 
@@ -135,6 +136,10 @@ func runShards[T any](n *DiehlCook, c *Corpus, opt EvalOptions, run func(f *froz
 		return nil, err
 	}
 	total := c.Len()
+	var (
+		mu   sync.Mutex
+		work workCounts
+	)
 	jobs := make([]runner.Job[[]T], 0, (total+evalShard-1)/evalShard)
 	for lo := 0; lo < total; lo += evalShard {
 		lo, hi := lo, min(lo+evalShard, total)
@@ -143,9 +148,15 @@ func runShards[T any](n *DiehlCook, c *Corpus, opt EvalOptions, run func(f *froz
 			Run: func() ([]T, error) {
 				f := acquireFrozen(n)
 				defer releaseFrozen(f)
+				f.net.clearWork()
 				out := make([]T, hi-lo)
 				for i := lo; i < hi; i++ {
 					out[i-lo] = run(f, i)
+				}
+				if opt.Obs != nil {
+					mu.Lock()
+					work.add(f.net.work())
+					mu.Unlock()
 				}
 				return out, nil
 			},
@@ -160,6 +171,7 @@ func runShards[T any](n *DiehlCook, c *Corpus, opt EvalOptions, run func(f *froz
 	if err != nil {
 		return nil, err
 	}
+	work.publish(opt.Obs)
 	out := make([]T, 0, total)
 	for _, s := range shards {
 		out = append(out, s...)

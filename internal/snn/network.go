@@ -119,15 +119,22 @@ type DiehlCook struct {
 	// step of the current or an earlier un-normalized image, and Step
 	// marks exactly those columns. NOT maintained across direct writes
 	// to W.Data (extension fault hooks) — those callers must use the
-	// full NormalizeWeights. The layers' awake sets have the same blind
-	// spot for direct writes to membrane state (see LIFGroup.Reset).
+	// full NormalizeWeights. The layers' sparse steps have the same
+	// blind spot for direct writes to membrane state (see
+	// LIFGroup.Reset).
 	dirty indexSet
+
+	// tally counts the steps' STDP and normalization decisions (see
+	// workCounts); the inhibitory layer counts its own updates.
+	tally workCounts
 
 	// scratch. driveInh is all-zero between steps: Step sets it at the
 	// drive indices and clears them after the inhibitory step. colScratch
 	// (NExc) holds the per-neuron depression coefficients during a
 	// learning step and the column sums during normalization. counts
 	// (NExc) is the spike-count vector present fills and returns.
+	// prevExc and prevInh hold the last step's spikes: each step swaps
+	// them with the layers' spike buffers.
 	driveExc   tensor.Vector
 	driveInh   tensor.Vector
 	colScratch tensor.Vector
@@ -137,6 +144,7 @@ type DiehlCook struct {
 }
 
 // NewDiehlCook builds a network with uniform random initial weights.
+// Its weight matrix comes from a pool; Release returns it.
 func NewDiehlCook(cfg DiehlCookConfig) (*DiehlCook, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -150,12 +158,40 @@ func NewDiehlCook(cfg DiehlCookConfig) (*DiehlCook, error) {
 		return nil, err
 	}
 	n := newDiehlCook(cfg, exc, inh)
-	n.W = tensor.NewMatrix(cfg.NInput, cfg.NExc)
+	n.W = acquireWeights(cfg.NInput, cfg.NExc)
 	preDecayTable(cfg.Steps + cfg.RestSteps) // pre-size for the presentation length
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n.W.RandFill(rng, 0, 0.3)
 	n.NormalizeWeights()
 	return n, nil
+}
+
+// weightPool recycles weight matrices from released networks into new
+// ones, as frozenPool does for frozen copies: every campaign cell
+// trains a network of the experiment's shape, so a cell reuses the
+// matrix an earlier one released instead of allocating its own.
+// sync.Pool may drop entries under GC pressure — correctness never
+// depends on a hit, only allocation volume does.
+var weightPool sync.Pool
+
+// acquireWeights returns a rows×cols matrix with undefined contents,
+// from the pool when it holds one of that shape.
+func acquireWeights(rows, cols int) *tensor.Matrix {
+	if w, _ := weightPool.Get().(*tensor.Matrix); w != nil && w.Rows == rows && w.Cols == cols && len(w.Data) == rows*cols {
+		return w
+	}
+	return tensor.NewMatrix(rows, cols)
+}
+
+// Release hands n's weight matrix to the pool a later network takes
+// its matrix from, and leaves n without one. Call it once nothing
+// reads n.W any more: after TrainWith has returned (its read-only
+// pass releases its frozen copies, which share the matrix).
+func (n *DiehlCook) Release() {
+	if n.W != nil {
+		weightPool.Put(n.W)
+		n.W = nil
+	}
 }
 
 // newDiehlCook assembles a network around two layers, with its step
@@ -173,6 +209,8 @@ func newDiehlCook(cfg DiehlCookConfig, exc, inh *LIFGroup) *DiehlCook {
 		driveInh:        tensor.NewVector(cfg.NInh),
 		colScratch:      tensor.NewVector(cfg.NExc),
 		counts:          tensor.NewVector(cfg.NExc),
+		prevExc:         make([]int, 0, cfg.NExc),
+		prevInh:         make([]int, 0, cfg.NInh),
 	}
 }
 
@@ -236,7 +274,12 @@ func (n *DiehlCook) NormalizeWeights() {
 // within one ulp of 1. This per-column skip is the train-protocol-v3
 // normalization contract (see ProtocolVersion).
 func (n *DiehlCook) normalizeDirty() {
-	n.W.NormalizeColsSubset(n.Cfg.Norm, n.dirty.list, n.dirty.mask, n.colScratch)
+	k := int64(len(n.dirty.list))
+	if n.W.NormalizeColsSubset(n.Cfg.Norm, n.dirty.list, n.dirty.mask, n.colScratch) {
+		n.tally[normDense] += k
+	} else {
+		n.tally[normWalk] += k
+	}
 	n.dirty.clear()
 }
 
@@ -309,10 +352,10 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 
 	// 3. Inhibitory layer driven 1-to-1 by excitatory spikes from the
 	// previous step. The drive is zero except at those spikers, so the
-	// layer takes a sparse step (LIFGroup.stepSparse) over its awake
-	// set: the neurons that may be off rest, which under winner-take-all
-	// are the partners of the excitatory neurons that have spiked this
-	// image (plus, in faulted layers, whatever Reset seeded).
+	// layer takes a sparse step (LIFGroup.stepSparse): it visits the
+	// driven neurons and the few whose state it holds explicitly, while
+	// every other neuron sits at rest or on the one post-spike
+	// trajectory every neuron shares.
 	for _, j := range n.prevExc {
 		n.driveInh[j] += cfg.WExcInh
 	}
@@ -354,7 +397,9 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 			}
 			if 4*len(post.list) >= len(dep) {
 				n.W.DepressRows(inputSpikes, dep, post.mask)
+				n.tally[stdpKernel] += int64(len(inputSpikes))
 			} else {
+				n.tally[stdpWalk] += int64(len(inputSpikes))
 				for _, i := range inputSpikes {
 					row := n.W.Row(i)
 					for _, j := range post.list {
@@ -376,15 +421,17 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 				// pixel, a stack buffer's worth of pixels at a time. The
 				// excitatory layer's last step was its dense pass, so its
 				// spike mask selects exactly excSpikes.
+				n.tally[stdpKernel] += int64(len(n.preActive))
 				var add [64]float64
 				for lo := 0; lo < len(n.preActive); lo += len(add) {
 					rows := n.preActive[lo:min(lo+len(add), len(n.preActive))]
 					for k, i := range rows {
 						add[k] = nuPost * decayPow[n.stepT-1-n.preLastSpike[i]]
 					}
-					n.W.PotentiateRows(rows, add[:len(rows)], wmax, n.Exc.awake.mask)
+					n.W.PotentiateRows(rows, add[:len(rows)], wmax, n.Exc.mask)
 				}
 			} else {
+				n.tally[stdpWalk] += int64(len(n.preActive))
 				wd, cols := n.W.Data, n.W.Cols
 				for _, j := range excSpikes {
 					for _, i := range n.preActive {
@@ -417,9 +464,12 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 	}
 	n.stepT++
 
-	// 6. Remember this step's spikes for next step's delayed synapses.
-	n.prevExc = append(n.prevExc[:0], excSpikes...)
-	n.prevInh = append(n.prevInh[:0], inhSpikes...)
+	// 6. Remember this step's spikes for next step's delayed synapses:
+	// the layers' spike lists become prevExc and prevInh, and the lists
+	// they replace, read for the last time above, become the layers'
+	// buffers for the next step.
+	n.prevExc, n.Exc.spikeScratch = excSpikes, n.prevExc[:0]
+	n.prevInh, n.Inh.spikeScratch = inhSpikes, n.prevInh[:0]
 	return excSpikes
 }
 

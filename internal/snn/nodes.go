@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"snnfi/internal/tensor"
 )
@@ -59,6 +60,9 @@ func (c LIFConfig) Validate() error {
 	}
 	if c.Dt <= 0 {
 		return fmt.Errorf("snn: Dt must be positive, got %g", c.Dt)
+	}
+	if c.Refrac < 0 {
+		return fmt.Errorf("snn: Refrac must be ≥0, got %d", c.Refrac)
 	}
 	return nil
 }
@@ -125,12 +129,59 @@ type LIFGroup struct {
 	// support of DiehlCook's STDP.
 	traced indexSet
 
-	// awake lists the neurons a sparse step (stepSparse, Step(nil))
-	// walks: every neuron that may be off its fixed point this image
-	// (see awakeSet). Reset seeds it, driven neurons join it, and a
-	// dense Step marks every neuron awake.
-	awake awakeSet
+	// mask is the spike bitmask of the layer's dense pass
+	// (tensor.LIFStep), MaskWords(N) words.
+	mask []uint64
+
+	// The image's step state, from Reset on (see stepSparse). mode is
+	// how the steps run and t counts them. In event mode, state holds
+	// each neuron's state (restState, explicitState, pinnedState, or
+	// the step count at its last spike), explicit lists the explicit
+	// and pinned neurons in ascending order, and spare is the buffer
+	// the next step's list is built in. traj is the post-spike
+	// trajectory of the layer's constants.
+	mode     stepMode
+	t        int
+	state    []int
+	explicit []int
+	spare    []int
+	traj     *trajectory
+
+	// updates counts the neuron updates of the layer's steps by path:
+	// updEvent, updWalk and updDense (see workCounts).
+	updates [3]int64
 }
+
+// stepMode is how a layer steps for the rest of an image.
+type stepMode uint8
+
+const (
+	// unseeded: since Reset no step has run, and every neuron is at
+	// rest.
+	unseeded stepMode = iota
+	// events: only explicit and driven neurons are visited (stepEvents).
+	events
+	// dense: every neuron is explicit; a driven step runs the dense
+	// pass and an undriven one walks every neuron (stepUndriven).
+	dense
+)
+
+// Neuron states of an event-mode layer (LIFGroup.state). A state s ≥ 0
+// puts the neuron on the post-spike trajectory of a spike in the step
+// that ended at count s: after t steps its membrane is the
+// trajectory's entry t−s, and it is refractory up to entry Refrac.
+const (
+	restState     = -1 // V is Rest and the neuron is not refractory
+	explicitState = -2 // V and refrac hold the state; a spike returns it to the trajectory
+	pinnedState   = -3 // explicit for the whole image: it may fire undriven
+)
+
+// Update paths, the indices of LIFGroup.updates.
+const (
+	updEvent = iota // a driven neuron at rest or on the trajectory
+	updWalk         // an explicit neuron, or a neuron of an undriven walk (stepUndriven)
+	updDense        // a neuron of a dense pass
+)
 
 // indexSet is a set of distinct indices below n: a list in insertion
 // order and the bitmask of the same members (tensor.MaskWords(n)
@@ -158,37 +209,6 @@ func (s *indexSet) clear() {
 	s.list = s.list[:0]
 }
 
-// awakeSet is the ascending list of neurons that may be off their
-// fixed point, with a membership mask. An idle neuron — V at rest,
-// zero theta, no refractory count — with zero drive is a fixed point of
-// the LIF update when it cannot fire from rest and its gain is finite
-// (0·gain is then 0), so a step that skips it computes the same state
-// as one that visits it. Membership only grows within an image:
-// decayed membranes settle a few ulps above rest rather than on it, so
-// a neuron once woken is rarely idle again. The list is ascending so a
-// walk emits spikes in the same order as a dense pass.
-//
-// mask is the spike bitmask of the layer's dense pass (tensor.LIFStep),
-// sized with the set, so a sparse step that falls back to the dense
-// pass finds it at hand.
-type awakeSet struct {
-	list []int
-	in   []bool
-	mask []uint64
-}
-
-// reset empties the set, resized for n neurons.
-func (a *awakeSet) reset(n int) {
-	for _, i := range a.list {
-		a.in[i] = false
-	}
-	a.list = a.list[:0]
-	if len(a.in) != n {
-		a.in = make([]bool, n)
-		a.mask = make([]uint64, tensor.MaskWords(n))
-	}
-}
-
 // appendSpikes appends the indices of mask's set bits to dst in
 // ascending order: the spike list of a dense pass.
 func appendSpikes(dst []int, mask []uint64) []int {
@@ -200,57 +220,60 @@ func appendSpikes(dst []int, mask []uint64) []int {
 	return dst
 }
 
-// fill marks every neuron awake.
-func (a *awakeSet) fill() {
-	if len(a.list) == len(a.in) {
-		return
-	}
-	a.list = a.list[:0]
-	for i := range a.in {
-		a.in[i] = true
-		a.list = append(a.list, i)
-	}
+// walkPays reports whether a layer of n neurons, explicit of them
+// explicit, should keep stepping on events rather than switch to the
+// dense pass for the rest of the image. Both are exact. Explicit
+// neurons are walked every step, at about 4.6 ns each against the AVX2
+// pass's 1.4 ns per neuron at N = 100 on a 2.0 GHz Xeon; the switch
+// point stays at the 3/4 that EXPERIMENTS.md's "AVX2 dense-pass
+// record" measured for the step's earlier, awake-set form. Nominal
+// cells hold no explicit neuron; cells collapsed by a −20% inhibitory
+// threshold reach the point within each image.
+func walkPays(explicit, n int) bool { return 4*explicit < 3*n }
+
+// A trajectory tabulates the membrane of a neuron that spiked and is
+// left undriven: v[0] = Reset and v[k] = Rest + (v[k−1]−Rest)·decay,
+// the LIF update's own arithmetic, so entry k has the bits k undriven
+// steps leave. The walk settles on a fixed point within a few hundred
+// steps — decayed membranes stop a few ulps from rest — and the table
+// ends there: an index past the end reads the last entry. The update
+// is monotone in v, so from any entry on the table moves one way, and
+// its highest entry from k on is entry k or the last. Layers with the
+// same constants share one trajectory (see trajectoryOf); v is nil
+// when the walk does not settle within maxTrajectory steps.
+type trajectory struct {
+	once sync.Once
+	v    []float64
 }
 
-// add wakes the neurons in idx, keeping the list ascending.
-func (a *awakeSet) add(idx []int) {
-	for _, i := range idx {
-		if a.in[i] {
-			continue
-		}
-		a.in[i] = true
-		a.list = append(a.list, i)
-		k := len(a.list) - 1
-		for ; k > 0 && a.list[k-1] > i; k-- {
-			a.list[k] = a.list[k-1]
-		}
-		a.list[k] = i
-	}
-}
+// maxTrajectory bounds a trajectory table. The inhibitory layer's
+// settles in under 400 steps and the excitatory layer's in under 4,000.
+const maxTrajectory = 1 << 14
 
-// walkPays reports whether a driven sparse step over awake of n neurons
-// should walk the awake list rather than run the dense pass. Both are
-// exact — the dense pass is the reference the walk reproduces, and it
-// leaves an idle neuron idle. At N = 100 on a 2.0 GHz Xeon the indexed
-// walk costs about 4.6 ns per awake neuron and the AVX2 dense pass
-// about 1.4 ns per neuron, so one step breaks even near 30% awake. The
-// dispatch point stays at 3/4 all the same: moving it to 1/2 or 1/3
-// won on none of the counts and training benches beyond their noise
-// (EXPERIMENTS.md, "AVX2 dense-pass record"). Nominal winner-take-all
-// cells, about 15% awake, walk under any of these points; collapsed
-// ones end every image fully awake and run dense.
-func walkPays(awake, n int) bool { return 4*awake < 3*n }
+// trajectories holds every trajectory built, by key.
+var trajectories sync.Map
 
-// allFinite reports whether every gain is finite. A non-finite gain
-// turns a zero drive into NaN (0·Inf), so its neuron has no fixed
-// point and sparse steps must walk every neuron.
-func allFinite(gain tensor.Vector) bool {
-	for _, x := range gain {
-		if math.IsInf(x, 0) || math.IsNaN(x) {
-			return false
-		}
+// trajectoryOf returns the shared trajectory of the given constants,
+// building it on first use.
+func trajectoryOf(rest, reset, decay float64) *trajectory {
+	key := [3]uint64{math.Float64bits(rest), math.Float64bits(reset), math.Float64bits(decay)}
+	t, ok := trajectories.Load(key)
+	if !ok {
+		t, _ = trajectories.LoadOrStore(key, new(trajectory))
 	}
-	return true
+	tr := t.(*trajectory)
+	tr.once.Do(func() {
+		v := []float64{reset}
+		for len(v) < maxTrajectory {
+			x := rest + (v[len(v)-1]-rest)*decay
+			if math.Float64bits(x) == math.Float64bits(v[len(v)-1]) {
+				tr.v = v
+				return
+			}
+			v = append(v, x)
+		}
+	})
+	return tr
 }
 
 // NewLIFGroup allocates a group at rest with nominal fault hooks.
@@ -264,15 +287,20 @@ func NewLIFGroup(cfg LIFConfig) (*LIFGroup, error) {
 // newLIFGroup is NewLIFGroup for a configuration known to be valid.
 func newLIFGroup(cfg LIFConfig) *LIFGroup {
 	g := &LIFGroup{
-		Cfg:         cfg,
-		V:           tensor.NewVector(cfg.N),
-		Theta:       tensor.NewVector(cfg.N),
-		Trace:       tensor.NewVector(cfg.N),
-		refrac:      make([]int, cfg.N),
-		ThreshScale: tensor.NewVector(cfg.N),
-		InputGain:   tensor.NewVector(cfg.N),
-		decay:       math.Exp(-cfg.Dt / cfg.TCDecay),
-		traced:      newIndexSet(cfg.N),
+		Cfg:          cfg,
+		V:            tensor.NewVector(cfg.N),
+		Theta:        tensor.NewVector(cfg.N),
+		Trace:        tensor.NewVector(cfg.N),
+		refrac:       make([]int, cfg.N),
+		ThreshScale:  tensor.NewVector(cfg.N),
+		InputGain:    tensor.NewVector(cfg.N),
+		decay:        math.Exp(-cfg.Dt / cfg.TCDecay),
+		spikeScratch: make([]int, 0, cfg.N),
+		traced:       newIndexSet(cfg.N),
+		mask:         make([]uint64, tensor.MaskWords(cfg.N)),
+		state:        make([]int, cfg.N),
+		explicit:     make([]int, 0, cfg.N),
+		spare:        make([]int, 0, cfg.N),
 	}
 	if cfg.ThetaDecayTC > 0 {
 		g.thetaDecay = math.Exp(-cfg.Dt / cfg.ThetaDecayTC)
@@ -308,39 +336,18 @@ func (g *LIFGroup) freezeFrom(src *LIFGroup) {
 
 // Reset restores membrane state (potentials, refractory counters,
 // traces) without touching learned theta or fault hooks — the
-// per-image reset of the training loop. It also seeds the awake set:
-// every neuron when some neuron may leave rest undriven — a threshold
-// scale that lets it fire from rest, or a non-finite gain — else the
-// neurons with nonzero theta, whose theta decays. Hook and theta
-// changes therefore take effect at the next Reset. Between Resets the
-// awake set learns only of drive, so a direct write to V or theta is
-// invisible to a sparse step; drive the neuron instead (a dense Step
-// wakes every neuron).
+// per-image reset of the training loop. How the image's steps run is
+// decided at its first step, from the hooks and theta as they are
+// then (see stepSparse). Between Resets a sparse step learns of
+// neurons only through their drive, so a direct write to V or theta
+// is invisible to it; drive the neuron instead (a dense Step reads
+// every neuron).
 func (g *LIFGroup) Reset() {
 	g.V.Fill(g.Cfg.Rest)
 	g.Trace.Zero()
 	g.traced.clear()
-	for i := range g.refrac {
-		g.refrac[i] = 0
-	}
-	g.awake.reset(g.Cfg.N)
-	all := !allFinite(g.InputGain)
-	for _, sc := range g.ThreshScale {
-		if g.Cfg.Thresh*sc <= g.Cfg.Rest {
-			all = true
-			break
-		}
-	}
-	if all {
-		g.awake.fill()
-		return
-	}
-	for i, th := range g.Theta {
-		if th != 0 {
-			g.awake.in[i] = true
-			g.awake.list = append(g.awake.list, i)
-		}
-	}
+	clear(g.refrac)
+	g.mode, g.t = unseeded, 0
 }
 
 // EffectiveThreshold returns the firing threshold of neuron i with the
@@ -352,77 +359,209 @@ func (g *LIFGroup) EffectiveThreshold(i int) float64 {
 // Step advances the group one timestep with the given synaptic drive
 // (mV per neuron) and returns the indices of neurons that spiked. The
 // returned slice is reused across calls; copy it to retain.
-// A nil drive means "no synaptic input this step": it walks only the
-// awake neurons (stepSparse with nothing driven), bit-identical to
-// passing a zero vector when every gain is finite. A non-nil drive runs
-// the dense pass and marks every neuron awake, since it may drive any
-// of them, so dense and sparse steps mix exactly.
+// A nil drive means "no synaptic input this step": a sparse step with
+// nothing driven, bit-identical to passing a zero vector when every
+// gain is finite. A non-nil drive runs the dense pass, after which the
+// layer steps dense for the rest of the image, so dense and sparse
+// steps mix exactly.
 func (g *LIFGroup) Step(drive tensor.Vector) []int {
 	if drive == nil {
 		return g.stepSparse(nil, nil)
 	}
-	g.awake.fill()
+	g.toDense()
 	return g.stepDense(drive)
 }
 
-// stepDense is the dense pass of Step, without marking every neuron
-// awake: it leaves an idle neuron with zero drive idle. tensor.LIFStep
-// relaxes every membrane, decays theta, counts refractory neurons down,
-// injects the drive and marks the neurons that cross threshold; the
-// spike bookkeeping then walks the marks in ascending order. The
-// kernel runs decays unconditionally — they are no-ops at the fixed
-// point (rest + 0·decay = rest, 0·decay = 0) — which avoids
-// data-dependent branches over a mixed active/idle population.
+// stepDense is the dense pass of Step. tensor.LIFStep relaxes every
+// membrane, decays theta, counts refractory neurons down, injects the
+// drive and marks the neurons that cross threshold; the spike
+// bookkeeping then walks the marks in ascending order. The kernel runs
+// decays unconditionally — they are no-ops at the fixed point (rest +
+// 0·decay = rest, 0·decay = 0) — which avoids data-dependent branches
+// over a mixed active/idle population. Every neuron must be explicit
+// (mode dense).
 func (g *LIFGroup) stepDense(drive tensor.Vector) []int {
 	cfg := &g.Cfg
 	g.decayTraces()
 	tensor.LIFStep(g.V, g.Theta, g.refrac, drive[:len(g.V)], g.InputGain, g.ThreshScale,
-		cfg.Rest, g.decay, cfg.Thresh, g.thetaDecay, g.awake.mask)
-	g.spikeScratch = appendSpikes(g.spikeScratch[:0], g.awake.mask)
+		cfg.Rest, g.decay, cfg.Thresh, g.thetaDecay, g.mask)
+	g.spikeScratch = appendSpikes(g.spikeScratch[:0], g.mask)
 	for _, i := range g.spikeScratch {
 		g.V[i] = cfg.Reset
 		g.refrac[i] = cfg.Refrac
 		g.Theta[i] += cfg.ThetaPlus
 		g.setTrace(i)
 	}
+	g.t++
+	g.updates[updDense] += int64(len(g.V))
 	return g.spikeScratch
 }
 
 // stepSparse advances the group one timestep when drive is zero except
-// at the indices in driven: those neurons join the awake set, and the
-// step walks only the awake set, in ascending order, with the dense
-// loop's arithmetic per neuron. Every other neuron is idle, a fixed
-// point (see awakeSet), so the state and the spike list are
-// bit-identical to Step(drive). With nothing driven, drive is not read
-// (it may be nil) and no drive term is added, as in Step(nil). A
-// driven step over a mostly awake layer runs the dense pass instead
-// (see walkPays).
+// at driven, an ascending list of distinct indices, with a result
+// bit-identical to Step(drive): the same spike list, and the same V
+// and refrac once writeOut has run. With nothing driven, drive is not
+// read (it may be nil) and no drive term is added, as in Step(nil).
+//
+// The first step of an image decides how its steps run (seed). A
+// layer whose theta cannot change — ThetaPlus 0 and a theta decay of
+// exactly 1, as in the inhibitory layer and every frozen layer —
+// steps on events (stepEvents). Once a driven step finds 3/4 of the
+// layer explicit (walkPays), the layer writes out its state and steps
+// dense for the rest of the image, as does a layer whose theta can
+// change.
 func (g *LIFGroup) stepSparse(drive tensor.Vector, driven []int) []int {
-	g.awake.add(driven)
-	if len(driven) > 0 && !walkPays(len(g.awake.list), len(g.V)) {
+	if g.mode == unseeded {
+		g.seed()
+	}
+	if g.mode == events && len(driven) > 0 && !walkPays(len(g.explicit), len(g.V)) {
+		g.toDense()
+	}
+	switch {
+	case g.mode == events:
+		return g.stepEvents(drive, driven)
+	case len(driven) > 0:
 		return g.stepDense(drive)
 	}
+	return g.stepUndriven()
+}
+
+// seed decides how the image's steps run. A layer whose theta can
+// change, or whose rest is −0 (the update moves a −0 membrane to +0,
+// so rest is no fixed point), steps dense; so does one whose
+// trajectory does not settle. Otherwise the layer steps on events,
+// with every neuron at rest except those that may fire undriven,
+// pinned explicit for the image: a neuron with a non-finite gain,
+// whose zero drive adds 0·Inf = NaN, or one whose threshold
+// (Thresh+θ)·ThreshScale is at most Rest or the trajectory's highest
+// entry once the refractory period ends. Every other neuron at rest or
+// on the trajectory stays below threshold until it is driven.
+func (g *LIFGroup) seed() {
+	cfg := &g.Cfg
+	if cfg.ThetaPlus != 0 || g.thetaDecay != 1 || negZero(cfg.Rest) {
+		g.toDense()
+		return
+	}
+	g.traj = trajectoryOf(cfg.Rest, cfg.Reset, g.decay)
+	traj := g.traj.v
+	if traj == nil {
+		g.toDense()
+		return
+	}
+	end := len(traj) - 1
+	top := max(traj[min(cfg.Refrac+1, end)], traj[end], cfg.Rest)
+	g.explicit = g.explicit[:0]
+	for i, th := range g.Theta {
+		g.state[i] = restState
+		if !finite(g.InputGain[i]) || (cfg.Thresh+th)*g.ThreshScale[i] <= top {
+			g.state[i] = pinnedState
+			g.explicit = append(g.explicit, i)
+		}
+	}
+	g.mode = events
+}
+
+// stepEvents is a sparse step in event mode. A neuron that is neither
+// explicit nor driven is at rest or on the trajectory, and stays
+// there: its state follows from its last spike, so the step does not
+// visit it. The step merges the explicit list with driven and visits
+// each neuron once, in ascending order, so spikes come out ascending:
+//   - An explicit neuron takes the dense loop's arithmetic, with the
+//     drive term in a driven step. A spike returns it to the
+//     trajectory unless it is pinned.
+//   - A driven neuron on the trajectory ignores its drive while
+//     refractory. Otherwise it adds drive·gain to its trajectory entry
+//     or to Rest, the bits the dense loop computes for it. If that
+//     crosses the threshold it spikes and restarts the trajectory, else
+//     it becomes explicit.
+func (g *LIFGroup) stepEvents(drive tensor.Vector, driven []int) []int {
+	cfg := &g.Cfg
+	V := g.V
+	state, refrac, theta := g.state[:len(V)], g.refrac[:len(V)], g.Theta[:len(V)]
+	tscale, gain := g.ThreshScale[:len(V)], g.InputGain[:len(V)]
+	traj := g.traj.v
+	end := len(traj) - 1
+	rest, thresh, decay := cfg.Rest, cfg.Thresh, g.decay
+	t := g.t + 1 // the step count once this step ends
+	list, next, spikes := g.explicit, g.spare[:0], g.spikeScratch[:0]
+	g.decayTraces()
+	e, d, visits := 0, 0, 0
+	for e < len(list) || d < len(driven) {
+		if d == len(driven) || (e < len(list) && list[e] <= driven[d]) {
+			i := list[e]
+			e++
+			if d < len(driven) && driven[d] == i {
+				d++
+			}
+			v := rest + (V[i]-rest)*decay
+			if refrac[i] > 0 {
+				refrac[i]--
+				V[i] = v
+				next = append(next, i)
+				continue
+			}
+			if len(driven) > 0 {
+				v += drive[i] * gain[i]
+			}
+			if v >= (thresh+theta[i])*tscale[i] {
+				spikes = append(spikes, i)
+				g.setTrace(i)
+				if state[i] != pinnedState {
+					state[i] = t
+					continue
+				}
+				v = cfg.Reset
+				refrac[i] = cfg.Refrac
+			}
+			V[i] = v
+			next = append(next, i)
+			continue
+		}
+		i := driven[d]
+		d++
+		visits++
+		v := rest
+		if s := state[i]; s >= 0 {
+			k := t - s
+			if k <= cfg.Refrac {
+				continue
+			}
+			v = traj[min(k, end)]
+		}
+		v += drive[i] * gain[i]
+		if v >= (thresh+theta[i])*tscale[i] {
+			spikes = append(spikes, i)
+			g.setTrace(i)
+			state[i] = t
+			continue
+		}
+		V[i], refrac[i], state[i] = v, 0, explicitState
+		next = append(next, i)
+	}
+	g.updates[updEvent] += int64(visits)
+	g.updates[updWalk] += int64(len(list))
+	g.explicit, g.spare, g.spikeScratch = next, list, spikes
+	g.t = t
+	return spikes
+}
+
+// stepUndriven is an undriven step in dense mode: the dense loop's
+// arithmetic over every neuron, with no drive term.
+func (g *LIFGroup) stepUndriven() []int {
 	cfg := &g.Cfg
 	g.spikeScratch = g.spikeScratch[:0]
 	rest, thresh, decay, thetaDecay := cfg.Rest, cfg.Thresh, g.decay, g.thetaDecay
 	V := g.V
-	theta, refrac := g.Theta[:len(V)], g.refrac[:len(V)]
-	tscale, gain := g.ThreshScale[:len(V)], g.InputGain[:len(V)]
+	theta, refrac, tscale := g.Theta[:len(V)], g.refrac[:len(V)], g.ThreshScale[:len(V)]
 	g.decayTraces()
-	for _, i := range g.awake.list {
+	for i := range V {
 		v := rest + (V[i]-rest)*decay
-		th := theta[i]
-		if thetaDecay != 1 {
-			th *= thetaDecay
-			theta[i] = th
-		}
+		th := theta[i] * thetaDecay
+		theta[i] = th
 		if refrac[i] > 0 {
 			refrac[i]--
 			V[i] = v
 			continue
-		}
-		if len(driven) > 0 {
-			v += drive[i] * gain[i]
 		}
 		if v >= (thresh+th)*tscale[i] {
 			g.spikeScratch = append(g.spikeScratch, i)
@@ -433,8 +572,45 @@ func (g *LIFGroup) stepSparse(drive tensor.Vector, driven []int) []int {
 		}
 		V[i] = v
 	}
+	g.t++
+	g.updates[updWalk] += int64(len(V))
 	return g.spikeScratch
 }
+
+// writeOut writes the membrane and refractory count of every neuron on
+// the trajectory into V and refrac, which an event-mode step leaves
+// stale for them (a neuron at rest holds its own since Reset). Steps
+// read neither for those neurons, so writing them out changes nothing
+// that follows.
+func (g *LIFGroup) writeOut() {
+	if g.mode != events {
+		return
+	}
+	traj := g.traj.v
+	for i, s := range g.state[:len(g.V)] {
+		if s >= 0 {
+			k := g.t - s
+			g.V[i] = traj[min(k, len(traj)-1)]
+			g.refrac[i] = max(g.Cfg.Refrac-k, 0)
+		}
+	}
+}
+
+// toDense writes out the layer's state and makes every neuron explicit
+// for the rest of the image.
+func (g *LIFGroup) toDense() {
+	if g.mode == dense {
+		return
+	}
+	g.writeOut()
+	g.mode = dense
+}
+
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+
+// negZero reports whether x is −0.
+func negZero(x float64) bool { return math.Float64bits(x) == 1<<63 }
 
 // decayTraces decays the nonzero traces (bit-identical to the dense
 // pass: zero traces decay to zero). A decay constant of exactly 1 —

@@ -3,6 +3,8 @@ package snn
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -103,7 +105,7 @@ func TestLIFThetaAdaptation(t *testing.T) {
 func TestLIFMembraneDecaysTowardRest(t *testing.T) {
 	g := excGroup(t, 1)
 	// Drive the neuron off rest rather than writing V: a sparse step
-	// walks only neurons the group knows are awake (see Reset).
+	// need not see direct writes to V (see Reset).
 	g.Step(tensor.Vector{10})
 	if g.V[0] != g.Cfg.Rest+10 {
 		t.Fatalf("driven membrane %v, want %v", g.V[0], g.Cfg.Rest+10)
@@ -156,8 +158,8 @@ func TestGroupResetSemantics(t *testing.T) {
 	if g.Theta[0] != theta {
 		t.Fatal("Reset must keep learned theta")
 	}
-	// A neuron with learned theta stays awake after Reset: its theta
-	// keeps decaying on undriven steps.
+	// A layer whose theta can change steps dense, so an undriven step
+	// after Reset still decays learned theta.
 	g.Step(nil)
 	if want := theta * g.thetaDecay; g.Theta[0] != want || want == theta {
 		t.Fatalf("undriven step after Reset left theta %v, want %v", g.Theta[0], want)
@@ -199,6 +201,47 @@ func TestWeightsNormalizedAtInit(t *testing.T) {
 		if math.Abs(s-n.Cfg.Norm) > 1e-6 {
 			t.Fatalf("column %d sum %v, want %v", j, s, n.Cfg.Norm)
 		}
+	}
+}
+
+// TestReleasedWeightsAreRedrawn: a network built on a matrix another
+// network released draws its initial weights over the whole matrix, so
+// no weight crosses networks: it starts where the first network did,
+// bit for bit. The pool is drained first and the collector is off, so
+// the next network takes the released matrix unless the pool dropped
+// it (the race detector drops entries at random); then the test puts
+// it back and tries again.
+func TestReleasedWeightsAreRedrawn(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for weightPool.Get() != nil {
+	}
+	cfg := smallConfig()
+	n, err := NewDiehlCook(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, w := n.W.Copy(), n.W
+	w.Fill(math.NaN())
+	n.Release()
+	if n.W != nil {
+		t.Fatal("Release left the network its matrix")
+	}
+	for try := 1; ; try++ {
+		m, err := NewDiehlCook(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := diffWeights(m.W, want); e >= 0 {
+			t.Fatalf("weight %d is %v, a fresh network's %v", e, m.W.Data[e], want.Data[e])
+		}
+		if m.W == w {
+			return
+		}
+		if try == 100 {
+			t.Fatal("no network took the released matrix")
+		}
+		weightPool.Put(w)
 	}
 }
 

@@ -45,9 +45,69 @@ type TrainOptions struct {
 	Workers int
 	// Obs, when non-nil, records phase spans: "snn.stdp" (the serial
 	// learning pass) and "snn.assign" (the parallel assignment pass),
-	// plus the assignment pool's "snn.eval.*" metrics. Observation
-	// only — trained results are identical with or without it.
+	// plus the assignment pool's "snn.eval.*" metrics and both passes'
+	// work counters (see workCounts). Observation only — trained
+	// results are identical with or without it.
 	Obs *obs.Registry
+}
+
+// workCounts are exact counts of the run-time decisions a network's
+// steps make, by the path each takes (indexed by inhEvent … normDense):
+// inhibitory neuron updates by event, by walk of the explicit neurons
+// and by dense pass; STDP rows (a depressed pixel's row, or a
+// potentiated pre-synaptic row) by indexed walk and by masked kernel;
+// and dirty columns normalized by walk and by dense form. The steps
+// count in plain fields; TrainWith publishes its learning pass's counts
+// and each read-only pass its own, once per pass (publish).
+type workCounts [nWork]int64
+
+// Indices of workCounts. The first three are LIFGroup.updates'.
+const (
+	inhEvent = updEvent
+	inhWalk  = updWalk
+	inhDense = updDense
+	stdpWalk = iota
+	stdpKernel
+	normWalk
+	normDense
+	nWork
+)
+
+// workNames are the obs counters workCounts publish to.
+var workNames = [nWork]string{
+	"snn.inh.event", "snn.inh.walk", "snn.inh.dense",
+	"snn.stdp.rows_walk", "snn.stdp.rows_kernel",
+	"snn.norm.cols_walk", "snn.norm.cols_dense",
+}
+
+// work returns n's counts since clearWork.
+func (n *DiehlCook) work() workCounts {
+	w := n.tally
+	copy(w[inhEvent:], n.Inh.updates[:])
+	return w
+}
+
+// clearWork zeroes n's counts.
+func (n *DiehlCook) clearWork() {
+	n.tally = workCounts{}
+	n.Inh.updates = [3]int64{}
+}
+
+// add adds o's counts to w's.
+func (w *workCounts) add(o workCounts) {
+	for i, x := range o {
+		w[i] += x
+	}
+}
+
+// publish adds w's counts to reg's counters; a nil reg takes none.
+func (w workCounts) publish(reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
+	for i, x := range w {
+		reg.Counter(workNames[i]).Add(x)
+	}
 }
 
 // TrainWith presents the corpus's images once (the paper iterates
@@ -80,6 +140,7 @@ func TrainWith(n *DiehlCook, c *Corpus, opt TrainOptions) (*TrainResult, error) 
 		return nil, err
 	}
 	stdp := obs.Span(opt.Obs, "snn.stdp")
+	n.clearWork()
 	for i, tr := range c.trains {
 		if opt.BeforeImage != nil {
 			opt.BeforeImage(i)
@@ -90,6 +151,7 @@ func TrainWith(n *DiehlCook, c *Corpus, opt TrainOptions) (*TrainResult, error) 
 		n.TrainImage(tr)
 	}
 	stdp.End()
+	n.work().publish(opt.Obs)
 
 	assign := obs.Span(opt.Obs, "snn.assign")
 	counts, err := CountsParallel(n, c, EvalOptions{Workers: opt.Workers, Obs: opt.Obs})

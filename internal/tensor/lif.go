@@ -42,7 +42,9 @@ func LIFStep(v, theta Vector, refrac []int, drive, gain, threshScale Vector, res
 		lifStepAVX2(v, theta, refrac, drive, gain, threshScale, rest, decay, thresh, thetaDecay, spikes)
 		lo = n &^ 3
 	}
-	lifStepGeneric(lo, v, theta, refrac, drive, gain, threshScale, rest, decay, thresh, thetaDecay, spikes)
+	if lo < n {
+		lifStepGeneric(lo, v, theta, refrac, drive, gain, threshScale, rest, decay, thresh, thetaDecay, spikes)
+	}
 }
 
 // lifStepGeneric is LIFStep in Go from neuron lo on: the whole step off

@@ -195,16 +195,17 @@ func (m *Matrix) NormalizeCols(target float64, sums Vector) {
 // the unlisted ones to zero and rescales, so the rescale leaves them
 // alone as it leaves a zero-sum column. Below that it makes two
 // row-major passes over the listed columns only, one summing them and
-// one rescaling them.
-func (m *Matrix) NormalizeColsSubset(target float64, cols []int, sel []uint64, sums Vector) {
+// one rescaling them. It reports whether it took the dense kernels.
+func (m *Matrix) NormalizeColsSubset(target float64, cols []int, sel []uint64, sums Vector) (dense bool) {
 	if 4*len(cols) >= m.Cols {
 		s := sums[:m.Cols]
 		m.colSums(s)
 		deselect(s, sel)
 		m.scaleCols(target, s)
-		return
+		return true
 	}
 	m.normalizeColsWalk(target, cols, sums)
+	return false
 }
 
 // deselect zeroes s[j] for every column j that sel does not select.

@@ -7,9 +7,9 @@
 //	report-check -report cold.json
 //	report-check -report warm.json -require-trained 0 -require-hit-rate 1
 //
-// -require-counter name=value pins a telemetry counter in the same
-// report — the MC warm rerun uses it to assert the circuit tier served
-// every mismatch sample from cache (spice.solves=0).
+// Each -require-counter name=value pins a telemetry counter in the
+// same report — the MC warm rerun uses it to assert the circuit tier
+// served every mismatch sample from cache (spice.solves=0).
 package main
 
 import (
@@ -35,8 +35,12 @@ func run() error {
 		path       = flag.String("report", "", "campaign report JSON to validate")
 		reqTrained = flag.Int64("require-trained", -1, "require exactly this many trained cells (-1 = any)")
 		reqHitRate = flag.Float64("require-hit-rate", -1, "require exactly this hit rate (-1 = any)")
-		reqCounter = flag.String("require-counter", "", "require a telemetry counter to hold exactly a value, as name=value")
 	)
+	var reqCounters []string
+	flag.Func("require-counter", "require a telemetry counter to hold exactly a value, as name=value (repeatable)", func(s string) error {
+		reqCounters = append(reqCounters, s)
+		return nil
+	})
 	flag.Parse()
 	if *path == "" {
 		return fmt.Errorf("-report is required")
@@ -68,14 +72,14 @@ func run() error {
 	if *reqHitRate >= 0 && r.HitRate != *reqHitRate {
 		return fmt.Errorf("%s: hit rate %g, required %g", *path, r.HitRate, *reqHitRate)
 	}
-	if *reqCounter != "" {
-		name, want, ok := strings.Cut(*reqCounter, "=")
+	for _, req := range reqCounters {
+		name, want, ok := strings.Cut(req, "=")
 		if !ok {
-			return fmt.Errorf("-require-counter %q: want name=value", *reqCounter)
+			return fmt.Errorf("-require-counter %q: want name=value", req)
 		}
 		wantN, err := strconv.ParseInt(want, 10, 64)
 		if err != nil {
-			return fmt.Errorf("-require-counter %q: %w", *reqCounter, err)
+			return fmt.Errorf("-require-counter %q: %w", req, err)
 		}
 		got, recorded := r.Telemetry.Counters[name]
 		if !recorded {

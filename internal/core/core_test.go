@@ -28,6 +28,12 @@ func TestFaultSpecValidation(t *testing.T) {
 	if err := (FaultSpec{Scale: 1, Fraction: 1.5}).Validate(); err == nil {
 		t.Fatal("fraction > 1 must fail")
 	}
+	if err := (FaultSpec{Scale: math.NaN(), Fraction: 1}).Validate(); err == nil {
+		t.Fatal("NaN scale must fail")
+	}
+	if err := (FaultSpec{Scale: 1, Fraction: math.NaN()}).Validate(); err == nil {
+		t.Fatal("NaN fraction must fail")
+	}
 	if err := (FaultSpec{Scale: 0.8, Fraction: 0.5}).Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}

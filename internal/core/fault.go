@@ -70,10 +70,10 @@ type FaultSpec struct {
 
 // Validate reports specification errors.
 func (f FaultSpec) Validate() error {
-	if f.Scale <= 0 {
+	if !(f.Scale > 0) {
 		return fmt.Errorf("core: fault scale must be positive, got %g", f.Scale)
 	}
-	if f.Fraction < 0 || f.Fraction > 1 {
+	if !(f.Fraction >= 0 && f.Fraction <= 1) {
 		return fmt.Errorf("core: fault fraction must be in [0,1], got %g", f.Fraction)
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"snnfi/internal/xfer"
 )
@@ -140,6 +141,13 @@ func (s *Scenario) Validate() error {
 		}
 	default:
 		return fmt.Errorf("core: unknown attack %v", s.Attack)
+	}
+	for _, axis := range [...][]float64{s.Axes.ChangesPc, s.Axes.FractionsPc, s.Axes.VDDs} {
+		for _, v := range axis {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: scenario coordinate %g is not finite", v)
+			}
+		}
 	}
 	if v := s.Axes.Variation; v != nil {
 		if s.Attack != Attack5 {

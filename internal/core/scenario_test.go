@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"regexp"
 	"slices"
@@ -60,6 +62,17 @@ func TestScenarioValidate(t *testing.T) {
 	for _, c := range cases {
 		if err := c.s.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an invalid scenario", c.name)
+		}
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, s := range []Scenario{
+			{Attack: Attack3, Axes: Axes{ChangesPc: []float64{-20, x}}},
+			{Attack: Attack2, Axes: Axes{ChangesPc: []float64{-20}, FractionsPc: []float64{50, x}}},
+			{Attack: Attack5, Axes: Axes{VDDs: []float64{0.8, x}}},
+		} {
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprint(x)) {
+				t.Errorf("axes %+v: Validate returned %v, want an error naming %v", s.Axes, err, x)
+			}
 		}
 	}
 	ok := Scenario{Attack: Attack2, Axes: Axes{ChangesPc: []float64{-20}}}

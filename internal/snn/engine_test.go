@@ -147,7 +147,7 @@ func TestWorkCountsPublished(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.Inh.ThreshScale[0] = 0.8 // some inhibitory updates walk
+		n.Inh.ThreshScale[0] = 0.8 // some images leave the events for the dense pass
 		reg := obs.NewRegistry()
 		if _, err := TrainWith(n, c, TrainOptions{Workers: workers, Obs: reg}); err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func TestWorkCountsPublished(t *testing.T) {
 		got := counters(reg)
 		if k == 0 {
 			want = got
-			if got[inhEvent] == 0 || got[inhWalk] == 0 || got[stdpWalk] == 0 || got[normWalk] == 0 {
+			if got[inhEvent] == 0 || got[inhDense] == 0 || got[stdpWalk] == 0 || got[normWalk] == 0 {
 				t.Fatalf("counts %v: a path the run takes counted nothing", got)
 			}
 		} else if got != want {

@@ -69,9 +69,7 @@ func (g *refLIF) step(drive tensor.Vector) []int {
 			g.refrac[i]--
 			continue
 		}
-		if drive != nil { // nil: the undriven form, no drive term
-			g.v[i] += drive[i] * g.gain[i]
-		}
+		g.v[i] += drive[i] * g.gain[i]
 		if g.v[i] >= (cfg.Thresh+g.theta[i])*g.tscale[i] {
 			g.scratch = append(g.scratch, i)
 			g.v[i] = cfg.Reset
@@ -168,18 +166,11 @@ func (r *refNet) step(inputSpikes []int, learn bool) []int {
 	}
 	excSpikes := r.exc.step(r.driveExc)
 
-	// A step after one with no excitatory spike drives no inhibitory
-	// neuron: the undriven form, with no drive term, as the engine's
-	// (the same bits unless a gain is non-finite, where 0·gain is NaN).
 	r.driveInh.Zero()
 	for _, j := range r.prevExc {
 		r.driveInh[j] += cfg.WExcInh
 	}
-	var inhDrive tensor.Vector
-	if len(r.prevExc) > 0 {
-		inhDrive = r.driveInh
-	}
-	inhSpikes := r.inh.step(inhDrive)
+	inhSpikes := r.inh.step(r.driveInh)
 
 	// Dense pre-optimization STDP.
 	if learn {
@@ -255,9 +246,8 @@ type pathSeen struct {
 	maskedPot   bool // potentiation ran as the masked row kernel
 	denseNorm   bool // dirty-column normalization ran its dense kernels
 	undrivenInh bool // an inhibitory neuron spiked without drive
-	pinned      bool // an inhibitory neuron was explicit for a whole image
-	leftTraj    bool // a driven inhibitory neuron stayed below threshold and became explicit
-	inhDense    bool // the inhibitory layer switched to its dense pass mid-image
+	denseFirst  bool // the inhibitory layer stepped dense from an image's first step
+	leftEvents  bool // a driven inhibitory neuron fell short, and the layer left the events mid-image
 	// eventOnly: every inhibitory update was an event — no neuron left
 	// rest or the trajectory but by spiking. Only a want; the run's
 	// counters decide it.
@@ -279,34 +269,34 @@ var faultCases = []faultCase{
 		wants: pathSeen{eventOnly: true}},
 	{name: "inh-x1.2", inhScale: 1.2, excGain: 1, driveScale: 1,
 		wants: pathSeen{eventOnly: true}},
-	// Threshold −36 mV: a drive from rest stays below it, and the neuron
-	// leaves rest for an explicit state.
+	// Threshold −36 mV: a drive from rest stays below it, and the layer
+	// leaves the events for the dense pass.
 	{name: "inh-x0.9", inhScale: 0.9, excGain: 1, driveScale: 1,
-		wants: pathSeen{leftTraj: true}},
+		wants: pathSeen{leftEvents: true}},
 	// Inhibition falls silent and the excitatory layer collapses: a
 	// quarter, then every neuron is active and many spike at once (the
 	// masked STDP kernels, with partial and full masks), most columns
-	// are dirty at each normalization (its dense kernels), and most
-	// inhibitory neurons are driven at once (the layer runs dense).
+	// are dirty at each normalization (its dense kernels), and driven
+	// inhibitory neurons fall short (the layer runs dense).
 	{name: "inh-x0.8", inhScale: 0.8, excGain: 1, driveScale: 1,
-		wants: pathSeen{allActive: true, partialDep: true, maskedPot: true, denseNorm: true, leftTraj: true, inhDense: true}},
+		wants: pathSeen{allActive: true, partialDep: true, maskedPot: true, denseNorm: true, leftEvents: true}},
 	// Threshold −50 mV sits below the trajectory's −48.89 mV: after its
 	// refractory period a neuron that fired fires again undriven, so
-	// every neuron is pinned explicit.
+	// the layer steps dense from the first step.
 	{name: "inh-x1.25", inhScale: 1.25, excGain: 1, driveScale: 1,
-		wants: pathSeen{undrivenInh: true, pinned: true}},
+		wants: pathSeen{undrivenInh: true, denseFirst: true}},
 	// Thresholds −60 and −64 mV are at and below rest: the faulted
-	// neuron fires from rest, so it is pinned. (A whole faulted layer
-	// would silence the excitatory layer.)
+	// neuron fires from rest, so the layer steps dense from the first
+	// step. (A whole faulted layer would silence the excitatory layer.)
 	{name: "inh-x1.5", inhScale: 1.5, inhCount: 1, excGain: 1, driveScale: 1,
-		wants: pathSeen{undrivenInh: true, pinned: true}},
+		wants: pathSeen{undrivenInh: true, denseFirst: true}},
 	{name: "inh-x1.6", inhScale: 1.6, inhCount: 1, excGain: 1, driveScale: 1,
-		wants: pathSeen{undrivenInh: true, pinned: true}},
-	// An infinite gain turns a zero drive into NaN (0·Inf), so its
-	// neuron is pinned; it fires on its first drive and its membrane is
-	// NaN from the next driven step that does not drive it.
+		wants: pathSeen{undrivenInh: true, denseFirst: true}},
+	// An infinite gain turns a zero drive into NaN (0·Inf), so the layer
+	// steps dense from the first step, and its neuron's membrane is NaN
+	// from each image's first step on.
 	{name: "inh-gain-inf", inhScale: 1, inhGain: math.Inf(1), excGain: 1, driveScale: 1,
-		wants: pathSeen{pinned: true}},
+		wants: pathSeen{denseFirst: true}},
 	// The SumRowsScaled drive path with a per-neuron gain.
 	{name: "exc-gain-1.1-drive-0.9", inhScale: 1, excGain: 1.1, driveScale: 0.9},
 }
@@ -347,24 +337,21 @@ func (fc faultCase) checkPaths(t *testing.T, seen pathSeen) {
 	if fc.wants.undrivenInh && !seen.undrivenInh {
 		t.Error("no inhibitory neuron spiked undriven")
 	}
-	if fc.wants.pinned && !seen.pinned {
-		t.Error("no inhibitory neuron was pinned explicit")
+	if fc.wants.denseFirst && !seen.denseFirst {
+		t.Error("the inhibitory layer never stepped dense from an image's first step")
 	}
-	if fc.wants.leftTraj && !seen.leftTraj {
-		t.Error("no driven inhibitory neuron became explicit")
-	}
-	if fc.wants.inhDense && !seen.inhDense {
-		t.Error("the inhibitory layer never switched to its dense pass")
+	if fc.wants.leftEvents && !seen.leftEvents {
+		t.Error("the inhibitory layer never left the events mid-image")
 	}
 }
 
 // checkEventOnly fails the test unless the case wants every inhibitory
-// update to be an event and the counts say so: events, and no walk or
-// dense pass.
+// update to be an event and the counts say so: events, and no dense
+// pass.
 func (fc faultCase) checkEventOnly(t *testing.T, w workCounts) {
 	t.Helper()
-	if fc.wants.eventOnly && (w[inhEvent] == 0 || w[inhWalk] != 0 || w[inhDense] != 0) {
-		t.Errorf("inhibitory updates by event, walk, dense: %d, %d, %d; want events only", w[inhEvent], w[inhWalk], w[inhDense])
+	if fc.wants.eventOnly && (w[inhEvent] == 0 || w[inhDense] != 0) {
+		t.Errorf("inhibitory updates by event, dense: %d, %d; want events only", w[inhEvent], w[inhDense])
 	}
 }
 
@@ -376,7 +363,7 @@ func stepObserved(n *DiehlCook, spikes []int, learn bool, seen *pathSeen) []int 
 	driven := append([]int(nil), n.prevExc...)
 	pre := len(n.preActive)
 	inh := n.Inh
-	wasEvents := inh.mode == events
+	was := inh.mode
 	es := n.Step(spikes, learn)
 	if learn {
 		post, nExc := len(n.Exc.traced.list), n.Cfg.NExc
@@ -395,13 +382,8 @@ func stepObserved(n *DiehlCook, spikes []int, learn bool, seen *pathSeen) []int 
 			seen.undrivenInh = true
 		}
 	}
-	if inh.mode == events {
-		for _, s := range inh.state {
-			seen.pinned = seen.pinned || s == pinnedState
-			seen.leftTraj = seen.leftTraj || s == explicitState
-		}
-	}
-	seen.inhDense = seen.inhDense || (wasEvents && inh.mode == dense)
+	seen.denseFirst = seen.denseFirst || (was == unseeded && inh.mode == dense)
+	seen.leftEvents = seen.leftEvents || (was == events && inh.mode == dense)
 	return es
 }
 
@@ -528,11 +510,10 @@ func TestEngineMatchesDenseReference(t *testing.T) {
 
 // TestSparseStepMatchesDenseLoop pins the event-driven step,
 // LIFGroup.stepSparse, against the dense LIF loop on an inhibitory
-// group, under the hooks that pin a neuron explicit: a threshold scale
-// that fires from rest, and non-finite gains, whose 0·gain turns a
-// driven step's zero drive into NaN. A step with nothing driven adds
-// no drive term, like the dense loop's undriven form. FuzzInhibitoryStep
-// covers the rest of the rules.
+// group, nominal and under the hooks that make the layer step dense
+// from its first step: a threshold scale that fires from rest, and
+// non-finite gains, whose 0·gain turns a zero drive into NaN.
+// FuzzInhibitoryStep covers the rest of the rules.
 func TestSparseStepMatchesDenseLoop(t *testing.T) {
 	const n = 8
 	for _, tc := range []struct {
@@ -564,14 +545,10 @@ func TestSparseStepMatchesDenseLoop(t *testing.T) {
 				if step%5 >= 3 {
 					driven = []int{(step * 3) % n}
 				}
-				var refDrive tensor.Vector
-				if len(driven) > 0 {
-					refDrive = drive
-				}
 				for _, j := range driven {
 					drive[j] += cfg.Thresh - cfg.Rest + 2.5
 				}
-				want := ref.step(refDrive)
+				want := ref.step(drive)
 				got := g.stepSparse(drive, driven)
 				for _, j := range driven {
 					drive[j] = 0
@@ -610,31 +587,43 @@ func (s *script) next() byte {
 // cannot change, through the event-driven step and the dense LIF loop
 // side by side, and demands the same spike lists, membranes and
 // refractory counts after every step. The input script picks the layer
-// size (1–12, so a few explicit neurons reach the dense switch), the
-// refractory period, the decay constant, a reset above, at or below
-// rest (a falling, flat or rising trajectory), and a rest of −60 mV, +0
-// or −0 (where the update moves a resting −0 membrane to +0), with
-// Thresh and Reset kept at InhConfig's distances from it. For each
-// neuron it then picks a threshold scale (thresholds from about 40 mV
-// above rest to 75 mV below it at rest −60 mV, from 8 to 73 mV above
-// it at rest ±0), a fixed theta, and a gain that is
-// sometimes 0, negative or non-finite. Each step is then undriven, a
-// dense Step, a Reset between images, or a sparse step driving a
-// chosen subset of neurons with chosen drives.
+// size (1–12), the refractory period, the decay constant, a reset
+// above, at or below rest (a falling, flat or rising trajectory), and a
+// rest of −60 mV, +0 or −0 (where the update moves a resting −0
+// membrane to +0), with Thresh and Reset kept at InhConfig's distances
+// from it. For each neuron it then picks a threshold scale (thresholds
+// from about 40 mV above rest to 75 mV below it at rest −60 mV, from 8
+// to 73 mV above it at rest ±0), a fixed theta, and a gain that is
+// sometimes 0, negative or non-finite. Each step is then a sparse step
+// driving nothing, a dense Step, a Reset between images, or a sparse
+// step driving a chosen subset of neurons with chosen drives.
 func FuzzInhibitoryStep(f *testing.F) {
-	// Nominal neurons driven with WExcInh, a layer whose drives fall
-	// short of threshold, a pinned neuron, and a non-finite gain; the
-	// first layer again at rest +0 and at rest −0.
-	nominal := []byte{8, 2, 0, 0, 0, 100, 128, 200, 100, 128, 200, 100, 128, 200, 100, 128, 200,
+	// The first five layers step dense from their first step: thresholds
+	// at rest, thresholds below the trajectory's top, thresholds at and
+	// below rest with a −Inf gain, and the first layer again at rest +0
+	// and at rest −0. The last layer steps on events: a neuron fires,
+	// ignores drives one step and Refrac steps later, then one driven
+	// neuron fires while another falls short, and that step's write-out
+	// puts both spikers on the trajectory before the dense steps that
+	// follow. It runs at rest −60 mV and +0, and at −0, where it steps
+	// dense.
+	atRest := []byte{8, 2, 0, 0, 0, 100, 128, 200, 100, 128, 200, 100, 128, 200, 100, 128, 200,
 		100, 128, 200, 100, 128, 200, 100, 128, 200, 100, 128, 200,
 		5, 0x81, 90, 90, 0, 5, 0x81, 90, 90, 5, 0x3c, 90, 90, 90, 90, 1, 5, 0x81, 90, 90, 2, 5, 0xff, 90, 90, 90, 90, 90, 90, 90, 90}
-	f.Add(nominal)
+	f.Add(atRest)
 	f.Add([]byte{6, 2, 0, 0, 0, 80, 128, 200, 80, 128, 200, 80, 128, 200, 80, 128, 200, 80, 128, 200, 80, 128, 200,
 		5, 0x3f, 80, 80, 80, 80, 80, 80, 0, 0, 5, 0x15, 60, 60, 60, 5, 0x3f, 80, 80, 80, 80, 80, 80, 0, 5, 0x2a, 90, 90, 90, 1})
 	f.Add([]byte{4, 1, 1, 1, 0, 125, 140, 200, 150, 100, 3, 100, 128, 200, 60, 128, 200,
 		0, 0, 5, 0x0f, 90, 90, 90, 90, 0, 0, 0, 4, 0x05, 20, 20, 0, 2, 0, 0})
 	for _, r := range []byte{1, 2} {
-		seed := append([]byte(nil), nominal...)
+		seed := append([]byte(nil), atRest...)
+		seed[4] = r
+		f.Add(seed)
+	}
+	departure := []byte{3, 3, 0, 0, 0, 50, 128, 200, 50, 128, 200, 50, 128, 200, 50, 128, 200,
+		3, 0x04, 0, 100, 3, 0x04, 0, 100, 0, 3, 0x04, 0, 100, 3, 0x03, 0, 100, 40, 0, 3, 0x02, 0, 100, 0, 0}
+	for _, r := range []byte{0, 1, 2} {
+		seed := append([]byte(nil), departure...)
 		seed[4] = r
 		f.Add(seed)
 	}
@@ -672,7 +661,7 @@ func FuzzInhibitoryStep(f *testing.F) {
 			var got, want []int
 			switch kind := in.next() % 6; kind {
 			case 0:
-				got, want = g.Step(nil), ref.step(nil)
+				got, want = g.stepSparse(drive, nil), ref.step(drive)
 			case 1:
 				for i := range drive {
 					drive[i] = float64(in.next()) / 4
@@ -692,11 +681,7 @@ func FuzzInhibitoryStep(f *testing.F) {
 						drive[i] = float64(in.next()) / 4
 					}
 				}
-				var refDrive tensor.Vector
-				if len(driven) > 0 {
-					refDrive = drive
-				}
-				want = ref.step(refDrive)
+				want = ref.step(drive)
 				got = g.stepSparse(drive, driven)
 				drive.Zero()
 			}

@@ -352,10 +352,10 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 
 	// 3. Inhibitory layer driven 1-to-1 by excitatory spikes from the
 	// previous step. The drive is zero except at those spikers, so the
-	// layer takes a sparse step (LIFGroup.stepSparse): it visits the
-	// driven neurons and the few whose state it holds explicitly, while
-	// every other neuron sits at rest or on the one post-spike
-	// trajectory every neuron shares.
+	// layer takes a sparse step (LIFGroup.stepSparse): it visits only
+	// the driven neurons, the rest at rest or on the shared post-spike
+	// trajectory, until one falls short of its threshold; from then on
+	// it runs the dense pass on driveInh for the rest of the image.
 	for _, j := range n.prevExc {
 		n.driveInh[j] += cfg.WExcInh
 	}

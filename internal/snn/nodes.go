@@ -134,22 +134,18 @@ type LIFGroup struct {
 	mask []uint64
 
 	// The image's step state, from Reset on (see stepSparse). mode is
-	// how the steps run and t counts them. In event mode, state holds
-	// each neuron's state (restState, explicitState, pinnedState, or
-	// the step count at its last spike), explicit lists the explicit
-	// and pinned neurons in ascending order, and spare is the buffer
-	// the next step's list is built in. traj is the post-spike
-	// trajectory of the layer's constants.
-	mode     stepMode
-	t        int
-	state    []int
-	explicit []int
-	spare    []int
-	traj     *trajectory
+	// how the steps run and t counts the steps on events. In event
+	// mode, state holds each neuron's state, restState or the step
+	// count at its last spike, and traj is the post-spike trajectory of
+	// the layer's constants.
+	mode  stepMode
+	t     int
+	state []int
+	traj  *trajectory
 
 	// updates counts the neuron updates of the layer's steps by path:
-	// updEvent, updWalk and updDense (see workCounts).
-	updates [3]int64
+	// updEvent and updDense (see workCounts).
+	updates [2]int64
 }
 
 // stepMode is how a layer steps for the rest of an image.
@@ -159,27 +155,23 @@ const (
 	// unseeded: since Reset no step has run, and every neuron is at
 	// rest.
 	unseeded stepMode = iota
-	// events: only explicit and driven neurons are visited (stepEvents).
+	// events: only driven neurons are visited (stepEvents).
 	events
-	// dense: every neuron is explicit; a driven step runs the dense
-	// pass and an undriven one walks every neuron (stepUndriven).
+	// dense: every step runs the dense pass (stepDense).
 	dense
 )
 
-// Neuron states of an event-mode layer (LIFGroup.state). A state s ≥ 0
-// puts the neuron on the post-spike trajectory of a spike in the step
-// that ended at count s: after t steps its membrane is the
+// restState is the state of an event-mode neuron whose V and refrac
+// hold it: Rest and 0 since Reset, or, for a driven neuron that fell
+// short of its threshold, what the step that ends event mode left. A
+// state s ≥ 0 puts the neuron on the post-spike trajectory of a spike
+// in the step that ended at count s: after t steps its membrane is the
 // trajectory's entry t−s, and it is refractory up to entry Refrac.
-const (
-	restState     = -1 // V is Rest and the neuron is not refractory
-	explicitState = -2 // V and refrac hold the state; a spike returns it to the trajectory
-	pinnedState   = -3 // explicit for the whole image: it may fire undriven
-)
+const restState = -1
 
 // Update paths, the indices of LIFGroup.updates.
 const (
-	updEvent = iota // a driven neuron at rest or on the trajectory
-	updWalk         // an explicit neuron, or a neuron of an undriven walk (stepUndriven)
+	updEvent = iota // a driven neuron of an event-mode step
 	updDense        // a neuron of a dense pass
 )
 
@@ -219,17 +211,6 @@ func appendSpikes(dst []int, mask []uint64) []int {
 	}
 	return dst
 }
-
-// walkPays reports whether a layer of n neurons, explicit of them
-// explicit, should keep stepping on events rather than switch to the
-// dense pass for the rest of the image. Both are exact. Explicit
-// neurons are walked every step, at about 4.6 ns each against the AVX2
-// pass's 1.4 ns per neuron at N = 100 on a 2.0 GHz Xeon; the switch
-// point stays at the 3/4 that EXPERIMENTS.md's "AVX2 dense-pass
-// record" measured for the step's earlier, awake-set form. Nominal
-// cells hold no explicit neuron; cells collapsed by a −20% inhibitory
-// threshold reach the point within each image.
-func walkPays(explicit, n int) bool { return 4*explicit < 3*n }
 
 // A trajectory tabulates the membrane of a neuron that spiked and is
 // left undriven: v[0] = Reset and v[k] = Rest + (v[k−1]−Rest)·decay,
@@ -299,8 +280,6 @@ func newLIFGroup(cfg LIFConfig) *LIFGroup {
 		traced:       newIndexSet(cfg.N),
 		mask:         make([]uint64, tensor.MaskWords(cfg.N)),
 		state:        make([]int, cfg.N),
-		explicit:     make([]int, 0, cfg.N),
-		spare:        make([]int, 0, cfg.N),
 	}
 	if cfg.ThetaDecayTC > 0 {
 		g.thetaDecay = math.Exp(-cfg.Dt / cfg.ThetaDecayTC)
@@ -357,17 +336,11 @@ func (g *LIFGroup) EffectiveThreshold(i int) float64 {
 }
 
 // Step advances the group one timestep with the given synaptic drive
-// (mV per neuron) and returns the indices of neurons that spiked. The
-// returned slice is reused across calls; copy it to retain.
-// A nil drive means "no synaptic input this step": a sparse step with
-// nothing driven, bit-identical to passing a zero vector when every
-// gain is finite. A non-nil drive runs the dense pass, after which the
-// layer steps dense for the rest of the image, so dense and sparse
-// steps mix exactly.
+// (mV per neuron, N entries) and returns the indices of neurons that
+// spiked. The returned slice is reused across calls; copy it to
+// retain. Step runs the dense pass, after which the layer steps dense
+// for the rest of the image, so dense and sparse steps mix exactly.
 func (g *LIFGroup) Step(drive tensor.Vector) []int {
-	if drive == nil {
-		return g.stepSparse(nil, nil)
-	}
 	g.toDense()
 	return g.stepDense(drive)
 }
@@ -378,8 +351,8 @@ func (g *LIFGroup) Step(drive tensor.Vector) []int {
 // bookkeeping then walks the marks in ascending order. The kernel runs
 // decays unconditionally — they are no-ops at the fixed point (rest +
 // 0·decay = rest, 0·decay = 0) — which avoids data-dependent branches
-// over a mixed active/idle population. Every neuron must be explicit
-// (mode dense).
+// over a mixed active/idle population. It reads every neuron's V and
+// refrac, so the layer must be in dense mode (toDense).
 func (g *LIFGroup) stepDense(drive tensor.Vector) []int {
 	cfg := &g.Cfg
 	g.decayTraces()
@@ -392,7 +365,6 @@ func (g *LIFGroup) stepDense(drive tensor.Vector) []int {
 		g.Theta[i] += cfg.ThetaPlus
 		g.setTrace(i)
 	}
-	g.t++
 	g.updates[updDense] += int64(len(g.V))
 	return g.spikeScratch
 }
@@ -400,80 +372,65 @@ func (g *LIFGroup) stepDense(drive tensor.Vector) []int {
 // stepSparse advances the group one timestep when drive is zero except
 // at driven, an ascending list of distinct indices, with a result
 // bit-identical to Step(drive): the same spike list, and the same V
-// and refrac once writeOut has run. With nothing driven, drive is not
-// read (it may be nil) and no drive term is added, as in Step(nil).
+// and refrac once writeOut has run.
 //
 // The first step of an image decides how its steps run (seed). A
-// layer whose theta cannot change — ThetaPlus 0 and a theta decay of
-// exactly 1, as in the inhibitory layer and every frozen layer —
-// steps on events (stepEvents). Once a driven step finds 3/4 of the
-// layer explicit (walkPays), the layer writes out its state and steps
-// dense for the rest of the image, as does a layer whose theta can
-// change.
+// layer on events visits only its driven neurons (stepEvents) until a
+// driven neuron stays below its threshold; from the step after that
+// one, or from the first step when seed rules events out, it runs the
+// dense pass on drive for the rest of the image.
 func (g *LIFGroup) stepSparse(drive tensor.Vector, driven []int) []int {
 	if g.mode == unseeded {
 		g.seed()
 	}
-	if g.mode == events && len(driven) > 0 && !walkPays(len(g.explicit), len(g.V)) {
-		g.toDense()
-	}
-	switch {
-	case g.mode == events:
+	if g.mode == events {
 		return g.stepEvents(drive, driven)
-	case len(driven) > 0:
-		return g.stepDense(drive)
 	}
-	return g.stepUndriven()
+	return g.stepDense(drive)
 }
 
-// seed decides how the image's steps run. A layer whose theta can
-// change, or whose rest is −0 (the update moves a −0 membrane to +0,
-// so rest is no fixed point), steps dense; so does one whose
-// trajectory does not settle. Otherwise the layer steps on events,
-// with every neuron at rest except those that may fire undriven,
-// pinned explicit for the image: a neuron with a non-finite gain,
-// whose zero drive adds 0·Inf = NaN, or one whose threshold
-// (Thresh+θ)·ThreshScale is at most Rest or the trajectory's highest
-// entry once the refractory period ends. Every other neuron at rest or
-// on the trajectory stays below threshold until it is driven.
+// seed decides how the image's steps run. Events need every neuron that
+// is not driven to stay at rest or on the trajectory without firing,
+// as the dense pass leaves it. So the layer steps dense instead when
+// its theta can change; when its rest is −0 (the update moves a −0
+// membrane to +0, so rest is no fixed point); when its trajectory does
+// not settle; or when a neuron could fire undriven: one with a
+// non-finite gain, whose zero drive adds 0·Inf = NaN, or one whose
+// threshold (Thresh+θ)·ThreshScale is at most Rest or the trajectory's
+// highest entry once the refractory period ends.
 func (g *LIFGroup) seed() {
 	cfg := &g.Cfg
+	g.mode = dense
 	if cfg.ThetaPlus != 0 || g.thetaDecay != 1 || negZero(cfg.Rest) {
-		g.toDense()
 		return
 	}
 	g.traj = trajectoryOf(cfg.Rest, cfg.Reset, g.decay)
 	traj := g.traj.v
 	if traj == nil {
-		g.toDense()
 		return
 	}
 	end := len(traj) - 1
 	top := max(traj[min(cfg.Refrac+1, end)], traj[end], cfg.Rest)
-	g.explicit = g.explicit[:0]
 	for i, th := range g.Theta {
-		g.state[i] = restState
 		if !finite(g.InputGain[i]) || (cfg.Thresh+th)*g.ThreshScale[i] <= top {
-			g.state[i] = pinnedState
-			g.explicit = append(g.explicit, i)
+			return
 		}
+		g.state[i] = restState
 	}
 	g.mode = events
 }
 
-// stepEvents is a sparse step in event mode. A neuron that is neither
-// explicit nor driven is at rest or on the trajectory, and stays
-// there: its state follows from its last spike, so the step does not
-// visit it. The step merges the explicit list with driven and visits
-// each neuron once, in ascending order, so spikes come out ascending:
-//   - An explicit neuron takes the dense loop's arithmetic, with the
-//     drive term in a driven step. A spike returns it to the
-//     trajectory unless it is pinned.
-//   - A driven neuron on the trajectory ignores its drive while
-//     refractory. Otherwise it adds drive·gain to its trajectory entry
-//     or to Rest, the bits the dense loop computes for it. If that
-//     crosses the threshold it spikes and restarts the trajectory, else
-//     it becomes explicit.
+// stepEvents is a sparse step in event mode. A neuron that is not
+// driven is at rest or on the trajectory, and stays there: its state
+// follows from its last spike, so the step does not visit it. A driven
+// neuron on the trajectory ignores its drive while refractory.
+// Otherwise it adds drive·gain to its trajectory entry or to Rest, the
+// bits the dense pass computes for it, and visits come in driven's
+// ascending order, so spikes do too. If that crosses the threshold the
+// neuron spikes and restarts the trajectory. If not, it keeps the
+// membrane it reached, off the trajectory, where it could fire
+// undriven; so once the step ends the layer writes out its state and
+// steps dense (toDense).
 func (g *LIFGroup) stepEvents(drive tensor.Vector, driven []int) []int {
 	cfg := &g.Cfg
 	V := g.V
@@ -481,45 +438,11 @@ func (g *LIFGroup) stepEvents(drive tensor.Vector, driven []int) []int {
 	tscale, gain := g.ThreshScale[:len(V)], g.InputGain[:len(V)]
 	traj := g.traj.v
 	end := len(traj) - 1
-	rest, thresh, decay := cfg.Rest, cfg.Thresh, g.decay
+	rest, thresh := cfg.Rest, cfg.Thresh
 	t := g.t + 1 // the step count once this step ends
-	list, next, spikes := g.explicit, g.spare[:0], g.spikeScratch[:0]
+	spikes, short := g.spikeScratch[:0], false
 	g.decayTraces()
-	e, d, visits := 0, 0, 0
-	for e < len(list) || d < len(driven) {
-		if d == len(driven) || (e < len(list) && list[e] <= driven[d]) {
-			i := list[e]
-			e++
-			if d < len(driven) && driven[d] == i {
-				d++
-			}
-			v := rest + (V[i]-rest)*decay
-			if refrac[i] > 0 {
-				refrac[i]--
-				V[i] = v
-				next = append(next, i)
-				continue
-			}
-			if len(driven) > 0 {
-				v += drive[i] * gain[i]
-			}
-			if v >= (thresh+theta[i])*tscale[i] {
-				spikes = append(spikes, i)
-				g.setTrace(i)
-				if state[i] != pinnedState {
-					state[i] = t
-					continue
-				}
-				v = cfg.Reset
-				refrac[i] = cfg.Refrac
-			}
-			V[i] = v
-			next = append(next, i)
-			continue
-		}
-		i := driven[d]
-		d++
-		visits++
+	for _, i := range driven {
 		v := rest
 		if s := state[i]; s >= 0 {
 			k := t - s
@@ -535,53 +458,22 @@ func (g *LIFGroup) stepEvents(drive tensor.Vector, driven []int) []int {
 			state[i] = t
 			continue
 		}
-		V[i], refrac[i], state[i] = v, 0, explicitState
-		next = append(next, i)
+		V[i], refrac[i], state[i] = v, 0, restState
+		short = true
 	}
-	g.updates[updEvent] += int64(visits)
-	g.updates[updWalk] += int64(len(list))
-	g.explicit, g.spare, g.spikeScratch = next, list, spikes
-	g.t = t
+	g.updates[updEvent] += int64(len(driven))
+	g.spikeScratch, g.t = spikes, t
+	if short {
+		g.toDense()
+	}
 	return spikes
-}
-
-// stepUndriven is an undriven step in dense mode: the dense loop's
-// arithmetic over every neuron, with no drive term.
-func (g *LIFGroup) stepUndriven() []int {
-	cfg := &g.Cfg
-	g.spikeScratch = g.spikeScratch[:0]
-	rest, thresh, decay, thetaDecay := cfg.Rest, cfg.Thresh, g.decay, g.thetaDecay
-	V := g.V
-	theta, refrac, tscale := g.Theta[:len(V)], g.refrac[:len(V)], g.ThreshScale[:len(V)]
-	g.decayTraces()
-	for i := range V {
-		v := rest + (V[i]-rest)*decay
-		th := theta[i] * thetaDecay
-		theta[i] = th
-		if refrac[i] > 0 {
-			refrac[i]--
-			V[i] = v
-			continue
-		}
-		if v >= (thresh+th)*tscale[i] {
-			g.spikeScratch = append(g.spikeScratch, i)
-			v = cfg.Reset
-			refrac[i] = cfg.Refrac
-			theta[i] = th + cfg.ThetaPlus
-			g.setTrace(i)
-		}
-		V[i] = v
-	}
-	g.t++
-	g.updates[updWalk] += int64(len(V))
-	return g.spikeScratch
 }
 
 // writeOut writes the membrane and refractory count of every neuron on
 // the trajectory into V and refrac, which an event-mode step leaves
-// stale for them (a neuron at rest holds its own since Reset). Steps
-// read neither for those neurons, so writing them out changes nothing
-// that follows.
+// stale for them (a neuron in restState holds its own). Steps read
+// neither for those neurons, so writing them out changes nothing that
+// follows.
 func (g *LIFGroup) writeOut() {
 	if g.mode != events {
 		return
@@ -596,12 +488,9 @@ func (g *LIFGroup) writeOut() {
 	}
 }
 
-// toDense writes out the layer's state and makes every neuron explicit
-// for the rest of the image.
+// toDense writes out the layer's state, and the layer steps dense for
+// the rest of the image.
 func (g *LIFGroup) toDense() {
-	if g.mode == dense {
-		return
-	}
 	g.writeOut()
 	g.mode = dense
 }

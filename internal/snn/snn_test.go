@@ -60,7 +60,7 @@ func TestLIFIntegratesAndFires(t *testing.T) {
 func TestLIFStaysQuietWithoutDrive(t *testing.T) {
 	g := excGroup(t, 3)
 	for step := 0; step < 200; step++ {
-		if len(g.Step(nil)) != 0 {
+		if len(g.Step(tensor.Vector{0, 0, 0})) != 0 {
 			t.Fatal("spontaneous spike with no drive")
 		}
 	}
@@ -110,7 +110,7 @@ func TestLIFMembraneDecaysTowardRest(t *testing.T) {
 	if g.V[0] != g.Cfg.Rest+10 {
 		t.Fatalf("driven membrane %v, want %v", g.V[0], g.Cfg.Rest+10)
 	}
-	g.Step(nil)
+	g.Step(tensor.Vector{0})
 	if g.V[0] >= g.Cfg.Rest+10 {
 		t.Fatal("membrane should decay toward rest")
 	}
@@ -158,9 +158,9 @@ func TestGroupResetSemantics(t *testing.T) {
 	if g.Theta[0] != theta {
 		t.Fatal("Reset must keep learned theta")
 	}
-	// A layer whose theta can change steps dense, so an undriven step
-	// after Reset still decays learned theta.
-	g.Step(nil)
+	// A layer whose theta can change steps dense, so a sparse step
+	// driving nothing after Reset still decays learned theta.
+	g.stepSparse(tensor.Vector{0}, nil)
 	if want := theta * g.thetaDecay; g.Theta[0] != want || want == theta {
 		t.Fatalf("undriven step after Reset left theta %v, want %v", g.Theta[0], want)
 	}

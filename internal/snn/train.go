@@ -53,18 +53,17 @@ type TrainOptions struct {
 
 // workCounts are exact counts of the run-time decisions a network's
 // steps make, by the path each takes (indexed by inhEvent … normDense):
-// inhibitory neuron updates by event, by walk of the explicit neurons
-// and by dense pass; STDP rows (a depressed pixel's row, or a
-// potentiated pre-synaptic row) by indexed walk and by masked kernel;
-// and dirty columns normalized by walk and by dense form. The steps
-// count in plain fields; TrainWith publishes its learning pass's counts
-// and each read-only pass its own, once per pass (publish).
+// inhibitory neuron updates by event and by dense pass; STDP rows (a
+// depressed pixel's row, or a potentiated pre-synaptic row) by indexed
+// walk and by masked kernel; and dirty columns normalized by walk and
+// by dense form. The steps count in plain fields; TrainWith publishes
+// its learning pass's counts and each read-only pass its own, once per
+// pass (publish).
 type workCounts [nWork]int64
 
-// Indices of workCounts. The first three are LIFGroup.updates'.
+// Indices of workCounts. The first two are LIFGroup.updates'.
 const (
 	inhEvent = updEvent
-	inhWalk  = updWalk
 	inhDense = updDense
 	stdpWalk = iota
 	stdpKernel
@@ -75,7 +74,7 @@ const (
 
 // workNames are the obs counters workCounts publish to.
 var workNames = [nWork]string{
-	"snn.inh.event", "snn.inh.walk", "snn.inh.dense",
+	"snn.inh.event", "snn.inh.dense",
 	"snn.stdp.rows_walk", "snn.stdp.rows_kernel",
 	"snn.norm.cols_walk", "snn.norm.cols_dense",
 }
@@ -90,7 +89,7 @@ func (n *DiehlCook) work() workCounts {
 // clearWork zeroes n's counts.
 func (n *DiehlCook) clearWork() {
 	n.tally = workCounts{}
-	n.Inh.updates = [3]int64{}
+	n.Inh.updates = [2]int64{}
 }
 
 // add adds o's counts to w's.

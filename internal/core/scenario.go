@@ -139,6 +139,11 @@ func (s *Scenario) Validate() error {
 		if len(s.Axes.VDDs) == 0 {
 			return fmt.Errorf("core: scenario %v needs Axes.VDDs", s.Attack)
 		}
+		for _, v := range s.Axes.VDDs {
+			if err := Attack5Supply(v); err != nil {
+				return err
+			}
+		}
 	default:
 		return fmt.Errorf("core: unknown attack %v", s.Attack)
 	}

@@ -12,7 +12,7 @@ import (
 
 // TestBisectionMatchesScan is the bisected prober's contract: across
 // random Vth perturbations and supplies, ThresholdProbe.Threshold must
-// return the bit-identical grid point the 201-solve linear scan finds.
+// return the bit-identical grid point the linear scan finds.
 func TestBisectionMatchesScan(t *testing.T) {
 	perSupply := 12
 	if testing.Short() {

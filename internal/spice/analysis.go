@@ -7,59 +7,47 @@ import (
 	"os"
 )
 
-// NROptions tunes Newton–Raphson iteration.
-type NROptions struct {
-	MaxIter int     // maximum Newton iterations per solve (default 200)
-	AbsTol  float64 // absolute voltage tolerance (default 1e-6 V)
-	RelTol  float64 // relative tolerance (default 1e-4)
-	Damping float64 // maximum node-voltage change per iteration (default 0.4 V)
-	// VMin/VMax clamp node-voltage iterates to a physically plausible
-	// window, preventing Newton runaway through the flat regions of
-	// device characteristics (the role of fetlim in SPICE). Defaults
-	// [-1, +3] V, generous for the ≤1.2 V circuits simulated here.
-	VMin, VMax float64
-}
+// Solver settings, the same for every analysis.
+const (
+	nrAbsTol  = 1e-6 // Newton absolute voltage tolerance (V)
+	nrRelTol  = 1e-4 // Newton relative tolerance
+	nrDamping = 0.4  // maximum node-voltage change per Newton iteration (V)
+	// nrVMin/nrVMax clamp node voltages (V), keeping Newton out of the
+	// flat regions of device characteristics (SPICE's fetlim).
+	nrVMin, nrVMax = -1.0, 3.0
+	// maxSubdiv bounds how many times a non-converging transient step
+	// is halved before the analysis fails.
+	maxSubdiv = 10
+	// gShunt (S) ties every node to ground in every analysis, so a
+	// floating node (a capacitor driven only by a current source) stays
+	// solvable.
+	gShunt = 1e-9
+)
 
-func (o NROptions) withDefaults() NROptions {
-	if o.MaxIter == 0 {
-		o.MaxIter = 200
-	}
-	if o.AbsTol == 0 {
-		o.AbsTol = 1e-6
-	}
-	if o.RelTol == 0 {
-		o.RelTol = 1e-4
-	}
-	if o.Damping == 0 {
-		o.Damping = 0.4
-	}
-	if o.VMin == 0 && o.VMax == 0 {
-		o.VMin, o.VMax = -1, 3
-	}
-	return o
-}
+// nrMaxIter caps the Newton iterations of one solve. It is a variable
+// only so a test can lower it.
+var nrMaxIter = 200
 
 // solveNewton runs damped Newton–Raphson from the iterate already in
 // ctx.X. It returns nil when converged. The per-solve system (source
 // waveform values, capacitor companions) is stamped once on entry; the
 // loop re-stamps only iterate-dependent devices and reuses the context
 // workspace, so iterating allocates nothing.
-func (c *Circuit) solveNewton(ctx *Context, opt NROptions) error {
-	opt = opt.withDefaults()
+func (c *Circuit) solveNewton(ctx *Context) error {
 	c.beginStep(ctx)
 	metrics.solves.Inc()
 	iters := 0
 	defer func() { metrics.newtonIters.Add(int64(iters)) }()
 	n := c.NumUnknowns()
 	xNew := ctx.ws.xNew
-	damping := opt.Damping
+	damping := nrDamping
 	// Last iteration's worst unscaled Newton update, captured before
 	// ctx.X absorbs the (scaled, clamped) step — the honest answer to
 	// "how far was the solve from its fixed point". Computing it after
 	// the update would report the residual (1−scale) fraction, which is
 	// exactly zero at scale 1.
 	lastWorst, lastWorstIdx := 0.0, -1
-	for iter := 0; iter < opt.MaxIter; iter++ {
+	for iter := 0; iter < nrMaxIter; iter++ {
 		// High-gain loops (inverter chains at their switching point) can
 		// make full Newton steps flip-flop between rails; tightening the
 		// damping after repeated failure walks the iterate in instead.
@@ -101,13 +89,13 @@ func (c *Circuit) solveNewton(ctx *Context, opt NROptions) error {
 			ctx.X[i] += delta
 			if i < ctx.N {
 				// Clamp node voltages to the physical window.
-				if ctx.X[i] < opt.VMin {
-					ctx.X[i] = opt.VMin
-				} else if ctx.X[i] > opt.VMax {
-					ctx.X[i] = opt.VMax
+				if ctx.X[i] < nrVMin {
+					ctx.X[i] = nrVMin
+				} else if ctx.X[i] > nrVMax {
+					ctx.X[i] = nrVMax
 				}
 			}
-			tol := opt.AbsTol + opt.RelTol*math.Abs(ctx.X[i])
+			tol := nrAbsTol + nrRelTol*math.Abs(ctx.X[i])
 			if math.Abs(delta) > tol {
 				converged = false
 			}
@@ -119,7 +107,7 @@ func (c *Circuit) solveNewton(ctx *Context, opt NROptions) error {
 	if debugNR {
 		fmt.Fprintf(debugOut, "spice debug: NR stuck, worst delta %.3g at %s; X=%v\n", lastWorst, c.unknownName(lastWorstIdx), ctx.X)
 	}
-	return fmt.Errorf("spice: Newton–Raphson did not converge in %d iterations", opt.MaxIter)
+	return fmt.Errorf("spice: Newton–Raphson did not converge in %d iterations", nrMaxIter)
 }
 
 // unknownName names unknown i for diagnostics: its node name, or its
@@ -134,10 +122,10 @@ func (c *Circuit) unknownName(i int) string {
 // solveRobust runs the fallback ladder of production SPICE engines on
 // the system already configured in ctx: plain Newton, then gmin
 // stepping, then source stepping.
-func (c *Circuit) solveRobust(ctx *Context, opt NROptions) error {
+func (c *Circuit) solveRobust(ctx *Context) error {
 	ctx.SrcScale = 1
 	ctx.Gmin = 1e-12
-	if err := c.solveNewton(ctx, opt); err == nil {
+	if err := c.solveNewton(ctx); err == nil {
 		return nil
 	}
 
@@ -149,7 +137,7 @@ func (c *Circuit) solveRobust(ctx *Context, opt NROptions) error {
 	ok := true
 	for _, g := range []float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12} {
 		ctx.Gmin = g
-		if err := c.solveNewton(ctx, opt); err != nil {
+		if err := c.solveNewton(ctx); err != nil {
 			ok = false
 			break
 		}
@@ -165,7 +153,7 @@ func (c *Circuit) solveRobust(ctx *Context, opt NROptions) error {
 	ctx.Gmin = 1e-12
 	for s := 0.05; s <= 1.0001; s += 0.05 {
 		ctx.SrcScale = s
-		if err := c.solveNewton(ctx, opt); err != nil {
+		if err := c.solveNewton(ctx); err != nil {
 			return fmt.Errorf("spice: solve failed at source scale %.2f: %w", s, err)
 		}
 	}
@@ -177,100 +165,21 @@ func (c *Circuit) solveRobust(ctx *Context, opt NROptions) error {
 func (c *Circuit) OP() (*Context, error) {
 	ctx := c.newContext()
 	ctx.DC = true
-	if err := c.solveRobust(ctx, NROptions{}); err != nil {
+	if err := c.solveRobust(ctx); err != nil {
 		return nil, fmt.Errorf("spice: OP: %w", err)
 	}
 	return ctx, nil
 }
 
-// DCSweepResult holds a swept-source DC analysis: one solution per
-// sweep value, with continuation between points.
-type DCSweepResult struct {
-	Values [][]float64 // Values[i] is the full solution at sweep point i
-	Sweep  []float64
-	names  map[string]int
-}
-
-// V returns the voltage series of node name over the sweep.
-func (r *DCSweepResult) V(name string) []float64 {
-	idx, ok := r.names[name]
-	if !ok {
-		return nil
-	}
-	out := make([]float64, len(r.Values))
-	for i, x := range r.Values {
-		out[i] = x[idx]
-	}
-	return out
-}
-
-// DCSweep sweeps the waveform of the named voltage or current source
-// through the given values, solving the DC system at each point with
-// continuation from the previous solution. The source's waveform is
-// restored afterwards.
-func (c *Circuit) DCSweep(srcName string, values []float64) (*DCSweepResult, error) {
-	el := c.Element(srcName)
-	if el == nil {
-		return nil, fmt.Errorf("spice: no source named %q", srcName)
-	}
-	var restore func()
-	setVal := func(v float64) {}
-	switch s := el.(type) {
-	case *VSource:
-		old := s.W
-		restore = func() { s.W = old }
-		setVal = func(v float64) { s.W = DC(v) }
-	case *ISource:
-		old := s.W
-		restore = func() { s.W = old }
-		setVal = func(v float64) { s.W = DC(v) }
-	default:
-		return nil, fmt.Errorf("spice: element %q is not an independent source", srcName)
-	}
-	defer restore()
-
-	if len(values) == 0 {
-		return nil, fmt.Errorf("spice: empty DC sweep")
-	}
-	setVal(values[0])
-	ctx, err := c.OP()
-	if err != nil {
-		return nil, fmt.Errorf("spice: DC sweep start: %w", err)
-	}
-	res := &DCSweepResult{
-		Sweep: append([]float64(nil), values...),
-		names: c.nodeIndex,
-	}
-	snapshot := func() {
-		x := make([]float64, len(ctx.X))
-		copy(x, ctx.X)
-		res.Values = append(res.Values, x)
-	}
-	snapshot()
-	opt := NROptions{}
-	for _, v := range values[1:] {
-		setVal(v)
-		if err := c.solveNewton(ctx, opt); err != nil {
-			return nil, fmt.Errorf("spice: DC sweep at %g: %w", v, err)
-		}
-		snapshot()
-	}
-	return res, nil
-}
-
 // TranOptions configures a transient analysis.
 type TranOptions struct {
-	Dt     float64 // fixed output timestep (required)
-	Stop   float64 // stop time (required)
-	Method Integrator
+	Dt   float64 // fixed output timestep (required)
+	Stop float64 // stop time (required)
 	// UIC skips the DC operating point and starts from all-zero node
 	// voltages (SPICE "use initial conditions"). This is the right mode
 	// for the neuron circuits, whose interesting state is the start-up
 	// charge trajectory of the membrane capacitor.
 	UIC bool
-	// MaxSubdiv bounds how many times a non-converging step is halved
-	// before the analysis fails (default 10).
-	MaxSubdiv int
 	// Record filters which node and source names are recorded; empty
 	// records all. A run without Until presizes every recorded column.
 	Record []string
@@ -356,30 +265,17 @@ func (c *Circuit) Tran(opt TranOptions) (*TranResult, error) {
 	if opt.Dt <= 0 || opt.Stop <= 0 {
 		return nil, fmt.Errorf("spice: transient needs positive Dt and Stop (got %g, %g)", opt.Dt, opt.Stop)
 	}
-	if opt.MaxSubdiv == 0 {
-		opt.MaxSubdiv = 10
-	}
-	// Reset dynamic element state from any previous run.
-	for _, e := range c.elements {
-		if s, ok := e.(stateful); ok {
-			s.reset()
-		}
-	}
-
 	var ctx *Context
 	if opt.UIC {
 		// The t=0 point under UIC is a cold DC-like solve: sources are at
 		// their t=0 values while every capacitor holds its (zero) initial
 		// charge. Solving it with a vanishing timestep turns the
 		// capacitors into stiff clamps at their initial voltages, and the
-		// full fallback ladder handles the nonlinear resistive rest.
+		// full fallback ladder handles the nonlinear resistive rest. A
+		// nil XPrev reads as all-zero (Context.VPrev).
 		ctx = c.newContext()
-		ctx.DC = false
-		ctx.Time = 0
 		ctx.Dt = 1e-18
-		ctx.Method = BackwardEuler
-		ctx.XPrev = make([]float64, len(ctx.X))
-		if err := c.solveRobust(ctx, NROptions{}); err != nil {
+		if err := c.solveRobust(ctx); err != nil {
 			return nil, fmt.Errorf("spice: transient UIC start point: %w", err)
 		}
 	} else {
@@ -388,13 +284,11 @@ func (c *Circuit) Tran(opt TranOptions) (*TranResult, error) {
 			return nil, fmt.Errorf("spice: transient DC operating point: %w", err)
 		}
 		ctx = op
-		ctx.XPrev = make([]float64, len(ctx.X))
 	}
 	ctx.DC = false
 	ctx.Gmin = 1e-12
 	ctx.SrcScale = 1
-	ctx.Method = opt.Method
-	copy(ctx.XPrev, ctx.X)
+	ctx.XPrev = append([]float64(nil), ctx.X...)
 
 	res, unknowns := c.recordPlan(opt)
 	record := func(t float64) {
@@ -404,7 +298,6 @@ func (c *Circuit) Tran(opt TranOptions) (*TranResult, error) {
 		}
 	}
 
-	nrOpt := NROptions{}
 	// Full Dt steps that fit before Stop (the epsilon absorbs float
 	// division noise when Stop is an exact multiple of Dt), plus a
 	// final short step to exactly Stop when it is not: rounding the
@@ -426,7 +319,7 @@ func (c *Circuit) Tran(opt TranOptions) (*TranResult, error) {
 	t := 0.0
 	for step := 1; step <= nFull; step++ {
 		target := float64(step) * opt.Dt
-		if err := c.advance(ctx, t, target, opt, nrOpt, 0); err != nil {
+		if err := c.advance(ctx, t, target, 0); err != nil {
 			return nil, fmt.Errorf("spice: transient at t=%.4g: %w", target, err)
 		}
 		t = target
@@ -436,7 +329,7 @@ func (c *Circuit) Tran(opt TranOptions) (*TranResult, error) {
 		}
 	}
 	if partial {
-		if err := c.advance(ctx, t, opt.Stop, opt, nrOpt, 0); err != nil {
+		if err := c.advance(ctx, t, opt.Stop, 0); err != nil {
 			return nil, fmt.Errorf("spice: transient at t=%.4g: %w", opt.Stop, err)
 		}
 		record(opt.Stop)
@@ -446,7 +339,7 @@ func (c *Circuit) Tran(opt TranOptions) (*TranResult, error) {
 
 // advance moves the solution from time t0 to t1, recursively halving on
 // Newton failure.
-func (c *Circuit) advance(ctx *Context, t0, t1 float64, opt TranOptions, nrOpt NROptions, depth int) error {
+func (c *Circuit) advance(ctx *Context, t0, t1 float64, depth int) error {
 	ctx.Time = t1
 	ctx.Dt = t1 - t0
 	// Save state so a failed attempt can be retried on a finer grid. The
@@ -458,7 +351,7 @@ func (c *Circuit) advance(ctx *Context, t0, t1 float64, opt TranOptions, nrOpt N
 	copy(saveX, ctx.X)
 	copy(savePrev, ctx.XPrev)
 
-	err := c.solveNewton(ctx, nrOpt)
+	err := c.solveNewton(ctx)
 	if err != nil {
 		// Regenerative switching events (both neuron circuits fire
 		// through high-gain positive-feedback loops) can defeat plain
@@ -469,7 +362,7 @@ func (c *Circuit) advance(ctx *Context, t0, t1 float64, opt TranOptions, nrOpt N
 		gminErr := error(nil)
 		for _, g := range []float64{1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12} {
 			ctx.Gmin = g
-			if gminErr = c.solveNewton(ctx, nrOpt); gminErr != nil {
+			if gminErr = c.solveNewton(ctx); gminErr != nil {
 				break
 			}
 		}
@@ -479,26 +372,20 @@ func (c *Circuit) advance(ctx *Context, t0, t1 float64, opt TranOptions, nrOpt N
 		}
 	}
 	if err == nil {
-		// Accept: advance dynamic state.
-		for _, e := range c.elements {
-			if s, ok := e.(stateful); ok {
-				s.accept(ctx)
-			}
-		}
 		copy(ctx.XPrev, ctx.X)
 		return nil
 	}
-	if depth >= opt.MaxSubdiv {
+	if depth >= maxSubdiv {
 		return err
 	}
 	// Restore and retry in two half-steps.
 	copy(ctx.X, saveX)
 	copy(ctx.XPrev, savePrev)
 	mid := 0.5 * (t0 + t1)
-	if err := c.advance(ctx, t0, mid, opt, nrOpt, depth+1); err != nil {
+	if err := c.advance(ctx, t0, mid, depth+1); err != nil {
 		return err
 	}
-	return c.advance(ctx, mid, t1, opt, nrOpt, depth+1)
+	return c.advance(ctx, mid, t1, depth+1)
 }
 
 // debugNR enables NR failure diagnostics when the SPICE_DEBUG

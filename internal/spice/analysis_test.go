@@ -164,7 +164,7 @@ func TestTranUntilStopsAtStep(t *testing.T) {
 // absorbs it. The old code computed xNew − X after X was updated, which
 // at damping scale 1 always printed ~0 — useless. Here a linear solve
 // from a slightly perturbed start converges arithmetically in one
-// iteration but fails the tolerance check at MaxIter=1, and the
+// iteration but fails the tolerance check at one iteration, and the
 // diagnostic must name the true ~1 mV delta.
 func TestDebugNRReportsUnscaledDelta(t *testing.T) {
 	c := New()
@@ -182,8 +182,12 @@ func TestDebugNRReportsUnscaledDelta(t *testing.T) {
 	debugNR, debugOut = true, &buf
 	defer func() { debugNR, debugOut = oldDebug, oldOut }()
 
-	if err := c.solveNewton(ctx, NROptions{MaxIter: 1}); err == nil {
-		t.Fatal("expected non-convergence at MaxIter=1")
+	oldMax := nrMaxIter
+	nrMaxIter = 1
+	defer func() { nrMaxIter = oldMax }()
+
+	if err := c.solveNewton(ctx); err == nil {
+		t.Fatal("expected non-convergence at one iteration")
 	}
 	m := regexp.MustCompile(`worst delta ([0-9.eE+-]+)`).FindStringSubmatch(buf.String())
 	if m == nil {

@@ -3,7 +3,7 @@ package spice
 import "fmt"
 
 // DCSolver is a reusable handle for repeated DC solves over one
-// circuit. Where OP/DCSweep build a fresh assembly context (matrix
+// circuit. Where OP builds a fresh assembly context (matrix
 // workspace, tier partition, constant base system) per analysis, a
 // DCSolver builds it once and keeps it across solves, so workloads
 // that re-solve the same topology under patched element values — the
@@ -40,20 +40,17 @@ func (c *Circuit) BeginDC() *DCSolver {
 // plain Newton fails, the full robust ladder (gmin and source
 // stepping) takes over, so Solve is safe from any starting point.
 func (s *DCSolver) Solve() error {
-	if err := s.c.solveNewton(s.ctx, NROptions{}); err == nil {
+	if err := s.c.solveNewton(s.ctx); err == nil {
 		return nil
 	}
-	if err := s.c.solveRobust(s.ctx, NROptions{}); err != nil {
-		return fmt.Errorf("spice: DC solve: %w", err)
-	}
-	return nil
+	return s.SolveRobust()
 }
 
 // SolveRobust runs the full fallback ladder unconditionally — the
 // equivalent of OP on this context. Use it to establish the first
 // solution a Solve continuation chain then walks from.
 func (s *DCSolver) SolveRobust() error {
-	if err := s.c.solveRobust(s.ctx, NROptions{}); err != nil {
+	if err := s.c.solveRobust(s.ctx); err != nil {
 		return fmt.Errorf("spice: DC solve: %w", err)
 	}
 	return nil

@@ -31,15 +31,12 @@ func (r *Resistor) StampConst(ctx *Context) {
 // Stamp implements Element.
 func (r *Resistor) Stamp(ctx *Context) { r.StampConst(ctx) }
 
-// Capacitor is a linear two-terminal capacitance discretized with the
-// analysis integrator (backward Euler or trapezoidal).
+// Capacitor is a linear two-terminal capacitance discretized with
+// backward Euler.
 type Capacitor struct {
 	name   string
 	a, b   int
 	Farads float64
-
-	iPrev  float64 // accepted capacitor current (trapezoidal state)
-	primed bool    // true once one accepted step has seeded iPrev
 }
 
 // C adds a capacitor between nodes a and b.
@@ -63,16 +60,6 @@ func (cp *Capacitor) StampStep(ctx *Context) {
 		return // open circuit at DC
 	}
 	vPrev := ctx.VPrev(cp.a) - ctx.VPrev(cp.b)
-	// The very first trapezoidal step has no accepted capacitor current
-	// yet, so it is taken with backward Euler (standard SPICE practice).
-	if ctx.Method == Trapezoidal && cp.primed {
-		g := 2 * cp.Farads / ctx.Dt
-		ctx.StampConductance(cp.a, cp.b, g)
-		// i = g·v − (g·vPrev + iPrev)
-		ieq := g*vPrev + cp.iPrev
-		ctx.StampCurrent(cp.a, cp.b, -ieq)
-		return
-	}
 	g := cp.Farads / ctx.Dt
 	ctx.StampConductance(cp.a, cp.b, g)
 	ctx.StampCurrent(cp.a, cp.b, -g*vPrev)
@@ -80,25 +67,6 @@ func (cp *Capacitor) StampStep(ctx *Context) {
 
 // Stamp implements Element.
 func (cp *Capacitor) Stamp(ctx *Context) { cp.StampStep(ctx) }
-
-// accept implements stateful: records the capacitor current at the
-// accepted solution for the trapezoidal method.
-func (cp *Capacitor) accept(ctx *Context) {
-	if ctx.Dt <= 0 {
-		return
-	}
-	v := ctx.V(cp.a) - ctx.V(cp.b)
-	vPrev := ctx.VPrev(cp.a) - ctx.VPrev(cp.b)
-	if ctx.Method == Trapezoidal && cp.primed {
-		g := 2 * cp.Farads / ctx.Dt
-		cp.iPrev = g*(v-vPrev) - cp.iPrev
-	} else {
-		cp.iPrev = cp.Farads / ctx.Dt * (v - vPrev)
-	}
-	cp.primed = true
-}
-
-func (cp *Capacitor) reset() { cp.iPrev, cp.primed = 0, false }
 
 // VSource is an independent voltage source carrying a branch-current
 // unknown.
@@ -122,8 +90,7 @@ func (v *VSource) Name() string { return v.name }
 // Terminals returns the connected node indices.
 func (v *VSource) Terminals() []int { return []int{v.p, v.n} }
 
-func (v *VSource) setBranch(i int)  { v.branch = i }
-func (v *VSource) numBranches() int { return 1 }
+func (v *VSource) setBranch(i int) { v.branch = i }
 
 // StampConst implements constStamper: the branch-current topology rows
 // are pure ±1 structure.
@@ -256,8 +223,7 @@ func (o *OpAmp) Name() string { return o.name }
 // Terminals returns the connected node indices.
 func (o *OpAmp) Terminals() []int { return []int{o.inP, o.inN, o.out} }
 
-func (o *OpAmp) setBranch(i int)  { o.branch = i }
-func (o *OpAmp) numBranches() int { return 1 }
+func (o *OpAmp) setBranch(i int) { o.branch = i }
 
 // transfer returns f(vd) and f'(vd).
 func (o *OpAmp) transfer(vd float64) (f, df float64) {
@@ -330,8 +296,7 @@ func (e *VCVS) Name() string { return e.name }
 // Terminals returns the connected node indices.
 func (e *VCVS) Terminals() []int { return []int{e.p, e.n, e.cp, e.cn} }
 
-func (e *VCVS) setBranch(i int)  { e.branch = i }
-func (e *VCVS) numBranches() int { return 1 }
+func (e *VCVS) setBranch(i int) { e.branch = i }
 
 // StampConst implements constStamper: a linear controlled source is
 // pure constant structure.

@@ -60,28 +60,20 @@ func TestIncrementalMatchesFullRestamp_Tran(t *testing.T) {
 // TestIncrementalMatchesFullRestamp_DCSweep compares an inverter VTC —
 // the membrane-threshold measurement path — point by point.
 func TestIncrementalMatchesFullRestamp_DCSweep(t *testing.T) {
-	build := func(full bool) *Circuit {
+	vtc := func(full bool, sweep []float64) []float64 {
 		c := New()
 		c.fullRestamp = full
 		c.V("VDD", "vdd", "0", DC(1.0))
-		c.V("VIN", "in", "0", DC(0))
+		vin := c.V("VIN", "in", "0", DC(0))
 		c.PMOSDev("MP", "out", "in", "vdd", 2e-6, 100e-9, PMOS65())
 		c.NMOSDev("MN", "out", "in", "0", 1e-6, 100e-9, NMOS65())
-		return c
+		return transfer(t, c, vin, "out", sweep)
 	}
 	var sweep []float64
 	for v := 0.0; v <= 1.0001; v += 0.0025 {
 		sweep = append(sweep, v)
 	}
-	inc, err := build(false).DCSweep("VIN", sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := build(true).DCSweep("VIN", sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vi, vr := inc.V("out"), ref.V("out")
+	vi, vr := vtc(false, sweep), vtc(true, sweep)
 	for k := range sweep {
 		if d := math.Abs(vi[k] - vr[k]); d > 1e-9 {
 			t.Fatalf("VTC at vin=%g differs by %g", sweep[k], d)
@@ -134,11 +126,11 @@ func TestSolveNewtonAllocationFree(t *testing.T) {
 	ctx := c.newContext()
 	ctx.DC = true
 	ctx.Gmin = 1e-12
-	if err := c.solveRobust(ctx, NROptions{}); err != nil {
+	if err := c.solveRobust(ctx); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := c.solveNewton(ctx, NROptions{}); err != nil {
+		if err := c.solveNewton(ctx); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -158,7 +150,7 @@ func TestSolverCountsOneIterationCounter(t *testing.T) {
 	ctx := c.newContext()
 	ctx.DC = true
 	ctx.Gmin = 1e-12
-	if err := c.solveRobust(ctx, NROptions{}); err != nil {
+	if err := c.solveRobust(ctx); err != nil {
 		t.Fatal(err)
 	}
 	_, iters, restamps := SolverCounts()

@@ -68,49 +68,6 @@ func TestRCChargingTransient(t *testing.T) {
 	almostEqual(t, v[len(v)-1], 1.0, 0.01, "RC settled")
 }
 
-func TestRCTrapezoidalMatchesAnalytic(t *testing.T) {
-	c := New()
-	c.V("V1", "in", "0", DC(1.0))
-	c.R("R1", "in", "out", 1e3)
-	c.C("C1", "out", "0", 1e-6)
-	res, err := c.Tran(TranOptions{Dt: 50e-6, Stop: 3e-3, UIC: true, Method: Trapezoidal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := res.V("out")
-	for i, tm := range res.Time {
-		want := 1 - math.Exp(-tm/1e-3)
-		if math.Abs(v[i]-want) > 0.01 {
-			t.Fatalf("trap at t=%g: got %.4f want %.4f", tm, v[i], want)
-		}
-	}
-}
-
-func TestTrapezoidalMoreAccurateThanBE(t *testing.T) {
-	run := func(m Integrator) float64 {
-		c := New()
-		c.V("V1", "in", "0", DC(1.0))
-		c.R("R1", "in", "out", 1e3)
-		c.C("C1", "out", "0", 1e-6)
-		res, err := c.Tran(TranOptions{Dt: 100e-6, Stop: 2e-3, UIC: true, Method: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := res.V("out")
-		var worst float64
-		for i, tm := range res.Time {
-			if e := math.Abs(v[i] - (1 - math.Exp(-tm/1e-3))); e > worst {
-				worst = e
-			}
-		}
-		return worst
-	}
-	be, tr := run(BackwardEuler), run(Trapezoidal)
-	if tr >= be {
-		t.Fatalf("trapezoidal error %.3g should beat backward Euler %.3g at coarse dt", tr, be)
-	}
-}
-
 func TestCapacitorOpenAtDC(t *testing.T) {
 	c := New()
 	c.V("V1", "in", "0", DC(1.0))
@@ -177,18 +134,14 @@ func TestInverterVTC(t *testing.T) {
 	// Symmetric inverter at VDD=1 V should switch near 0.5 V.
 	c := New()
 	c.V("VDD", "vdd", "0", DC(1.0))
-	c.V("VIN", "in", "0", DC(0))
+	vin := c.V("VIN", "in", "0", DC(0))
 	c.PMOSDev("MP", "out", "in", "vdd", 2e-6, 100e-9, PMOS65())
 	c.NMOSDev("MN", "out", "in", "0", 1e-6, 100e-9, NMOS65())
 	var sweep []float64
 	for v := 0.0; v <= 1.0001; v += 0.01 {
 		sweep = append(sweep, v)
 	}
-	res, err := c.DCSweep("VIN", sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vout := res.V("out")
+	vout := transfer(t, c, vin, "out", sweep)
 	if vout[0] < 0.95 {
 		t.Fatalf("inverter output at vin=0 should be ≈VDD, got %.3f", vout[0])
 	}
@@ -206,6 +159,27 @@ func TestInverterVTC(t *testing.T) {
 	if sw < 0.40 || sw > 0.60 {
 		t.Fatalf("inverter switching threshold = %.3f, want ≈0.5", sw)
 	}
+}
+
+// transfer solves c's DC system at each value of the source src, the
+// first point robustly and each later one by Newton continuation from
+// the one before, and returns node's voltage at every point.
+func transfer(t *testing.T, c *Circuit, src *VSource, node string, values []float64) []float64 {
+	t.Helper()
+	s := c.BeginDC()
+	out := make([]float64, len(values))
+	for i, v := range values {
+		src.W = DC(v)
+		solve := s.Solve
+		if i == 0 {
+			solve = s.SolveRobust
+		}
+		if err := solve(); err != nil {
+			t.Fatalf("at %g: %v", v, err)
+		}
+		out[i] = s.V(node)
+	}
+	return out
 }
 
 func TestOpAmpUnityFollower(t *testing.T) {
@@ -301,18 +275,6 @@ func TestTranRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := c.Tran(TranOptions{Dt: 1e-6, Stop: 0}); err == nil {
 		t.Fatal("expected error for Stop=0")
-	}
-}
-
-func TestDCSweepUnknownSource(t *testing.T) {
-	c := New()
-	c.V("V1", "in", "0", DC(1))
-	c.R("R1", "in", "0", 1e3)
-	if _, err := c.DCSweep("VX", []float64{0, 1}); err == nil {
-		t.Fatal("expected unknown-source error")
-	}
-	if _, err := c.DCSweep("R1", []float64{0, 1}); err == nil {
-		t.Fatal("expected not-a-source error")
 	}
 }
 

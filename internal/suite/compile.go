@@ -136,6 +136,11 @@ func (e *Entry) validate() error {
 		if len(c.VDDs) == 0 {
 			return fmt.Errorf("coverage needs vdds")
 		}
+		for _, v := range c.VDDs {
+			if err := core.Attack5Supply(v); err != nil {
+				return err
+			}
+		}
 	}
 	if o := e.Overhead; o != nil {
 		if o.Neurons <= 0 || o.PerLayer <= 0 {

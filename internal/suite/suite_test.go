@@ -149,6 +149,14 @@ func TestValidateCatchesSpecErrors(t *testing.T) {
 				Defenses: []DefenseSpec{{Kind: "tinfoil"}}},
 			Output: &OutputSpec{CSV: "x.csv", Header: "h", Fields: []string{"scale_pc"}},
 		}), "tinfoil"},
+		{"coverage supply outside the anchors", mk(Entry{ID: "A",
+			Coverage: &CoverageSpec{Neuron: "iaf", VDDs: []float64{0.8, 1.3}},
+			Output:   &OutputSpec{CSV: "x.csv", Header: "h"},
+		}), "1.3 V is outside"},
+		{"attack 5 supply outside the anchors", mk(Entry{ID: "A",
+			Scenario: &ScenarioSpec{Name: "s", Attack: 5, Neuron: "ah", VDDs: []float64{-1}},
+			Output:   &OutputSpec{CSV: "x.csv", Header: "h", Fields: []string{"vdd_v"}},
+		}), "-1 V is outside"},
 		{"multi-neuron detection needs placeholder", mk(Entry{ID: "A",
 			Detection: &DetectionSpec{Neurons: []string{"ah", "iaf"}, VDDs: []float64{1}},
 			Output:    &OutputSpec{CSV: "same.csv", Header: "h"},

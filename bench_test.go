@@ -611,40 +611,12 @@ func BenchmarkStep_Infer(b *testing.B) { benchStepTrain(b, false) }
 
 // --- Intra-cell inference engine benches ---
 
-// BenchmarkEvaluate is the acceptance bench for the intra-cell
-// parallel inference engine: a full read-only evaluation pass
-// (64 images at the reduced network scale) of one untrained network,
-// at several worker counts. Results are bit-identical at every
-// width; on a ≥4-core machine workers=4 should be ≥3× faster than
-// workers=1 (enforced by snn.TestEvaluateParallelSpeedup).
-func BenchmarkEvaluate(b *testing.B) {
-	cfg := benchConfig()
-	n, err := snn.NewDiehlCook(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := snn.EncodeCorpus(mnist.Synthetic(64, 3), encoding.NewPoissonEncoder(42), cfg.Steps)
-	assignments := make([]int, cfg.NExc)
-	for j := range assignments {
-		assignments[j] = j % 10
-	}
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var acc float64
-			for i := 0; i < b.N; i++ {
-				acc, err = snn.EvaluateParallel(n, c, assignments, snn.EvalOptions{Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(c.Len())*float64(b.N)/b.Elapsed().Seconds(), "images/s")
-			_ = acc
-		})
-	}
-}
-
-// BenchmarkCountsParallel measures the label-assignment kernel (the
-// counts-returning variant TrainWith's second pass runs).
+// BenchmarkCountsParallel is the acceptance bench for the intra-cell
+// parallel inference engine: the frozen label-assignment pass
+// TrainWith's second pass runs, over 64 images at the reduced network
+// scale, at 1 and 4 workers. Counts are bit-identical at every width;
+// on a ≥4-core machine workers=4 should be ≥3× faster than workers=1
+// (enforced by snn.TestEvaluateParallelSpeedup).
 func BenchmarkCountsParallel(b *testing.B) { benchCountsParallel(b, 1) }
 
 // BenchmarkCountsParallelCollapsed is BenchmarkCountsParallel with the

@@ -24,14 +24,10 @@
 //	cached -dir store -addr 0.0.0.0:8475       # fixed address
 //	cached -dir store -addr-file store.addr    # write the bound address (CI/scripts)
 //
-// Long-lived campaign service: POST a suite JSON to /campaign and poll
-// GET /campaign/{id} for live present/missing progress, each cell
-// looked up by key; GET /campaign/{id}/cells serves the cells already
-// computed, the baseline among them, as stored. GET /metrics exports
-// the obs registry (request counters, per-tier cache counters,
-// request-duration histograms); GET /healthz reports liveness and the
-// store protocol version, which every command given -store checks at
-// start.
+// GET /metrics exports the obs registry (request counters, per-tier
+// cache counters, request-duration histograms); GET /healthz reports
+// liveness and the store protocol version, which every command given
+// -store checks at start.
 package main
 
 import (
@@ -59,8 +55,8 @@ func main() {
 // Connection time limits. Without them a client that stalls while
 // sending its headers or body, or parks an idle keep-alive connection,
 // holds that connection and its goroutine for as long as the store
-// runs. Cells and suites are small JSON documents, so a minute for a
-// whole request is generous.
+// runs. Cells are small JSON documents, so a minute for a whole
+// request is generous.
 const (
 	readHeaderTimeout = 10 * time.Second
 	readTimeout       = time.Minute
@@ -83,7 +79,6 @@ func run() error {
 		dir      = flag.String("dir", "store", "store directory (per-tier subdirectories, the -cache-dir layout)")
 		addr     = flag.String("addr", "127.0.0.1:0", "listen address (port 0 = pick a free port)")
 		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts that cannot race a fixed port)")
-		dataDir  = flag.String("data", "", "optional real-MNIST directory for campaign audits (must match what workers train from)")
 		quiet    = flag.Bool("quiet", false, "suppress the startup line")
 	)
 	flag.Parse()
@@ -93,7 +88,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	srv.DataDir = *dataDir
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -3,14 +3,12 @@
 // becomes an independent Bernoulli spike process whose rate is
 // proportional to intensity.
 //
-// Two samplers produce that process (see Sampling): the default
-// geometric skip-sampler draws one exponential variate per *spike*
-// (sampling the gap to each pixel's next spike and skipping the quiet
-// steps), while the reference sampler draws one uniform per nonzero
-// pixel per *step*.
-// Both realize exactly the same per-step Bernoulli distribution; they
-// consume the random stream differently, which is why the sampler is
-// part of the training protocol (snn.ProtocolVersion).
+// The encoder draws that process with a geometric skip-sampler: one
+// exponential variate per *spike*, sampling the gap to each pixel's
+// next spike and skipping the quiet steps, where a draw-per-pixel
+// sampler draws one uniform per nonzero pixel per *step*. The per-step
+// law is the same; the random stream is consumed differently, which is
+// why the sampler is part of the training protocol (snn.ProtocolVersion).
 package encoding
 
 import (
@@ -19,27 +17,6 @@ import (
 	"math/rand"
 
 	"snnfi/internal/mnist"
-)
-
-// Sampling selects how a PoissonEncoder draws spikes from the random
-// stream.
-type Sampling int
-
-const (
-	// SkipSampling, the default, samples each pixel's gap to its next
-	// spike from the geometric distribution and skips the quiet steps:
-	// one ziggurat exponential draw per spike (plus one per pixel at
-	// Begin and one per deferral window), instead of one uniform per
-	// nonzero pixel per step. This is the train-protocol-v3 RNG
-	// contract.
-	SkipSampling Sampling = iota
-	// ReferenceSampling is the draw-per-pixel reference implementation
-	// (the train-protocol-v2 contract): every nonzero-probability pixel
-	// consumes one uniform every step. Statistically identical to
-	// SkipSampling (see TestSkipSamplingMatchesReferenceStatistics);
-	// kept selectable as the ground truth the skip-sampler is verified
-	// against.
-	ReferenceSampling
 )
 
 // Skip-sampler event ring: pending spike/deferral events are bucketed
@@ -63,10 +40,6 @@ const (
 type PoissonEncoder struct {
 	MaxRate float64 // peak firing rate for a saturated pixel (Hz)
 	Dt      float64 // timestep (ms)
-	// Mode selects the sampler; the zero value is SkipSampling. Must be
-	// set before Begin (switching between Begin and EncodeStep would
-	// desynchronize the streaming state).
-	Mode Sampling
 
 	rng  *rand.Rand
 	seed int64
@@ -75,9 +48,8 @@ type PoissonEncoder struct {
 	// pixels and a reusable spike buffer, so encoding one timestep
 	// allocates nothing. One image streams at a time per encoder; Begin
 	// resets the state.
-	idx   []int
-	probs []float64 // reference sampler: per-slot spike probability
-	buf   []int
+	idx []int
+	buf []int
 
 	// Skip-sampler state: per-slot 1/ln(1/(1−p)) — the exponential-to-
 	// geometric scale of drawGap; 0 marks p ≥ 1, a pixel that spikes
@@ -127,25 +99,12 @@ func (e *PoissonEncoder) Probabilities(img *mnist.Image) []float64 {
 }
 
 // Begin prepares streaming encoding of img: it precomputes the list of
-// pixels with nonzero spike probability and, under SkipSampling, draws
-// each pixel's first spike step. Under ReferenceSampling the random
-// stream is consumed exactly as by the pre-v3 encoder (one draw per
-// nonzero-probability pixel per step, in pixel order). Under either
-// mode, streaming (Begin/EncodeStep) and materialized (Encode) paths
-// are bit-identical for the same seed.
+// pixels with nonzero spike probability and draws each pixel's first
+// spike step. Streaming (Begin/EncodeStep) and materialized (Encode)
+// paths are bit-identical for the same seed.
 func (e *PoissonEncoder) Begin(img *mnist.Image) {
 	scale := e.MaxRate * e.Dt / 1000 / 255
 	e.idx = e.idx[:0]
-	if e.Mode == ReferenceSampling {
-		e.probs = e.probs[:0]
-		for i, px := range img.Pixels {
-			if p := float64(px) * scale; p > 0 {
-				e.idx = append(e.idx, i)
-				e.probs = append(e.probs, p)
-			}
-		}
-		return
-	}
 	e.invLnQ = e.invLnQ[:0]
 	for i := range e.ring {
 		e.ring[i] = e.ring[i][:0]
@@ -217,16 +176,6 @@ func (e *PoissonEncoder) scheduleFrom(slot int32, pos int) {
 // Encoding a step performs no allocation once the buffers have warmed
 // up.
 func (e *PoissonEncoder) EncodeStep() []int {
-	if e.Mode == ReferenceSampling {
-		e.buf = e.buf[:0]
-		for k, p := range e.probs {
-			if e.rng.Float64() < p {
-				e.buf = append(e.buf, e.idx[k])
-			}
-		}
-		return e.buf
-	}
-
 	t := e.step
 	bucket := e.ring[t&ringMask]
 	e.buf = e.buf[:0]

@@ -118,29 +118,24 @@ func avg(xs []int) float64 {
 }
 
 // TestStreamMatchesEncode pins the streaming Begin/EncodeStep path
-// against the materialized Encode, under both samplers: for the same
-// seed both must consume the random stream identically and produce
-// bit-identical spike trains.
+// against the materialized Encode: for the same seed both must consume
+// the random stream identically and produce bit-identical spike
+// trains.
 func TestStreamMatchesEncode(t *testing.T) {
 	img := testImage()
 	const steps = 300
-	for _, mode := range []Sampling{SkipSampling, ReferenceSampling} {
-		mat := NewPoissonEncoder(13)
-		mat.Mode = mode
-		train := mat.Encode(img, steps)
-		stream := NewPoissonEncoder(13)
-		stream.Mode = mode
-		stream.Begin(img)
-		for tt := 0; tt < steps; tt++ {
-			got := stream.EncodeStep()
-			want := train[tt]
-			if len(got) != len(want) {
-				t.Fatalf("mode %d step %d: %d spikes streamed, %d materialized", mode, tt, len(got), len(want))
-			}
-			for k := range got {
-				if got[k] != want[k] {
-					t.Fatalf("mode %d step %d spike %d: pixel %d streamed, %d materialized", mode, tt, k, got[k], want[k])
-				}
+	train := NewPoissonEncoder(13).Encode(img, steps)
+	stream := NewPoissonEncoder(13)
+	stream.Begin(img)
+	for tt := 0; tt < steps; tt++ {
+		got := stream.EncodeStep()
+		want := train[tt]
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %d spikes streamed, %d materialized", tt, len(got), len(want))
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("step %d spike %d: pixel %d streamed, %d materialized", tt, k, got[k], want[k])
 			}
 		}
 	}
@@ -163,47 +158,6 @@ func TestStreamStepAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("EncodeStep allocates %.1f objects per step, want 0", allocs)
-	}
-}
-
-// TestReferenceSamplingIsLegacyStream proves ReferenceSampling is
-// selectable and reproduces the pre-v3 draw-per-pixel algorithm
-// bit-exactly: one uniform per nonzero-probability pixel per step, in
-// pixel order, spike iff U < p. The legacy algorithm is spelled out
-// inline so a regression in either the mode switch or the reference
-// path fails against first principles, not against itself.
-func TestReferenceSamplingIsLegacyStream(t *testing.T) {
-	img := testImage()
-	const steps, seed = 200, 41
-	enc := NewPoissonEncoder(seed)
-	enc.Mode = ReferenceSampling
-	got := enc.Encode(img, steps)
-
-	rng := rand.New(rand.NewSource(seed))
-	scale := 128.0 / 1000 / 255
-	var idx []int
-	var probs []float64
-	for i, px := range img.Pixels {
-		if p := float64(px) * scale; p > 0 {
-			idx = append(idx, i)
-			probs = append(probs, p)
-		}
-	}
-	for tt := 0; tt < steps; tt++ {
-		var want []int
-		for k, p := range probs {
-			if rng.Float64() < p {
-				want = append(want, idx[k])
-			}
-		}
-		if len(got[tt]) != len(want) {
-			t.Fatalf("step %d: %d spikes, legacy draws %d", tt, len(got[tt]), len(want))
-		}
-		for j := range want {
-			if got[tt][j] != want[j] {
-				t.Fatalf("step %d spike %d: pixel %d, legacy %d", tt, j, got[tt][j], want[j])
-			}
-		}
 	}
 }
 
@@ -264,6 +218,25 @@ func statImage() *mnist.Image {
 	return &img
 }
 
+// referenceCounts is the draw-per-pixel Bernoulli sampler (the
+// train-protocol-v2 encoder), the reference the skip-sampler is
+// checked against: every step, each nonzero-probability pixel draws
+// one uniform, in pixel order, and spikes iff it falls below p. It
+// returns each pixel's spike count over steps.
+func referenceCounts(img *mnist.Image, seed int64, steps int) []int {
+	rng := rand.New(rand.NewSource(seed))
+	probs := NewPoissonEncoder(seed).Probabilities(img)
+	counts := make([]int, len(probs))
+	for tt := 0; tt < steps; tt++ {
+		for i, p := range probs {
+			if p > 0 && rng.Float64() < p {
+				counts[i]++
+			}
+		}
+	}
+	return counts
+}
+
 // TestSkipSamplingMatchesReferenceStatistics is the statistical
 // contract behind the protocol-v3 encoder: over ≥10⁵ steps, the
 // skip-sampler's per-pixel spike counts must match the Bernoulli
@@ -280,21 +253,16 @@ func TestSkipSamplingMatchesReferenceStatistics(t *testing.T) {
 	const steps = 120000
 	classes := []struct{ lo, hi int }{{0, 50}, {50, 100}, {100, 150}, {150, 200}}
 
-	count := func(mode Sampling, seed int64) []int {
-		enc := NewPoissonEncoder(seed)
-		enc.Mode = mode
-		enc.Begin(img)
-		counts := make([]int, len(img.Pixels))
-		for tt := 0; tt < steps; tt++ {
-			for _, i := range enc.EncodeStep() {
-				counts[i]++
-			}
+	enc := NewPoissonEncoder(101)
+	enc.Begin(img)
+	skip := make([]int, len(img.Pixels))
+	for tt := 0; tt < steps; tt++ {
+		for _, i := range enc.EncodeStep() {
+			skip[i]++
 		}
-		return counts
 	}
-	skip := count(SkipSampling, 101)
-	ref := count(ReferenceSampling, 202)
-	probs := NewPoissonEncoder(1).Probabilities(img)
+	ref := referenceCounts(img, 202, steps)
+	probs := enc.Probabilities(img)
 
 	for _, c := range classes {
 		p := probs[c.lo]

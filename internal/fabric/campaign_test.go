@@ -32,7 +32,7 @@ func shardExperiment(t *testing.T, url string) *core.Experiment {
 	}
 	e.Workers = 2
 	if url != "" {
-		e.Cache = runner.NewChain[*core.Result](e.Cache, newClient[*core.Result](t, url, networkTier))
+		e.Cache = runner.NewChain[*core.Result](e.Cache, newClient[*core.Result](t, url, "network"))
 	}
 	return e
 }

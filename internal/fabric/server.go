@@ -1,9 +1,9 @@
 // Package fabric is the server side of the distributed campaign
 // fabric: an HTTP content store over DiskCache tiers (the wire format
-// runner.HTTPCache speaks, runner.StoreProtocol) plus a thin campaign
-// service that audits suite progress against the store — the
-// north-star shape where cold campaigns fan out across worker
-// processes and warm ones are cache-hit reads at web latency.
+// runner.HTTPCache speaks, runner.StoreProtocol) — the north-star
+// shape where cold campaigns fan out across worker processes and warm
+// ones are cache-hit reads at web latency. A cell is looked up only by
+// its key, so the store links nothing that trains or simulates.
 //
 // The store holds content-addressed result cells: the key is a
 // runner.KeyOf digest of everything that determines the value, so
@@ -31,21 +31,15 @@ import (
 var tierPat = regexp.MustCompile(`^[a-z0-9_-]{1,32}$`)
 
 // Server serves one store directory (per-tier DiskCache
-// subdirectories, the exact -cache-dir layout) and the campaign
-// service. Create with NewServer, mount via Handler.
+// subdirectories, the exact -cache-dir layout). Create with NewServer,
+// mount via Handler.
 type Server struct {
 	dir string
 	reg *obs.Registry
 	mux *http.ServeMux
 
-	mu        sync.Mutex
-	tiers     map[string]*runner.DiskCache[json.RawMessage]
-	campaigns map[string]*campaign
-
-	// DataDir optionally points campaign audits at a real-MNIST
-	// directory; it must match what the workers train from, or the
-	// fingerprints (and so every key) disagree.
-	DataDir string
+	mu    sync.Mutex
+	tiers map[string]*runner.DiskCache[json.RawMessage]
 }
 
 // NewServer opens (creating if needed) a store over dir. The registry
@@ -53,10 +47,9 @@ type Server struct {
 // telemetry but keeps every route working.
 func NewServer(dir string, reg *obs.Registry) (*Server, error) {
 	s := &Server{
-		dir:       dir,
-		reg:       reg,
-		tiers:     map[string]*runner.DiskCache[json.RawMessage]{},
-		campaigns: map[string]*campaign{},
+		dir:   dir,
+		reg:   reg,
+		tiers: map[string]*runner.DiskCache[json.RawMessage]{},
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -64,13 +57,10 @@ func NewServer(dir string, reg *obs.Registry) (*Server, error) {
 	mux.HandleFunc("GET /cell/{tier}/{key}", s.handleGetCell)
 	mux.HandleFunc("POST /cell/{tier}", s.handleGetCells)
 	mux.HandleFunc("PUT /cell/{tier}/{key}", s.handlePutCell)
-	mux.HandleFunc("POST /campaign", s.handlePostCampaign)
-	mux.HandleFunc("GET /campaign/{id}", s.handleGetCampaign)
-	mux.HandleFunc("GET /campaign/{id}/cells", s.handleCampaignCells)
 	s.mux = mux
 	// Seed the request counters so /metrics shows the full shape from
 	// the first scrape.
-	for _, n := range []string{"store.gets", "store.batches", "store.puts", "store.campaigns"} {
+	for _, n := range []string{"store.gets", "store.batches", "store.puts"} {
 		reg.Counter(n)
 	}
 	return s, nil

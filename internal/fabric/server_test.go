@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"snnfi/internal/obs"
 	"snnfi/internal/runner"
@@ -173,6 +176,78 @@ func FuzzStoreBatchLookup(f *testing.F) {
 	})
 }
 
+// FuzzStorePut: a PUT of any body to a network cell either stores it
+// (204, after which the single and the batch lookup serve the same
+// bytes, and they decode to the value the body does) or is refused
+// (400, after which the key still misses); never a 5xx, never a panic.
+// The bytes served need not equal the body: the store compacts JSON.
+func FuzzStorePut(f *testing.F) {
+	for _, seed := range []struct{ key, body string }{
+		{"k1", `{"name":"n","acc":0.5}`},
+		{"k1", " { \"a\" : [1, 2.50, -0e3, 1e400],\n\"b\": \"<\\u00e9>\" } "},
+		{"k1", `null`},
+		{"k1", `{not json`},
+		{"k1", ``},
+		{"k1", `[1,2] x`},
+		{"a b?c#d%", `"\u2028"`},
+	} {
+		f.Add(seed.key, []byte(seed.body))
+	}
+	f.Fuzz(func(t *testing.T, key string, body []byte) {
+		// A key must be one path segment, and the batch route's JSON
+		// body can only name a key that is valid UTF-8.
+		if key == "" || key == "." || key == ".." || strings.Contains(key, "/") || !utf8.ValidString(key) {
+			t.Skip()
+		}
+		s, err := NewServer(t.TempDir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+			return rec
+		}
+		path := "/cell/network/" + url.PathEscape(key)
+		keys, _ := json.Marshal([]string{key})
+		put := serve(http.MethodPut, path, body)
+		get := serve(http.MethodGet, path, nil)
+		batch := serve(http.MethodPost, "/cell/network", keys)
+		var cells []json.RawMessage
+		if batch.Code != http.StatusOK || json.Unmarshal(batch.Body.Bytes(), &cells) != nil || len(cells) != 1 {
+			t.Fatalf("batch lookup: %d %q", batch.Code, batch.Body.Bytes())
+		}
+		switch put.Code {
+		case http.StatusNoContent:
+			if get.Code != http.StatusOK || !bytes.Equal(get.Body.Bytes(), cells[0]) {
+				t.Fatalf("stored %q: GET %d %q, batch %q", body, get.Code, get.Body.Bytes(), cells[0])
+			}
+			if want, got := decodeJSON(t, body), decodeJSON(t, cells[0]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("stored %q, served %q: %#v, want %#v", body, cells[0], got, want)
+			}
+		case http.StatusBadRequest:
+			if get.Code != http.StatusNotFound || string(cells[0]) != "null" {
+				t.Fatalf("refused %q, then GET %d %q and batch %q, want misses", body, get.Code, get.Body.Bytes(), cells[0])
+			}
+		default:
+			t.Fatalf("PUT %q under %q: status %d", body, key, put.Code)
+		}
+	})
+}
+
+// decodeJSON decodes one JSON value, numbers kept as written.
+func decodeJSON(t *testing.T, data []byte) any {
+	t.Helper()
+	d := json.NewDecoder(bytes.NewReader(data))
+	d.UseNumber()
+	var v any
+	if err := d.Decode(&v); err != nil {
+		t.Fatalf("%q: %v", data, err)
+	}
+	return v
+}
+
 // TestStoreHealthAndMetrics: the health probe names the protocol both
 // sides embed, and /metrics exports the request counters plus the
 // per-tier disk counters.
@@ -293,119 +368,5 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCampaignService walks the service front end to end: register a
-// suite, watch the audit flip as a worker pushes cells, read the
-// cached sweep points back.
-func TestCampaignService(t *testing.T) {
-	_, url, _ := newTestServer(t)
-	doc := `{
-	  "name": "svc",
-	  "network": {"images": 8, "neurons": 16, "steps": 40},
-	  "entries": [
-	    {"id": "S1", "scenario": {"attack": 3, "changes_pc": [-20, 10]}}
-	  ]
-	}`
-	post := func() (id string, n int) {
-		resp, err := http.Post(url+"/campaign", "application/json", strings.NewReader(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /campaign: %s", resp.Status)
-		}
-		var out struct {
-			ID    string `json:"id"`
-			Cells int    `json:"cells"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out.ID, out.Cells
-	}
-	id, n := post()
-	if n != 3 { // baseline + 2 grid cells
-		t.Fatalf("campaign registered %d cells, want 3", n)
-	}
-	if id2, _ := post(); id2 != id {
-		t.Fatal("re-registering the same suite must be idempotent")
-	}
-
-	var cold campaignStatus
-	getJSON(t, url+"/campaign/"+id, &cold)
-	if cold.Schema != CampaignSchema || cold.Present != 0 || cold.Missing != 3 || cold.Complete {
-		t.Fatalf("cold status = %+v, want 0/3 incomplete", cold)
-	}
-	if cold.Cells[0].Entry != "" || cold.Cells[1].Entry != "S1" {
-		t.Fatalf("attribution = %q,%q, want baseline then S1", cold.Cells[0].Entry, cold.Cells[1].Entry)
-	}
-
-	// A worker pushes one computed cell; the audit flips live.
-	worker := newClient[cell](t, url, "network")
-	worker.Put(cold.Cells[1].Key, cell{Name: "computed", Acc: 0.75})
-	var warm campaignStatus
-	getJSON(t, url+"/campaign/"+id, &warm)
-	if warm.Present != 1 || warm.Missing != 2 {
-		t.Fatalf("warm status = %d/%d, want 1 present / 2 missing", warm.Present, warm.Missing)
-	}
-	if !warm.Cells[1].Present || warm.Cells[0].Present {
-		t.Fatal("presence attributed to the wrong cell")
-	}
-
-	var cells []struct {
-		Key    string `json:"key"`
-		Result cell   `json:"result"`
-	}
-	getJSON(t, url+"/campaign/"+id+"/cells", &cells)
-	if len(cells) != 1 || cells[0].Key != cold.Cells[1].Key || cells[0].Result.Acc != 0.75 {
-		t.Fatalf("served cells = %+v, want the one pushed point", cells)
-	}
-
-	resp, err := http.Get(url + "/campaign/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown campaign: %s, want 404", resp.Status)
-	}
-}
-
-// TestCampaignOverridesChangeIdentity: the reduced-scale knobs are
-// part of every fingerprint, so they must be part of the campaign id.
-func TestCampaignOverridesChangeIdentity(t *testing.T) {
-	_, url, _ := newTestServer(t)
-	doc := `{"name":"svc","network":{"images":8,"neurons":16,"steps":40},
-	  "entries":[{"id":"S1","scenario":{"attack":3,"changes_pc":[10]}}]}`
-	post := func(q string) string {
-		resp, err := http.Post(url+"/campaign"+q, "application/json", strings.NewReader(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /campaign%s: %s", q, resp.Status)
-		}
-		var out struct {
-			ID string `json:"id"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out.ID
-	}
-	if post("") == post("?images=4") {
-		t.Fatal("scale overrides must change the campaign id")
-	}
-	resp, err := http.Post(url+"/campaign?images=x", "application/json", strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad override: %s, want 400", resp.Status)
 	}
 }

@@ -45,9 +45,9 @@ func (tr SpikeTrain) Step(t int) []int {
 
 // EncodeCorpus encodes every image for a presentation of steps steps:
 // image i from the seed ImageSeed(enc.Seed(), i), at the encoder's
-// MaxRate, Dt and Mode, so the trains are exactly what streaming
-// image i from that seed would produce. The encoder's base seed is
-// restored on return.
+// MaxRate and Dt, so the trains are exactly what streaming image i
+// from that seed would produce. The encoder's base seed is restored on
+// return.
 func EncodeCorpus(images []mnist.Image, enc *encoding.PoissonEncoder, steps int) *Corpus {
 	base := enc.Seed()
 	defer enc.Reseed(base)

@@ -53,20 +53,11 @@ func sameCounts(t *testing.T, label string, got, want []tensor.Vector) {
 }
 
 // TestEvaluateParallelBitIdentical is the engine's acceptance
-// contract: counts and accuracy are bit-identical at 1, 2 and 4
-// workers.
+// contract: the parallel evaluation pass (CountsParallel) gives
+// bit-identical counts at 1, 2 and 4 workers.
 func TestEvaluateParallelBitIdentical(t *testing.T) {
 	p, c := trainedEngine(t)
-	assignments := make([]int, p.Cfg.NExc)
-	for j := range assignments {
-		assignments[j] = j % 10
-	}
-
 	refCounts, err := CountsParallel(p, c, EvalOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refAcc, err := EvaluateParallel(p, c, assignments, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +67,6 @@ func TestEvaluateParallelBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameCounts(t, "workers", counts, refCounts)
-		acc, err := EvaluateParallel(p, c, assignments, EvalOptions{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if acc != refAcc {
-			t.Fatalf("workers=%d: accuracy %v, want %v", w, acc, refAcc)
-		}
 	}
 }
 
@@ -363,14 +347,7 @@ func TestFrozenPassLeavesNetworkUnchanged(t *testing.T) {
 	for _, v := range params(n) {
 		before = append(before, v.Copy())
 	}
-	assignments := make([]int, n.Cfg.NExc)
-	for j := range assignments {
-		assignments[j] = j % 10
-	}
 	if _, err := CountsParallel(n, c, EvalOptions{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EvaluateParallel(n, c, assignments, EvalOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	f := newFrozenCopy(n)
@@ -579,9 +556,10 @@ func TestImageSeedProperties(t *testing.T) {
 }
 
 // TestEvaluateParallelSpeedup is the wall-clock bar: at 4 workers the
-// evaluation pass must run ≥3× faster than serial on a ≥4-core
-// machine (the images are independent, so near-linear scaling is
-// expected). Timing tests are skipped in -short and on small hosts.
+// evaluation pass (CountsParallel) must run ≥3× faster than serial on
+// a ≥4-core machine (the images are independent, so near-linear
+// scaling is expected). Timing tests are skipped in -short and on
+// small hosts.
 func TestEvaluateParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test skipped in -short mode")
@@ -597,13 +575,9 @@ func TestEvaluateParallelSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := EncodeCorpus(mnist.Synthetic(256, 3), encoding.NewPoissonEncoder(42), cfg.Steps)
-	assignments := make([]int, cfg.NExc)
-	for j := range assignments {
-		assignments[j] = j % 10
-	}
 	measure := func(workers int) time.Duration {
 		start := time.Now()
-		if _, err := EvaluateParallel(n, c, assignments, EvalOptions{Workers: workers}); err != nil {
+		if _, err := CountsParallel(n, c, EvalOptions{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

@@ -701,43 +701,37 @@ func FuzzInhibitoryStep(f *testing.F) {
 
 // TestCorpusMatchesEncoderStream pins the corpus against the encoder
 // it replaces in every pass: image i's train is, step for step, the
-// stream a fresh encoder seeded with ImageSeed(base, i) draws, under
-// either sampler, and encoding leaves the caller's encoder at its base
-// seed.
+// stream a fresh encoder seeded with ImageSeed(base, i) draws, and
+// encoding leaves the caller's encoder at its base seed.
 func TestCorpusMatchesEncoderStream(t *testing.T) {
 	const steps = 120
 	images := mnist.Synthetic(4, 3)
-	for _, mode := range []encoding.Sampling{encoding.SkipSampling, encoding.ReferenceSampling} {
-		enc := encoding.NewPoissonEncoder(7)
-		enc.Mode = mode
-		c := EncodeCorpus(images, enc, steps)
-		if enc.Seed() != 7 {
-			t.Fatalf("mode %d: encoder left at seed %d, want its base 7", mode, enc.Seed())
+	enc := encoding.NewPoissonEncoder(7)
+	c := EncodeCorpus(images, enc, steps)
+	if enc.Seed() != 7 {
+		t.Fatalf("encoder left at seed %d, want its base 7", enc.Seed())
+	}
+	if c.Len() != len(images) || c.Steps != steps {
+		t.Fatalf("corpus of %d images × %d steps, want %d × %d", c.Len(), c.Steps, len(images), steps)
+	}
+	total := 0
+	for i := range images {
+		if c.Labels[i] != images[i].Label {
+			t.Fatalf("image %d labelled %d, want %d", i, c.Labels[i], images[i].Label)
 		}
-		if c.Len() != len(images) || c.Steps != steps {
-			t.Fatalf("mode %d: corpus of %d images × %d steps, want %d × %d", mode, c.Len(), c.Steps, len(images), steps)
+		want := encoding.NewPoissonEncoder(ImageSeed(7, i)).Encode(&images[i], steps)
+		tr := c.Train(i)
+		if tr.Steps() != steps {
+			t.Fatalf("image %d train covers %d steps, want %d", i, tr.Steps(), steps)
 		}
-		total := 0
-		for i := range images {
-			if c.Labels[i] != images[i].Label {
-				t.Fatalf("mode %d: image %d labelled %d, want %d", mode, i, c.Labels[i], images[i].Label)
+		for st := range want {
+			if !sameInts(tr.Step(st), want[st]) {
+				t.Fatalf("image %d step %d: corpus %v, encoder %v", i, st, tr.Step(st), want[st])
 			}
-			ref := encoding.NewPoissonEncoder(ImageSeed(7, i))
-			ref.Mode = mode
-			want := ref.Encode(&images[i], steps)
-			tr := c.Train(i)
-			if tr.Steps() != steps {
-				t.Fatalf("mode %d: image %d train covers %d steps, want %d", mode, i, tr.Steps(), steps)
-			}
-			for st := range want {
-				if !sameInts(tr.Step(st), want[st]) {
-					t.Fatalf("mode %d: image %d step %d: corpus %v, encoder %v", mode, i, st, tr.Step(st), want[st])
-				}
-				total += len(want[st])
-			}
+			total += len(want[st])
 		}
-		if total == 0 || total != c.Spikes() {
-			t.Fatalf("mode %d: corpus holds %d spikes, trains list %d", mode, c.Spikes(), total)
-		}
+	}
+	if total == 0 || total != c.Spikes() {
+		t.Fatalf("corpus holds %d spikes, trains list %d", c.Spikes(), total)
 	}
 }

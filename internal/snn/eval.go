@@ -5,9 +5,9 @@ package snn
 //
 // Training mutates a DiehlCook in place and is inherently serial — each
 // presentation's STDP depends on the weights the previous one left
-// behind. The read-only phases are not: the label-assignment pass after
-// training and every evaluation present images to the *frozen* trained
-// network, so images can run concurrently once two things hold:
+// behind. The read-only phase is not: the label-assignment pass after
+// training presents images to the *frozen* trained network, so images
+// can run concurrently once two things hold:
 //
 //  1. Workers share the trained network without sharing mutable state.
 //     Each worker presents through its own frozen copy (frozenCopy): a
@@ -126,12 +126,14 @@ type EvalOptions struct {
 // not affect results (each image's train is fixed in the corpus).
 const evalShard = 8
 
-// runShards presents the corpus to frozen copies of n in contiguous
-// image shards on the evaluation pool and returns run's per-image
-// results in image order. run is called with a ready copy and an image
-// index. A corpus that does not fit n's configuration is an error. n
-// is only read, and must not change until runShards returns.
-func runShards[T any](n *DiehlCook, c *Corpus, opt EvalOptions, run func(f *frozenCopy, i int) T) ([]T, error) {
+// CountsParallel presents every image of the corpus to the trained
+// network n with learning off and returns the per-image excitatory
+// spike counts, in image order — the frozen pass behind TrainWith's
+// label assignment. Contiguous image shards run on frozen copies of n
+// on the evaluation pool, and counts are bit-identical at any worker
+// count. A corpus that does not fit n's configuration is an error. n
+// is only read, and must not change until CountsParallel returns.
+func CountsParallel(n *DiehlCook, c *Corpus, opt EvalOptions) ([]tensor.Vector, error) {
 	if err := c.fits(n.Cfg); err != nil {
 		return nil, err
 	}
@@ -140,18 +142,18 @@ func runShards[T any](n *DiehlCook, c *Corpus, opt EvalOptions, run func(f *froz
 		mu   sync.Mutex
 		work workCounts
 	)
-	jobs := make([]runner.Job[[]T], 0, (total+evalShard-1)/evalShard)
+	jobs := make([]runner.Job[[]tensor.Vector], 0, (total+evalShard-1)/evalShard)
 	for lo := 0; lo < total; lo += evalShard {
 		lo, hi := lo, min(lo+evalShard, total)
-		jobs = append(jobs, runner.Job[[]T]{
+		jobs = append(jobs, runner.Job[[]tensor.Vector]{
 			Label: fmt.Sprintf("images[%d:%d]", lo, hi),
-			Run: func() ([]T, error) {
+			Run: func() ([]tensor.Vector, error) {
 				f := acquireFrozen(n)
 				defer releaseFrozen(f)
 				f.net.clearWork()
-				out := make([]T, hi-lo)
+				out := make([]tensor.Vector, hi-lo)
 				for i := lo; i < hi; i++ {
-					out[i-lo] = run(f, i)
+					out[i-lo] = f.present(c.Train(i)).Copy()
 				}
 				if opt.Obs != nil {
 					mu.Lock()
@@ -166,47 +168,15 @@ func runShards[T any](n *DiehlCook, c *Corpus, opt EvalOptions, run func(f *froz
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pool := &runner.Pool[[]T]{Workers: workers, Obs: opt.Obs, Name: "snn.eval"}
+	pool := &runner.Pool[[]tensor.Vector]{Workers: workers, Obs: opt.Obs, Name: "snn.eval"}
 	shards, err := pool.Run(jobs)
 	if err != nil {
 		return nil, err
 	}
 	work.publish(opt.Obs)
-	out := make([]T, 0, total)
+	out := make([]tensor.Vector, 0, total)
 	for _, s := range shards {
 		out = append(out, s...)
 	}
 	return out, nil
-}
-
-// CountsParallel presents every image of the corpus to the trained
-// network n with learning off and returns the per-image excitatory
-// spike counts, in image order — the parallel label-assignment kernel.
-// Counts are bit-identical at any worker count.
-func CountsParallel(n *DiehlCook, c *Corpus, opt EvalOptions) ([]tensor.Vector, error) {
-	return runShards(n, c, opt, func(f *frozenCopy, i int) tensor.Vector {
-		return f.present(c.Train(i)).Copy()
-	})
-}
-
-// EvaluateParallel presents every image of the corpus to the trained
-// network n with learning off, classifies each with the given
-// neuron→class assignments, and returns the fraction classified
-// correctly. Unlike CountsParallel it keeps no per-image counts, so a
-// full evaluation pass is allocation-flat.
-func EvaluateParallel(n *DiehlCook, c *Corpus, assignments []int, opt EvalOptions) (float64, error) {
-	correct, err := runShards(n, c, opt, func(f *frozenCopy, i int) int {
-		if Classify(f.present(c.Train(i)), assignments) == int(c.Labels[i]) {
-			return 1
-		}
-		return 0
-	})
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, ok := range correct {
-		total += ok
-	}
-	return float64(total) / float64(len(correct)), nil
 }

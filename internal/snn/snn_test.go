@@ -378,7 +378,7 @@ func TestTrainRejectsEmptyInput(t *testing.T) {
 	if _, err := TrainWith(n, empty, TrainOptions{}); err == nil {
 		t.Fatal("empty training set must fail")
 	}
-	if _, err := EvaluateParallel(n, empty, nil, EvalOptions{Workers: 1}); err == nil {
+	if _, err := CountsParallel(n, empty, EvalOptions{Workers: 1}); err == nil {
 		t.Fatal("empty evaluation set must fail")
 	}
 	// A corpus encoded for another presentation length would silently
@@ -387,7 +387,7 @@ func TestTrainRejectsEmptyInput(t *testing.T) {
 	if _, err := TrainWith(n, short, TrainOptions{}); err == nil {
 		t.Fatal("training on a corpus of the wrong length must fail")
 	}
-	if _, err := EvaluateParallel(n, short, nil, EvalOptions{Workers: 1}); err == nil {
+	if _, err := CountsParallel(n, short, EvalOptions{Workers: 1}); err == nil {
 		t.Fatal("evaluating a corpus of the wrong length must fail")
 	}
 }

@@ -11,11 +11,10 @@ import (
 // what a trained result contains — v2 was the intra-cell engine's
 // per-image seeding and frozen-network assignment pass; v3 is the
 // training-pass engine: the geometric skip-sampling encoder (one RNG
-// draw per spike instead of per pixel per step;
-// encoding.SkipSampling) and dirty-column homeostatic normalization
-// (untouched columns keep their previous bits instead of rescaling by
-// ≈1) — so stale caches miss instead of serving values computed under
-// older semantics.
+// draw per spike instead of per pixel per step, see package encoding)
+// and dirty-column homeostatic normalization (untouched columns keep
+// their previous bits instead of rescaling by ≈1) — so stale caches
+// miss instead of serving values computed under older semantics.
 const ProtocolVersion = "train-protocol-v3"
 
 // TrainResult summarizes a training run: per-neuron class assignments,

@@ -355,10 +355,13 @@ func (a AxisValue) Resolve() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if a.VDDEquivalent.VDD <= 0 {
-		return 0, fmt.Errorf("vdd_equivalent needs a positive vdd")
+	// Past its ends the curve holds the end value, so a supply off them
+	// would train the nearest end's change under its own label.
+	c, vdd := xfer.ThresholdRatio(kind), a.VDDEquivalent.VDD
+	if lo, hi := c.X[0], c.X[len(c.X)-1]; !(vdd >= lo && vdd <= hi) {
+		return 0, fmt.Errorf("vdd_equivalent supply %g V is outside the %g–%g V the %s threshold curve is anchored on", vdd, lo, hi, a.VDDEquivalent.Neuron)
 	}
-	return 100 * (xfer.ThresholdRatio(kind).At(a.VDDEquivalent.VDD) - 1), nil
+	return 100 * (c.At(vdd) - 1), nil
 }
 
 // Compile lowers the scenario spec to a validated core.Scenario.

@@ -191,7 +191,8 @@ type AxisValue struct {
 	VDDEquivalent *VDDEquivalent
 }
 
-// VDDEquivalent resolves to 100·(ThresholdRatio(neuron).At(vdd) − 1).
+// VDDEquivalent resolves to 100·(ThresholdRatio(neuron).At(vdd) − 1),
+// for a vdd on the curve's anchored span (0.8–1.2 V).
 type VDDEquivalent struct {
 	Neuron string  `json:"neuron"`
 	VDD    float64 `json:"vdd"`

@@ -161,6 +161,8 @@ func TestValidateCatchesSpecErrors(t *testing.T) {
 			Detection: &DetectionSpec{Neurons: []string{"ah", "iaf"}, VDDs: []float64{1}},
 			Output:    &OutputSpec{CSV: "same.csv", Header: "h"},
 		}), "{neuron}"},
+		{"vdd_equivalent supply below the anchors", vddEquivalent(0.5), "0.5 V is outside the 0.8–1.2 V"},
+		{"vdd_equivalent supply above the anchors", vddEquivalent(1.3), "1.3 V is outside the 0.8–1.2 V"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -173,6 +175,21 @@ func TestValidateCatchesSpecErrors(t *testing.T) {
 			}
 		})
 	}
+	for _, vdd := range []float64{0.8, 1.2} {
+		if err := vddEquivalent(vdd).Validate(); err != nil {
+			t.Fatalf("vdd_equivalent supply %g V, an end of the anchors, rejected: %v", vdd, err)
+		}
+	}
+}
+
+// vddEquivalent is a one-entry suite whose scenario sweeps the AH
+// threshold change equivalent to the supply vdd.
+func vddEquivalent(vdd float64) *Suite {
+	return &Suite{Name: "t", Entries: []Entry{{ID: "A",
+		Scenario: &ScenarioSpec{Name: "s", Attack: 4,
+			ChangesPc: []AxisValue{{VDDEquivalent: &VDDEquivalent{Neuron: "ah", VDD: vdd}}}},
+		Output: &OutputSpec{CSV: "x.csv", Header: "h", Fields: []string{"scale_pc"}},
+	}}}
 }
 
 // TestScenarioCompileDeterministic proves the suite→scenario lowering
